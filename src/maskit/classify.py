@@ -52,7 +52,7 @@ sub-classifications, conservatively when either is Undetermined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .farey import FareySlope
@@ -206,15 +206,7 @@ class RealClassifier:
         return classify_point(z, self.cfg)
 
     def describe(self) -> dict:
-        return {
-            "kind": "real",
-            "q_max": self.cfg.q_max,
-            "grow_threshold": self.cfg.grow_threshold,
-            "reject_threshold": self.cfg.reject_threshold,
-            "inside_margin": self.cfg.inside_margin,
-            "node_budget": self.cfg.node_budget,
-            "boundary_tol": self.cfg.boundary_tol,
-        }
+        return {"kind": "real", **asdict(self.cfg)}
 
 
 @dataclass(frozen=True)

@@ -1,39 +1,31 @@
-"""Command-line surface: renders, cusp tables, witness pipeline, self-test.
+"""Command-line surface: renders, cusp tables, witness pipeline.
 
 Subcommands:
   render-maskit   rasterize the slice over a window -> PPM + stats
   cusps           boundary-cusp table for slopes p/q in (0,1] plus 0/1 -> CSV
   a-slice         rasterize the extension locus for a base point -> PPM + JSON
   witness         find/verify/count the bounded-component witness -> JSON + PPM
-  selftest        run the built-in invariant suites
 
 Configuration may come from a flat key=value file (--config); explicit flags
 override file values.  Identical flags + config produce byte-identical
 outputs; timestamps can be suppressed with --no-timestamp for golden-file
 comparison.  Exit codes: 0 success, 1 usage, 2 I/O, 3 precondition
-violation, 4 witness failure, 5 self-test failure.
+violation, 4 witness failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 import time
 
-from .classify import (
-    ClassifierConfig,
-    RealClassifier,
-    SyntheticSlice,
-    Verdict,
-    classify_point,
-)
+from .classify import ClassifierConfig, RealClassifier, SyntheticSlice
 from .cusps import BoundaryCuspError, RootSolveError, cusp_point
 from .farey import slopes_up_to
 from .moebius import normalized_length
 from .raster import Window, components, rasterize_a_slice, rasterize_maskit, save_ppm
-from .selftest import run_selftest
 from .witness import (
     SearchParams,
     WitnessSearchError,
@@ -47,7 +39,6 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_PRECONDITION = 3
 EXIT_WITNESS = 4
-EXIT_SELFTEST = 5
 
 
 class _UsageError(Exception):
@@ -120,11 +111,6 @@ def _maybe_timestamp(meta: dict, args) -> dict:
     if not args.no_timestamp:
         meta["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return meta
-
-
-def _write_bytes(path, blob: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(blob)
 
 
 def _write_text(path, text: str) -> None:
@@ -260,9 +246,12 @@ def cmd_witness(args, file_cfg) -> int:
         rows=rows,
         workers=workers,
     )
-    report.component_count_window = counting.window
-    report.components_found = counting.components_found
-    report.per_translate = [t.describe() for t in counting.per_translate]
+    report = dataclasses.replace(
+        report,
+        component_count_window=counting.window,
+        components_found=counting.components_found,
+        per_translate=[t.describe() for t in counting.per_translate],
+    )
 
     doc = report.to_json_dict(cfg_meta=classifier.describe())
     doc["components"]["straddlers"] = list(counting.straddlers)
@@ -307,15 +296,6 @@ def cmd_witness(args, file_cfg) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(args, file_cfg) -> int:
-    q_scale = _pick(args.qmax, file_cfg, "qmax", 12, int)
-    seed = _pick(args.seed, file_cfg, "seed", 0, int)
-    passed, lines = run_selftest(q_scale=q_scale, seed=seed, mutate=args.mutate)
-    for line in lines:
-        print(line)
-    return EXIT_OK if passed else EXIT_SELFTEST
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="maskit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -348,10 +328,6 @@ def _build_parser() -> _Parser:
     p.add_argument("-k", type=int, help="number of translates to certify (default 5)")
     p.add_argument("--synthetic", action="store_true", help="use the synthetic boundary classifier")
 
-    p = sub.add_parser("selftest", help="run the built-in invariant suites")
-    common(p, res_default="-", out_help="(unused)")
-    p.add_argument("--mutate", action="store_true", help="inject a sign bug to prove the oracles bite")
-
     return parser
 
 
@@ -360,7 +336,6 @@ _DISPATCH = {
     "cusps": cmd_cusps,
     "a-slice": cmd_a_slice,
     "witness": cmd_witness,
-    "selftest": cmd_selftest,
 }
 
 

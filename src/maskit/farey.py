@@ -22,8 +22,15 @@ more generally t_{n/1} = i(z+2n).  Every t_{p/q} equals i^q times an
 integer-coefficient polynomial in z of degree q, which is what
 trace_polynomial computes exactly (Gaussian-integer pairs, arbitrary size).
 
+The recursion lives in one place: _edge_pq gives the parents and the
+normalised difference vertex of an edge, and _fill applies the identity
+above over a memo table.  TraceCache runs it on complex numbers for one z,
+trace_polynomial on exact polynomials.  classify_point carries its own
+depth-first copy of the step, with the traces on its stack, because it is
+the per-pixel hot loop.
+
 Caches are per-z and mutated by trace_of_slope; confine each cache to one
-worker at a time.  Everything else here is pure.
+worker at a time.  The polynomial table is shared and only ever grows.
 """
 
 from __future__ import annotations
@@ -31,11 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-# The recursion subtracts the difference-vertex trace.  The self-test's
-# mutation mode flips this to +1 to prove the oracle cross-checks can catch
-# exactly this class of bug; nothing else may write it.
-_DIFFERENCE_SIGN = -1.0
 
 
 @dataclass(frozen=True, order=True)
@@ -90,6 +92,48 @@ def _parents_pq(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return (a, b), (p - a, q - b)
 
 
+def _edge_pq(p: int, q: int):
+    """Parents (l, r) and difference vertex d of p/q, as raw pairs.
+
+    d is the representative vector 2*l - s, normalised to lowest terms with
+    q > 0 (or to 1/0): for negative integer slopes the normalised right
+    parent 1/0 stands for the vector (-1, 0), so d must come from l.
+    """
+    (lp, lq), r = _parents_pq(p, q)
+    dp, dq = 2 * lp - p, 2 * lq - q
+    if dq < 0 or (dq == 0 and dp < 0):
+        dp, dq = -dp, -dq
+    g = math.gcd(abs(dp), dq)
+    if g > 1:
+        dp, dq = dp // g, dq // g
+    return (lp, lq), r, (dp, dq)
+
+
+def _fill(table: dict, key: tuple[int, int]):
+    """table[key] by t_mediant = t_left * t_right - t_difference, memoised in table.
+
+    table must hold the four root slopes.  Iterative: the Farey depth can
+    reach ~q, too deep for recursion at large denominators.
+    """
+    hit = table.get(key)
+    if hit is not None:
+        return hit
+    stack = [key]
+    while stack:
+        top = stack[-1]
+        if top in table:
+            stack.pop()
+            continue
+        l, r, d = _edge_pq(*top)
+        missing = [k for k in (l, r, d) if k not in table]
+        if missing:
+            stack.extend(missing)
+            continue
+        table[top] = table[l] * table[r] - table[d]
+        stack.pop()
+    return table[key]
+
+
 def farey_parents(s: FareySlope) -> tuple[FareySlope, FareySlope]:
     """The unique Farey-neighbor pair whose mediant is s.
 
@@ -109,15 +153,13 @@ def mediant(l: FareySlope, r: FareySlope) -> FareySlope:
 def farey_difference(s: FareySlope) -> FareySlope:
     """Fourth vertex of the Farey quadrilateral around s's parent edge.
 
-    Computed from representative vectors (2*left - s), not from normalized
-    parent slopes: for negative integer slopes the normalized right parent
-    1/0 stands for the vector (-1, 0) and naive subtraction would land on
-    the wrong vertex.
+    Computed from representative vectors (see _edge_pq), not from normalized
+    parent slopes, so negative integer slopes land on the right vertex.
     """
     if (s.p, s.q) in _ROOTS:
         raise ValueError("root slope has no difference")
-    (lp, lq), _ = _parents_pq(s.p, s.q)
-    return slope(2 * lp - s.p, 2 * lq - s.q)
+    _, _, (dp, dq) = _edge_pq(s.p, s.q)
+    return FareySlope(dp, dq)
 
 
 @lru_cache(maxsize=None)
@@ -157,35 +199,7 @@ class TraceCache:
         }
 
     def trace(self, s: FareySlope) -> complex:
-        key = (s.p, s.q)
-        table = self.table
-        hit = table.get(key)
-        if hit is not None:
-            return hit
-        # iterative fill: Farey depth can reach ~q, too deep for recursion
-        # at large denominators
-        stack = [key]
-        while stack:
-            p, q = stack[-1]
-            if (p, q) in table:
-                stack.pop()
-                continue
-            (lp, lq), (rp, rq) = _parents_pq(p, q)
-            dp, dq = 2 * lp - p, 2 * lq - q
-            if dq < 0 or (dq == 0 and dp < 0):
-                dp, dq = -dp, -dq
-            g = math.gcd(abs(dp), dq)
-            if g > 1:
-                dp, dq = dp // g, dq // g
-            missing = [k for k in ((lp, lq), (rp, rq), (dp, dq)) if k not in table]
-            if missing:
-                stack.extend(missing)
-                continue
-            table[(p, q)] = (
-                table[(lp, lq)] * table[(rp, rq)] + _DIFFERENCE_SIGN * table[(dp, dq)]
-            )
-            stack.pop()
-        return table[key]
+        return _fill(self.table, (s.p, s.q))
 
 
 def trace_of_slope(z, s: FareySlope, cache: TraceCache | None = None) -> complex:
@@ -221,7 +235,7 @@ class TracePolynomial:
             acc = acc * z + complex(re, im)
         return acc
 
-    def _mul(self, other: "TracePolynomial") -> "TracePolynomial":
+    def __mul__(self, other: "TracePolynomial") -> "TracePolynomial":
         a, b = self.coeffs, other.coeffs
         out = [(0, 0)] * (len(a) + len(b) - 1)
         for i, (ar, ai) in enumerate(a):
@@ -232,7 +246,7 @@ class TracePolynomial:
                 out[i + j] = (cr + ar * br - ai * bi, ci + ar * bi + ai * br)
         return TracePolynomial(tuple(out))
 
-    def _sub(self, other: "TracePolynomial") -> "TracePolynomial":
+    def __sub__(self, other: "TracePolynomial") -> "TracePolynomial":
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [(0, 0)] * (n - len(self.coeffs))
         for k, (br, bi) in enumerate(other.coeffs):
@@ -250,31 +264,24 @@ _POLY_SEEDS = {
     (-1, 1): TracePolynomial(((0, -2), (0, 1))),  # i(z-2)
 }
 
+_POLY_TABLE = dict(_POLY_SEEDS)
+
 SYMBOLIC_Q_CAP = 64
 
 
-@lru_cache(maxsize=4096)
-def _poly_pq(p: int, q: int) -> TracePolynomial:
-    seed = _POLY_SEEDS.get((p, q))
-    if seed is not None:
-        return seed
-    (lp, lq), (rp, rq) = _parents_pq(p, q)
-    dp, dq = 2 * lp - p, 2 * lq - q
-    if dq < 0 or (dq == 0 and dp < 0):
-        dp, dq = -dp, -dq
-    g = math.gcd(abs(dp), dq)
-    if g > 1:
-        dp, dq = dp // g, dq // g
-    return _poly_pq(lp, lq)._mul(_poly_pq(rp, rq))._sub(_poly_pq(dp, dq))
-
-
 def trace_polynomial(s: FareySlope) -> TracePolynomial:
-    """Exact coefficients of t_{p/q}(z); degree q.  Capped at q <= 64."""
+    """Exact coefficients of t_{p/q}(z); degree q.  Capped at q <= 64.
+
+    Every polynomial on the way is kept in _POLY_TABLE for the life of the
+    process, with no eviction.  For |p/q| <= 1, the only range the callers
+    use, that is at most the 2,522 slopes with q <= 64; the cap does not
+    bound |p|, so slopes far outside [-1, 1] grow the table without limit.
+    """
     if s.q == 0:
         raise ValueError("constant trace 2, not polynomial in z")
     if s.q > SYMBOLIC_Q_CAP:
         raise ValueError(f"symbolic traces capped at q <= {SYMBOLIC_Q_CAP}")
-    poly = _poly_pq(s.p, s.q)
+    poly = _fill(_POLY_TABLE, (s.p, s.q))
     assert poly.degree == s.q
     return poly
 

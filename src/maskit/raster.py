@@ -16,7 +16,6 @@ import math
 import multiprocessing
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -25,10 +24,8 @@ from .classify import (
     ClassifierConfig,
     RealClassifier,
     Verdict,
-    classify_point,
     membership_with,
 )
-from .farey import TraceCache, slope, slopes_up_to, trace_of_slope
 
 CELL_INSIDE_PLUS = 0
 CELL_INSIDE_MINUS = 1
@@ -304,78 +301,6 @@ def components(raster: Raster) -> ComponentReport:
                 Component(label, count, (i_min, j_min, i_max, j_max), touching)
             )
     return ComponentReport(tuple(comps))
-
-
-def check_symmetries(
-    cfg: ClassifierConfig | None = None,
-    samples: Optional[list] = None,
-    *,
-    slope_q_max: int = 8,
-    tol: float = 1e-9,
-) -> list[dict]:
-    """Trace-identity and verdict-symmetry audit at the given sample points.
-
-    Per sample z, checks over all slopes p/q with |p/q| <= 1, q <= slope_q_max:
-      translation |t_{(p+q)/q}(z)| = |t_{p/q}(z+2)|,
-      negation    |t_{-p/q}(-z)|   = |t_{p/q}(z)|,
-      conjugation |t_{p/q}(conj z)| = |t_{p/q}(z)|
-    plus the composed reflection |t_{-p/q}(-conj z)| = |t_{p/q}(z)|, and the
-    classifier verdict equality under z -> z+2 and z -> -conj(z) whenever
-    both verdicts are determined.
-    """
-    if cfg is None:
-        cfg = ClassifierConfig()
-    if samples is None:
-        samples = [4j, 0.1j, 1.0]
-    slopes = slopes_up_to(slope_q_max, -1.0, 1.0)
-    out = []
-    for z in samples:
-        z = complex(z)
-        caches = {
-            key: TraceCache(val)
-            for key, val in {
-                "z": z,
-                "z+2": z + 2.0,
-                "-z": -z,
-                "conj": z.conjugate(),
-                "-conj": -z.conjugate(),
-            }.items()
-        }
-        translation = negation = conjugation = reflection = True
-        for s in slopes:
-            base = abs(trace_of_slope(z, s, caches["z"]))
-            neg = slope(-s.p, s.q)
-            shifted = slope(s.p + s.q, s.q)
-            if abs(abs(trace_of_slope(z + 2.0, s, caches["z+2"])) - abs(caches["z"].trace(shifted))) > tol:
-                translation = False
-            if abs(abs(trace_of_slope(-z, neg, caches["-z"])) - base) > tol:
-                negation = False
-            if abs(abs(trace_of_slope(z.conjugate(), s, caches["conj"])) - base) > tol:
-                conjugation = False
-            if abs(abs(trace_of_slope(-z.conjugate(), neg, caches["-conj"])) - base) > tol:
-                reflection = False
-        v0 = classify_point(z, cfg).verdict
-        v_shift = classify_point(z + 2.0, cfg).verdict
-        v_mirror = classify_point(-z.conjugate(), cfg).verdict
-        undet = Verdict.UNDETERMINED
-        verdict_translation = v0 is v_shift or undet in (v0, v_shift)
-        verdict_reflection = v0 is v_mirror or undet in (v0, v_mirror)
-        ok = all(
-            (translation, negation, conjugation, reflection, verdict_translation, verdict_reflection)
-        )
-        out.append(
-            {
-                "sample": [z.real, z.imag],
-                "translation_traces": translation,
-                "negation_traces": negation,
-                "conjugation_traces": conjugation,
-                "reflection_traces": reflection,
-                "verdict_translation": verdict_translation,
-                "verdict_reflection": verdict_reflection,
-                "ok": ok,
-            }
-        )
-    return out
 
 
 def to_ppm_bytes(raster: Raster) -> bytes:

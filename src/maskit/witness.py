@@ -258,7 +258,7 @@ def build_R(q: AxisRectangle, z) -> AxisRectangle:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class WitnessReport:
     Q: AxisRectangle
     z: complex

@@ -8,7 +8,6 @@ from maskit.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_PRECONDITION,
-    EXIT_SELFTEST,
     EXIT_USAGE,
     main,
 )
@@ -103,22 +102,6 @@ def test_malformed_config_line_is_usage_error(tmp_path, capsys):
     cfg.write_text("this is not a key value pair\n")
     assert main(["cusps", "--config", str(cfg)]) == EXIT_USAGE
     assert "key=value" in capsys.readouterr().err
-
-
-def test_selftest_passes(capsys):
-    assert main(["selftest", "--qmax", "8"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "all checks passed" in out
-    assert "FAIL" not in out
-
-
-def test_selftest_mutation_bites(capsys):
-    assert main(["selftest", "--qmax", "8", "--mutate"]) == EXIT_SELFTEST
-    out = capsys.readouterr().out
-    assert "FAIL" in out
-    assert "mutation mode" in out
-    # The injected bug must not leak into subsequent runs.
-    assert main(["selftest", "--qmax", "8"]) == EXIT_OK
 
 
 # ---------------------------------------------------------------------------

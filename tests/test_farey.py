@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maskit import farey
 from maskit.farey import (
     INFINITY,
     ZERO,
@@ -171,18 +172,36 @@ def test_half_slope_closed_form():
         assert abs(got - (-(z * z + 2 * z + 2))) < 1e-12
 
 
-def test_recursion_matches_matrix_oracle():
-    rng = random.Random(7)
-    slopes = slopes_up_to(12, -1.0, 1.0)
-    for _ in range(25):
-        z = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+def _matrix_errors(zs, slopes):
+    # recursion against matrix products, up to the sign PSL2 does not see
+    errs = []
+    for z in zs:
         cache = TraceCache(z)
         for s in slopes:
             t_rec = cache.trace(s)
             t_mat = _matrix_trace(z, s)
-            assert min(_rel_err(t_rec, t_mat), _rel_err(-t_rec, t_mat)) < 1e-8, (
-                f"slope {s} at z={z}"
-            )
+            errs.append((min(_rel_err(t_rec, t_mat), _rel_err(-t_rec, t_mat)), s, z))
+    return errs
+
+
+def _polynomial_errors(caches, slopes):
+    return [
+        (_rel_err(trace_polynomial(s).evaluate(c.z), c.trace(s)), s, c.z)
+        for c in caches
+        for s in slopes
+    ]
+
+
+def _misfits(errs, tol):
+    # written as "not err < tol" so that a NaN error counts as a misfit
+    return [(str(s), z, err) for err, s, z in errs if not err < tol]
+
+
+def test_recursion_matches_matrix_oracle():
+    rng = random.Random(7)
+    zs = [complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(25)]
+    bad = _misfits(_matrix_errors(zs, slopes_up_to(12, -1.0, 1.0)), 1e-8)
+    assert not bad, f"(slope, z, error): {bad[:5]}"
 
 
 def test_markov_identity():
@@ -232,11 +251,36 @@ def test_trace_polynomial_structure(s):
 
 def test_trace_polynomial_matches_recursion():
     rng = random.Random(3)
-    for _ in range(10):
-        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        cache = TraceCache(z)
-        for s in slopes_up_to(10, 0.0, 1.0):
-            assert _rel_err(trace_polynomial(s).evaluate(z), cache.trace(s)) < 1e-8
+    caches = [TraceCache(complex(rng.uniform(-3, 3), rng.uniform(-3, 3))) for _ in range(10)]
+    bad = _misfits(_polynomial_errors(caches, slopes_up_to(10, 0.0, 1.0)), 1e-8)
+    assert not bad, f"(slope, z, error): {bad[:5]}"
+
+
+def test_oracles_catch_a_wrong_difference_vertex(monkeypatch):
+    # Both trace paths share _edge_pq.  Break it (difference := left parent)
+    # and each oracle comparison above must report the damage.
+    rng = random.Random(5)
+    zs = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(5)]
+    slopes = slopes_up_to(8, 0.0, 1.0)
+    sound = [TraceCache(z) for z in zs]
+    for c in sound:
+        for s in slopes:
+            c.trace(s)  # filled before the helper breaks
+
+    good_edge = farey._edge_pq
+
+    def wrong_edge(p, q):
+        l, r, _ = good_edge(p, q)
+        return l, r, l
+
+    with monkeypatch.context() as m:
+        m.setattr(farey, "_edge_pq", wrong_edge)
+        m.setattr(farey, "_POLY_TABLE", dict(farey._POLY_SEEDS))
+        assert _misfits(_matrix_errors(zs, slopes), 1e-3)
+        assert _misfits(_polynomial_errors(sound, slopes), 1e-3)
+    # the bad polynomials went into the swapped-out table and must not leak
+    assert trace_polynomial(FareySlope(1, 2)).coeffs == ((-2, 0), (-2, 0), (-1, 0))
+    assert not _misfits(_polynomial_errors(sound, slopes), 1e-8)
 
 
 def test_slopes_up_to_enumeration():

@@ -15,7 +15,6 @@ from maskit import (
     ClassifierConfig,
     Raster,
     Window,
-    check_symmetries,
     components,
     rasterize_a_slice,
     rasterize_maskit,
@@ -290,37 +289,3 @@ def test_component_report_describe_shape():
             "boundary_touching": True,
         }
     ]
-
-
-# ---------------------------------------------------------------------------
-# Symmetry audit
-# ---------------------------------------------------------------------------
-
-
-def test_check_symmetries_default_samples_all_ok():
-    rows = check_symmetries(_FAST_CFG)
-    assert len(rows) == 3
-    for row in rows:
-        assert row["ok"], row
-        assert row["translation_traces"]
-        assert row["negation_traces"]
-        assert row["conjugation_traces"]
-        assert row["reflection_traces"]
-
-
-def test_check_symmetries_custom_sample_fields():
-    rows = check_symmetries(_FAST_CFG, samples=[complex(-1.0, 2.4)], slope_q_max=6)
-    assert len(rows) == 1
-    row = rows[0]
-    assert row["sample"] == [-1.0, 2.4]
-    assert set(row) == {
-        "sample",
-        "translation_traces",
-        "negation_traces",
-        "conjugation_traces",
-        "reflection_traces",
-        "verdict_translation",
-        "verdict_reflection",
-        "ok",
-    }
-    assert row["ok"]
