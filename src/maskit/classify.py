@@ -51,6 +51,7 @@ sub-classifications, conservatively when either is Undetermined.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -112,10 +113,15 @@ class AMembership:
 
 
 def classify_point(z, cfg: ClassifierConfig | None = None) -> Classification:
-    """Graded verdict for z; pure function of (z, cfg), deterministic."""
+    """Graded verdict for z; pure function of (z, cfg), deterministic.
+
+    Raises ValueError for a non-finite z, which no verdict can describe.
+    """
     if cfg is None:
         cfg = ClassifierConfig()
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"cannot classify the non-finite point {z}")
     if z.imag == 0.0:
         return Classification(
             Verdict.OUTSIDE_CERTIFIED, None, 0, reason="slice misses the real axis"
@@ -240,19 +246,20 @@ class SyntheticSlice:
         return {"kind": "synthetic", "peak": self.peak, "depth": self.depth}
 
 
-def membership_with(classifier, z, w, *, base_checked: bool = True) -> AMembership:
+def check_base_point(classifier, z) -> None:
+    """Raise ValueError unless the classifier certifies the base point z InsidePlus."""
+    if classifier.classify(z).verdict is not Verdict.INSIDE_PLUS:
+        raise ValueError("base point not certified in M+")
+
+
+def membership_with(classifier, z, w) -> AMembership:
     """Two-point membership test against an arbitrary classifier.
 
-    Pre-condition: the base point z is already certified InsidePlus (callers
-    doing pixel sweeps check once, not per pixel); set base_checked=False to
-    have it verified here.
+    Pre-condition: the base point z is already certified InsidePlus (see
+    check_base_point; callers doing pixel sweeps check once, not per pixel).
     """
     z = complex(z)
     w = complex(w)
-    if not base_checked:
-        base = classifier.classify(z)
-        if base.verdict is not Verdict.INSIDE_PLUS:
-            raise ValueError("base point not certified in M+")
     if w.imag == 0.0:
         return AMembership(
             AVerdict.NON_MEMBER_CERTIFIED, None, None, reason="Im w = 0"
@@ -288,9 +295,6 @@ def a_membership(z, w, cfg: ClassifierConfig | None = None) -> AMembership:
     Raises ValueError("base point not certified in M+") unless classify_point
     certifies z InsidePlus.
     """
-    if cfg is None:
-        cfg = ClassifierConfig()
-    base = classify_point(z, cfg)
-    if base.verdict is not Verdict.INSIDE_PLUS:
-        raise ValueError("base point not certified in M+")
-    return membership_with(RealClassifier(cfg), z, w, base_checked=True)
+    classifier = RealClassifier(cfg or ClassifierConfig())
+    check_base_point(classifier, z)
+    return membership_with(classifier, z, w)

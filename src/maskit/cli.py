@@ -1,33 +1,34 @@
 """Command-line surface: renders, cusp tables, witness pipeline.
 
 Subcommands:
-  render-maskit   rasterize the slice over a window -> PPM + stats
+  render-maskit   rasterize the slice over a window -> PPM
   cusps           boundary-cusp table for slopes p/q in (0,1] plus 0/1 -> CSV
   a-slice         rasterize the extension locus for a base point -> PPM + JSON
   witness         find/verify/count the bounded-component witness -> JSON + PPM
 
-Configuration may come from a flat key=value file (--config); explicit flags
-override file values.  Identical flags + config produce byte-identical
-outputs; timestamps can be suppressed with --no-timestamp for golden-file
-comparison.  Exit codes: 0 success, 1 usage, 2 I/O, 3 precondition
-violation, 4 witness failure.
+Each subcommand takes only the flags it reads; `maskit CMD --help` lists
+them.  --config FILE reads more of them from a file, split as a shell splits
+a command line (quotes work, # starts a comment); flags given on the
+command line override the file.  Identical flags produce byte-identical
+outputs; --no-timestamp suppresses the JSON timestamp for golden-file
+comparison.  Exit codes: 0 success, 1 usage (non-finite numbers and
+--workers < 1 included), 2 I/O, 3 precondition violation, 4 witness failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import cmath
 import json
+import shlex
 import sys
 import time
 
 from .classify import ClassifierConfig, RealClassifier, SyntheticSlice
 from .cusps import BoundaryCuspError, RootSolveError, cusp_point
 from .farey import slopes_up_to
-from .moebius import normalized_length
 from .raster import Window, components, rasterize_a_slice, rasterize_maskit, save_ppm
 from .witness import (
-    SearchParams,
     WitnessSearchError,
     components_near_infinity,
     find_rectangle,
@@ -50,59 +51,39 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read_config_file(path) -> dict[str, str]:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise _UsageError(f"config line not key=value: {raw.strip()!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
-    return out
-
-
-def _pick(args_value, file_cfg: dict, key: str, default, cast):
-    if args_value is not None:
-        return args_value
-    if key in file_cfg:
-        raw = file_cfg[key]
-        try:
-            return cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise _UsageError(f"config {key}={raw!r}: {exc}") from None
-    return default
-
-
-def _parse_res(text: str) -> tuple[int, int]:
+def _res(text: str) -> tuple[int, int]:
+    """argparse type of --res: WxH, both at least 1."""
     try:
-        w, h = text.lower().split("x")
-        cols, rows = int(w), int(h)
+        cols, rows = (int(v) for v in text.lower().split("x"))
     except ValueError:
-        raise _UsageError(f"--res wants WxH, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"--res wants WxH, got {text!r}") from None
     if cols < 1 or rows < 1:
-        raise _UsageError("--res must be at least 1x1")
+        raise argparse.ArgumentTypeError("--res must be at least 1x1")
     return cols, rows
 
 
-def _parse_window(vals) -> tuple[float, float, float, float]:
-    if isinstance(vals, str):
-        vals = vals.replace(",", " ").split()
-    if len(vals) != 4:
-        raise _UsageError("--window wants four numbers: re_min re_max im_min im_max")
-    re_min, re_max, im_min, im_max = (float(v) for v in vals)
-    if not (re_min < re_max and im_min < im_max):
-        raise _UsageError("--window bounds must be increasing")
-    return re_min, re_max, im_min, im_max
+def positive_int(text: str) -> int:
+    """argparse type of --workers: an integer of at least 1.
+
+    argparse names the function in its message for a bad value
+    ("invalid positive_int value: '-3'"), hence the plain name.
+    """
+    n = int(text)
+    if n < 1:
+        raise ValueError(text)
+    return n
 
 
-def _build_cfg(args, file_cfg) -> ClassifierConfig:
-    q_max = _pick(getattr(args, "qmax", None), file_cfg, "qmax", 512, int)
-    budget = _pick(getattr(args, "budget", None), file_cfg, "budget", 20000, int)
+def _window(args) -> Window:
     try:
-        return ClassifierConfig(q_max=q_max, node_budget=budget)
+        return Window.from_bounds(*args.window, *args.res)
+    except ValueError as exc:
+        raise _UsageError(f"--window: {exc}") from None
+
+
+def _build_cfg(args) -> ClassifierConfig:
+    try:
+        return ClassifierConfig(q_max=args.qmax, node_budget=args.budget)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -121,40 +102,31 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def cmd_render_maskit(args, file_cfg) -> int:
-    cfg = _build_cfg(args, file_cfg)
-    window = _parse_window(
-        _pick(args.window, file_cfg, "window", (-3.0, 3.0, 0.0, 3.0), _parse_window)
-    )
-    cols, rows = _parse_res(_pick(args.res, file_cfg, "res", "512x512", str))
-    out_path = _pick(args.out, file_cfg, "out", "maskit.ppm", str)
-    workers = _pick(args.workers, file_cfg, "workers", 1, int)
-    win = Window.from_bounds(*window, cols, rows)
-    grid = rasterize_maskit(win, cfg, workers=workers)
+def cmd_render_maskit(args) -> int:
+    cfg = _build_cfg(args)
+    win = _window(args)
+    grid = rasterize_maskit(win, cfg, workers=args.workers)
     try:
-        save_ppm(grid, out_path)
+        save_ppm(grid, args.out)
     except OSError as exc:
-        print(f"cannot write {out_path}: {exc}", file=sys.stderr)
+        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
     counts = grid.counts()
     stats = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-    print(f"wrote {out_path} ({cols}x{rows}): {stats}")
+    print(f"wrote {args.out} ({win.cols}x{win.rows}): {stats}")
     return EXIT_OK
 
 
-def cmd_cusps(args, file_cfg) -> int:
-    cfg = _build_cfg(args, file_cfg)
-    max_q = _pick(args.max_q, file_cfg, "max_q", 8, int)
-    if not (1 <= max_q <= 64):
+def cmd_cusps(args) -> int:
+    cfg = _build_cfg(args)
+    if not (1 <= args.max_q <= 64):
         raise _UsageError("cusp table slope cap must be in 1..64")
-    seed = _pick(args.seed, file_cfg, "seed", 0, int)
-    out_path = _pick(args.out, file_cfg, "out", "-", str)
     rows = ["p,q,re,im,residual"]
-    table = slopes_up_to(max_q, 0.0, 1.0)  # 0/1 plus every p/q in (0, 1]
+    table = slopes_up_to(args.max_q, 0.0, 1.0)  # 0/1 plus every p/q in (0, 1]
     table.sort(key=lambda s: (s.q, s.p))
     for s in table:
         try:
-            res = cusp_point(s, cfg, seed=seed)
+            res = cusp_point(s, cfg, seed=args.seed)
             rows.append(
                 f"{s.p},{s.q},{res.z.real!r},{res.z.imag!r},{res.residual:.3e}"
             )
@@ -162,28 +134,25 @@ def cmd_cusps(args, file_cfg) -> int:
             rows.append(f"{s.p},{s.q},nan,nan,failed: {exc}")
     text = "\n".join(rows) + "\n"
     try:
-        _write_text(out_path, text)
+        _write_text(args.out, text)
     except OSError as exc:
-        print(f"cannot write {out_path}: {exc}", file=sys.stderr)
+        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
-    if out_path != "-":
-        print(f"wrote {out_path} ({len(table)} slopes)")
+    if args.out != "-":
+        print(f"wrote {args.out} ({len(table)} slopes)")
     return EXIT_OK
 
 
-def cmd_a_slice(args, file_cfg) -> int:
-    cfg = _build_cfg(args, file_cfg)
-    z = complex(args.z[0], args.z[1])
-    window = _parse_window(
-        _pick(args.window, file_cfg, "window", (-4.0, 4.0, 0.0, 10.0), _parse_window)
-    )
-    cols, rows = _parse_res(_pick(args.res, file_cfg, "res", "512x512", str))
-    out_path = _pick(args.out, file_cfg, "out", "a_slice.ppm", str)
-    json_path = _pick(args.json_out, file_cfg, "json", "a_slice.json", str)
-    workers = _pick(args.workers, file_cfg, "workers", 1, int)
-    win = Window.from_bounds(*window, cols, rows)
+def cmd_a_slice(args) -> int:
+    cfg = _build_cfg(args)
+    if args.z is None:
+        raise _UsageError("a-slice needs --z RE IM")
+    z = complex(*args.z)
+    if not cmath.isfinite(z):
+        raise _UsageError(f"--z must be finite, got {z}")
+    win = _window(args)
     try:
-        grid = rasterize_a_slice(z, win, cfg, workers=workers)
+        grid = rasterize_a_slice(z, win, cfg, workers=args.workers)
     except ValueError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -198,28 +167,26 @@ def cmd_a_slice(args, file_cfg) -> int:
     }
     _maybe_timestamp(doc, args)
     try:
-        save_ppm(grid, out_path)
-        _write_text(json_path, json.dumps(doc, indent=2) + "\n")
+        save_ppm(grid, args.out)
+        _write_text(args.json_out, json.dumps(doc, indent=2) + "\n")
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {out_path} and {json_path}: {rep.count} components")
+    print(f"wrote {args.out} and {args.json_out}: {rep.count} components")
     return EXIT_OK
 
 
-def cmd_witness(args, file_cfg) -> int:
-    cfg = _build_cfg(args, file_cfg)
-    k = _pick(args.k, file_cfg, "k", 5, int)
+def cmd_witness(args) -> int:
+    cfg = _build_cfg(args)
+    k = args.k
     if k < 1:
         raise _UsageError("need k >= 1 translates")
-    cols, rows = _parse_res(_pick(args.res, file_cfg, "res", "1024x64", str))
-    prefix = _pick(args.out, file_cfg, "out", "witness", str)
-    workers = _pick(args.workers, file_cfg, "workers", 1, int)
-    synthetic = bool(args.synthetic or file_cfg.get("synthetic") == "1")
-    classifier = SyntheticSlice() if synthetic else RealClassifier(cfg)
+    cols, rows = args.res
+    prefix = args.out
+    classifier = SyntheticSlice() if args.synthetic else RealClassifier(cfg)
 
     try:
-        q, z = find_rectangle(cfg, SearchParams(), classifier=classifier)
+        q, z = find_rectangle(cfg, classifier=classifier)
     except WitnessSearchError as exc:
         print(f"witness search failed: {exc}", file=sys.stderr)
         for row in exc.profile:
@@ -244,24 +211,9 @@ def cmd_witness(args, file_cfg) -> int:
         classifier=classifier,
         cols=cols,
         rows=rows,
-        workers=workers,
+        workers=args.workers,
     )
-    report = dataclasses.replace(
-        report,
-        component_count_window=counting.window,
-        components_found=counting.components_found,
-        per_translate=[t.describe() for t in counting.per_translate],
-    )
-
-    doc = report.to_json_dict(cfg_meta=classifier.describe())
-    doc["components"]["straddlers"] = list(counting.straddlers)
-    doc["components"]["counting_ok"] = counting.ok
-    doc["diagnostics"] = {
-        "normalized_length_2z": normalized_length(2.0 * z),
-        "k": k,
-        "synthetic": synthetic,
-    }
-    _maybe_timestamp(doc, args)
+    doc = _maybe_timestamp(report.to_json_dict(counting, classifier.describe()), args)
 
     try:
         _write_text(f"{prefix}.json", json.dumps(doc, indent=2) + "\n")
@@ -270,7 +222,7 @@ def cmd_witness(args, file_cfg) -> int:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    ok = report.all_certified and counting.ok and counting.components_found >= k
+    ok = report.all_certified and counting.ok
     print(
         f"witness {'CERTIFIED' if ok else 'NOT certified'}: "
         f"Q=[{q.re_min:.6f},{q.re_max:.6f}]x[{q.im_min:.6f},{q.im_max:.6f}], "
@@ -300,32 +252,52 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="maskit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, res_default, out_help):
-        p.add_argument("--config", help="flat key=value config file; flags override")
-        p.add_argument("--window", nargs=4, metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
-        p.add_argument("--res", help=f"resolution WxH (default {res_default})")
-        p.add_argument("--qmax", type=int, help="classifier slope-denominator cap (default 512)")
-        p.add_argument("--budget", type=int, help="classifier node budget (default 20000)")
-        p.add_argument("--out", help=out_help)
-        p.add_argument("--workers", type=int, help="worker processes (default 1)")
-        p.add_argument("--seed", type=int, help="root-solver seed (default 0)")
-        p.add_argument("--no-timestamp", action="store_true", help="omit timestamps from outputs")
+    def command(name, summary, *, out, out_help):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", metavar="FILE",
+                       help="read more of these flags from FILE; flags given here override it")
+        p.add_argument("--qmax", type=int, default=512,
+                       help="classifier slope-denominator cap (default %(default)s)")
+        p.add_argument("--budget", type=int, default=20000,
+                       help="classifier node budget (default %(default)s)")
+        p.add_argument("--out", default=out, help=f"{out_help} (default %(default)s)")
+        p.add_argument("--no-timestamp", action="store_true",
+                       help="omit the timestamp from JSON output (render-maskit and cusps "
+                       "write none; they accept the flag so scripts can pass it to all)")
+        return p
 
-    p = sub.add_parser("render-maskit", help="rasterize the slice to a PPM image")
-    common(p, res_default="512x512", out_help="output PPM path (default maskit.ppm)")
+    def raster(p, *, res, window=None):
+        if window is not None:
+            p.add_argument("--window", nargs=4, type=float, default=window,
+                           metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"),
+                           help="plane window, finite and increasing (default %(default)s)")
+        p.add_argument("--res", type=_res, default=res, help="resolution WxH (default %(default)s)")
+        p.add_argument("--workers", type=positive_int, default=1,
+                       help="worker processes, at least 1 (default %(default)s)")
 
-    p = sub.add_parser("cusps", help="boundary-cusp table as CSV")
-    common(p, res_default="-", out_help="output CSV path or - for stdout (default -)")
-    p.add_argument("--max-q", dest="max_q", type=int, help="largest slope denominator (default 8, cap 64)")
+    p = command("render-maskit", "rasterize the slice to a PPM image",
+                out="maskit.ppm", out_help="output PPM path")
+    raster(p, res="512x512", window=(-3.0, 3.0, 0.0, 3.0))
 
-    p = sub.add_parser("a-slice", help="rasterize the extension locus of a base point")
-    common(p, res_default="512x512", out_help="output PPM path (default a_slice.ppm)")
-    p.add_argument("--z", nargs=2, type=float, required=True, metavar=("RE", "IM"))
-    p.add_argument("--json", dest="json_out", help="component-report JSON path (default a_slice.json)")
+    p = command("cusps", "boundary-cusp table as CSV",
+                out="-", out_help="output CSV path or - for stdout")
+    p.add_argument("--max-q", dest="max_q", type=int, default=8,
+                   help="largest slope denominator, at most 64 (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="root-solver seed (default %(default)s)")
 
-    p = sub.add_parser("witness", help="find, verify, and count the bounded-component witness")
-    common(p, res_default="1024x64", out_help="output file prefix (default witness)")
-    p.add_argument("-k", type=int, help="number of translates to certify (default 5)")
+    p = command("a-slice", "rasterize the extension locus of a base point",
+                out="a_slice.ppm", out_help="output PPM path")
+    raster(p, res="512x512", window=(-4.0, 4.0, 0.0, 10.0))
+    p.add_argument("--z", nargs=2, type=float, metavar=("RE", "IM"),
+                   help="base point, finite and certified InsidePlus (required)")
+    p.add_argument("--json", dest="json_out", default="a_slice.json",
+                   help="component-report JSON path (default %(default)s)")
+
+    p = command("witness", "find, verify, and count the bounded-component witness",
+                out="witness", out_help="output file prefix")
+    raster(p, res="1024x64")
+    p.add_argument("-k", type=int, default=5,
+                   help="number of translates to certify (default %(default)s)")
     p.add_argument("--synthetic", action="store_true", help="use the synthetic boundary classifier")
 
     return parser
@@ -339,19 +311,29 @@ _DISPATCH = {
 }
 
 
+def _config_flags(path) -> list[str]:
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return shlex.split(text, comments=True)
+    except ValueError as exc:
+        raise _UsageError(f"config {path}: {exc}") from None
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        file_cfg = _read_config_file(args.config) if args.config else {}
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        return _DISPATCH[args.command](args, file_cfg)
+        if args.config:
+            try:
+                file_flags = _config_flags(args.config)
+            except OSError as exc:
+                print(f"cannot read config: {exc}", file=sys.stderr)
+                return EXIT_IO
+            # The file's flags go first, so the command line's win.
+            args = parser.parse_args([args.command, *file_flags, *argv[1:]])
+        return _DISPATCH[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

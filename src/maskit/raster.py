@@ -12,6 +12,7 @@ order and reassembled by row index.
 
 from __future__ import annotations
 
+import cmath
 import math
 import multiprocessing
 from collections import deque
@@ -24,6 +25,7 @@ from .classify import (
     ClassifierConfig,
     RealClassifier,
     Verdict,
+    check_base_point,
     membership_with,
 )
 
@@ -73,15 +75,15 @@ class Window:
     rows: int
 
     def __post_init__(self):
+        if not all(map(cmath.isfinite, (self.center, self.width, self.height))):
+            raise ValueError("window bounds must be finite")
         if self.width <= 0 or self.height <= 0:
-            raise ValueError("window width/height must be positive")
+            raise ValueError("window bounds must satisfy re_min < re_max, im_min < im_max")
         if self.cols < 1 or self.rows < 1:
             raise ValueError("window resolution must be >= 1x1")
 
     @classmethod
     def from_bounds(cls, re_min, re_max, im_min, im_max, cols, rows) -> "Window":
-        if not (re_min < re_max and im_min < im_max):
-            raise ValueError("window bounds must satisfy re_min < re_max, im_min < im_max")
         center = complex((re_min + re_max) / 2.0, (im_min + im_max) / 2.0)
         return cls(center, re_max - re_min, im_max - im_min, int(cols), int(rows))
 
@@ -171,7 +173,7 @@ def _membership_rows(task):
 def _run_chunks(fn, tasks, workers: int):
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with multiprocessing.Pool(processes=workers) as pool:
+    with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
         return pool.map(fn, tasks)
 
 
@@ -220,9 +222,7 @@ def rasterize_a_slice(
     if classifier is None:
         classifier = RealClassifier(cfg or ClassifierConfig())
     z = complex(z)
-    base = classifier.classify(z)
-    if base.verdict is not Verdict.INSIDE_PLUS:
-        raise ValueError("base point not certified in M+")
+    check_base_point(classifier, z)
     tasks = [(classifier, z, win, i0, i1) for i0, i1 in _row_chunks(win.rows, workers)]
     cells = _assemble(win, _run_chunks(_membership_rows, tasks, workers))
     meta = {

@@ -20,12 +20,12 @@ bounded component; horizontal period-2 translates R + 2j repeat it, giving
 as many pairwise-disconnected components as the window shows.
 
 The search is anchored on the vertical line through the midpoint of the
-configured strip (default strip (-2, 0): the valley between the two cusp
-peaks adjacent to the imaginary axis).  Boundary heights are located by
-bisection -- lowest certified-inside and highest certified-outside points on
-the anchor vertical -- which keeps the search agnostic to whether the
-classifier is the honest one (valley floor sqrt(3)) or the synthetic
-harness (valley floor 1.5).  A ladder of inside-margins and half-widths is
+strip (-2, 0): the valley between the two cusp peaks adjacent to the
+imaginary axis.  Boundary heights are located by bisection -- lowest
+certified-inside and highest certified-outside points on the anchor
+vertical -- which keeps the search agnostic to whether the classifier is
+the honest one (valley floor sqrt(3)) or the synthetic harness (valley
+floor 1.5).  A ladder of inside-margins and half-widths is
 then tried until every side sample certifies outside.
 
 Everything accepts an injected classifier (any object with .classify(z) and
@@ -35,7 +35,7 @@ Everything accepts an injected classifier (any object with .classify(z) and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .classify import (
     AMembership,
@@ -43,8 +43,10 @@ from .classify import (
     ClassifierConfig,
     RealClassifier,
     Verdict,
+    check_base_point,
     membership_with,
 )
+from .moebius import normalized_length
 from .raster import (
     CELL_MEMBER,
     Component,
@@ -90,17 +92,14 @@ class AxisRectangle:
         }
 
 
-@dataclass(frozen=True)
-class SearchParams:
-    """Rectangle-search ladder; see module docstring for the geometry."""
-
-    strip: tuple[float, float] = (-2.0, 0.0)
-    inside_margins: tuple[float, ...] = (0.015, 0.025, 0.04, 0.065, 0.1)
-    half_widths: tuple[float, ...] = (0.45, 0.38, 0.32, 0.27, 0.22)
-    side_samples: int = 33
-    budget: int = 100_000  # classifier calls the search may spend
-    probe_top: float = 2.5
-    bisect_steps: int = 42
+# The search ladder; see the module docstring for the geometry.  Every
+# half-width is below 1, so Q is always narrower than the period 2.
+_STRIP = (-2.0, 0.0)
+_INSIDE_MARGINS = (0.015, 0.025, 0.04, 0.065, 0.1)
+_HALF_WIDTHS = (0.45, 0.38, 0.32, 0.27, 0.22)
+_SIDE_SAMPLES = 33
+_PROBE_TOP = 2.5
+_BISECT_STEPS = 42
 
 
 class WitnessSearchError(RuntimeError):
@@ -109,22 +108,6 @@ class WitnessSearchError(RuntimeError):
     def __init__(self, message, profile):
         super().__init__(message)
         self.profile = list(profile)
-
-
-class _BudgetedClassifier:
-    def __init__(self, classifier, budget: int):
-        self.classifier = classifier
-        self.remaining = budget
-
-    def classify(self, z):
-        if self.remaining <= 0:
-            raise _BudgetExhausted()
-        self.remaining -= 1
-        return self.classifier.classify(z)
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 def _lowest_inside(clf, x: float, top: float, steps: int) -> float:
@@ -163,17 +146,17 @@ class _ProbeFailed(Exception):
     pass
 
 
-def _boundary_profile(classifier, strip, n: int = 9, steps: int = 24):
+def _boundary_profile(classifier, n: int = 9, steps: int = 24):
     """Coarse certified floor/ceiling heights across the strip (diagnostics)."""
-    lo, hi = strip
+    lo, hi = _STRIP
     out = []
     for k in range(n):
         x = lo + (hi - lo) * k / (n - 1)
         try:
-            inside = _lowest_inside(classifier, x, 2.5, steps)
+            inside = _lowest_inside(classifier, x, _PROBE_TOP, steps)
         except _ProbeFailed:
             inside = float("nan")
-        outside = _highest_outside(classifier, x, inside if inside == inside else 2.5, steps)
+        outside = _highest_outside(classifier, x, inside if inside == inside else _PROBE_TOP, steps)
         out.append({"x": x, "outside_floor": outside, "inside_floor": inside})
     return out
 
@@ -189,59 +172,43 @@ def _side_points(q: AxisRectangle, n: int):
 
 def find_rectangle(
     cfg: ClassifierConfig | None = None,
-    search: SearchParams | None = None,
     *,
     classifier=None,
 ) -> tuple[AxisRectangle, complex]:
     """Locate (Q, z): sides certified outside, z inside at the 1/3 height.
 
     Raises WitnessSearchError (with a boundary-height profile of the strip)
-    if the ladder is exhausted or the budget runs out.
+    if no rung of the ladder certifies.  The ladder is finite: at most
+    8 + 2 * 42 + 5 * (1 + 5 * 3 * 33) = 2,572 classifier calls.
     """
-    if cfg is None:
-        cfg = ClassifierConfig()
     if classifier is None:
-        classifier = RealClassifier(cfg)
-    if search is None:
-        search = SearchParams()
-    if search.budget <= 0:
-        raise WitnessSearchError(
-            "search budget is zero", _boundary_profile(classifier, search.strip)
-        )
-    clf = _BudgetedClassifier(classifier, search.budget)
-    x_c = 0.5 * (search.strip[0] + search.strip[1])
+        classifier = RealClassifier(cfg or ClassifierConfig())
+    x_c = 0.5 * (_STRIP[0] + _STRIP[1])
     try:
-        floor_in = _lowest_inside(clf, x_c, search.probe_top, search.bisect_steps)
-        floor_out = _highest_outside(clf, x_c, floor_in, search.bisect_steps)
-        for m in search.inside_margins:
-            zy = floor_in + m
-            z = complex(x_c, zy)
-            if clf.classify(z).verdict is not Verdict.INSIDE_PLUS:
-                continue
-            d = (zy - floor_out) + m
-            y0 = zy - d  # certified-outside band, margin m below floor_out
-            y1 = zy + 2.0 * d  # the 2:1 height split, exact by construction
-            if y0 <= 0.0:
-                continue
-            for u in search.half_widths:
-                if 2.0 * u >= 2.0:
-                    continue
-                q = AxisRectangle(x_c - u, x_c + u, y0, y1)
-                if all(
-                    clf.classify(p).verdict is Verdict.OUTSIDE_CERTIFIED
-                    for p in _side_points(q, search.side_samples)
-                ):
-                    return q, z
-    except _BudgetExhausted:
-        raise WitnessSearchError(
-            "search budget exhausted before a certified rectangle was found",
-            _boundary_profile(classifier, search.strip),
-        ) from None
+        floor_in = _lowest_inside(classifier, x_c, _PROBE_TOP, _BISECT_STEPS)
     except _ProbeFailed as exc:
-        raise WitnessSearchError(str(exc), _boundary_profile(classifier, search.strip)) from None
+        raise WitnessSearchError(str(exc), _boundary_profile(classifier)) from None
+    floor_out = _highest_outside(classifier, x_c, floor_in, _BISECT_STEPS)
+    for m in _INSIDE_MARGINS:
+        zy = floor_in + m
+        z = complex(x_c, zy)
+        if classifier.classify(z).verdict is not Verdict.INSIDE_PLUS:
+            continue
+        d = (zy - floor_out) + m
+        y0 = zy - d  # certified-outside band, margin m below floor_out
+        y1 = zy + 2.0 * d  # the 2:1 height split, exact by construction
+        if y0 <= 0.0:
+            continue
+        for u in _HALF_WIDTHS:
+            q = AxisRectangle(x_c - u, x_c + u, y0, y1)
+            if all(
+                classifier.classify(p).verdict is Verdict.OUTSIDE_CERTIFIED
+                for p in _side_points(q, _SIDE_SAMPLES)
+            ):
+                return q, z
     raise WitnessSearchError(
         "no certified rectangle found within the search ladder",
-        _boundary_profile(classifier, search.strip),
+        _boundary_profile(classifier),
     )
 
 
@@ -265,22 +232,18 @@ class WitnessReport:
     R: AxisRectangle
     interior_sample_verdict: AMembership
     boundary_samples: list  # [(w, AMembership), ...]
-    component_count_window: Window | None
-    components_found: int
     all_certified: bool
-    offending_samples: tuple = ()
-    sample_spacing: float = 0.0
-    inward_margin: float = 0.0
-    per_translate: list = field(default_factory=list)
+    offending_samples: tuple
+    sample_spacing: float
+    inward_margin: float
 
-    def to_json_dict(
-        self, *, include_samples: bool = True, cfg_meta: dict | None = None
-    ) -> dict:
+    def to_json_dict(self, counting: ComponentsNearInfinity, cfg_meta: dict) -> dict:
+        """The witness JSON document: this report plus the translate count."""
         verdict_counts: dict[str, int] = {}
         for _, rec in self.boundary_samples:
             key = rec.verdict.value
             verdict_counts[key] = verdict_counts.get(key, 0) + 1
-        out = {
+        return {
             "q": self.Q.describe(),
             "z": [self.z.real, self.z.imag],
             "r": self.R.describe(),
@@ -294,25 +257,20 @@ class WitnessReport:
                 "inward_margin": self.inward_margin,
                 "verdicts": verdict_counts,
                 "offending": [[w.real, w.imag] for w in self.offending_samples],
+                "points": [
+                    {"w": [w.real, w.imag], "verdict": rec.verdict.value, "n": rec.n}
+                    for w, rec in self.boundary_samples
+                ],
             },
-            "components": {
-                "found": self.components_found,
-                "window": (
-                    self.component_count_window.describe()
-                    if self.component_count_window
-                    else None
-                ),
-                "per_translate": self.per_translate,
-            },
+            "components": counting.describe(),
             "all_certified": self.all_certified,
-            "cfg": cfg_meta or {},
+            "cfg": cfg_meta,
+            "diagnostics": {
+                "normalized_length_2z": normalized_length(2.0 * self.z),
+                "k": len(counting.per_translate),
+                "synthetic": cfg_meta.get("kind") == "synthetic",
+            },
         }
-        if include_samples:
-            out["boundary_samples"]["points"] = [
-                {"w": [w.real, w.imag], "verdict": rec.verdict.value, "n": rec.n}
-                for w, rec in self.boundary_samples
-            ]
-        return out
 
 
 def _rect_boundary_samples(r: AxisRectangle, spacing: float):
@@ -334,34 +292,27 @@ def verify_witness(
     cfg: ClassifierConfig | None = None,
     *,
     classifier=None,
-    spacing: float | None = None,
-    margin_pixels: float = 2.0,
     raster_rows: int = 64,
 ) -> WitnessReport:
     """Check the witness predicates for (Q, z) by honest classification.
 
     Interior: a_membership(3z, 2z) must be Member.  Boundary: every sample
-    on the four sides of R -- and its copy nudged inward by margin_pixels
-    raster pitches -- must be NonMemberCertified.  Sample spacing defaults
-    to half the raster pixel pitch (R height / raster_rows / 2).
+    on the four sides of R -- and its copy nudged inward by two raster
+    pitches -- must be NonMemberCertified.  The pitch is R height /
+    raster_rows, and samples lie half a pitch apart.
     all_certified reports the conjunction; failures are listed, not raised.
     """
-    if cfg is None:
-        cfg = ClassifierConfig()
     if classifier is None:
-        classifier = RealClassifier(cfg)
+        classifier = RealClassifier(cfg or ClassifierConfig())
     z = complex(z)
     if not q.contains_interior(z):
         raise ValueError("z must be interior to Q")
     base = 3.0 * z
-    base_verdict = classifier.classify(base)
-    if base_verdict.verdict is not Verdict.INSIDE_PLUS:
-        raise ValueError("base point not certified in M+")
+    check_base_point(classifier, base)
     r = build_R(q, z)
     pitch = r.height / raster_rows
-    if spacing is None:
-        spacing = pitch / 2.0
-    margin = margin_pixels * pitch
+    spacing = pitch / 2.0
+    margin = 2.0 * pitch
 
     interior = membership_with(classifier, base, 2.0 * z)
 
@@ -371,7 +322,7 @@ def verify_witness(
         rec = membership_with(classifier, base, w)
         boundary.append((w, rec))
         ok = rec.verdict is AVerdict.NON_MEMBER_CERTIFIED
-        if ok and margin > 0.0:
+        if ok:
             nudged = membership_with(classifier, base, w + margin * inward)
             ok = nudged.verdict is AVerdict.NON_MEMBER_CERTIFIED
         if not ok:
@@ -384,8 +335,6 @@ def verify_witness(
         R=r,
         interior_sample_verdict=interior,
         boundary_samples=boundary,
-        component_count_window=None,
-        components_found=0,
         all_certified=all_certified,
         offending_samples=tuple(offending),
         sample_spacing=spacing,
@@ -425,6 +374,15 @@ class ComponentsNearInfinity:
     components_found: int
     ok: bool
 
+    def describe(self) -> dict:
+        return {
+            "found": self.components_found,
+            "window": self.window.describe(),
+            "per_translate": [t.describe() for t in self.per_translate],
+            "straddlers": list(self.straddlers),
+            "counting_ok": self.ok,
+        }
+
 
 def _bbox_bounds(win: Window, comp: Component):
     i_min, j_min, i_max, j_max = comp.bbox
@@ -453,10 +411,6 @@ def components_near_infinity(
     """
     if k < 1:
         raise ValueError("need k >= 1 translates")
-    if cfg is None:
-        cfg = ClassifierConfig()
-    if classifier is None:
-        classifier = RealClassifier(cfg)
     z = complex(z)
     r = rectangle
     win = Window.from_bounds(

@@ -42,6 +42,23 @@ def test_real_axis_is_outside():
         assert c.reason == "slice misses the real axis"
 
 
+@pytest.mark.parametrize(
+    "z",
+    [
+        complex(0, math.nan),
+        complex(0, math.inf),
+        complex(0, -math.inf),
+        complex(math.inf, 1.0),
+        complex(math.nan, 4.0),
+    ],
+)
+def test_non_finite_point_is_rejected(z):
+    with pytest.raises(ValueError, match="non-finite"):
+        classify_point(z)
+    with pytest.raises(ValueError, match="non-finite"):
+        a_membership(z, 8j)
+
+
 def test_inside_fixtures():
     assert classify_point(4j).verdict is Verdict.INSIDE_PLUS
     assert classify_point(-4j).verdict is Verdict.INSIDE_MINUS
@@ -183,8 +200,6 @@ def test_membership_with_synthetic():
     synth = SyntheticSlice()
     got = membership_with(synth, 4j, 8j)
     assert got.verdict is AVerdict.MEMBER
-    with pytest.raises(ValueError, match="base point not certified"):
-        membership_with(synth, 1j, 8j, base_checked=False)
 
 
 def test_real_classifier_wrapper():

@@ -99,9 +99,63 @@ def test_missing_config_file_is_io_error(capsys):
 
 def test_malformed_config_line_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("this is not a key value pair\n")
+    cfg.write_text("this is not a flag\n")
     assert main(["cusps", "--config", str(cfg)]) == EXIT_USAGE
-    assert "key=value" in capsys.readouterr().err
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cusps", "--workers", "2"],
+        ["cusps", "--window", "-1", "1", "1", "2"],
+        ["cusps", "--res", "4x4"],
+        ["render-maskit", "--seed", "1"],
+        ["a-slice", "--z", "0", "4", "--seed", "1"],
+        ["witness", "--seed", "1"],
+        ["witness", "--window", "-1", "1", "1", "2"],
+    ],
+)
+def test_subcommand_rejects_flags_it_does_not_read(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_config_file_flag_of_another_subcommand_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "render.cfg"
+    cfg.write_text("--max-q 2\n")
+    assert main(["render-maskit", "--config", str(cfg)]) == EXIT_USAGE
+    assert "unrecognized arguments: --max-q 2" in capsys.readouterr().err
+
+
+def test_config_unclosed_quote_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text('--out "cusps.csv\n')
+    assert main(["cusps", "--config", str(cfg)]) == EXIT_USAGE
+    assert "closing quotation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_workers_below_one_is_usage_error(workers, capsys):
+    assert main(["render-maskit", "--res", "2x2", "--workers", workers]) == EXIT_USAGE
+    assert "invalid positive_int value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["render-maskit", "--window", "0", "1", "0", "inf", "--res", "2x2"],
+        ["render-maskit", "--window", "nan", "1", "0", "1", "--res", "2x2"],
+        ["a-slice", "--z", "0", "inf", "--res", "2x2"],
+        ["a-slice", "--z", "nan", "4", "--res", "2x2"],
+        ["a-slice", "--z", "0", "4", "--window", "0", "inf", "1", "2", "--res", "2x2"],
+    ],
+)
+def test_non_finite_input_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_USAGE
+    assert "finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +192,8 @@ def test_config_file_supplies_defaults(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "# cusp table settings\n"
-        "max_q = 2\n"
-        f"out = {out}\n"
+        "--max-q 2  # the 0/1, 1/1 and 1/2 rows\n"
+        f"--out '{out}'\n"
     )
     assert main(["cusps", "--config", str(cfg)]) == EXIT_OK
     assert out.read_text() == GOLDEN_CUSPS_Q2
@@ -148,7 +202,7 @@ def test_config_file_supplies_defaults(tmp_path):
 def test_flags_override_config_file(tmp_path):
     out = tmp_path / "cusps.csv"
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"max_q = 2\nout = {out}\n")
+    cfg.write_text(f"--max-q 2\n--out '{out}'\n")
     assert main(["cusps", "--config", str(cfg), "--max-q", "1"]) == EXIT_OK
     lines = out.read_text().splitlines()
     assert len(lines) == 3  # header + 0/1 + 1/1 only
@@ -159,7 +213,7 @@ def test_flags_override_config_file(tmp_path):
 
 def test_config_bad_int_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("max_q = banana\n")
+    cfg.write_text("--max-q banana\n")
     assert main(["cusps", "--config", str(cfg)]) == EXIT_USAGE
     assert "banana" in capsys.readouterr().err
 
@@ -288,10 +342,10 @@ def test_witness_config_file_drives_run(tmp_path):
     prefix = tmp_path / "cfgrun"
     cfg = tmp_path / "w.cfg"
     cfg.write_text(
-        "synthetic = 1\n"
-        "k = 2\n"
-        "res = 256x32\n"
-        f"out = {prefix}\n"
+        "--synthetic\n"
+        "-k 2\n"
+        "--res 256x32\n"
+        f"--out '{prefix}'\n"
     )
     assert main(["witness", "--config", str(cfg), "--no-timestamp"]) == EXIT_OK
     doc = json.loads((prefix.parent / "cfgrun.json").read_text())

@@ -1,10 +1,14 @@
 """Tests for pixel grids, rasterization, components, and PPM output."""
 
+import math
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maskit.raster
 from maskit import (
     CELL_INSIDE_MINUS,
     CELL_INSIDE_PLUS,
@@ -55,6 +59,21 @@ def test_window_rejects_degenerate_bounds():
         Window.from_bounds(0.0, 1.0, 2.0, 2.0, 8, 8)
     with pytest.raises(ValueError):
         Window.from_bounds(2.0, 1.0, 0.0, 2.0, 8, 8)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        (0.0, 1.0, 0.0, math.inf),
+        (-math.inf, 1.0, 0.0, 1.0),
+        (math.nan, 1.0, 0.0, 1.0),
+        (0.0, 1.0, math.nan, 1.0),
+        (-1e308, 1e308, 0.0, 1.0),  # the width overflows
+    ],
+)
+def test_window_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="finite"):
+        Window.from_bounds(*bounds, 8, 8)
 
 
 def test_window_rejects_empty_resolution():
@@ -134,6 +153,33 @@ def test_rasterize_maskit_worker_count_is_invisible():
     assert to_ppm_bytes(one) == to_ppm_bytes(two)
     assert one.meta["window"] == win.describe()
     assert one.meta["classifier"]["q_max"] == 64
+
+
+def test_pool_is_sized_by_the_row_chunks(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for multiprocessing.Pool: records its size, maps in-process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(maskit.raster, "multiprocessing", types.SimpleNamespace(Pool=RecordingPool))
+    win = Window.from_bounds(-0.2, 0.2, 0.05, 0.15, 4, 3)
+    raster = rasterize_maskit(win, _FAST_CFG, workers=64)  # 3 rows: 3 chunks
+    assert sizes == [3]
+    assert to_ppm_bytes(raster) == to_ppm_bytes(rasterize_maskit(win, _FAST_CFG))
+    rasterize_a_slice(4j, Window.from_bounds(-1.0, 1.0, 7.0, 9.0, 2, 2), _FAST_CFG, workers=5)
+    assert sizes == [3, 2]
 
 
 def test_rasterize_maskit_counts_names():

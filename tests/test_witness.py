@@ -7,9 +7,10 @@ import pytest
 from maskit import (
     AVerdict,
     AxisRectangle,
+    Classification,
     ClassifierConfig,
-    SearchParams,
     SyntheticSlice,
+    Verdict,
     WitnessSearchError,
     build_R,
     components_near_infinity,
@@ -142,25 +143,54 @@ def test_find_rectangle_synthetic_lands_on_first_rung():
     assert (q.im_max - z.imag) == pytest.approx(2.0 * (z.imag - q.im_min))
 
 
-def test_find_rectangle_zero_budget_reports_profile():
-    with pytest.raises(WitnessSearchError) as exc:
-        find_rectangle(classifier=SyntheticSlice(), search=SearchParams(budget=0))
-    profile = exc.value.profile
+class _CountingClassifier:
+    """InsidePlus above Im z = floor, `below` under it; counts classify calls."""
+
+    def __init__(self, floor, below):
+        self.floor = floor
+        self.below = below
+        self.calls = 0
+
+    def classify(self, z):
+        self.calls += 1
+        if z.imag > self.floor:
+            return Classification(Verdict.INSIDE_PLUS, None, 1)
+        return Classification(self.below, None, 1)
+
+
+def _assert_profile_shape(profile):
     assert len(profile) == 9
     for row in profile:
         assert set(row) == {"x", "outside_floor", "inside_floor"}
-        assert row["inside_floor"] >= row["outside_floor"]
-
-
-def test_find_rectangle_tiny_budget_exhausts():
-    with pytest.raises(WitnessSearchError, match="budget"):
-        find_rectangle(classifier=SyntheticSlice(), search=SearchParams(budget=5))
 
 
 def test_find_rectangle_impossible_ladder_exhausts():
-    search = SearchParams(inside_margins=(0.5,))
-    with pytest.raises(WitnessSearchError, match="ladder"):
-        find_rectangle(classifier=SyntheticSlice(), search=search)
+    # Nothing below Im z = 1.5 is ever certified outside, so the outside
+    # floor is 0 and every margin puts Q's lower side below the real axis.
+    clf = _CountingClassifier(1.5, Verdict.UNDETERMINED)
+    with pytest.raises(WitnessSearchError, match="ladder") as exc:
+        find_rectangle(classifier=clf)
+    # probe 1 + two bisections 2 * 42 + 5 margins, then the 9-row profile
+    # at 1 + 24 + 24 calls a row.
+    assert clf.calls == 90 + 9 * 49
+    profile = exc.value.profile
+    _assert_profile_shape(profile)
+    for row in profile:
+        assert row["inside_floor"] >= row["outside_floor"]
+        assert row["inside_floor"] == pytest.approx(1.5, abs=1e-6)
+        assert row["outside_floor"] == 0.0
+
+
+def test_find_rectangle_probe_failure_reports_profile():
+    # No point is ever certified inside: the upward probe gives up.
+    clf = _CountingClassifier(math.inf, Verdict.OUTSIDE_CERTIFIED)
+    with pytest.raises(WitnessSearchError, match="no certified-inside point") as exc:
+        find_rectangle(classifier=clf)
+    profile = exc.value.profile
+    _assert_profile_shape(profile)
+    for row in profile:
+        assert math.isnan(row["inside_floor"])
+        assert row["outside_floor"] == pytest.approx(2.5, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +229,10 @@ def test_verify_witness_flags_oversized_rectangle():
     assert not report.all_certified
     assert len(report.offending_samples) > 0
     assert report.interior_sample_verdict.verdict is AVerdict.MEMBER
-    doc = report.to_json_dict()
+    counting = components_near_infinity(
+        3.0 * z, 1, rectangle=report.R, classifier=clf, cols=64, rows=16
+    )
+    doc = report.to_json_dict(counting, clf.describe())
     assert doc["all_certified"] is False
     assert len(doc["boundary_samples"]["offending"]) == len(report.offending_samples)
 
@@ -208,8 +241,11 @@ def test_witness_report_json_shape():
     clf = SyntheticSlice()
     q, z = find_rectangle(classifier=clf)
     report = verify_witness(q, z, classifier=clf)
-    doc = report.to_json_dict(cfg_meta=clf.describe())
-    assert set(doc) == {
+    counting = components_near_infinity(
+        3.0 * z, 2, rectangle=report.R, classifier=clf, cols=128, rows=32
+    )
+    doc = report.to_json_dict(counting, clf.describe())
+    assert list(doc) == [
         "q",
         "z",
         "r",
@@ -218,13 +254,25 @@ def test_witness_report_json_shape():
         "components",
         "all_certified",
         "cfg",
-    }
+        "diagnostics",
+    ]
     assert doc["z"] == [z.real, z.imag]
     assert doc["cfg"]["kind"] == "synthetic"
     assert doc["boundary_samples"]["count"] == len(report.boundary_samples)
     assert "points" in doc["boundary_samples"]
-    lean = report.to_json_dict(include_samples=False)
-    assert "points" not in lean["boundary_samples"]
+    assert list(doc["components"]) == [
+        "found",
+        "window",
+        "per_translate",
+        "straddlers",
+        "counting_ok",
+    ]
+    assert doc["components"]["found"] == counting.components_found
+    assert doc["components"]["window"] == counting.window.describe()
+    assert len(doc["components"]["per_translate"]) == 2
+    assert doc["components"]["counting_ok"] is counting.ok
+    assert doc["diagnostics"]["k"] == 2
+    assert doc["diagnostics"]["synthetic"] is True
 
 
 # ---------------------------------------------------------------------------
