@@ -331,6 +331,8 @@ def main(argv=None) -> int:
             except OSError as exc:
                 print(f"cannot read config: {exc}", file=sys.stderr)
                 return EXIT_IO
+            if parser.parse_args([args.command, *file_flags]).config is not None:
+                raise _UsageError(f"config {args.config}: --config cannot be nested")
             # The file's flags go first, so the command line's win.
             args = parser.parse_args([args.command, *file_flags, *argv[1:]])
         return _DISPATCH[args.command](args)

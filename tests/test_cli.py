@@ -128,6 +128,13 @@ def test_config_file_flag_of_another_subcommand_is_usage_error(tmp_path, capsys)
     assert "unrecognized arguments: --max-q 2" in capsys.readouterr().err
 
 
+def test_nested_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "outer.cfg"
+    cfg.write_text("--max-q 1\n--config inner.cfg\n")
+    assert main(["cusps", "--config", str(cfg)]) == EXIT_USAGE
+    assert "--config cannot be nested" in capsys.readouterr().err
+
+
 def test_config_unclosed_quote_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text('--out "cusps.csv\n')
