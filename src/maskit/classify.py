@@ -233,6 +233,8 @@ class SyntheticSlice:
 
     def classify(self, z) -> Classification:
         z = complex(z)
+        if not cmath.isfinite(z):
+            raise ValueError(f"cannot classify the non-finite point {z}")
         h = self.boundary_height(z.real)
         if z.imag > h:
             return Classification(Verdict.INSIDE_PLUS, None, 1)
@@ -257,9 +259,12 @@ def membership_with(classifier, z, w) -> AMembership:
 
     Pre-condition: the base point z is already certified InsidePlus (see
     check_base_point; callers doing pixel sweeps check once, not per pixel).
+    Raises ValueError for a non-finite z or w.
     """
     z = complex(z)
     w = complex(w)
+    if not (cmath.isfinite(z) and cmath.isfinite(w)):
+        raise ValueError(f"cannot test membership at the non-finite pair z={z}, w={w}")
     if w.imag == 0.0:
         return AMembership(
             AVerdict.NON_MEMBER_CERTIFIED, None, None, reason="Im w = 0"

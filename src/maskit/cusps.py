@@ -4,10 +4,24 @@ The slope p/q pinches exactly where its trace hits +-2, i.e. at roots of the
 degree-q polynomial t_{p/q}(z) -+ 2.  Coefficients are exact Gaussian
 integers (they grow like 10^(q/2), so double-precision companion-matrix
 methods die early); roots come from a simultaneous Durand-Kerner iteration
-with Newton polishing, run in mpmath arbitrary precision scaled to the
+with Newton polishing, finished in mpmath arbitrary precision scaled to the
 degree and the coefficient size.  The iteration is deterministic: the
 initial configuration is a circle of radius given by the Cauchy bound with
 a phase derived from an explicit integer mix of the seed.
+
+That radius reaches 10^4 by q = 10, so most sweeps only walk the estimates
+in from the circle.  The same sweeps therefore run first in complex floats,
+until the estimates sit at double resolution, and mpmath starts from there;
+it then needs about three sweeps at a simple root, against 50-250 from the
+circle at q = 10..24.  Where the floats overflow (some slopes from q = 26,
+every slope from q = 41) mpmath starts from the circle itself, exactly as
+without the float pass.
+
+Repeated roots defeat the iteration: (z^2+z+1)^2 divides t_{3/10} - 2 and
+(z^2+3z+3)^2 divides t_{7/10} - 2, so those solves raise RootSolveError and
+their table rows fail.  The double roots -1/2 +- i sqrt(3)/2 and
+-3/2 +- i sqrt(3)/2 lie below Im z = 1, so neither is the cusp.  The same
+holds for 5/12 and 7/12, where (z+1)^3 divides t_{p/q} - 2.
 
 Of the 2q roots, the one on the upper boundary is picked by probing the
 classifier just above and just below the root: above must certify inside,
@@ -21,6 +35,7 @@ flagged; ties break to lexicographic max of (Im, Re).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -29,6 +44,11 @@ from .classify import ClassifierConfig, Verdict, classify_point
 from .farey import FareySlope, TracePolynomial, trace_polynomial
 
 _PROBE_LADDER = (1.0, 4.0, 16.0, 64.0)
+
+# A float sweep whose largest step is below sqrt(eps) leaves estimates at
+# double resolution (Durand-Kerner converges quadratically at simple roots),
+# so further float sweeps only stall in rounding noise.
+_FLOAT_STALL = 2.0**-26
 
 
 class RootSolveError(RuntimeError):
@@ -63,20 +83,49 @@ def _mp_coeffs(poly: TracePolynomial, target: int):
 
 
 def _horner(coeffs, x):
-    acc = mp.mpc(0)
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
+def _sweeps(monic, xs, tol, max_iter) -> bool:
+    """Durand-Kerner sweeps on xs, in place, in whatever arithmetic the
+    arguments carry (complex or mpmath).  True once a sweep moves no
+    estimate by tol or more; False if max_iter sweeps run out first."""
+    n = len(xs)
+    for _ in range(max_iter):
+        shift = 0
+        for k in range(n):
+            xk = xs[k]
+            denom = 1
+            for j in range(n):
+                if j != k:
+                    denom *= xk - xs[j]
+            step = _horner(monic, xk) / denom
+            xs[k] = xk - step
+            s = abs(step)
+            if s > shift:
+                shift = s
+        if shift < tol:
+            return True
+    return False
+
+
 def poly_roots(
     poly: TracePolynomial, target: int, *, seed: int = 0, max_iter: int = 400
 ) -> list[complex]:
-    """All roots of poly(z) - target, polished to ~1e-9 or better.
+    """All roots of poly(z) - target, sorted by (Re, Im) rounded to 9 places.
 
-    Deterministic for a fixed seed.  Raises RootSolveError (carrying the
-    current estimates) if simultaneous iteration does not converge within
-    max_iter sweeps.
+    Durand-Kerner runs twice from the seeded circle: in complex floats
+    until a sweep moves no estimate by _FLOAT_STALL (or max_iter sweeps),
+    then in mpmath from those estimates -- from the circle itself if the
+    floats overflowed -- until a sweep moves no estimate by 10^-(dps-8),
+    with dps >= 40.  Each estimate then takes four Newton steps against the
+    exact polynomial and is rounded to complex.  Deterministic for a fixed
+    seed.  Raises RootSolveError (carrying the current estimates) if the
+    mpmath pass does not converge within max_iter sweeps, as happens at
+    repeated roots.
     """
     if poly.degree < 1:
         raise ValueError("degree >= 1 required")
@@ -92,28 +141,21 @@ def poly_roots(
         # phase offset keeps the start set off the real axis and off any
         # root-symmetry axis; mixed from the seed for reproducibility
         phase = 0.37 + 0.11 * ((seed * 2654435761 + 1) % 997) / 997.0
-        xs = [
+        circle = [
             radius * mp.expjpi(2 * (k + phase) / n) for k in range(n)
         ]
+        # the float pass walks in from the circle at a fraction of the
+        # mpmath cost; its finite estimates are exact mpmath starts.  A NaN
+        # step never raises the shift, so a pass that overflows ends early.
+        floats = [complex(x) for x in circle]
+        _sweeps([complex(c) for c in monic], floats, _FLOAT_STALL, max_iter)
+        xs = (
+            [mp.mpc(x) for x in floats]
+            if all(cmath.isfinite(x) for x in floats)
+            else circle
+        )
         tol = mp.mpf(10) ** (-(mp.mp.dps - 8))
-        converged = False
-        for _ in range(max_iter):
-            shift = mp.mpf(0)
-            for k in range(n):
-                xk = xs[k]
-                denom = mp.mpc(1)
-                for j in range(n):
-                    if j != k:
-                        denom *= xk - xs[j]
-                step = _horner(monic, xk) / denom
-                xs[k] = xk - step
-                s = abs(step)
-                if s > shift:
-                    shift = s
-            if shift < tol:
-                converged = True
-                break
-        if not converged:
+        if not _sweeps(monic, xs, tol, max_iter):
             raise RootSolveError(
                 f"root iteration did not converge within {max_iter} sweeps",
                 [complex(x) for x in xs],

@@ -56,7 +56,16 @@ def test_non_finite_point_is_rejected(z):
     with pytest.raises(ValueError, match="non-finite"):
         classify_point(z)
     with pytest.raises(ValueError, match="non-finite"):
+        SyntheticSlice().classify(z)
+    with pytest.raises(ValueError, match="non-finite"):
         a_membership(z, 8j)
+    with pytest.raises(ValueError, match="non-finite"):
+        a_membership(4j, z)
+    for classifier in (RealClassifier(), SyntheticSlice()):
+        with pytest.raises(ValueError, match="non-finite"):
+            membership_with(classifier, 4j, z)
+        with pytest.raises(ValueError, match="non-finite"):
+            membership_with(classifier, z, 8j)
 
 
 def test_inside_fixtures():

@@ -19,6 +19,31 @@ GOLDEN_CUSPS_Q2 = (
     "1,2,-1.0,1.7320508075688772,1.391e-15\n"
 )
 
+# cusps --max-q 8 --seed 0, byte for byte: any change to the root solver or
+# the boundary probe that moves a digit or a failure reason shows here
+GOLDEN_CUSPS_Q8 = GOLDEN_CUSPS_Q2 + (
+    "1,3,nan,nan,failed: no boundary representative found\n"
+    "2,3,nan,nan,failed: no boundary representative found\n"
+    "1,4,nan,nan,failed: no boundary representative found\n"
+    "3,4,nan,nan,failed: no boundary representative found\n"
+    "1,5,nan,nan,failed: no boundary representative found\n"
+    "2,5,nan,nan,failed: no boundary representative found\n"
+    "3,5,nan,nan,failed: no boundary representative found\n"
+    "4,5,nan,nan,failed: no boundary representative found\n"
+    "1,6,nan,nan,failed: no boundary representative found\n"
+    "5,6,nan,nan,failed: no boundary representative found\n"
+    "1,7,nan,nan,failed: no boundary representative found\n"
+    "2,7,nan,nan,failed: no boundary representative found\n"
+    "3,7,nan,nan,failed: no boundary representative found\n"
+    "4,7,nan,nan,failed: no boundary representative found\n"
+    "5,7,nan,nan,failed: no boundary representative found\n"
+    "6,7,nan,nan,failed: no boundary representative found\n"
+    "1,8,nan,nan,failed: no boundary representative found\n"
+    "3,8,nan,nan,failed: no boundary representative found\n"
+    "5,8,nan,nan,failed: no boundary representative found\n"
+    "7,8,nan,nan,failed: no boundary representative found\n"
+)
+
 
 # ---------------------------------------------------------------------------
 # Exit codes
@@ -174,6 +199,11 @@ def test_cusps_golden_csv(tmp_path):
     out = tmp_path / "cusps.csv"
     assert main(["cusps", "--max-q", "2", "--out", str(out)]) == EXIT_OK
     assert out.read_text() == GOLDEN_CUSPS_Q2
+
+
+def test_cusp_table_bytes_are_pinned(capsys):
+    assert main(["cusps", "--max-q", "8", "--seed", "0"]) == EXIT_OK
+    assert capsys.readouterr().out == GOLDEN_CUSPS_Q8
 
 
 def test_cusps_stdout_default(capsys):

@@ -2,12 +2,19 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from maskit.classify import ClassifierConfig
-from maskit.cusps import BoundaryCuspError, CuspResult, cusp_point, poly_roots
-from maskit.farey import FareySlope, TracePolynomial, trace_polynomial
+from maskit.cusps import (
+    BoundaryCuspError,
+    CuspResult,
+    RootSolveError,
+    cusp_point,
+    poly_roots,
+)
+from maskit.farey import FareySlope, TracePolynomial, slopes_up_to, trace_polynomial
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -37,6 +44,84 @@ def test_poly_roots_against_numpy():
             want = _numpy_roots(poly, target)
             assert len(got) == q
             _match_sets(got, want, 1e-9)
+
+
+# t_{p/q} - 2 has a double root at these slopes (see the divisibility test)
+_REPEATED_ROOTS = {(3, 10, 2), (7, 10, 2)}
+
+
+def _mpmath_roots(poly, target):
+    # second oracle, to the last bit: mpmath's own polynomial root finder at
+    # 60 digits, far beyond double precision
+    with mp.workdps(60):
+        coeffs = [mp.mpc(re, im) for re, im in reversed(poly.coeffs)]
+        coeffs[-1] -= target
+        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=60)
+        return [complex(r) for r in roots]
+
+
+def _same_bits(x: float, y: float) -> bool:
+    # a component below 1e-30 is rounding noise on an exact zero (real roots)
+    return x == y or (abs(x) < 1e-30 and abs(y) < 1e-30)
+
+
+def test_poly_roots_match_mpmath_to_the_last_bit():
+    for s in slopes_up_to(10, 0.0, 1.0):
+        poly = trace_polynomial(s)
+        for target in (2, -2):
+            if (s.p, s.q, target) in _REPEATED_ROOTS:
+                continue
+            want = _mpmath_roots(poly, target)
+            for seed in (0, 99):
+                got = poly_roots(poly, target, seed=seed)
+                assert len(got) == len(want) == s.q
+                unused = list(want)
+                for x in got:
+                    y = min(unused, key=lambda r: abs(x - r))
+                    unused.remove(y)
+                    assert _same_bits(x.real, y.real) and _same_bits(x.imag, y.imag), (
+                        f"{s} at {target:+d}, seed {seed}: {x!r} vs {y!r}"
+                    )
+
+
+def _remainder(num, den):
+    # remainder of Gaussian-integer polynomial long division by a monic
+    # divisor; coefficient lists run from the constant term up
+    num = [list(c) for c in num]
+    m = len(den) - 1
+    for k in range(len(num) - 1 - m, -1, -1):
+        cr, ci = num[k + m]
+        for j, (dr, di) in enumerate(den):
+            num[k + j][0] -= cr * dr - ci * di
+            num[k + j][1] -= cr * di + ci * dr
+    return [tuple(c) for c in num[:m]]
+
+
+def test_repeated_roots_are_a_known_root_solve_failure():
+    # (z^2+z+1)^2 | t_{3/10} - 2 and (z^2+3z+3)^2 | t_{7/10} - 2, exactly;
+    # the double roots -1/2 +- i sqrt(3)/2 and -3/2 +- i sqrt(3)/2 all lie
+    # below Im z = 1, so neither is the boundary cusp of its slope
+    for p, quadratic, centre in (
+        (3, ((1, 0), (1, 0), (1, 0)), -0.5),
+        (7, ((3, 0), (3, 0), (1, 0)), -1.5),
+    ):
+        poly = trace_polynomial(FareySlope(p, 10))
+        (c0r, c0i), *rest = poly.coeffs
+        square = (TracePolynomial(quadratic) * TracePolynomial(quadratic)).coeffs
+        assert _remainder([(c0r - 2, c0i), *rest], square) == [(0, 0)] * 4
+        with pytest.raises(RootSolveError, match="did not converge") as err:
+            poly_roots(poly, 2)
+        estimates = err.value.estimates
+        assert len(estimates) == 10
+        for root in (complex(centre, _SQRT3 / 2), complex(centre, -_SQRT3 / 2)):
+            near = [x for x in estimates if abs(x - root) < 1e-6]
+            assert len(near) == 2, (p, root, estimates)
+    # the q = 12 rows fail the same way: (z+1)^3 | t_{5/12} - 2 and
+    # t_{7/12} - 2, a triple root on the real axis
+    cube = ((1, 0), (3, 0), (3, 0), (1, 0))
+    for p in (5, 7):
+        (c0r, c0i), *rest = trace_polynomial(FareySlope(p, 12)).coeffs
+        assert _remainder([(c0r - 2, c0i), *rest], cube) == [(0, 0)] * 3
 
 
 def test_poly_roots_rejects_constants():
