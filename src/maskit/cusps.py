@@ -17,15 +17,23 @@ circle at q = 10..24.  Where the floats overflow (some slopes from q = 26,
 every slope from q = 41) mpmath starts from the circle itself, exactly as
 without the float pass.
 
-Repeated roots defeat the iteration: (z^2+z+1)^2 divides t_{3/10} - 2 and
-(z^2+3z+3)^2 divides t_{7/10} - 2, so those solves raise RootSolveError and
-their table rows fail.  The double roots -1/2 +- i sqrt(3)/2 and
--3/2 +- i sqrt(3)/2 lie below Im z = 1, so neither is the cusp.  The same
-holds for 5/12 and 7/12, where (z+1)^3 divides t_{p/q} - 2.
+Repeated roots would stall the iteration: (z^2+z+1)^2 divides
+t_{3/10} - 2, (z^2+3z+3)^2 divides t_{7/10} - 2 and (z+1)^3 divides
+t_{5/12} - 2 and t_{7/12} - 2.  So before it solves, poly_roots computes
+deg gcd(f, f') of f = t_{p/q} -+ 2 modulo one prime; 0 proves that f has
+no repeated root, and f is solved as it stands.  Otherwise (14 of the 2522
+equations with 0 <= p/q <= 1, q <= 64) it solves the square-free part
+f / gcd(f, f'), computed exactly over Q(i), and returns each distinct root
+once.  The repeated roots lie at or below Im z = 1 up to q = 24; those of
+11/30 and 19/30 (a squared quartic) reach Im z ~ 1.50.
+After the sweeps, the Newton polish stops at the first step that moves a
+root by less than the sweep tolerance; that is usually the first step.
 
-Of the 2q roots, the one on the upper boundary is picked by probing the
-classifier just above and just below the root: above must certify inside,
-below must not.  The default probe offset equals boundary_tol, but with the
+Only roots above Im z = 1 are candidates: the slice lies in Im z > 1, and
+the classifier's integer fan rejects all of |Im z| < sqrt(3) anyway.  Of
+these, the one on the upper boundary is picked by probing the classifier
+just above and just below the root: above must certify inside, below must
+not.  The default probe offset equals boundary_tol, but with the
 default config the inside margin at a cusp is of the same order as the
 probe (at the 1/2 cusp the flat-slope trace clears 2 by only ~0.87*eps), so
 the probe escalates through {tol, 4 tol, 16 tol, 64 tol} and takes the first
@@ -36,6 +44,7 @@ flagged; ties break to lexicographic max of (Im, Re).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -49,6 +58,12 @@ _PROBE_LADDER = (1.0, 4.0, 16.0, 64.0)
 # double resolution (Durand-Kerner converges quadratically at simple roots),
 # so further float sweeps only stall in rounding noise.
 _FLOAT_STALL = 2.0**-26
+
+# The repeated-root check works in F_P for this prime P.  P = 5 (mod 8), so
+# 2 is not a square mod P and 2^((P-1)/4) is a square root of -1: i maps to
+# it and Z[i] maps onto F_P.
+_P = 2**64 - 59
+_I_MOD_P = pow(2, (_P - 1) // 4, _P)
 
 
 class RootSolveError(RuntimeError):
@@ -74,12 +89,6 @@ class CuspResult:
     all_roots: tuple[complex, ...]
     residual: float
     flagged: bool = False
-
-
-def _mp_coeffs(poly: TracePolynomial, target: int):
-    coeffs = [mp.mpc(re, im) for re, im in poly.coeffs]
-    coeffs[0] -= target
-    return coeffs
 
 
 def _horner(coeffs, x):
@@ -112,29 +121,105 @@ def _sweeps(monic, xs, tol, max_iter) -> bool:
     return False
 
 
-def poly_roots(
-    poly: TracePolynomial, target: int, *, seed: int = 0, max_iter: int = 400
-) -> list[complex]:
-    """All roots of poly(z) - target, sorted by (Re, Im) rounded to 9 places.
+def _rem_mod_p(a, b):
+    """Remainder of a by b in F_P[z]: coefficient lists, constant term
+    first, b[-1] != 0.  Trailing zeros are stripped (zero is [])."""
+    a = list(a)
+    m = len(b) - 1
+    inv = pow(b[-1], -1, _P)
+    for k in range(len(a) - 1, m - 1, -1):
+        c = a[k] * inv % _P
+        if c:
+            for j in range(m):
+                a[k - m + j] = (a[k - m + j] - c * b[j]) % _P
+    del a[m:]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
-    Durand-Kerner runs twice from the seeded circle: in complex floats
-    until a sweep moves no estimate by _FLOAT_STALL (or max_iter sweeps),
-    then in mpmath from those estimates -- from the circle itself if the
-    floats overflowed -- until a sweep moves no estimate by 10^-(dps-8),
-    with dps >= 40.  Each estimate then takes four Newton steps against the
-    exact polynomial and is rounded to complex.  Deterministic for a fixed
-    seed.  Raises RootSolveError (carrying the current estimates) if the
-    mpmath pass does not converge within max_iter sweeps, as happens at
-    repeated roots.
+
+def _gcd_degree_mod_p(f) -> int | None:
+    """deg gcd(f, f') in F_P[z] for Gaussian-integer coefficients f
+    (constant term first), or None if P divides the leading coefficient.
+
+    0 proves that f has no repeated complex root: the resultant of f and f'
+    is a Gaussian integer, and its image under the ring map i -> _I_MOD_P
+    is the resultant of the images, which is non-zero when they are coprime
+    and f keeps its degree (f' does too, since deg f < P).
     """
-    if poly.degree < 1:
-        raise ValueError("degree >= 1 required")
-    n = poly.degree
-    coeff_digits = max(
-        len(str(abs(re))) + len(str(abs(im))) for re, im in poly.coeffs
-    )
+    a = [(re + im * _I_MOD_P) % _P for re, im in f]
+    if a[-1] == 0:
+        return None
+    b = [k * c % _P for k, c in enumerate(a)][1:]
+    while b:
+        a, b = b, _rem_mod_p(a, b)
+    return len(a) - 1
+
+
+def _gmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _ggcd(a, b):
+    """gcd in Z[i], by Euclid with quotients rounded to the nearest."""
+    while b != (0, 0):
+        n = b[0] * b[0] + b[1] * b[1]
+        xr, xi = _gmul(a, (b[0], -b[1]))
+        qr, qi = _gmul(((2 * xr + n) // (2 * n), (2 * xi + n) // (2 * n)), b)
+        a, b = b, (a[0] - qr, a[1] - qi)
+    return a
+
+
+def _primitive(a):
+    """a with trailing zeros stripped and divided by the gcd in Z[i] of its
+    coefficients; a must not be zero."""
+    while a[-1] == (0, 0):
+        a = a[:-1]
+    g = (0, 0)
+    for c in a:
+        g = _ggcd(c, g)
+    n = g[0] * g[0] + g[1] * g[1]
+    return [(re // n, im // n) for re, im in (_gmul(c, (g[0], -g[1])) for c in a)]
+
+
+def _pseudo_divmod(a, b):
+    """(quotient, remainder) in Z[i][z] with
+    lc(b)^(deg a - deg b + 1) * a = quotient * b + remainder."""
+    m = len(b) - 1
+    lc = b[-1]
+    r = list(a)
+    quot = [(0, 0)] * (len(a) - m)
+    for k in range(len(a) - 1 - m, -1, -1):
+        c = r[k + m]
+        r = [_gmul(lc, x) for x in r]
+        quot = [_gmul(lc, x) for x in quot]
+        quot[k] = c
+        for j, bj in enumerate(b):
+            tr, ti = _gmul(c, bj)
+            rr, ri = r[k + j]
+            r[k + j] = (rr - tr, ri - ti)
+    return quot, r[:m]
+
+
+def _exact_gcd(f):
+    """gcd(f, f') over Q(i) by the primitive pseudo-remainder sequence,
+    scaled to Gaussian-integer coefficients; [(1, 0)] when coprime."""
+    a, b = f, _primitive([(k * re, k * im) for k, (re, im) in enumerate(f)][1:])
+    while len(b) > 1:
+        _, r = _pseudo_divmod(a, b)
+        if all(x == (0, 0) for x in r):
+            return b
+        a, b = b, _primitive(r)
+    return [(1, 0)]
+
+
+def _dk_roots(coeffs, target: int, seed: int, max_iter: int) -> list[complex]:
+    """Durand-Kerner roots of sum(coeffs[k] z^k) - target, then polished."""
+    n = len(coeffs) - 1
+    coeff_digits = max(len(str(abs(re))) + len(str(abs(im))) for re, im in coeffs)
     with mp.workdps(max(40, 20 + n + coeff_digits)):
-        coeffs = _mp_coeffs(poly, target)
+        coeffs = [mp.mpc(re, im) for re, im in coeffs]
+        coeffs[0] -= target
         lead = coeffs[-1]
         monic = [c / lead for c in coeffs]
         radius = 1 + max(abs(c) for c in monic[:-1])
@@ -160,7 +245,8 @@ def poly_roots(
                 f"root iteration did not converge within {max_iter} sweeps",
                 [complex(x) for x in xs],
             )
-        # Newton polish against the original (non-monic) polynomial
+        # Newton polish against the original (non-monic) polynomial, until
+        # a step is below the sweep tolerance (the first one usually is)
         deriv = [k * coeffs[k] for k in range(1, n + 1)]
         for k in range(n):
             x = xs[k]
@@ -168,9 +254,52 @@ def poly_roots(
                 d = _horner(deriv, x)
                 if d == 0:
                     break
-                x = x - _horner(coeffs, x) / d
+                step = _horner(coeffs, x) / d
+                x = x - step
+                if abs(step) < tol:
+                    break
             xs[k] = x
-        roots = [complex(x) for x in xs]
+        return [complex(x) for x in xs]
+
+
+def poly_roots(
+    poly: TracePolynomial, target: int, *, seed: int = 0, max_iter: int = 400
+) -> list[complex]:
+    """The distinct roots of poly(z) - target, sorted by (Re, Im) rounded to
+    9 places.  target must be an integer (an integral float is accepted).
+
+    f = poly - target is first checked for a repeated root: deg gcd(f, f')
+    over F_P, P = 2^64 - 59, is 0 for almost every f.  Otherwise f is
+    replaced by its square-free part f / gcd(f, f'), computed exactly over
+    Q(i), so a root of multiplicity m is returned once.
+
+    Durand-Kerner then runs twice from the seeded circle: in complex floats
+    until a sweep moves no estimate by _FLOAT_STALL (or max_iter sweeps),
+    then in mpmath from those estimates -- from the circle itself if the
+    floats overflowed -- until a sweep moves no estimate by
+    tol = 10^-(dps-8), with dps >= 40.  Each estimate then takes Newton
+    steps against the exact polynomial, at most four and none after one
+    that moves it by less than tol, and is rounded to complex.
+    Deterministic for a fixed seed.  Raises RootSolveError (carrying the
+    current estimates) if the mpmath pass does not converge within
+    max_iter sweeps.
+    """
+    if poly.degree < 1:
+        raise ValueError("degree >= 1 required")
+    if isinstance(target, float) and target.is_integer():
+        target = int(target)
+    if not isinstance(target, int):
+        raise ValueError(f"target must be an integer, got {target!r}")
+    (c0r, c0i), *rest = poly.coeffs
+    f = [(c0r - target, c0i), *rest]
+    # without a repeated root, poly and target go to the solver as they are,
+    # so its working precision and every rounding step stay as they were
+    coeffs, shift = poly.coeffs, target
+    if _gcd_degree_mod_p(f) != 0:
+        g = _exact_gcd(f)
+        if len(g) > 1:
+            coeffs, shift = _primitive(_pseudo_divmod(f, g)[0]), 0
+    roots = _dk_roots(coeffs, shift, seed, max_iter)
     roots.sort(key=lambda r: (round(r.real, 9), round(r.imag, 9)))
     return roots
 
@@ -180,8 +309,8 @@ def cusp_point(
 ) -> CuspResult:
     """The boundary representative of the slope's parabolic locus.
 
-    Solves t_{p/q} = +2 and -2, keeps upper-half-plane roots, and filters by
-    the classifier probe described in the module docstring.
+    Solves t_{p/q} = +2 and -2, keeps the roots above Im z = 1, and filters
+    by the classifier probe described in the module docstring.
     """
     if cfg is None:
         cfg = ClassifierConfig()
@@ -191,7 +320,7 @@ def cusp_point(
     all_roots = tuple(
         poly_roots(poly, 2, seed=seed) + poly_roots(poly, -2, seed=seed)
     )
-    upper = [r for r in all_roots if r.imag > 0]
+    upper = [r for r in all_roots if r.imag > 1]
     passers: list[complex] = []
     used_eps = cfg.boundary_tol
     for rung in _PROBE_LADDER:

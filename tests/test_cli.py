@@ -44,6 +44,37 @@ GOLDEN_CUSPS_Q8 = GOLDEN_CUSPS_Q2 + (
     "7,8,nan,nan,failed: no boundary representative found\n"
 )
 
+# cusps --max-q 12 --seed 0, byte for byte.  Against the solver that met
+# repeated roots head on, only 3/10, 7/10, 5/12 and 7/12 differ: they failed
+# with "root iteration did not converge within 400 sweeps" and now fail at
+# the boundary probe like the other q >= 3 rows.
+GOLDEN_CUSPS_Q12 = GOLDEN_CUSPS_Q8 + (
+    "1,9,nan,nan,failed: no boundary representative found\n"
+    "2,9,nan,nan,failed: no boundary representative found\n"
+    "4,9,nan,nan,failed: no boundary representative found\n"
+    "5,9,nan,nan,failed: no boundary representative found\n"
+    "7,9,nan,nan,failed: no boundary representative found\n"
+    "8,9,nan,nan,failed: no boundary representative found\n"
+    "1,10,nan,nan,failed: no boundary representative found\n"
+    "3,10,nan,nan,failed: no boundary representative found\n"
+    "7,10,nan,nan,failed: no boundary representative found\n"
+    "9,10,nan,nan,failed: no boundary representative found\n"
+    "1,11,nan,nan,failed: no boundary representative found\n"
+    "2,11,nan,nan,failed: no boundary representative found\n"
+    "3,11,nan,nan,failed: no boundary representative found\n"
+    "4,11,nan,nan,failed: no boundary representative found\n"
+    "5,11,nan,nan,failed: no boundary representative found\n"
+    "6,11,nan,nan,failed: no boundary representative found\n"
+    "7,11,nan,nan,failed: no boundary representative found\n"
+    "8,11,nan,nan,failed: no boundary representative found\n"
+    "9,11,nan,nan,failed: no boundary representative found\n"
+    "10,11,nan,nan,failed: no boundary representative found\n"
+    "1,12,-0.02156558503837789,1.9373911207239045,5.161e-14\n"
+    "5,12,nan,nan,failed: no boundary representative found\n"
+    "7,12,nan,nan,failed: no boundary representative found\n"
+    "11,12,-1.9784344149616222,1.9373911207239045,8.546e-14\n"
+)
+
 
 # ---------------------------------------------------------------------------
 # Exit codes
@@ -204,6 +235,11 @@ def test_cusps_golden_csv(tmp_path):
 def test_cusp_table_bytes_are_pinned(capsys):
     assert main(["cusps", "--max-q", "8", "--seed", "0"]) == EXIT_OK
     assert capsys.readouterr().out == GOLDEN_CUSPS_Q8
+
+
+def test_cusp_table_through_q12_is_pinned(capsys):
+    assert main(["cusps", "--max-q", "12", "--seed", "0"]) == EXIT_OK
+    assert capsys.readouterr().out == GOLDEN_CUSPS_Q12
 
 
 def test_cusps_stdout_default(capsys):

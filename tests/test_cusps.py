@@ -5,12 +5,14 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import maskit.cusps as cusps
 from maskit.classify import ClassifierConfig
 from maskit.cusps import (
     BoundaryCuspError,
     CuspResult,
-    RootSolveError,
     cusp_point,
     poly_roots,
 )
@@ -46,17 +48,61 @@ def test_poly_roots_against_numpy():
             _match_sets(got, want, 1e-9)
 
 
-# t_{p/q} - 2 has a double root at these slopes (see the divisibility test)
-_REPEATED_ROOTS = {(3, 10, 2), (7, 10, 2)}
+def _long_division(num, den):
+    """(quotient, remainder) of Gaussian-integer polynomial long division by
+    a monic divisor; coefficient lists run from the constant term up."""
+    num = [list(c) for c in num]
+    m = len(den) - 1
+    quot = [(0, 0)] * (len(num) - m)
+    for k in range(len(num) - 1 - m, -1, -1):
+        cr, ci = num[k + m]
+        quot[k] = (cr, ci)
+        for j, (dr, di) in enumerate(den):
+            num[k + j][0] -= cr * dr - ci * di
+            num[k + j][1] -= cr * di + ci * dr
+    return quot, [tuple(c) for c in num[:m]]
 
 
-def _mpmath_roots(poly, target):
+def _minus(poly, target):
+    (c0r, c0i), *rest = poly.coeffs
+    return [(c0r - target, c0i), *rest]
+
+
+# t_{p/q} - 2 has a repeated root at these slopes (see the divisibility
+# test); dividing it once by the monic factor given here leaves its
+# square-free part: double roots at the zeros of z^2+z+1 and z^2+3z+3, and
+# the triple root -1
+_Z2_Z_1 = ((1, 0), (1, 0), (1, 0))
+_Z2_3Z_3 = ((3, 0), (3, 0), (1, 0))
+_SQUARE_OF_Z_PLUS_1 = ((1, 0), (2, 0), (1, 0))
+_REPEATED_FACTOR = {
+    (3, 10, 2): _Z2_Z_1,
+    (7, 10, 2): _Z2_3Z_3,
+    (5, 12, 2): _SQUARE_OF_Z_PLUS_1,
+    (7, 12, 2): _SQUARE_OF_Z_PLUS_1,
+}
+
+
+def _squarefree_coeffs(s, target):
+    # t_{p/q} - target with any known repeated factor divided out once
+    f = _minus(trace_polynomial(s), target)
+    factor = _REPEATED_FACTOR.get((s.p, s.q, target))
+    if factor is None:
+        return f
+    quot, rem = _long_division(f, factor)
+    assert rem == [(0, 0)] * (len(factor) - 1)
+    return quot
+
+
+def _mpmath_roots(coeffs):
     # second oracle, to the last bit: mpmath's own polynomial root finder at
-    # 60 digits, far beyond double precision
+    # 60 digits, far beyond double precision; coeffs run from the constant up
     with mp.workdps(60):
-        coeffs = [mp.mpc(re, im) for re, im in reversed(poly.coeffs)]
-        coeffs[-1] -= target
-        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=60)
+        roots = mp.polyroots(
+            [mp.mpc(re, im) for re, im in reversed(coeffs)],
+            maxsteps=200,
+            extraprec=60,
+        )
         return [complex(r) for r in roots]
 
 
@@ -65,63 +111,141 @@ def _same_bits(x: float, y: float) -> bool:
     return x == y or (abs(x) < 1e-30 and abs(y) < 1e-30)
 
 
+def _assert_same_roots(got, want, label):
+    assert len(got) == len(want), label
+    unused = list(want)
+    for x in got:
+        y = min(unused, key=lambda r: abs(x - r))
+        unused.remove(y)
+        assert _same_bits(x.real, y.real) and _same_bits(x.imag, y.imag), (
+            f"{label}: {x!r} vs {y!r}"
+        )
+
+
 def test_poly_roots_match_mpmath_to_the_last_bit():
     for s in slopes_up_to(10, 0.0, 1.0):
         poly = trace_polynomial(s)
         for target in (2, -2):
-            if (s.p, s.q, target) in _REPEATED_ROOTS:
-                continue
-            want = _mpmath_roots(poly, target)
+            want = _mpmath_roots(_squarefree_coeffs(s, target))
             for seed in (0, 99):
                 got = poly_roots(poly, target, seed=seed)
-                assert len(got) == len(want) == s.q
-                unused = list(want)
-                for x in got:
-                    y = min(unused, key=lambda r: abs(x - r))
-                    unused.remove(y)
-                    assert _same_bits(x.real, y.real) and _same_bits(x.imag, y.imag), (
-                        f"{s} at {target:+d}, seed {seed}: {x!r} vs {y!r}"
-                    )
+                _assert_same_roots(got, want, f"{s} at {target:+d}, seed {seed}")
 
 
-def _remainder(num, den):
-    # remainder of Gaussian-integer polynomial long division by a monic
-    # divisor; coefficient lists run from the constant term up
-    num = [list(c) for c in num]
-    m = len(den) - 1
-    for k in range(len(num) - 1 - m, -1, -1):
-        cr, ci = num[k + m]
-        for j, (dr, di) in enumerate(den):
-            num[k + j][0] -= cr * dr - ci * di
-            num[k + j][1] -= cr * di + ci * dr
-    return [tuple(c) for c in num[:m]]
-
-
-def test_repeated_roots_are_a_known_root_solve_failure():
+def test_repeated_roots_are_solved_once_each():
     # (z^2+z+1)^2 | t_{3/10} - 2 and (z^2+3z+3)^2 | t_{7/10} - 2, exactly;
     # the double roots -1/2 +- i sqrt(3)/2 and -3/2 +- i sqrt(3)/2 all lie
     # below Im z = 1, so neither is the boundary cusp of its slope
-    for p, quadratic, centre in (
-        (3, ((1, 0), (1, 0), (1, 0)), -0.5),
-        (7, ((3, 0), (3, 0), (1, 0)), -1.5),
-    ):
-        poly = trace_polynomial(FareySlope(p, 10))
-        (c0r, c0i), *rest = poly.coeffs
+    for p, quadratic in ((3, _Z2_Z_1), (7, _Z2_3Z_3)):
+        f = _minus(trace_polynomial(FareySlope(p, 10)), 2)
         square = (TracePolynomial(quadratic) * TracePolynomial(quadratic)).coeffs
-        assert _remainder([(c0r - 2, c0i), *rest], square) == [(0, 0)] * 4
-        with pytest.raises(RootSolveError, match="did not converge") as err:
-            poly_roots(poly, 2)
-        estimates = err.value.estimates
-        assert len(estimates) == 10
-        for root in (complex(centre, _SQRT3 / 2), complex(centre, -_SQRT3 / 2)):
-            near = [x for x in estimates if abs(x - root) < 1e-6]
-            assert len(near) == 2, (p, root, estimates)
-    # the q = 12 rows fail the same way: (z+1)^3 | t_{5/12} - 2 and
-    # t_{7/12} - 2, a triple root on the real axis
+        assert _long_division(f, square)[1] == [(0, 0)] * 4
+    # (z+1)^3 | t_{5/12} - 2 and t_{7/12} - 2, a triple root on the real axis
     cube = ((1, 0), (3, 0), (3, 0), (1, 0))
     for p in (5, 7):
-        (c0r, c0i), *rest = trace_polynomial(FareySlope(p, 12)).coeffs
-        assert _remainder([(c0r - 2, c0i), *rest], cube) == [(0, 0)] * 3
+        f = _minus(trace_polynomial(FareySlope(p, 12)), 2)
+        assert _long_division(f, cube)[1] == [(0, 0)] * 3
+    # each distinct root comes back once, to the last bit of mpmath's roots
+    # of the square-free part; -1 is among them at q = 12
+    for (p, q, target), factor in _REPEATED_FACTOR.items():
+        s = FareySlope(p, q)
+        got = poly_roots(trace_polynomial(s), target)
+        assert len(got) == q - (len(factor) - 1)
+        _assert_same_roots(got, _mpmath_roots(_squarefree_coeffs(s, target)), str(s))
+        if q == 12:
+            assert [r for r in got if abs(r + 1) < 1e-9][0].real == -1.0
+
+
+def _gcd_is_trivial_both_ways(f):
+    # the modular check and the exact gcd over Q(i) agree on deg gcd(f, f')
+    modular = cusps._gcd_degree_mod_p(f)
+    exact = len(cusps._exact_gcd(f)) - 1
+    assert modular == exact, (f, modular, exact)
+    return exact == 0
+
+
+def test_modular_check_agrees_with_the_exact_gcd():
+    repeated = {
+        (s.p, s.q, target)
+        for s in slopes_up_to(24, 0.0, 1.0)
+        for target in (2, -2)
+        if not _gcd_is_trivial_both_ways(_minus(trace_polynomial(s), target))
+    }
+    assert repeated == {
+        (3, 10, 2), (7, 10, 2), (5, 12, 2), (7, 12, 2), (11, 24, 2), (13, 24, 2)
+    }
+
+
+_GAUSSIAN = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+_FACTOR = st.lists(_GAUSSIAN, min_size=1, max_size=2).flatmap(
+    # a linear or quadratic factor with a non-zero leading coefficient
+    lambda low: _GAUSSIAN.filter(lambda c: c != (0, 0)).map(
+        lambda lead: TracePolynomial((*low, lead))
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factors=st.lists(_FACTOR, max_size=3), twice=_FACTOR)
+def test_modular_check_sees_a_squared_factor(factors, twice):
+    f = twice * twice
+    for g in factors:
+        f = f * g
+    assert not _gcd_is_trivial_both_ways(list(f.coeffs))
+    # the squared factor divides gcd(f, f') ...
+    gcd = cusps._exact_gcd(list(f.coeffs))
+    assert len(gcd) > twice.degree
+    _, rem = cusps._pseudo_divmod(gcd, list(twice.coeffs))
+    assert all(c == (0, 0) for c in rem)
+    # ... and the solver returns each distinct root of f once
+    roots = poly_roots(f, 0)
+    assert len(roots) == f.degree - (len(gcd) - 1)
+    for x in np.roots([complex(*c) for c in reversed(twice.coeffs)]):
+        assert min(abs(x - r) for r in roots) < 1e-6
+
+
+def test_poly_roots_rejects_a_non_integer_target():
+    poly = trace_polynomial(FareySlope(2, 5))
+    for target in (2.5, -1.999, float("nan"), float("inf"), 2 + 0j, "2"):
+        with pytest.raises(ValueError, match="target must be an integer"):
+            poly_roots(poly, target)
+    assert poly_roots(poly, 2.0) == poly_roots(poly, 2)
+    assert poly_roots(poly, -2.0) == poly_roots(poly, -2)
+
+
+def test_probe_classifies_only_roots_above_height_one(monkeypatch):
+    # which real roots carry a positive rounding-noise imaginary part depends
+    # on the solver's seed; none of them may cost a probe classification
+    probed, roots = [], []
+    classify, solve = cusps.classify_point, cusps.poly_roots
+
+    def counting_classify(z, cfg):
+        probed.append(z)
+        return classify(z, cfg)
+
+    def recording_solve(*args, **kwargs):
+        found = solve(*args, **kwargs)
+        roots.extend(found)
+        return found
+
+    monkeypatch.setattr(cusps, "classify_point", counting_classify)
+    monkeypatch.setattr(cusps, "poly_roots", recording_solve)
+    tol = ClassifierConfig().boundary_tol
+    counts = []
+    for seed in (0, 20, 21):
+        probed.clear()
+        roots.clear()
+        for s in slopes_up_to(10, 0.0, 1.0):
+            try:
+                cusp_point(s, seed=seed)
+            except BoundaryCuspError:
+                pass
+        low = [r for r in roots if r.imag <= 1]
+        assert low and probed
+        for z in probed:
+            assert all(abs(z - r) > 64 * tol for r in low), (seed, z)
+        counts.append(len(probed))
+    assert counts[0] == counts[1] == counts[2], counts
 
 
 def test_poly_roots_rejects_constants():
