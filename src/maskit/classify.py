@@ -6,19 +6,21 @@ of the slice, is certifiably outside, or is undetermined at the configured
 search depth.  The test is the trace-tree search over simple-curve slopes:
 
   * reject (OutsideCertified) as soon as any slope trace has modulus below
-    reject_threshold (default 2: such a word is elliptic or the identity,
-    so the group cannot be discrete and free);
+    REJECT_THRESHOLD = 2 (such a word is elliptic or the identity, so the
+    group cannot be discrete and free);
   * certify inside only when every explored trace has modulus >= 2 + delta
-    AND every unexplored subtree has been pruned by a growth argument that
-    guarantees all of its traces stay above that bar;
+    (delta = INSIDE_MARGIN) AND every unexplored subtree has been pruned by
+    a growth argument that guarantees all of its traces stay above that bar;
   * otherwise Undetermined (budget or depth ran out first).
 
 Growth pruning is sound: on an edge with parent traces t_l, t_r and mediant
-trace t_m = t_l*t_r - t_d, if |t_l| >= g, |t_r| >= g (g = grow_threshold)
+trace t_m = t_l*t_r - t_d, if |t_l| >= g, |t_r| >= g (g = GROW_THRESHOLD)
 and |t_m| >= max(|t_l|, |t_r|), then for either child edge the next mediant
 t' = t_m*t_parent - t_other has |t'| >= (g-1)*|t_m|, so the same hypothesis
 holds one level down and every trace in the subtree is >= (g-1)*g.  The
-config invariant 0 < delta < g - 2 keeps that bound above 2 + delta.
+invariant 0 < delta < g - 2 keeps that bound above 2 + delta.  The three
+thresholds are module constants; only q_max and node_budget are settable,
+through ClassifierConfig.
 
 A second prune handles edges pinned at a single low vertex v (those arise
 around every vertex whose trace sits in (2, g): the opposite endpoints form
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 from .farey import FareySlope
@@ -78,20 +80,26 @@ class AVerdict(Enum):
         return self.value
 
 
+# The verdict thresholds (see the module docstring).  The growth prunes
+# prove subtrees stay above 2 + INSIDE_MARGIN only while this holds.
+GROW_THRESHOLD = 4.0
+REJECT_THRESHOLD = 2.0
+INSIDE_MARGIN = 1e-3
+assert 0.0 < INSIDE_MARGIN < GROW_THRESHOLD - 2.0
+
+# SyntheticSlice's boundary curve: peak height and valley depth.
+_SYNTHETIC_PEAK = 2.0
+_SYNTHETIC_DEPTH = 0.25
+
+
 @dataclass(frozen=True)
 class ClassifierConfig:
     q_max: int = 512
-    grow_threshold: float = 4.0
-    reject_threshold: float = 2.0
-    inside_margin: float = 1e-3
     node_budget: int = 20000
-    boundary_tol: float = 1e-3
 
     def __post_init__(self):
         if self.q_max < 2:
             raise ValueError("q_max must be >= 2")
-        if not (0.0 < self.inside_margin < self.grow_threshold - 2.0):
-            raise ValueError("need 0 < inside_margin < grow_threshold - 2")
         if self.node_budget <= 0:
             raise ValueError("node_budget must be positive")
 
@@ -127,9 +135,9 @@ def classify_point(z, cfg: ClassifierConfig | None = None) -> Classification:
             Verdict.OUTSIDE_CERTIFIED, None, 0, reason="slice misses the real axis"
         )
 
-    g = cfg.grow_threshold
-    reject = cfg.reject_threshold
-    bar = 2.0 + cfg.inside_margin
+    g = GROW_THRESHOLD
+    reject = REJECT_THRESHOLD
+    bar = 2.0 + INSIDE_MARGIN
     budget = cfg.node_budget
     q_max = cfg.q_max
 
@@ -212,24 +220,29 @@ class RealClassifier:
         return classify_point(z, self.cfg)
 
     def describe(self) -> dict:
-        return {"kind": "real", **asdict(self.cfg)}
+        return {
+            "kind": "real",
+            "q_max": self.cfg.q_max,
+            "grow_threshold": GROW_THRESHOLD,
+            "reject_threshold": REJECT_THRESHOLD,
+            "inside_margin": INSIDE_MARGIN,
+            "node_budget": self.cfg.node_budget,
+        }
 
 
 @dataclass(frozen=True)
 class SyntheticSlice:
     """Stand-in slice with a known boundary curve, for pipeline shakedown.
 
-    Inside-plus is {Im z > h(Re z)} with h(x) = peak - depth*(1 - cos(pi x)):
-    same 2-periodicity, evenness, and peak/valley layout as the real slice
-    (peaks at even integers, valleys at odd), but with exact verdicts and no
-    Undetermined region, so geometry bugs separate from search bugs.
+    Inside-plus is {Im z > h(Re z)} with h(x) = peak - depth*(1 - cos(pi x)),
+    peak 2 and depth 1/4: same 2-periodicity, evenness, and peak/valley
+    layout as the real slice (peaks at even integers, valleys at odd), but
+    with exact verdicts and no Undetermined region, so geometry bugs
+    separate from search bugs.
     """
 
-    peak: float = 2.0
-    depth: float = 0.25
-
     def boundary_height(self, x: float) -> float:
-        return self.peak - self.depth * (1.0 - math.cos(math.pi * x))
+        return _SYNTHETIC_PEAK - _SYNTHETIC_DEPTH * (1.0 - math.cos(math.pi * x))
 
     def classify(self, z) -> Classification:
         z = complex(z)
@@ -245,7 +258,7 @@ class SyntheticSlice:
         )
 
     def describe(self) -> dict:
-        return {"kind": "synthetic", "peak": self.peak, "depth": self.depth}
+        return {"kind": "synthetic", "peak": _SYNTHETIC_PEAK, "depth": _SYNTHETIC_DEPTH}
 
 
 def check_base_point(classifier, z) -> None:

@@ -186,7 +186,7 @@ def cmd_witness(args) -> int:
     classifier = SyntheticSlice() if args.synthetic else RealClassifier(cfg)
 
     try:
-        q, z = find_rectangle(cfg, classifier=classifier)
+        q, z = find_rectangle(classifier)
     except WitnessSearchError as exc:
         print(f"witness search failed: {exc}", file=sys.stderr)
         for row in exc.profile:
@@ -198,7 +198,7 @@ def cmd_witness(args) -> int:
         return EXIT_WITNESS
 
     try:
-        report = verify_witness(q, z, cfg, classifier=classifier, raster_rows=rows)
+        report = verify_witness(q, z, classifier, raster_rows=rows)
     except ValueError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -206,9 +206,8 @@ def cmd_witness(args) -> int:
     counting = components_near_infinity(
         3.0 * z,
         k,
-        cfg,
+        classifier,
         rectangle=report.R,
-        classifier=classifier,
         cols=cols,
         rows=rows,
         workers=args.workers,

@@ -33,18 +33,17 @@ Only roots above Im z = 1 are candidates: the slice lies in Im z > 1, and
 the classifier's integer fan rejects all of |Im z| < sqrt(3) anyway.  Of
 these, the one on the upper boundary is picked by probing the classifier
 just above and just below the root: above must certify inside, below must
-not.  The default probe offset equals boundary_tol, but with the
-default config the inside margin at a cusp is of the same order as the
-probe (at the 1/2 cusp the flat-slope trace clears 2 by only ~0.87*eps), so
-the probe escalates through {tol, 4 tol, 16 tol, 64 tol} and takes the first
-rung with any passer.  Escalation or multiple passers mark the result as
-flagged; ties break to lexicographic max of (Im, Re).
+not.  The probe offset is _PROBE_EPS = 1e-3, but the inside margin at a
+cusp is of the same order as the probe (at the 1/2 cusp the flat-slope
+trace clears 2 by only ~0.87*eps), so the probe escalates through
+{eps, 4 eps, 16 eps, 64 eps} and takes the first rung with any passer.
+Escalation or multiple passers mark the result as flagged; ties break to
+lexicographic max of (Im, Re).
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -52,7 +51,12 @@ import mpmath as mp
 from .classify import ClassifierConfig, Verdict, classify_point
 from .farey import FareySlope, TracePolynomial, trace_polynomial
 
+# The boundary probe's offset and its escalation (see the module docstring).
+_PROBE_EPS = 1e-3
 _PROBE_LADDER = (1.0, 4.0, 16.0, 64.0)
+
+# Durand-Kerner sweeps allowed to each pass, float and mpmath.
+_MAX_SWEEPS = 400
 
 # A float sweep whose largest step is below sqrt(eps) leaves estimates at
 # double resolution (Durand-Kerner converges quadratically at simple roots),
@@ -98,12 +102,12 @@ def _horner(coeffs, x):
     return acc
 
 
-def _sweeps(monic, xs, tol, max_iter) -> bool:
+def _sweeps(monic, xs, tol) -> bool:
     """Durand-Kerner sweeps on xs, in place, in whatever arithmetic the
     arguments carry (complex or mpmath).  True once a sweep moves no
-    estimate by tol or more; False if max_iter sweeps run out first."""
+    estimate by tol or more; False if _MAX_SWEEPS sweeps run out first."""
     n = len(xs)
-    for _ in range(max_iter):
+    for _ in range(_MAX_SWEEPS):
         shift = 0
         for k in range(n):
             xk = xs[k]
@@ -213,7 +217,7 @@ def _exact_gcd(f):
     return [(1, 0)]
 
 
-def _dk_roots(coeffs, target: int, seed: int, max_iter: int) -> list[complex]:
+def _dk_roots(coeffs, target: int, seed: int) -> list[complex]:
     """Durand-Kerner roots of sum(coeffs[k] z^k) - target, then polished."""
     n = len(coeffs) - 1
     coeff_digits = max(len(str(abs(re))) + len(str(abs(im))) for re, im in coeffs)
@@ -233,16 +237,16 @@ def _dk_roots(coeffs, target: int, seed: int, max_iter: int) -> list[complex]:
         # mpmath cost; its finite estimates are exact mpmath starts.  A NaN
         # step never raises the shift, so a pass that overflows ends early.
         floats = [complex(x) for x in circle]
-        _sweeps([complex(c) for c in monic], floats, _FLOAT_STALL, max_iter)
+        _sweeps([complex(c) for c in monic], floats, _FLOAT_STALL)
         xs = (
             [mp.mpc(x) for x in floats]
             if all(cmath.isfinite(x) for x in floats)
             else circle
         )
         tol = mp.mpf(10) ** (-(mp.mp.dps - 8))
-        if not _sweeps(monic, xs, tol, max_iter):
+        if not _sweeps(monic, xs, tol):
             raise RootSolveError(
-                f"root iteration did not converge within {max_iter} sweeps",
+                f"root iteration did not converge within {_MAX_SWEEPS} sweeps",
                 [complex(x) for x in xs],
             )
         # Newton polish against the original (non-monic) polynomial, until
@@ -262,9 +266,7 @@ def _dk_roots(coeffs, target: int, seed: int, max_iter: int) -> list[complex]:
         return [complex(x) for x in xs]
 
 
-def poly_roots(
-    poly: TracePolynomial, target: int, *, seed: int = 0, max_iter: int = 400
-) -> list[complex]:
+def poly_roots(poly: TracePolynomial, target: int, *, seed: int = 0) -> list[complex]:
     """The distinct roots of poly(z) - target, sorted by (Re, Im) rounded to
     9 places.  target must be an integer (an integral float is accepted).
 
@@ -274,7 +276,7 @@ def poly_roots(
     Q(i), so a root of multiplicity m is returned once.
 
     Durand-Kerner then runs twice from the seeded circle: in complex floats
-    until a sweep moves no estimate by _FLOAT_STALL (or max_iter sweeps),
+    until a sweep moves no estimate by _FLOAT_STALL (or 400 sweeps),
     then in mpmath from those estimates -- from the circle itself if the
     floats overflowed -- until a sweep moves no estimate by
     tol = 10^-(dps-8), with dps >= 40.  Each estimate then takes Newton
@@ -282,7 +284,7 @@ def poly_roots(
     that moves it by less than tol, and is rounded to complex.
     Deterministic for a fixed seed.  Raises RootSolveError (carrying the
     current estimates) if the mpmath pass does not converge within
-    max_iter sweeps.
+    400 sweeps.
     """
     if poly.degree < 1:
         raise ValueError("degree >= 1 required")
@@ -299,7 +301,7 @@ def poly_roots(
         g = _exact_gcd(f)
         if len(g) > 1:
             coeffs, shift = _primitive(_pseudo_divmod(f, g)[0]), 0
-    roots = _dk_roots(coeffs, shift, seed, max_iter)
+    roots = _dk_roots(coeffs, shift, seed)
     roots.sort(key=lambda r: (round(r.real, 9), round(r.imag, 9)))
     return roots
 
@@ -322,9 +324,8 @@ def cusp_point(
     )
     upper = [r for r in all_roots if r.imag > 1]
     passers: list[complex] = []
-    used_eps = cfg.boundary_tol
     for rung in _PROBE_LADDER:
-        eps = cfg.boundary_tol * rung
+        eps = _PROBE_EPS * rung
         passers = [
             r
             for r in upper
@@ -334,12 +335,11 @@ def cusp_point(
             is not Verdict.INSIDE_PLUS
         ]
         if passers:
-            used_eps = eps
             break
     if not passers:
         raise BoundaryCuspError("no boundary representative found", all_roots)
     z = max(passers, key=lambda r: (r.imag, r.real))
-    flagged = len(passers) > 1 or used_eps != cfg.boundary_tol
+    flagged = len(passers) > 1 or rung != _PROBE_LADDER[0]
     # residual from the exact polynomial at the (double-precision) root
     with mp.workdps(60):
         t = _horner([mp.mpc(re, im) for re, im in poly.coeffs], mp.mpc(z))

@@ -225,9 +225,6 @@ class TracePolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, z) -> complex:
-        return self.evaluate(z)
-
     def evaluate(self, z) -> complex:
         z = complex(z)
         acc = 0j

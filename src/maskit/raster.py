@@ -2,12 +2,11 @@
 
 Pixels map affinely to the plane, row-major with the top row at maximal
 imaginary part; cell (i, j) is classified at its center.  Grids hold small
-integer verdict codes (uint8), which keeps multiprocessing hand-offs cheap
-and makes PPM export a palette lookup.
+integer verdict codes (uint8), so PPM export is a palette lookup.
 
 Everything is a pure function of (classifier, window, row range), so the
-worker count cannot change any byte of the output: chunks are mapped in
-order and reassembled by row index.
+worker count cannot change any byte of the output: row chunks are mapped
+and concatenated in order.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import cmath
 import math
 import multiprocessing
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,8 +128,6 @@ class Window:
 class Raster:
     window: Window
     cells: np.ndarray  # uint8 verdict codes, shape (rows, cols)
-    kind: str
-    meta: dict = field(default_factory=dict)
 
     def counts(self) -> dict[str, int]:
         names = {
@@ -152,7 +149,7 @@ def _classify_rows(task):
         row = out[i - i0]
         for j in range(win.cols):
             row[j] = _VERDICT_CODE[classifier.classify(win.pixel_center(i, j)).verdict]
-    return i0, out.tobytes()
+    return out
 
 
 def _membership_rows(task):
@@ -167,7 +164,7 @@ def _membership_rows(task):
                 continue
             verdict = membership_with(classifier, zbase, w).verdict
             row[j] = _AVERDICT_CODE[verdict]
-    return i0, out.tobytes()
+    return out
 
 
 def _run_chunks(fn, tasks, workers: int):
@@ -182,14 +179,6 @@ def _row_chunks(rows: int, workers: int):
     return [(i, min(i + chunk, rows)) for i in range(0, rows, chunk)]
 
 
-def _assemble(win: Window, pieces) -> np.ndarray:
-    cells = np.empty((win.rows, win.cols), dtype=np.uint8)
-    for i0, blob in pieces:
-        part = np.frombuffer(blob, dtype=np.uint8).reshape(-1, win.cols)
-        cells[i0 : i0 + part.shape[0]] = part
-    return cells
-
-
 def rasterize_maskit(
     win: Window,
     cfg: ClassifierConfig | None = None,
@@ -201,9 +190,8 @@ def rasterize_maskit(
     if classifier is None:
         classifier = RealClassifier(cfg or ClassifierConfig())
     tasks = [(classifier, win, i0, i1) for i0, i1 in _row_chunks(win.rows, workers)]
-    cells = _assemble(win, _run_chunks(_classify_rows, tasks, workers))
-    meta = {"classifier": classifier.describe(), "window": win.describe()}
-    return Raster(window=win, cells=cells, kind="maskit", meta=meta)
+    cells = np.concatenate(_run_chunks(_classify_rows, tasks, workers))
+    return Raster(window=win, cells=cells)
 
 
 def rasterize_a_slice(
@@ -224,13 +212,8 @@ def rasterize_a_slice(
     z = complex(z)
     check_base_point(classifier, z)
     tasks = [(classifier, z, win, i0, i1) for i0, i1 in _row_chunks(win.rows, workers)]
-    cells = _assemble(win, _run_chunks(_membership_rows, tasks, workers))
-    meta = {
-        "classifier": classifier.describe(),
-        "window": win.describe(),
-        "base_point": [z.real, z.imag],
-    }
-    return Raster(window=win, cells=cells, kind="a_slice", meta=meta)
+    cells = np.concatenate(_run_chunks(_membership_rows, tasks, workers))
+    return Raster(window=win, cells=cells)
 
 
 @dataclass(frozen=True)

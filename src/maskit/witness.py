@@ -28,8 +28,9 @@ the honest one (valley floor sqrt(3)) or the synthetic harness (valley
 floor 1.5).  A ladder of inside-margins and half-widths is
 then tried until every side sample certifies outside.
 
-Everything accepts an injected classifier (any object with .classify(z) and
-.describe()); default is the honest RealClassifier.
+Every stage takes the classifier as an argument: any object with
+.classify(z) and .describe(), such as RealClassifier or SyntheticSlice.
+There is no default.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ from dataclasses import dataclass
 from .classify import (
     AMembership,
     AVerdict,
-    ClassifierConfig,
-    RealClassifier,
     Verdict,
     check_base_point,
     membership_with,
@@ -100,6 +99,9 @@ _HALF_WIDTHS = (0.45, 0.38, 0.32, 0.27, 0.22)
 _SIDE_SAMPLES = 33
 _PROBE_TOP = 2.5
 _BISECT_STEPS = 42
+# The diagnostic profile: verticals across the strip, bisection steps on each.
+_PROFILE_POINTS = 9
+_PROFILE_STEPS = 24
 
 
 class WitnessSearchError(RuntimeError):
@@ -146,17 +148,19 @@ class _ProbeFailed(Exception):
     pass
 
 
-def _boundary_profile(classifier, n: int = 9, steps: int = 24):
+def _boundary_profile(classifier):
     """Coarse certified floor/ceiling heights across the strip (diagnostics)."""
     lo, hi = _STRIP
+    n = _PROFILE_POINTS
     out = []
     for k in range(n):
         x = lo + (hi - lo) * k / (n - 1)
         try:
-            inside = _lowest_inside(classifier, x, _PROBE_TOP, steps)
+            inside = _lowest_inside(classifier, x, _PROBE_TOP, _PROFILE_STEPS)
         except _ProbeFailed:
             inside = float("nan")
-        outside = _highest_outside(classifier, x, inside if inside == inside else _PROBE_TOP, steps)
+        top = inside if inside == inside else _PROBE_TOP
+        outside = _highest_outside(classifier, x, top, _PROFILE_STEPS)
         out.append({"x": x, "outside_floor": outside, "inside_floor": inside})
     return out
 
@@ -170,19 +174,13 @@ def _side_points(q: AxisRectangle, n: int):
     return pts
 
 
-def find_rectangle(
-    cfg: ClassifierConfig | None = None,
-    *,
-    classifier=None,
-) -> tuple[AxisRectangle, complex]:
+def find_rectangle(classifier) -> tuple[AxisRectangle, complex]:
     """Locate (Q, z): sides certified outside, z inside at the 1/3 height.
 
     Raises WitnessSearchError (with a boundary-height profile of the strip)
     if no rung of the ladder certifies.  The ladder is finite: at most
     8 + 2 * 42 + 5 * (1 + 5 * 3 * 33) = 2,572 classifier calls.
     """
-    if classifier is None:
-        classifier = RealClassifier(cfg or ClassifierConfig())
     x_c = 0.5 * (_STRIP[0] + _STRIP[1])
     try:
         floor_in = _lowest_inside(classifier, x_c, _PROBE_TOP, _BISECT_STEPS)
@@ -287,23 +285,16 @@ def _rect_boundary_samples(r: AxisRectangle, spacing: float):
 
 
 def verify_witness(
-    q: AxisRectangle,
-    z,
-    cfg: ClassifierConfig | None = None,
-    *,
-    classifier=None,
-    raster_rows: int = 64,
+    q: AxisRectangle, z, classifier, *, raster_rows: int = 64
 ) -> WitnessReport:
-    """Check the witness predicates for (Q, z) by honest classification.
+    """Check the witness predicates for (Q, z) under the classifier.
 
-    Interior: a_membership(3z, 2z) must be Member.  Boundary: every sample
+    Interior: 2z must be a Member at base point 3z.  Boundary: every sample
     on the four sides of R -- and its copy nudged inward by two raster
     pitches -- must be NonMemberCertified.  The pitch is R height /
     raster_rows, and samples lie half a pitch apart.
     all_certified reports the conjunction; failures are listed, not raised.
     """
-    if classifier is None:
-        classifier = RealClassifier(cfg or ClassifierConfig())
     z = complex(z)
     if not q.contains_interior(z):
         raise ValueError("z must be interior to Q")
@@ -394,10 +385,9 @@ def _bbox_bounds(win: Window, comp: Component):
 def components_near_infinity(
     z,
     k: int,
-    cfg: ClassifierConfig | None = None,
+    classifier,
     *,
     rectangle: AxisRectangle,
-    classifier=None,
     cols: int = 1024,
     rows: int = 64,
     workers: int = 1,
@@ -416,7 +406,7 @@ def components_near_infinity(
     win = Window.from_bounds(
         r.re_min, r.re_max + 2.0 * (k - 1), r.im_min, r.im_max, cols, rows
     )
-    raster = rasterize_a_slice(z, win, cfg, classifier=classifier, workers=workers)
+    raster = rasterize_a_slice(z, win, classifier=classifier, workers=workers)
     report = components(raster)
 
     bounds = {c.label: _bbox_bounds(win, c) for c in report.components}

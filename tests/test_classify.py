@@ -27,10 +27,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ClassifierConfig(q_max=1)
     with pytest.raises(ValueError):
-        ClassifierConfig(inside_margin=0.0)
-    with pytest.raises(ValueError):
-        ClassifierConfig(inside_margin=2.5)  # >= grow_threshold - 2
-    with pytest.raises(ValueError):
         ClassifierConfig(node_budget=0)
 
 
@@ -217,3 +213,12 @@ def test_real_classifier_wrapper():
     d = rc.describe()
     assert d["kind"] == "real"
     assert d["q_max"] == 64
+    default = RealClassifier(ClassifierConfig()).describe()
+    assert list(default.items()) == [
+        ("kind", "real"),
+        ("q_max", 512),
+        ("grow_threshold", 4.0),
+        ("reject_threshold", 2.0),
+        ("inside_margin", 0.001),
+        ("node_budget", 20000),
+    ]

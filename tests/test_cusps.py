@@ -230,7 +230,7 @@ def test_probe_classifies_only_roots_above_height_one(monkeypatch):
 
     monkeypatch.setattr(cusps, "classify_point", counting_classify)
     monkeypatch.setattr(cusps, "poly_roots", recording_solve)
-    tol = ClassifierConfig().boundary_tol
+    tol = cusps._PROBE_EPS
     counts = []
     for seed in (0, 20, 21):
         probed.clear()

@@ -29,11 +29,11 @@ from maskit import (
 _FAST_CFG = ClassifierConfig(q_max=64, node_budget=5000)
 
 
-def _raster_of(cells, kind="maskit"):
+def _raster_of(cells):
     cells = np.asarray(cells, dtype=np.uint8)
     rows, cols = cells.shape
     win = Window.from_bounds(0.0, float(cols), 0.0, float(rows), cols, rows)
-    return Raster(window=win, cells=cells, kind=kind)
+    return Raster(window=win, cells=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +151,6 @@ def test_rasterize_maskit_worker_count_is_invisible():
     one = rasterize_maskit(win, _FAST_CFG, workers=1)
     two = rasterize_maskit(win, _FAST_CFG, workers=2)
     assert to_ppm_bytes(one) == to_ppm_bytes(two)
-    assert one.meta["window"] == win.describe()
-    assert one.meta["classifier"]["q_max"] == 64
 
 
 def test_pool_is_sized_by_the_row_chunks(monkeypatch):
@@ -211,8 +209,6 @@ def test_a_slice_member_pixel_at_8i():
     win = Window.from_bounds(-0.5, 0.5, 7.5, 8.5, 1, 1)
     raster = rasterize_a_slice(4j, win, _FAST_CFG)
     assert raster.cells[0, 0] == CELL_MEMBER
-    assert raster.kind == "a_slice"
-    assert raster.meta["base_point"] == [0.0, 4.0]
 
 
 def test_a_slice_lower_half_plane_is_non_member():

@@ -1,20 +1,25 @@
 """Tests for the rectangle witness: search, reflection, verification, counting."""
 
+import json
 import math
 
+import numpy as np
 import pytest
 
 from maskit import (
     AVerdict,
     AxisRectangle,
     Classification,
-    ClassifierConfig,
+    RealClassifier,
     SyntheticSlice,
     Verdict,
+    Window,
     WitnessSearchError,
     build_R,
     components_near_infinity,
     find_rectangle,
+    rasterize_a_slice,
+    rasterize_maskit,
     verify_witness,
 )
 
@@ -237,6 +242,44 @@ def test_verify_witness_flags_oversized_rectangle():
     assert len(doc["boundary_samples"]["offending"]) == len(report.offending_samples)
 
 
+class _BareClassifier:
+    """Exposes classify and describe and nothing else: no cfg attribute."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def classify(self, z):
+        return self._inner.classify(z)
+
+    def describe(self):
+        return self._inner.describe()
+
+
+def test_a_bare_classifier_drives_the_rasters_and_the_witness_stages():
+    synth = SyntheticSlice()
+    bare = _BareClassifier(synth)
+    win = Window.from_bounds(-2.0, 0.0, 1.0, 2.5, 24, 12)
+    assert np.array_equal(
+        rasterize_maskit(win, classifier=bare).cells,
+        rasterize_maskit(win, classifier=synth).cells,
+    )
+    win = Window.from_bounds(-4.0, 4.0, 0.0, 10.0, 24, 24)
+    assert np.array_equal(
+        rasterize_a_slice(4j, win, classifier=bare).cells,
+        rasterize_a_slice(4j, win, classifier=synth).cells,
+    )
+    docs = []
+    for clf in (synth, bare):
+        q, z = find_rectangle(clf)
+        report = verify_witness(q, z, clf, raster_rows=16)
+        counting = components_near_infinity(
+            3.0 * z, 2, clf, rectangle=report.R, cols=128, rows=16
+        )
+        assert report.all_certified and counting.ok
+        docs.append(json.dumps(report.to_json_dict(counting, clf.describe())))
+    assert docs[0] == docs[1]
+
+
 def test_witness_report_json_shape():
     clf = SyntheticSlice()
     q, z = find_rectangle(classifier=clf)
@@ -335,7 +378,7 @@ def test_translate_count_describe_shape():
 
 
 def test_find_rectangle_real_regression():
-    q, z = find_rectangle(ClassifierConfig())
+    q, z = find_rectangle(RealClassifier())
     assert q.re_min == REAL_Q.re_min and q.re_max == REAL_Q.re_max
     assert q.im_min == pytest.approx(REAL_Q.im_min, abs=1e-12)
     assert q.im_max == pytest.approx(REAL_Q.im_max, abs=1e-12)
@@ -350,7 +393,7 @@ def test_find_rectangle_real_regression():
 
 
 def test_verify_witness_real_regression():
-    report = verify_witness(REAL_Q, REAL_Z, ClassifierConfig())
+    report = verify_witness(REAL_Q, REAL_Z, RealClassifier())
     assert report.all_certified
     assert report.interior_sample_verdict.verdict is AVerdict.MEMBER
     assert report.interior_sample_verdict.n == 1
