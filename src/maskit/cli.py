@@ -25,7 +25,7 @@ import sys
 import time
 
 from .classify import ClassifierConfig, RealClassifier, SyntheticSlice
-from .cusps import BoundaryCuspError, RootSolveError, cusp_point
+from .cusps import BoundaryCuspError, cusp_point
 from .farey import slopes_up_to
 from .raster import Window, components, rasterize_a_slice, rasterize_maskit, save_ppm
 from .witness import (
@@ -126,11 +126,11 @@ def cmd_cusps(args) -> int:
     table.sort(key=lambda s: (s.q, s.p))
     for s in table:
         try:
-            res = cusp_point(s, cfg, seed=args.seed)
+            res = cusp_point(s, cfg)
             rows.append(
                 f"{s.p},{s.q},{res.z.real!r},{res.z.imag!r},{res.residual:.3e}"
             )
-        except (RootSolveError, BoundaryCuspError) as exc:
+        except BoundaryCuspError as exc:
             rows.append(f"{s.p},{s.q},nan,nan,failed: {exc}")
     text = "\n".join(rows) + "\n"
     try:
@@ -282,7 +282,8 @@ def _build_parser() -> _Parser:
                 out="-", out_help="output CSV path or - for stdout")
     p.add_argument("--max-q", dest="max_q", type=int, default=8,
                    help="largest slope denominator, at most 64 (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="root-solver seed (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted for compatibility; has no effect (no seeded solver runs)")
 
     p = command("a-slice", "rasterize the extension locus of a base point",
                 out="a_slice.ppm", out_help="output PPM path")

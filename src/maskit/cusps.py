@@ -1,21 +1,49 @@
 """Boundary cusps of the upper slice component: parabolic slope parameters.
 
-The slope p/q pinches exactly where its trace hits +-2, i.e. at roots of the
-degree-q polynomial t_{p/q}(z) -+ 2.  Coefficients are exact Gaussian
-integers (they grow like 10^(q/2), so double-precision companion-matrix
-methods die early); roots come from a simultaneous Durand-Kerner iteration
-with Newton polishing, finished in mpmath arbitrary precision scaled to the
-degree and the coefficient size.  The iteration is deterministic: the
-initial configuration is a circle of radius given by the Cauchy bound with
-a phase derived from an explicit integer mix of the seed.
+The slope p/q pinches where its trace t_{p/q} hits +-2, and the cusp on the
+boundary of M+ is found without solving for all 2q such points.  By
+Keen-Series (Topology 32, 1993) the p/q cusp is the end of the p/q pleating
+ray: the branch of t_{p/q}^{-1}(R) with |t| > 2 that is asymptotic to
+Re z = -2p/q and runs down to t = +-2.  Wright (Searching for the cusp, LMS
+Lecture Notes 329, 2006) locates cusps the same way.
 
-That radius reaches 10^4 by q = 10, so most sweeps only walk the estimates
-in from the circle.  The same sweeps therefore run first in complex floats,
-until the estimates sit at double resolution, and mpmath starts from there;
-it then needs about three sweeps at a simple root, against 50-250 from the
-circle at q = 10..24.  Where the floats overflow (some slopes from q = 26,
-every slope from q = 41) mpmath starts from the circle itself, exactly as
-without the float pass.
+pleating_ray follows that branch in complex floats.  It carries the jet
+(t, dt/dz) through the slope's schedule of the Farey recursion (farey._fill,
+recorded once per call), with
+
+    (a, a')(b, b') - (d, d') = (ab - d, a'b + ab' - d').
+
+It starts at z = -2p/q + i(2 + q/2), Newton-projects onto t = Re t, and
+then asks for t = +-(2 + u) as u shrinks, down to t = +-2.  Each point is a
+Newton solve of log t(z) = log c from the point before: the log makes the
+Newton step scale-free where t ~ z^q is large.  A step is accepted only if
+Newton converges, each of its steps at most half the one before, and the
+chord turns from the curve's tangent at both ends (-t/t', the direction of
+falling |t|) by less than _MAX_TURN; otherwise the step in log u is halved.
+Guards: t is real to _REAL_TOL at every accepted point, the step does not
+stall, and the end lies above Im z = 1.  A failed guard raises
+BoundaryCuspError with its reason.
+
+cusp_point takes the end of the ray one Newton step further, in exact
+rational arithmetic with trace_polynomial's Gaussian-integer coefficients
+at the float end's exact value, and rounds each component once.  The step
+leaves an error of order the square of the float end's, so the cusp comes
+out correctly rounded (the tests check this against 60-digit roots for
+q <= 16).  The residual |t^2 - 4| is computed exactly at the
+rounded cusp, then rounded.  A result is flagged when the classifier does
+not certify INSIDE_PLUS at z + i*_PROBE_EPS, a point that Keen-Series puts
+in M+: that is the classifier's shortfall, not the cusp's.
+
+poly_roots, the all-roots solver, stays for CuspResult.all_roots and as an
+independent check of the cusps.  Its coefficients grow like 10^(q/2), so it
+runs a simultaneous Durand-Kerner iteration with Newton polishing, finished
+in mpmath (imported on first use) at a precision scaled to the degree and
+the coefficient size.  The iteration is deterministic: the initial
+configuration is a circle of radius given by the Cauchy bound with a phase
+derived from an explicit integer mix of the seed.  The same sweeps run first
+in complex floats, until the estimates sit at double resolution, and mpmath
+starts from there; where the floats overflow (some slopes from q = 26, every
+slope from q = 41) mpmath starts from the circle itself.
 
 Repeated roots would stall the iteration: (z^2+z+1)^2 divides
 t_{3/10} - 2, (z^2+3z+3)^2 divides t_{7/10} - 2 and (z+1)^3 divides
@@ -24,36 +52,39 @@ deg gcd(f, f') of f = t_{p/q} -+ 2 modulo one prime; 0 proves that f has
 no repeated root, and f is solved as it stands.  Otherwise (14 of the 2522
 equations with 0 <= p/q <= 1, q <= 64) it solves the square-free part
 f / gcd(f, f'), computed exactly over Q(i), and returns each distinct root
-once.  The repeated roots lie at or below Im z = 1 up to q = 24; those of
-11/30 and 19/30 (a squared quartic) reach Im z ~ 1.50.
-After the sweeps, the Newton polish stops at the first step that moves a
-root by less than the sweep tolerance; that is usually the first step.
-
-Only roots above Im z = 1 are candidates: the slice lies in Im z > 1, and
-the classifier's integer fan rejects all of |Im z| < sqrt(3) anyway.  Of
-these, the one on the upper boundary is picked by probing the classifier
-just above and just below the root: above must certify inside, below must
-not.  The probe offset is _PROBE_EPS = 1e-3, but the inside margin at a
-cusp is of the same order as the probe (at the 1/2 cusp the flat-slope
-trace clears 2 by only ~0.87*eps), so the probe escalates through
-{eps, 4 eps, 16 eps, 64 eps} and takes the first rung with any passer.
-Escalation or multiple passers mark the result as flagged; ties break to
-lexicographic max of (Im, Re).
+once.  After the sweeps, the Newton polish stops at the first step that
+moves a root by less than the sweep tolerance; that is usually the first.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
-
-import mpmath as mp
+from functools import cached_property
 
 from .classify import ClassifierConfig, Verdict, classify_point
-from .farey import FareySlope, TracePolynomial, trace_polynomial
+from .farey import FareySlope, TracePolynomial, _fill, trace_polynomial
 
-# The boundary probe's offset and its escalation (see the module docstring).
+# Height above the cusp of the one classifier call behind CuspResult.flagged.
 _PROBE_EPS = 1e-3
-_PROBE_LADDER = (1.0, 4.0, 16.0, 64.0)
+
+# Continuation control (see the module docstring).  u shrinks by _SHRINK at
+# the first step; a step that is accepted squares the factor, down to
+# _MIN_SHRINK, and a step that fails takes its square root.  Below
+# _U_END the next target is t = +-2 itself.  A factor above _STALL means
+# the step in log u has been halved at least 10 times in a row.
+_SHRINK = 0.5
+_MIN_SHRINK = 1e-6
+_STALL = 0.999
+_U_END = 1e-3
+_MAX_TURN = 0.2
+_REAL_TOL = 1e-9
+
+# A Newton solve converges when its step is below _CONVERGED |z| (4 ulps)
+# within _NEWTON_STEPS steps, each at most half the one before.
+_CONVERGED = 2.0**-50
+_NEWTON_STEPS = 8
 
 # Durand-Kerner sweeps allowed to each pass, float and mpmath.
 _MAX_SWEEPS = 400
@@ -79,20 +110,198 @@ class RootSolveError(RuntimeError):
 
 
 class BoundaryCuspError(RuntimeError):
-    """No root passed the boundary probe; carries every root found."""
-
-    def __init__(self, message, all_roots):
-        super().__init__(message)
-        self.all_roots = list(all_roots)
+    """The pleating-ray continuation failed a guard; the message says which."""
 
 
 @dataclass(frozen=True)
 class CuspResult:
     slope: FareySlope
     z: complex
-    all_roots: tuple[complex, ...]
     residual: float
     flagged: bool = False
+
+    @cached_property
+    def all_roots(self) -> tuple[complex, ...]:
+        """Every root of t_{p/q} = 2, then of t_{p/q} = -2, by poly_roots
+        (seed 0); solved on first read, never by cusp_point itself."""
+        poly = trace_polynomial(self.slope)
+        return tuple(poly_roots(poly, 2) + poly_roots(poly, -2))
+
+
+class _Slot:
+    """A trace as its slot number while _fill runs on a table of slots:
+    t_l * t_r - t_d appends the step (l, r, d) to the shared list and
+    returns the next slot.  The four root slopes hold slots 0-3."""
+
+    def __init__(self, n, steps):
+        self.n, self.steps = n, steps
+
+    def __mul__(self, other):
+        return self.n, other.n
+
+    def __rsub__(self, product):
+        self.steps.append((*product, self.n))
+        return _Slot(3 + len(self.steps), self.steps)
+
+
+def _schedule(s: FareySlope):
+    """The Farey-recursion steps that build t_{p/q} from the root slopes,
+    in order, and the slot that ends up holding t_{p/q}."""
+    steps: list[tuple[int, int, int]] = []
+    table = {k: _Slot(n, steps) for n, k in enumerate(((0, 1), (1, 0), (1, 1), (-1, 1)))}
+    out = _fill(table, (s.p, s.q)).n
+    return steps, out
+
+
+def _jet(schedule, z: complex) -> tuple[complex, complex]:
+    """(t_{p/q}(z), t'_{p/q}(z)) in complex floats, by the schedule."""
+    steps, out = schedule
+    t = [1j * z, 2.0, 1j * (z + 2), 1j * (z - 2)]
+    dt = [1j, 0.0, 1j, 1j]
+    for l, r, d in steps:
+        a, b = t[l], t[r]
+        t.append(a * b - t[d])
+        dt.append(dt[l] * b + a * dt[r] - dt[d])
+    return t[out], dt[out]
+
+
+def _solve(schedule, z: complex, c: float):
+    """Newton for log t(z) = log c from z: (z, t, t') at the solution, or
+    None if Newton does not contract from z or leaves the finite numbers."""
+    prev = math.inf
+    for _ in range(_NEWTON_STEPS):
+        t, dt = _jet(schedule, z)
+        if not (t and dt and cmath.isfinite(t) and cmath.isfinite(dt)):
+            return None
+        step = cmath.log(t / c) * t / dt
+        size = abs(step)
+        if size <= _CONVERGED * abs(z):
+            return z, t, dt
+        if not size < 0.5 * prev:
+            return None
+        z -= step
+        prev = size
+    return None
+
+
+def _along(chord: complex, tangent: complex) -> bool:
+    """The chord turns from the tangent by less than _MAX_TURN."""
+    return (chord * tangent.conjugate()).real >= math.cos(_MAX_TURN) * abs(chord) * abs(tangent)
+
+
+def pleating_ray(s: FareySlope) -> list[complex]:
+    """Points of the p/q pleating ray, from Im z ~ 2 + q/2 down to its end at
+    t_{p/q} = +-2 (the last point, in floats); see the module docstring.
+
+    Every point has t_{p/q} real (to _REAL_TOL relative) with |t| >= 2,
+    the last one to rounding.
+    Raises BoundaryCuspError, with the reason, when a guard fails.
+    """
+    if s.q < 1:
+        raise ValueError("slope 1/0 is parabolic for every z; no cusp to locate")
+    schedule = _schedule(s)
+    z = complex(-2 * s.p / s.q, 2 + s.q / 2)
+    t, _ = _jet(schedule, z)
+    if not (cmath.isfinite(t) and abs(t.real) > 2):
+        raise BoundaryCuspError(f"{s}: trace {t!r} at the start {z!r} has |Re t| <= 2")
+    sign = math.copysign(1.0, t.real)
+    u = abs(t.real) - 2
+    hit = _solve(schedule, z, t.real)
+    if hit is None:
+        raise BoundaryCuspError(f"{s}: no Newton projection from {z!r} onto t = {t.real!r}")
+    path = []
+    shrink = _SHRINK
+    while True:
+        z, t, dt = hit
+        if abs(t.imag) > _REAL_TOL * abs(t):
+            raise BoundaryCuspError(f"{s}: trace {t!r} at {z!r} is not real")
+        path.append(z)
+        if u == 0:
+            break
+        tangent = -t / dt
+        while True:
+            target = u * shrink if u * shrink >= _U_END else 0.0
+            hit = _solve(schedule, z, sign * (2 + target))
+            if hit is not None and _along(hit[0] - z, tangent) and _along(
+                hit[0] - z, -hit[1] / hit[2]
+            ):
+                break
+            shrink = math.sqrt(shrink)
+            if shrink > _STALL:
+                raise BoundaryCuspError(
+                    f"{s}: continuation stalled at {z!r}, t = {sign * (2 + u)!r}"
+                )
+        u = target
+        shrink = max(shrink * shrink, _MIN_SHRINK)
+    if not z.imag > 1:
+        raise BoundaryCuspError(f"{s}: the ray ends at {z!r}, not above Im z = 1")
+    return path
+
+
+def _exact_jet(coeffs, z: complex):
+    """t and t' of sum(coeffs[k] z^k) at the exact value of the float z.
+
+    Returns (w, D, T, T1) with Gaussian integers as (re, im) pairs:
+    z = w / D for a power of two D, t = T / D^n and t' = T1 / D^(n-1),
+    n the degree.
+    """
+    (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    den = max(xd, yd)
+    a, b = xn * (den // xd), yn * (den // yd)
+    n = len(coeffs) - 1
+    tr, ti = coeffs[n]
+    dr, di = n * tr, n * ti
+    scale = 1
+    for k in range(n - 1, -1, -1):
+        scale *= den
+        cr, ci = coeffs[k]
+        tr, ti = tr * a - ti * b + cr * scale, tr * b + ti * a + ci * scale
+        if k:
+            dr, di = dr * a - di * b + k * cr * scale, dr * b + di * a + k * ci * scale
+    return (a, b), den, (tr, ti), (dr, di)
+
+
+def _exact_newton(coeffs, z: complex) -> complex:
+    """One Newton step for t = +-2 (the sign of Re t at z) from the exact
+    value of z, each component of the result rounded once."""
+    (a, b), den, (tr, ti), (dr, di) = _exact_jet(coeffs, z)
+    # z - (t - target) / t' = M / (den T1) with M = w T1 - T + target den^n
+    top = den ** (len(coeffs) - 1)
+    target = 2 * top if tr > 0 else -2 * top
+    mr = a * dr - b * di - tr + target
+    mi = a * di + b * dr - ti
+    norm = den * (dr * dr + di * di)
+    if not norm:
+        raise BoundaryCuspError(f"t' vanishes at the ray's end {z!r}")
+    return complex((mr * dr + mi * di) / norm, (mi * dr - mr * di) / norm)
+
+
+def _exact_residual(coeffs, z: complex) -> float:
+    """|t^2 - 4| at the exact value of z; each part rounded once."""
+    _, den, (tr, ti), _ = _exact_jet(coeffs, z)
+    top = den ** (2 * (len(coeffs) - 1))
+    return math.hypot((tr * tr - ti * ti - 4 * top) / top, 2 * tr * ti / top)
+
+
+def cusp_point(s: FareySlope, cfg: ClassifierConfig | None = None) -> CuspResult:
+    """The p/q boundary cusp of M+: the end of pleating_ray(s), taken one
+    exact Newton step further on t_{p/q} = +-2 and rounded once per
+    component.  cfg is the classifier's, for the flag alone.
+
+    Raises BoundaryCuspError when the continuation fails a guard.
+    """
+    if cfg is None:
+        cfg = ClassifierConfig()
+    end = pleating_ray(s)[-1]
+    coeffs = trace_polynomial(s).coeffs
+    z = _exact_newton(coeffs, end)
+    above = classify_point(complex(z.real, z.imag + _PROBE_EPS), cfg).verdict
+    return CuspResult(
+        slope=s,
+        z=z,
+        residual=_exact_residual(coeffs, z),
+        flagged=above is not Verdict.INSIDE_PLUS,
+    )
 
 
 def _horner(coeffs, x):
@@ -219,6 +428,8 @@ def _exact_gcd(f):
 
 def _dk_roots(coeffs, target: int, seed: int) -> list[complex]:
     """Durand-Kerner roots of sum(coeffs[k] z^k) - target, then polished."""
+    import mpmath as mp  # only this solver needs it; importing maskit does not
+
     n = len(coeffs) - 1
     coeff_digits = max(len(str(abs(re))) + len(str(abs(im))) for re, im in coeffs)
     with mp.workdps(max(40, 20 + n + coeff_digits)):
@@ -304,44 +515,3 @@ def poly_roots(poly: TracePolynomial, target: int, *, seed: int = 0) -> list[com
     roots = _dk_roots(coeffs, shift, seed)
     roots.sort(key=lambda r: (round(r.real, 9), round(r.imag, 9)))
     return roots
-
-
-def cusp_point(
-    s: FareySlope, cfg: ClassifierConfig | None = None, *, seed: int = 0
-) -> CuspResult:
-    """The boundary representative of the slope's parabolic locus.
-
-    Solves t_{p/q} = +2 and -2, keeps the roots above Im z = 1, and filters
-    by the classifier probe described in the module docstring.
-    """
-    if cfg is None:
-        cfg = ClassifierConfig()
-    if s.q < 1:
-        raise ValueError("slope 1/0 is parabolic for every z; no cusp to locate")
-    poly = trace_polynomial(s)
-    all_roots = tuple(
-        poly_roots(poly, 2, seed=seed) + poly_roots(poly, -2, seed=seed)
-    )
-    upper = [r for r in all_roots if r.imag > 1]
-    passers: list[complex] = []
-    for rung in _PROBE_LADDER:
-        eps = _PROBE_EPS * rung
-        passers = [
-            r
-            for r in upper
-            if classify_point(complex(r.real, r.imag + eps), cfg).verdict
-            is Verdict.INSIDE_PLUS
-            and classify_point(complex(r.real, r.imag - eps), cfg).verdict
-            is not Verdict.INSIDE_PLUS
-        ]
-        if passers:
-            break
-    if not passers:
-        raise BoundaryCuspError("no boundary representative found", all_roots)
-    z = max(passers, key=lambda r: (r.imag, r.real))
-    flagged = len(passers) > 1 or rung != _PROBE_LADDER[0]
-    # residual from the exact polynomial at the (double-precision) root
-    with mp.workdps(60):
-        t = _horner([mp.mpc(re, im) for re, im in poly.coeffs], mp.mpc(z))
-        residual = float(abs(t * t - 4))
-    return CuspResult(slope=s, z=z, all_roots=all_roots, residual=residual, flagged=flagged)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, goldens, config layering."""
 
 import json
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from maskit.cli import (
     EXIT_USAGE,
     main,
 )
+from maskit.farey import slopes_up_to
 
 GOLDEN_CUSPS_Q2 = (
     "p,q,re,im,residual\n"
@@ -19,59 +21,59 @@ GOLDEN_CUSPS_Q2 = (
     "1,2,-1.0,1.7320508075688772,1.391e-15\n"
 )
 
-# cusps --max-q 8 --seed 0, byte for byte: any change to the root solver or
-# the boundary probe that moves a digit or a failure reason shows here
+# cusps --max-q 8 --seed 0, byte for byte: any change to the cusp
+# continuation or its exact last step that moves a digit shows here.  Each
+# value is the correctly rounded root of t_{p/q} = +-2 at the end of the
+# pleating ray (checked against an 80-digit solve).
 GOLDEN_CUSPS_Q8 = GOLDEN_CUSPS_Q2 + (
-    "1,3,nan,nan,failed: no boundary representative found\n"
-    "2,3,nan,nan,failed: no boundary representative found\n"
-    "1,4,nan,nan,failed: no boundary representative found\n"
-    "3,4,nan,nan,failed: no boundary representative found\n"
-    "1,5,nan,nan,failed: no boundary representative found\n"
-    "2,5,nan,nan,failed: no boundary representative found\n"
-    "3,5,nan,nan,failed: no boundary representative found\n"
-    "4,5,nan,nan,failed: no boundary representative found\n"
-    "1,6,nan,nan,failed: no boundary representative found\n"
-    "5,6,nan,nan,failed: no boundary representative found\n"
-    "1,7,nan,nan,failed: no boundary representative found\n"
-    "2,7,nan,nan,failed: no boundary representative found\n"
-    "3,7,nan,nan,failed: no boundary representative found\n"
-    "4,7,nan,nan,failed: no boundary representative found\n"
-    "5,7,nan,nan,failed: no boundary representative found\n"
-    "6,7,nan,nan,failed: no boundary representative found\n"
-    "1,8,nan,nan,failed: no boundary representative found\n"
-    "3,8,nan,nan,failed: no boundary representative found\n"
-    "5,8,nan,nan,failed: no boundary representative found\n"
-    "7,8,nan,nan,failed: no boundary representative found\n"
+    "1,3,-0.5812034746095592,1.6938972023080991,1.676e-15\n"
+    "2,3,-1.4187965253904407,1.6938972023080991,3.174e-15\n"
+    "1,4,-0.3522011287389576,1.7214332372471368,4.271e-15\n"
+    "3,4,-1.6477988712610423,1.7214332372471368,5.887e-15\n"
+    "1,5,-0.22010520457497712,1.766741704326582,2.841e-15\n"
+    "2,5,-0.7665884174654594,1.642138768653476,4.307e-15\n"
+    "3,5,-1.2334115825345406,1.642138768653476,4.307e-15\n"
+    "4,5,-1.7798947954250228,1.766741704326582,5.322e-15\n"
+    "1,6,-0.14273344492531798,1.8102913200282882,3.959e-16\n"
+    "5,6,-1.857266555074682,1.8102913200282882,6.087e-15\n"
+    "1,7,-0.09627581223684989,1.8462756129020557,3.386e-15\n"
+    "2,7,-0.44805899810588956,1.670800639707134,5.442e-15\n"
+    "3,7,-0.8633931441588972,1.639957948476096,1.144e-14\n"
+    "4,7,-1.1366068558411029,1.639957948476096,1.192e-14\n"
+    "5,7,-1.5519410018941104,1.670800639707134,5.442e-15\n"
+    "6,7,-1.90372418776315,1.8462756129020557,3.386e-15\n"
+    "1,8,-0.06739303289260615,1.8745196269835906,2.662e-14\n"
+    "3,8,-0.6805515402643237,1.6331702409152375,1.703e-14\n"
+    "5,8,-1.3194484597356764,1.6331702409152375,1.760e-14\n"
+    "7,8,-1.9326069671073938,1.8745196269835906,3.414e-14\n"
 )
 
-# cusps --max-q 12 --seed 0, byte for byte.  Against the solver that met
-# repeated roots head on, only 3/10, 7/10, 5/12 and 7/12 differ: they failed
-# with "root iteration did not converge within 400 sweeps" and now fail at
-# the boundary probe like the other q >= 3 rows.
+# cusps --max-q 12 --seed 0, byte for byte; 3/10, 7/10, 5/12 and 7/12 are
+# slopes where t_{p/q} - 2 has a repeated root, below Im z = 1.
 GOLDEN_CUSPS_Q12 = GOLDEN_CUSPS_Q8 + (
-    "1,9,nan,nan,failed: no boundary representative found\n"
-    "2,9,nan,nan,failed: no boundary representative found\n"
-    "4,9,nan,nan,failed: no boundary representative found\n"
-    "5,9,nan,nan,failed: no boundary representative found\n"
-    "7,9,nan,nan,failed: no boundary representative found\n"
-    "8,9,nan,nan,failed: no boundary representative found\n"
-    "1,10,nan,nan,failed: no boundary representative found\n"
-    "3,10,nan,nan,failed: no boundary representative found\n"
-    "7,10,nan,nan,failed: no boundary representative found\n"
-    "9,10,nan,nan,failed: no boundary representative found\n"
-    "1,11,nan,nan,failed: no boundary representative found\n"
-    "2,11,nan,nan,failed: no boundary representative found\n"
-    "3,11,nan,nan,failed: no boundary representative found\n"
-    "4,11,nan,nan,failed: no boundary representative found\n"
-    "5,11,nan,nan,failed: no boundary representative found\n"
-    "6,11,nan,nan,failed: no boundary representative found\n"
-    "7,11,nan,nan,failed: no boundary representative found\n"
-    "8,11,nan,nan,failed: no boundary representative found\n"
-    "9,11,nan,nan,failed: no boundary representative found\n"
-    "10,11,nan,nan,failed: no boundary representative found\n"
+    "1,9,-0.04875301289865067,1.8964072509492094,2.250e-14\n"
+    "2,9,-0.2709919038926503,1.7248549573555543,9.834e-15\n"
+    "4,9,-0.9180177802610666,1.6527480272893618,6.454e-15\n"
+    "5,9,-1.0819822197389335,1.6527480272893618,1.797e-14\n"
+    "7,9,-1.7290080961073497,1.7248549573555543,1.432e-14\n"
+    "8,9,-1.9512469871013494,1.8964072509492094,2.483e-14\n"
+    "1,10,-0.03628807752254287,1.9134232958668245,1.253e-14\n"
+    "3,10,-0.5,1.6583123951777,4.153e-15\n"
+    "7,10,-1.5,1.6583123951777,4.153e-15\n"
+    "9,10,-1.963711922477457,1.9134232958668245,2.872e-14\n"
+    "1,11,-0.027680583888511252,1.926780321415754,1.396e-14\n"
+    "2,11,-0.17022412246606383,1.7785491494136503,2.902e-14\n"
+    "3,11,-0.3999692885689628,1.6763498373538286,3.982e-15\n"
+    "4,11,-0.6365980718156448,1.6404978924304032,2.314e-14\n"
+    "5,11,-0.9489637681698291,1.6676791796904682,2.587e-14\n"
+    "6,11,-1.051036231830171,1.6676791796904682,2.587e-14\n"
+    "7,11,-1.3634019281843552,1.6404978924304032,2.314e-14\n"
+    "8,11,-1.6000307114310373,1.6763498373538286,1.044e-14\n"
+    "9,11,-1.8297758775339361,1.7785491494136503,3.238e-14\n"
+    "10,11,-1.9723194161114888,1.926780321415754,1.464e-14\n"
     "1,12,-0.02156558503837789,1.9373911207239045,5.161e-14\n"
-    "5,12,nan,nan,failed: no boundary representative found\n"
-    "7,12,nan,nan,failed: no boundary representative found\n"
+    "5,12,-0.8208725079312134,1.6240268820524242,5.391e-15\n"
+    "7,12,-1.1791274920687866,1.6240268820524242,5.391e-15\n"
     "11,12,-1.9784344149616222,1.9373911207239045,8.546e-14\n"
 )
 
@@ -240,6 +242,19 @@ def test_cusp_table_bytes_are_pinned(capsys):
 def test_cusp_table_through_q12_is_pinned(capsys):
     assert main(["cusps", "--max-q", "12", "--seed", "0"]) == EXIT_OK
     assert capsys.readouterr().out == GOLDEN_CUSPS_Q12
+
+
+def test_every_cusp_through_q64_resolves(tmp_path):
+    start = time.monotonic()
+    out = tmp_path / "c64.csv"
+    assert main(["cusps", "--max-q", "64", "--out", str(out)]) == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(int(p), int(q)) for p, q, *_ in rows] == [
+        (s.p, s.q) for s in slopes_up_to(64, 0.0, 1.0)
+    ]
+    assert [row for row in rows if row[4].startswith("failed")] == []
+    assert max(float(row[4]) for row in rows) <= 1e-9
+    assert time.monotonic() - start < 10.0
 
 
 def test_cusps_stdout_default(capsys):

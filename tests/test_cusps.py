@@ -1,4 +1,4 @@
-"""Root solver against the numpy oracle, and boundary-cusp location."""
+"""Root solver against the numpy oracle, and boundary cusps by pleating-ray continuation."""
 
 import math
 
@@ -9,14 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maskit.cusps as cusps
-from maskit.classify import ClassifierConfig
+from maskit.classify import ClassifierConfig, Verdict
 from maskit.cusps import (
     BoundaryCuspError,
     CuspResult,
     cusp_point,
+    pleating_ray,
     poly_roots,
 )
-from maskit.farey import FareySlope, TracePolynomial, slopes_up_to, trace_polynomial
+from maskit.farey import (
+    FareySlope,
+    TraceCache,
+    TracePolynomial,
+    slopes_up_to,
+    trace_polynomial,
+)
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -213,39 +220,28 @@ def test_poly_roots_rejects_a_non_integer_target():
     assert poly_roots(poly, -2.0) == poly_roots(poly, -2)
 
 
-def test_probe_classifies_only_roots_above_height_one(monkeypatch):
-    # which real roots carry a positive rounding-noise imaginary part depends
-    # on the solver's seed; none of them may cost a probe classification
-    probed, roots = [], []
-    classify, solve = cusps.classify_point, cusps.poly_roots
+def test_flag_is_one_classification_above_the_cusp(monkeypatch):
+    # cusp_point solves no polynomial: its one classifier call sits
+    # _PROBE_EPS above the cusp, and the flag says it missed INSIDE_PLUS
+    calls = []
+    classify = cusps.classify_point
 
-    def counting_classify(z, cfg):
-        probed.append(z)
-        return classify(z, cfg)
+    def recording_classify(z, cfg):
+        out = classify(z, cfg)
+        calls.append((z, out.verdict))
+        return out
 
-    def recording_solve(*args, **kwargs):
-        found = solve(*args, **kwargs)
-        roots.extend(found)
-        return found
+    def no_solve(*args, **kwargs):
+        raise AssertionError("cusp_point ran the all-roots solver")
 
-    monkeypatch.setattr(cusps, "classify_point", counting_classify)
-    monkeypatch.setattr(cusps, "poly_roots", recording_solve)
-    tol = cusps._PROBE_EPS
-    counts = []
-    for seed in (0, 20, 21):
-        probed.clear()
-        roots.clear()
-        for s in slopes_up_to(10, 0.0, 1.0):
-            try:
-                cusp_point(s, seed=seed)
-            except BoundaryCuspError:
-                pass
-        low = [r for r in roots if r.imag <= 1]
-        assert low and probed
-        for z in probed:
-            assert all(abs(z - r) > 64 * tol for r in low), (seed, z)
-        counts.append(len(probed))
-    assert counts[0] == counts[1] == counts[2], counts
+    monkeypatch.setattr(cusps, "classify_point", recording_classify)
+    monkeypatch.setattr(cusps, "poly_roots", no_solve)
+    for s in slopes_up_to(10, 0.0, 1.0):
+        calls.clear()
+        res = cusp_point(s)
+        ((z, verdict),) = calls
+        assert z == complex(res.z.real, res.z.imag + cusps._PROBE_EPS)
+        assert res.flagged == (verdict is not Verdict.INSIDE_PLUS)
 
 
 def test_poly_roots_rejects_constants():
@@ -309,12 +305,76 @@ def test_infinite_slope_has_no_cusp():
         cusp_point(FareySlope(1, 0))
 
 
-def test_deep_slope_candidates_all_fail_probe():
-    # the certified region is conservative: parabolic roots for q >= 3 sit
-    # strictly between it and the true boundary, so no candidate certifies
-    with pytest.raises(BoundaryCuspError) as err:
-        cusp_point(FareySlope(1, 3))
-    assert len(err.value.all_roots) == 6  # degree 3 per trace target
+def test_one_third_cusp_is_the_correctly_rounded_root():
+    # the 1/3 cusp is one of the six roots of t_{1/3} = +-2, and the nearest
+    # double to it: poly_roots gives an imaginary part one ulp lower
+    res = cusp_point(FareySlope(1, 3))
+    assert res.z == complex(-0.5812034746095592, 1.6938972023080991)
+    assert len(res.all_roots) == 6
+    assert min(abs(res.z - r) for r in res.all_roots) < 1e-15
+
+
+def _rounded_root(s, z):
+    # the root of t_{p/q} = +-2 that 60-digit Newton reaches from z, rounded
+    with mp.workdps(60):
+        coeffs = [mp.mpc(re, im) for re, im in reversed(trace_polynomial(s).coeffs)]
+        target = 2 if mp.polyval(coeffs, mp.mpc(z)).real > 0 else -2
+        root = mp.findroot(lambda x: mp.polyval(coeffs, x) - target, mp.mpc(z))
+        return complex(float(root.real), float(root.imag))
+
+
+def test_cusps_are_correctly_rounded_roots_of_the_oracle():
+    for s in slopes_up_to(16, 0.0, 1.0):
+        res = cusp_point(s)
+        assert res.z == _rounded_root(s, res.z), s
+        poly = trace_polynomial(s)
+        roots = poly_roots(poly, 2) + poly_roots(poly, -2)
+        assert min(abs(res.z - r) for r in roots) < 1e-12, s
+        assert res.residual <= 1e-9
+
+
+def test_pleating_ray_points_have_real_trace_beyond_two():
+    for s in slopes_up_to(12, 0.0, 1.0):
+        path = pleating_ray(s)
+        assert path[-1].imag > 1
+        for k, z in enumerate(path):
+            t = TraceCache(z).trace(s)
+            assert abs(t.imag) <= 1e-9 * abs(t), (s, z, t)
+            # the last point solves t = +-2 in floats
+            floor = 2 - 1e-12 if k == len(path) - 1 else 2
+            assert abs(t.real) >= floor, (s, z, t)
+
+
+def _ulps_apart(x: float, y: float) -> float:
+    return abs(x - y) / math.ulp(max(abs(x), abs(y)))
+
+
+def test_mirror_slopes_mirror_their_cusps():
+    # p/q -> -p/q reflects the cusp (z -> -conj(z)) and p/q -> p/q + 1 shifts
+    # it by -2, so the cusp of (q-p)/q is -conj(z) - 2 for z the cusp of p/q
+    for s in slopes_up_to(24, 0.5, 1.0):
+        if s.q < 3:
+            continue
+        z = cusp_point(s).z
+        m = cusp_point(FareySlope(s.q - s.p, s.q)).z
+        want = -m.conjugate() - 2
+        assert _ulps_apart(z.real, want.real) <= 1, (s, z, want)
+        assert _ulps_apart(z.imag, want.imag) <= 1, (s, z, want)
+
+
+def test_slopes_the_root_solver_misses_resolve():
+    # poly_roots raises RootSolveError on all three: 17/18 has its roots
+    # around -2 but a start circle sized by the Cauchy bound
+    for p, q in ((17, 18), (1, 48), (1, 64)):
+        res = cusp_point(FareySlope(p, q))
+        assert 1 < res.z.imag < 2 and res.residual <= 1e-9
+
+
+def test_a_failed_guard_raises_with_its_reason(monkeypatch):
+    # with one Newton step allowed, no step past the projection converges
+    monkeypatch.setattr(cusps, "_NEWTON_STEPS", 1)
+    with pytest.raises(BoundaryCuspError, match="0/1: continuation stalled at"):
+        cusp_point(FareySlope(0, 1))
 
 
 def test_result_shape():

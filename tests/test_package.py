@@ -1,6 +1,9 @@
 """The package's public surface, and no dead code in its modules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import maskit
@@ -58,3 +61,11 @@ def test_no_unused_import_or_private_name():
                 if d.startswith("_") and not d.startswith("__") and d not in used | imported:
                     unused.append(f"{name}: {d}")
     assert unused == []
+
+
+def test_importing_the_cli_loads_no_mpmath():
+    # mpmath serves only the all-roots solver, which imports it on first use
+    src = str(Path(maskit.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, maskit.cli; assert 'mpmath' not in sys.modules, 'mpmath loaded'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
