@@ -42,7 +42,15 @@ disks covers the whole strip |Im z| < sqrt(3), which is what makes points
 well below the slice boundary cheap to reject.
 
 Points with Im z = 0 are rejected outright (the slice misses the real axis),
-with witness None and an explanatory reason.
+with witness None and an explanatory reason.  An Undetermined verdict names
+the limit that decided it: "budget", "q_max" or "margin".  Points with
+|Re z| > REAL_PART_LIMIT raise ValueError, as non-finite ones do.
+
+RealClassifier.classify_grid gives classify_point's verdicts for whole
+arrays of points at once, as uint8 codes: the integer fan is settled in
+bulk, then every point still searching takes one step of the same
+depth-first search per round, on float arrays with CPython's own complex
+arithmetic written out, so each verdict is the scalar one bit for bit.
 
 a_membership layers the two-parameter test on top: w belongs to the locus
 of the extended representation at base z exactly when some integer n puts
@@ -57,6 +65,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .farey import FareySlope
 
@@ -86,6 +96,35 @@ GROW_THRESHOLD = 4.0
 REJECT_THRESHOLD = 2.0
 INSIDE_MARGIN = 1e-3
 assert 0.0 < INSIDE_MARGIN < GROW_THRESHOLD - 2.0
+
+# Points past this |Re z| are rejected: far enough past it z + 2.0*n stops
+# changing with n and the integer fan's loop would never end.  Up to it
+# every z + 2.0*n the fan forms is exact.
+REAL_PART_LIMIT = 2.0**50
+
+# The uint8 code of each verdict, in classify_grid's output and in raster cells.
+CELL_INSIDE_PLUS = 0
+CELL_INSIDE_MINUS = 1
+CELL_OUTSIDE = 2
+CELL_UNDETERMINED = 3
+
+_VERDICT_CODE = {
+    Verdict.INSIDE_PLUS: CELL_INSIDE_PLUS,
+    Verdict.INSIDE_MINUS: CELL_INSIDE_MINUS,
+    Verdict.OUTSIDE_CERTIFIED: CELL_OUTSIDE,
+    Verdict.UNDETERMINED: CELL_UNDETERMINED,
+}
+
+# classify_grid's lock-step search: points per batch, stack entries per
+# point (a point whose stack would grow past it goes to classify_point), and
+# the live count at which the rest go to classify_point one by one.
+_GRID_BLOCK = 1024
+_GRID_DEPTH = 8
+_GRID_STRAGGLERS = 8
+# The integer fan lies within this many translates of the nearest one:
+# |Re z + 2n0| <= 1, so |z + 2(n0 +- k)| >= 2k - 1 >= GROW_THRESHOLD there.
+_FAN_REACH = 3
+assert 2 * _FAN_REACH - 1 >= GROW_THRESHOLD
 
 # SyntheticSlice's boundary curve: peak height and valley depth.
 _SYNTHETIC_PEAK = 2.0
@@ -120,16 +159,26 @@ class AMembership:
     reason: str | None = None
 
 
+def _check_point(z: complex) -> None:
+    if not cmath.isfinite(z):
+        raise ValueError(f"cannot classify the non-finite point {z}")
+    if abs(z.real) > REAL_PART_LIMIT:
+        raise ValueError(f"cannot classify {z}: |Re z| exceeds {REAL_PART_LIMIT:g}")
+
+
 def classify_point(z, cfg: ClassifierConfig | None = None) -> Classification:
     """Graded verdict for z; pure function of (z, cfg), deterministic.
 
-    Raises ValueError for a non-finite z, which no verdict can describe.
+    Raises ValueError for a non-finite z, which no verdict can describe, and
+    for |Re z| > REAL_PART_LIMIT.  An Undetermined verdict carries the reason
+    "budget" when node_budget stopped the search, else "q_max" when an edge
+    was left unexplored at q_max, else "margin": the search finished, but a
+    trace lies in [2, 2 + INSIDE_MARGIN).
     """
     if cfg is None:
         cfg = ClassifierConfig()
     z = complex(z)
-    if not cmath.isfinite(z):
-        raise ValueError(f"cannot classify the non-finite point {z}")
+    _check_point(z)
     if z.imag == 0.0:
         return Classification(
             Verdict.OUTSIDE_CERTIFIED, None, 0, reason="slice misses the real axis"
@@ -143,7 +192,8 @@ def classify_point(z, cfg: ClassifierConfig | None = None) -> Classification:
 
     explored = 0
     all_above_bar = True
-    frontier_open = False
+    capped = False
+    stopped = False
 
     # Integer fan: expand from the closest even translate until both ends
     # clear the growth threshold; |z + 2n| is convex in n, so every integer
@@ -177,7 +227,7 @@ def classify_point(z, cfg: ClassifierConfig | None = None) -> Classification:
     ]
     while stack:
         if explored >= budget:
-            frontier_open = True
+            stopped = True
             break
         lp, lq, tl, rp, rq, tr, td = stack.pop()
         mp = lp + rp
@@ -199,15 +249,149 @@ def classify_point(z, cfg: ClassifierConfig | None = None) -> Classification:
         if ar > 2.0 and al >= g and ad <= al:
             continue  # pinned-right fan prune, mirror image
         if mq >= q_max:
-            frontier_open = True
+            capped = True
             continue
         stack.append((mp, mq, tm, rp, rq, tr, tl))
         stack.append((lp, lq, tl, mp, mq, tm, tr))
 
-    if frontier_open or not all_above_bar:
-        return Classification(Verdict.UNDETERMINED, None, explored)
+    if stopped or capped or not all_above_bar:
+        reason = "budget" if stopped else "q_max" if capped else "margin"
+        return Classification(Verdict.UNDETERMINED, None, explored, reason=reason)
     side = Verdict.INSIDE_PLUS if z.imag > 0 else Verdict.INSIDE_MINUS
     return Classification(side, None, explored)
+
+
+def _classify_block(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig) -> np.ndarray:
+    """classify_point's verdict codes for the points re + i*im, in lock step.
+
+    The integer fan is settled for every point at once; then each point
+    still searching pops one stack entry per step, in classify_point's
+    order, so its explored count and budget cut-off are classify_point's.
+    Every complex product is written out on float arrays as CPython forms
+    it, and every modulus is np.hypot, as abs(complex) is: each trace and
+    each comparison is bit for bit the scalar one.  classify_point itself
+    finishes the points still live once at most _GRID_STRAGGLERS are, the
+    points whose stack would pass _GRID_DEPTH entries, and the points where
+    it would raise OverflowError.
+    """
+    g = GROW_THRESHOLD
+    bar = 2.0 + INSIDE_MARGIN
+    size = re.size
+    out = np.where(im > 0, CELL_INSIDE_PLUS, CELL_INSIDE_MINUS).astype(np.uint8)
+
+    # Integer fan, as offsets k from n0 = round(-Re z / 2): lo and hi step
+    # away from 0 while |z + 2.0*n| < g, as in classify_point.
+    two_n0 = 2.0 * np.rint(-re / 2.0)
+    lo = np.zeros(size, np.int64)
+    hi = np.zeros(size, np.int64)
+    go_lo = np.ones(size, bool)
+    go_hi = np.ones(size, bool)
+    for k in range(_FAN_REACH):
+        go_lo &= np.hypot(re + (two_n0 - 2.0 * k), im) < g
+        lo -= go_lo
+        go_hi &= np.hypot(re + (two_n0 + 2.0 * k), im) < g
+        hi += go_hi
+    reach = range(-_FAN_REACH, _FAN_REACH + 1)
+    fan = np.empty((3, len(reach), size))  # Re, Im and modulus of 1j*(z + 2.0*n)
+    rejected = im == 0.0  # the slice misses the real axis
+    spoiled = np.zeros(size, bool)
+    b = im + 0.0
+    for row, k in enumerate(reach):
+        a = re + (two_n0 + 2.0 * k)
+        fan[0, row] = 0.0 * a - 1.0 * b
+        fan[1, row] = 0.0 * b + 1.0 * a
+        m = fan[2, row] = np.hypot(fan[0, row], fan[1, row])
+        in_fan = (lo <= k) & (k <= hi)
+        rejected |= in_fan & (m < REJECT_THRESHOLD)
+        spoiled |= in_fan & (m < bar)
+    out[rejected] = CELL_OUTSIDE
+
+    # An empty stack (sp = 0) leaves one fan trace, of modulus >= g: inside.
+    sp = hi - lo
+    explored = sp + 1
+    live = ~rejected & (sp > 0)
+    stop = live & (explored >= cfg.node_budget)
+    out[stop] = CELL_UNDETERMINED
+    live &= ~stop
+    deep = live & (sp > _GRID_DEPTH)
+    live &= ~deep
+    handoff = np.flatnonzero(deep).tolist()
+
+    # The stacks, one array per field (q of the left and right slopes; the
+    # left, right and difference traces; their moduli).  Entry d of the
+    # j-th live point sits at d*width + j.
+    idx = np.flatnonzero(live)
+    sp = sp[idx]
+    explored = explored[idx]
+    spoiled = spoiled[idx]
+    width = idx.size
+    stack = [np.empty((_GRID_DEPTH + 1) * width) for _ in range(11)]
+    # Entry d holds the edge (n, n+1) with n = hi-1-d, so lo's is on top.
+    d, j = np.nonzero(np.arange(2 * _FAN_REACH)[:, None] < sp)
+    p = idx[j]
+    left = hi[p] - 1 - d + _FAN_REACH
+    entries = (
+        1.0, 1.0,
+        fan[0, left, p], fan[1, left, p], fan[0, left + 1, p], fan[1, left + 1, p],
+        2.0, 0.0,
+        fan[2, left, p], fan[2, left + 1, p], 2.0,
+    )
+    at = d * width + j
+    for field, value in zip(stack, entries):
+        field[at] = value
+    slot = np.arange(width)
+    while idx.size > _GRID_STRAGGLERS:
+        top = (sp - 1) * width + slot
+        lq, rq, tlr, tli, trr, tri, tdr, tdi, al, ar, ad = (field[top] for field in stack)
+        tmr = tlr * trr - tli * tri - tdr
+        tmi = tlr * tri + tli * trr - tdi
+        m = np.hypot(tmr, tmi)
+        explored += 1
+        rejected = m < REJECT_THRESHOLD
+        spoiled |= m < bar
+        big_l = al >= g
+        big_r = ar >= g
+        pruned = big_l & big_r & (m >= np.where(al >= ar, al, ar))
+        pruned |= (al > 2.0) & big_r & (ad <= ar)
+        pruned |= (ar > 2.0) & big_l & (ad <= al)
+        mq = lq + rq
+        capped = ~pruned & (mq >= cfg.q_max)
+        spoiled |= capped
+        sp += np.where(pruned | capped, -1, 1)
+        # Push (m, r; l) over the popped (l, r; d), keeping its r fields,
+        # then (l, m; r) above it; both are dead unless sp grew.
+        above = top + width
+        for field, value in zip(stack, (lq, mq, tlr, tli, tmr, tmi, trr, tri, al, m, ar)):
+            field[above] = value
+        for f, value in ((0, mq), (2, tmr), (3, tmi), (6, tlr), (7, tli), (8, m), (10, al)):
+            stack[f][top] = value
+
+        # abs() raises OverflowError where np.hypot gives inf from finite
+        # parts; classify_point redoes such points and raises as it would.
+        escaped = np.isinf(m)
+        stop = explored >= cfg.node_budget
+        done = rejected | (sp == 0) | stop | (sp > _GRID_DEPTH) | escaped
+        if not done.any():
+            continue
+        handoff.extend(idx[escaped].tolist())
+        rejected &= ~escaped
+        out[idx[rejected]] = CELL_OUTSIDE
+        settled = ~(escaped | rejected)
+        out[idx[settled & (sp == 0) & spoiled]] = CELL_UNDETERMINED
+        going = settled & (sp > 0)
+        out[idx[going & stop]] = CELL_UNDETERMINED
+        handoff.extend(idx[going & ~stop & (sp > _GRID_DEPTH)].tolist())
+        keep = ~done
+        idx = idx[keep]
+        slot = slot[keep]
+        sp = sp[keep]
+        explored = explored[keep]
+        spoiled = spoiled[keep]
+
+    for p in handoff + idx.tolist():
+        verdict = classify_point(complex(float(re[p]), float(im[p])), cfg).verdict
+        out[p] = _VERDICT_CODE[verdict]
+    return out
 
 
 @dataclass(frozen=True)
@@ -218,6 +402,27 @@ class RealClassifier:
 
     def classify(self, z) -> Classification:
         return classify_point(z, self.cfg)
+
+    def classify_grid(self, re, im) -> np.ndarray:
+        """Verdict codes (CELL_*) of classify_point at the points re + i*im.
+
+        re and im are float arrays that broadcast to one shape; the uint8
+        result has that shape and equals classify_point's verdicts point by
+        point, bit for bit.  Raises ValueError where classify_point would.
+        """
+        re, im = np.broadcast_arrays(np.asarray(re, np.float64), np.asarray(im, np.float64))
+        out = np.empty(re.shape, np.uint8)
+        for b in range(0, re.size, _GRID_BLOCK):
+            block_re = re.flat[b : b + _GRID_BLOCK]
+            block_im = im.flat[b : b + _GRID_BLOCK]
+            bad = ~(np.isfinite(block_re) & np.isfinite(block_im))
+            bad |= np.abs(block_re) > REAL_PART_LIMIT
+            if bad.any():
+                i = int(np.argmax(bad))
+                _check_point(complex(float(block_re[i]), float(block_im[i])))
+            with np.errstate(over="ignore", invalid="ignore"):  # silent, as with floats
+                out.flat[b : b + _GRID_BLOCK] = _classify_block(block_re, block_im, self.cfg)
+        return out
 
     def describe(self) -> dict:
         return {
@@ -267,6 +472,19 @@ def check_base_point(classifier, z) -> None:
         raise ValueError("base point not certified in M+")
 
 
+def _membership_shift(z: complex, w_imag: float) -> tuple[float, int, str | None]:
+    """s = sign Im w and n = floor(Im z / |Im w|) of the test points z - s*n*w
+    and z - s*(n+1)*w, or a reason why w is certainly not a member."""
+    if w_imag == 0.0:
+        return 0.0, 0, "Im w = 0"
+    s = 1.0 if w_imag > 0 else -1.0
+    ratio = z.imag / abs(w_imag)
+    n = math.floor(ratio)
+    if ratio == n:
+        return s, n, "Im z is an exact multiple of Im w: a test point lands on the real axis"
+    return s, n, None
+
+
 def membership_with(classifier, z, w) -> AMembership:
     """Two-point membership test against an arbitrary classifier.
 
@@ -278,20 +496,9 @@ def membership_with(classifier, z, w) -> AMembership:
     w = complex(w)
     if not (cmath.isfinite(z) and cmath.isfinite(w)):
         raise ValueError(f"cannot test membership at the non-finite pair z={z}, w={w}")
-    if w.imag == 0.0:
-        return AMembership(
-            AVerdict.NON_MEMBER_CERTIFIED, None, None, reason="Im w = 0"
-        )
-    s = 1.0 if w.imag > 0 else -1.0
-    ratio = z.imag / abs(w.imag)
-    n = math.floor(ratio)
-    if ratio == n:
-        return AMembership(
-            AVerdict.NON_MEMBER_CERTIFIED,
-            None,
-            None,
-            reason="Im z is an exact multiple of Im w: a test point lands on the real axis",
-        )
+    s, n, reason = _membership_shift(z, w.imag)
+    if reason is not None:
+        return AMembership(AVerdict.NON_MEMBER_CERTIFIED, None, None, reason=reason)
     upper = classifier.classify(z - s * n * w)
     lower = classifier.classify(z - s * (n + 1) * w)
     if (

@@ -25,9 +25,11 @@ trace_polynomial computes exactly (Gaussian-integer pairs, arbitrary size).
 The recursion lives in one place: _edge_pq gives the parents and the
 normalised difference vertex of an edge, and _fill applies the identity
 above over a memo table.  TraceCache runs it on complex numbers for one z,
-trace_polynomial on exact polynomials.  classify_point carries its own
-depth-first copy of the step, with the traces on its stack, because it is
-the per-pixel hot loop.
+trace_polynomial on exact polynomials.  classify.py carries two more
+copies of the step, with the traces on their stacks, because they are the
+hot loops: classify_point's depth-first search, and RealClassifier's
+classify_grid, the same search run in lock step over float arrays, which
+the tests hold equal to classify_point verdict for verdict.
 
 Caches are per-z and mutated by trace_of_slope; confine each cache to one
 worker at a time.  The polynomial table is shared and only ever grows.

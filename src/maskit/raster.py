@@ -6,7 +6,10 @@ integer verdict codes (uint8), so PPM export is a palette lookup.
 
 Everything is a pure function of (classifier, window, row range), so the
 worker count cannot change any byte of the output: row chunks are mapped
-and concatenated in order.
+and concatenated in order.  A classifier with classify_grid (RealClassifier)
+gets each chunk's rows in one call, and the membership raster forms each
+row's test points as membership_with does; any other classifier is called
+pixel by pixel.  Both paths give the same bytes.
 """
 
 from __future__ import annotations
@@ -20,27 +23,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import (
+    _VERDICT_CODE,
+    CELL_INSIDE_MINUS,
+    CELL_INSIDE_PLUS,
+    CELL_OUTSIDE,
+    CELL_UNDETERMINED,
+    REAL_PART_LIMIT,
     AVerdict,
     ClassifierConfig,
     RealClassifier,
-    Verdict,
+    _membership_shift,
     check_base_point,
     membership_with,
 )
 
-CELL_INSIDE_PLUS = 0
-CELL_INSIDE_MINUS = 1
-CELL_OUTSIDE = 2
-CELL_UNDETERMINED = 3
 CELL_MEMBER = 4
 CELL_NON_MEMBER = 5
-
-_VERDICT_CODE = {
-    Verdict.INSIDE_PLUS: CELL_INSIDE_PLUS,
-    Verdict.INSIDE_MINUS: CELL_INSIDE_MINUS,
-    Verdict.OUTSIDE_CERTIFIED: CELL_OUTSIDE,
-    Verdict.UNDETERMINED: CELL_UNDETERMINED,
-}
 
 _AVERDICT_CODE = {
     AVerdict.MEMBER: CELL_MEMBER,
@@ -76,6 +74,8 @@ class Window:
     def __post_init__(self):
         if not all(map(cmath.isfinite, (self.center, self.width, self.height))):
             raise ValueError("window bounds must be finite")
+        if max(abs(self.re_min), abs(self.re_max)) > REAL_PART_LIMIT:
+            raise ValueError(f"window bounds must satisfy |Re| <= {REAL_PART_LIMIT:g}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("window bounds must satisfy re_min < re_max, im_min < im_max")
         if self.cols < 1 or self.rows < 1:
@@ -102,10 +102,18 @@ class Window:
     def im_max(self) -> float:
         return self.center.imag + self.height / 2.0
 
+    def _re_at(self, j):
+        return self.re_min + (j + 0.5) * self.width / self.cols
+
+    def _im_at(self, i):
+        return self.im_max - (i + 0.5) * self.height / self.rows
+
     def pixel_center(self, i: int, j: int) -> complex:
-        x = self.re_min + (j + 0.5) * self.width / self.cols
-        y = self.im_max - (i + 0.5) * self.height / self.rows
-        return complex(x, y)
+        return complex(self._re_at(j), self._im_at(i))
+
+    def centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Re of the column centres and Im of the row centres, as pixel_center gives them."""
+        return self._re_at(np.arange(self.cols)), self._im_at(np.arange(self.rows))
 
     def pixel_of(self, z) -> tuple[int, int]:
         z = complex(z)
@@ -144,6 +152,10 @@ class Raster:
 
 def _classify_rows(task):
     classifier, win, i0, i1 = task
+    classify_grid = getattr(classifier, "classify_grid", None)
+    if classify_grid is not None:
+        xs, ys = win.centers()
+        return classify_grid(xs, ys[i0:i1, None])
     out = np.empty((i1 - i0, win.cols), dtype=np.uint8)
     for i in range(i0, i1):
         row = out[i - i0]
@@ -152,8 +164,43 @@ def _classify_rows(task):
     return out
 
 
+def _membership_grid(classify_grid, z: complex, win: Window, i0: int, i1: int):
+    """_membership_rows through classify_grid: membership_with's test points
+    for a whole row, formed as CPython forms z - s*n*w, classified at once."""
+    xs, ys = win.centers()
+    out = np.full((i1 - i0, win.cols), CELL_NON_MEMBER, dtype=np.uint8)
+    rows, re, im = [], [], []
+    for i in range(i0, i1):
+        y = float(ys[i])
+        if y < 0:
+            continue  # the locus is defined in Im w >= 0
+        s, n, reason = _membership_shift(z, y)
+        if reason is not None:
+            continue
+        rows.append(i - i0)
+        for x in (s * n, s * (n + 1)):  # x*w = (x*Re w - 0.0*Im w, x*Im w + 0.0*Re w)
+            re.append(z.real - (x * xs - 0.0 * y))
+            im.append(z.imag - (x * y + 0.0 * xs))
+    if rows:
+        codes = classify_grid(np.array(re), np.array(im))
+        upper, lower = codes[0::2], codes[1::2]
+        out[rows] = np.where(
+            (upper == CELL_INSIDE_PLUS) & (lower == CELL_INSIDE_MINUS),
+            CELL_MEMBER,
+            np.where(
+                (upper == CELL_OUTSIDE) | (lower == CELL_OUTSIDE),
+                CELL_NON_MEMBER,
+                CELL_UNDETERMINED,
+            ),
+        )
+    return out
+
+
 def _membership_rows(task):
     classifier, zbase, win, i0, i1 = task
+    classify_grid = getattr(classifier, "classify_grid", None)
+    if classify_grid is not None:
+        return _membership_grid(classify_grid, zbase, win, i0, i1)
     out = np.empty((i1 - i0, win.cols), dtype=np.uint8)
     for i in range(i0, i1):
         row = out[i - i0]

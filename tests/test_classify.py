@@ -1,13 +1,22 @@
 """Classifier verdicts, their soundness certificates, and the membership test."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maskit.classify
 from maskit.classify import (
+    _VERDICT_CODE,
+    REAL_PART_LIMIT,
     AVerdict,
     ClassifierConfig,
     RealClassifier,
@@ -64,6 +73,41 @@ def test_non_finite_point_is_rejected(z):
             membership_with(classifier, z, 8j)
 
 
+def test_real_part_past_the_limit_is_rejected():
+    assert classify_point(complex(REAL_PART_LIMIT, 3.0)).verdict is Verdict.INSIDE_PLUS
+    beyond = complex(2.0 * REAL_PART_LIMIT, 3.0)
+    with pytest.raises(ValueError, match="exceeds"):
+        classify_point(beyond)
+    with pytest.raises(ValueError, match="exceeds"):
+        classify_point(-beyond)
+    with pytest.raises(ValueError, match="exceeds"):
+        RealClassifier().classify_grid([0.0, beyond.real], [3.0, 3.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        RealClassifier().classify_grid([0.0, 1.0], [3.0, math.nan])
+
+
+def test_huge_real_part_raises_instead_of_looping():
+    # Near |Re z| = 1e300 the fan's z + 2.0*n no longer changes with n, so an
+    # unguarded search never ends; run it where a hang cannot stall the suite.
+    code = textwrap.dedent(
+        """
+        from maskit.classify import RealClassifier, classify_point
+        for call in (
+            lambda: classify_point(1e300 + 1j),
+            lambda: RealClassifier().classify_grid(1e300, 1.0),
+        ):
+            try:
+                call()
+            except ValueError:
+                continue
+            raise SystemExit("no ValueError")
+        """
+    )
+    src = str(Path(maskit.classify.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
 def test_inside_fixtures():
     assert classify_point(4j).verdict is Verdict.INSIDE_PLUS
     assert classify_point(-4j).verdict is Verdict.INSIDE_MINUS
@@ -84,6 +128,90 @@ def test_outside_fixtures():
 def test_boundary_margin_is_undetermined():
     # 2.0001i sits above the boundary but inside the certification margin
     assert classify_point(2.0001j).verdict is Verdict.UNDETERMINED
+
+
+def test_undetermined_reason_names_the_limit():
+    # precedence: the budget, then q_max, then the margin
+    assert classify_point(3j).reason is None
+    assert classify_point(2.0001j).reason == "margin"
+    assert classify_point(3j, ClassifierConfig(q_max=2)).reason == "q_max"
+    assert classify_point(2.0001j, ClassifierConfig(q_max=2)).reason == "q_max"
+    assert classify_point(3j, ClassifierConfig(node_budget=5)).reason == "budget"
+    assert classify_point(2.0001j, ClassifierConfig(q_max=2, node_budget=6)).reason == "budget"
+    # here an edge was capped at q_max before the budget ran out
+    assert classify_point(3j, ClassifierConfig(q_max=2, node_budget=8)).reason == "budget"
+
+
+def _scalar_codes(re, im, cfg):
+    return [_VERDICT_CODE[classify_point(complex(x, y), cfg).verdict] for x, y in zip(re, im)]
+
+
+_CFGS = [
+    ClassifierConfig(),
+    ClassifierConfig(q_max=2, node_budget=1),
+    ClassifierConfig(q_max=2),
+    ClassifierConfig(q_max=5),
+    ClassifierConfig(q_max=16, node_budget=5),
+    ClassifierConfig(q_max=64, node_budget=200),
+]
+
+
+@given(
+    points=st.lists(
+        st.tuples(
+            st.floats(min_value=-7.0, max_value=7.0),
+            st.floats(min_value=-4.5, max_value=4.5) | st.sampled_from([0.0, 2.0, 1.75, -2.0]),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    k=st.integers(min_value=-3, max_value=3),
+    cfg=st.sampled_from(_CFGS),
+)
+@settings(max_examples=150, deadline=None)
+def test_classify_grid_matches_classify_point(points, k, cfg):
+    re = np.array([x + 2.0 * k for x, _ in points])  # 2k translates
+    im = np.array([y for _, y in points])
+    assert RealClassifier(cfg).classify_grid(re, im).tolist() == _scalar_codes(re, im, cfg)
+
+
+@pytest.mark.parametrize(
+    "constants",
+    [
+        {},
+        {"_GRID_BLOCK": 7},  # block edges inside the grid
+        {"_GRID_DEPTH": 1},  # every deep stack goes to classify_point
+        {"_GRID_STRAGGLERS": 0},  # the lock-step loop runs to the end
+        {"_GRID_STRAGGLERS": 10**9},  # every live point goes to classify_point
+        # Below 2 the search rejects past the fan too, and runs deep; below
+        # 1 some traces overflow, and abs() raises OverflowError.
+        {"REJECT_THRESHOLD": 1.5},
+        {"REJECT_THRESHOLD": 1.5, "_GRID_DEPTH": 3},
+        {"REJECT_THRESHOLD": 0.5},
+    ],
+)
+@pytest.mark.parametrize("cfg", _CFGS)
+def test_classify_grid_pinned_cases(monkeypatch, constants, cfg):
+    for name, value in constants.items():
+        monkeypatch.setattr(maskit.classify, name, value)
+    re, im = np.meshgrid(np.linspace(-3.0, 3.0, 41), np.linspace(-3.0, 3.0, 31))
+    re, im = re.ravel(), im.ravel()  # includes the row Im z = 0
+    try:
+        want = _scalar_codes(re, im, cfg)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            RealClassifier(cfg).classify_grid(re, im)
+        return
+    assert RealClassifier(cfg).classify_grid(re, im).tolist() == want
+
+
+def test_classify_grid_shapes():
+    clf = RealClassifier()
+    assert clf.classify_grid([], []).shape == (0,)
+    codes = clf.classify_grid(np.array([0.0, 1.0]), np.array([[4.0], [0.5], [-4.0]]))
+    assert codes.shape == (3, 2) and codes.dtype == np.uint8
+    assert codes.tolist() == [[0, 0], [2, 2], [1, 1]]
+    assert clf.classify_grid(0.0, 4.0).shape == ()
 
 
 def test_rejection_witness_is_sound():

@@ -115,6 +115,17 @@ def test_bad_window_is_usage_error():
     assert main(["render-maskit", "--window", "3", "-3", "0", "3"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", [["render-maskit"], ["a-slice", "--z", "0", "4"]])
+def test_window_past_the_real_part_limit_is_usage_error(command, tmp_path, capsys):
+    # |Re| beyond 2^50, where the classifier's integer translates stop being exact
+    out = ["--out", str(tmp_path / "x.ppm"), "--res", "2x2"]
+    if command[0] == "a-slice":
+        out += ["--json", str(tmp_path / "x.json")]
+    assert main([*command, "--window", "3e15", "4e15", "0", "1", *out]) == EXIT_USAGE
+    assert "|Re|" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_witness_k_zero_is_usage_error(capsys):
     assert main(["witness", "-k", "0", "--synthetic"]) == EXIT_USAGE
     assert "k >= 1" in capsys.readouterr().err

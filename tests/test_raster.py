@@ -18,6 +18,7 @@ from maskit import (
     CELL_UNDETERMINED,
     ClassifierConfig,
     Raster,
+    RealClassifier,
     Window,
     components,
     rasterize_a_slice,
@@ -74,6 +75,32 @@ def test_window_rejects_degenerate_bounds():
 def test_window_rejects_non_finite_bounds(bounds):
     with pytest.raises(ValueError, match="finite"):
         Window.from_bounds(*bounds, 8, 8)
+
+
+def test_window_rejects_real_parts_past_the_classifier_limit():
+    from maskit.classify import REAL_PART_LIMIT
+
+    Window.from_bounds(REAL_PART_LIMIT - 1.0, REAL_PART_LIMIT, 0.0, 1.0, 8, 8)
+    with pytest.raises(ValueError, match=r"\|Re\|"):
+        Window.from_bounds(REAL_PART_LIMIT, 2.0 * REAL_PART_LIMIT, 0.0, 1.0, 8, 8)
+    with pytest.raises(ValueError, match=r"\|Re\|"):
+        Window.from_bounds(-1e300, 0.0, 0.0, 1.0, 8, 8)
+
+
+@given(
+    re_min=st.floats(min_value=-10.0, max_value=10.0),
+    im_min=st.floats(min_value=-10.0, max_value=10.0),
+    width=st.floats(min_value=1e-3, max_value=20.0),
+    height=st.floats(min_value=1e-3, max_value=20.0),
+    cols=st.integers(min_value=1, max_value=9),
+    rows=st.integers(min_value=1, max_value=9),
+)
+def test_centers_are_the_pixel_centers(re_min, im_min, width, height, cols, rows):
+    win = Window.from_bounds(re_min, re_min + width, im_min, im_min + height, cols, rows)
+    xs, ys = win.centers()
+    assert [complex(x, y) for y in ys for x in xs] == [
+        win.pixel_center(i, j) for i in range(rows) for j in range(cols)
+    ]
 
 
 def test_window_rejects_empty_resolution():
@@ -237,6 +264,91 @@ def test_a_slice_worker_count_is_invisible():
     one = rasterize_a_slice(4j, win, _FAST_CFG, workers=1)
     two = rasterize_a_slice(4j, win, _FAST_CFG, workers=2)
     assert to_ppm_bytes(one) == to_ppm_bytes(two)
+
+
+# ---------------------------------------------------------------------------
+# The classify_grid path against the per-pixel path
+# ---------------------------------------------------------------------------
+
+
+class _PerPixel:
+    """Only classify and describe, like the traced proxy of the benchmark:
+    rasters over it take the per-pixel path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def classify(self, z):
+        return self.inner.classify(z)
+
+    def describe(self):
+        return self.inner.describe()
+
+
+_TINY_CFG = ClassifierConfig(q_max=2, node_budget=1)
+
+_WINDOWS = [
+    (-3.0, 3.0, 0.0, 3.0, 24, 12),  # the render window
+    (-3.0, 3.0, -1.0, 1.0, 12, 3),  # Im < 0, and the middle row exactly at Im = 0
+    (-3.0 + 2e6, 3.0 + 2e6, -3.0, 3.0, 12, 9),  # a 2k translate
+    (-1.0, 1.0, 0.0, 4.0, 6, 4),  # Im 4i is 8 times the bottom row's Im w
+    (-4.0, 4.0, -2.0, 10.0, 10, 12),  # the a-slice default window
+]
+
+
+@pytest.mark.parametrize("cfg", [ClassifierConfig(), _FAST_CFG, _TINY_CFG])
+@pytest.mark.parametrize("bounds", _WINDOWS)
+def test_grid_path_matches_the_per_pixel_path(bounds, cfg):
+    win = Window.from_bounds(*bounds)
+    grid, per_pixel = RealClassifier(cfg), _PerPixel(RealClassifier(cfg))
+    assert to_ppm_bytes(rasterize_maskit(win, classifier=grid)) == to_ppm_bytes(
+        rasterize_maskit(win, classifier=per_pixel)
+    )
+    for z in (4j, complex(0.7, 4.2)):  # certified under every cfg: one fan trace
+        assert np.array_equal(
+            rasterize_a_slice(z, win, classifier=grid).cells,
+            rasterize_a_slice(z, win, classifier=per_pixel).cells,
+        )
+
+
+@given(
+    re_min=st.floats(min_value=-6.0, max_value=6.0),
+    im_min=st.floats(min_value=-4.0, max_value=8.0),
+    width=st.floats(min_value=0.01, max_value=8.0),
+    height=st.floats(min_value=0.01, max_value=8.0),
+    cols=st.integers(min_value=1, max_value=7),
+    rows=st.integers(min_value=1, max_value=7),
+    k=st.integers(min_value=-4, max_value=4),
+    cfg=st.sampled_from([ClassifierConfig(), _FAST_CFG, _TINY_CFG, ClassifierConfig(3, 9)]),
+    z=st.sampled_from([4j, complex(0.7, 4.2), complex(-1.3, 5.0)]),
+)
+@settings(max_examples=60, deadline=None)
+def test_grid_path_matches_per_pixel_on_random_windows(
+    re_min, im_min, width, height, cols, rows, k, cfg, z
+):
+    re_min += 2.0 * k
+    win = Window.from_bounds(re_min, re_min + width, im_min, im_min + height, cols, rows)
+    grid, per_pixel = RealClassifier(cfg), _PerPixel(RealClassifier(cfg))
+    assert np.array_equal(
+        rasterize_maskit(win, classifier=grid).cells,
+        rasterize_maskit(win, classifier=per_pixel).cells,
+    )
+    assert np.array_equal(
+        rasterize_a_slice(z, win, classifier=grid).cells,
+        rasterize_a_slice(z, win, classifier=per_pixel).cells,
+    )
+
+
+def test_real_classifier_rasters_use_the_grid_path(monkeypatch):
+    def per_pixel_call(*args):
+        raise AssertionError("per-pixel call on the grid path")
+
+    win = Window.from_bounds(-3.0, 3.0, -1.0, 3.0, 8, 8)
+    clf = RealClassifier(_FAST_CFG)
+    monkeypatch.setattr(maskit.raster, "membership_with", per_pixel_call)
+    rasterize_a_slice(4j, win, classifier=clf)  # classifies only the base point one by one
+    monkeypatch.setattr(RealClassifier, "classify", per_pixel_call)
+    rasterize_maskit(win, classifier=clf)
 
 
 # ---------------------------------------------------------------------------
