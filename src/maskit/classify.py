@@ -294,7 +294,7 @@ def _classify_block(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig) -> np
     reach = range(-_FAN_REACH, _FAN_REACH + 1)
     fan = np.empty((3, len(reach), size))  # Re, Im and modulus of 1j*(z + 2.0*n)
     rejected = im == 0.0  # the slice misses the real axis
-    spoiled = np.zeros(size, bool)
+    spoiled = np.zeros(size, bool)  # a trace below the bar, or an edge capped at q_max
     b = im + 0.0
     for row, k in enumerate(reach):
         a = re + (two_n0 + 2.0 * k)
