@@ -51,6 +51,7 @@ arrays of points at once, as uint8 codes: the integer fan is settled in
 bulk, then every point still searching takes one step of the same
 depth-first search per round, on float arrays with CPython's own complex
 arithmetic written out, so each verdict is the scalar one bit for bit.
+SyntheticSlice.classify_grid does the same for the stand-in slice.
 
 a_membership layers the two-parameter test on top: w belongs to the locus
 of the extended representation at base z exactly when some integer n puts
@@ -461,6 +462,24 @@ class SyntheticSlice:
         return Classification(
             Verdict.OUTSIDE_CERTIFIED, None, 1, reason="synthetic boundary curve"
         )
+
+    def classify_grid(self, re, im) -> np.ndarray:
+        """Verdict codes (CELL_*) of classify at the points re + i*im.
+
+        The contract is RealClassifier.classify_grid's.  The cosine is
+        math.cos, as in boundary_height, not numpy's own loop; the other
+        operations round the same in numpy, so every code is classify's.
+        """
+        re, im = np.broadcast_arrays(np.asarray(re, np.float64), np.asarray(im, np.float64))
+        bad = ~(np.isfinite(re) & np.isfinite(im))
+        if bad.any():
+            i = int(np.argmax(bad))
+            self.classify(complex(float(re.flat[i]), float(im.flat[i])))
+        cos = np.fromiter(map(math.cos, (math.pi * re).ravel().tolist()), np.float64, re.size)
+        h = _SYNTHETIC_PEAK - _SYNTHETIC_DEPTH * (1.0 - cos.reshape(re.shape))
+        return np.where(
+            im > h, CELL_INSIDE_PLUS, np.where(im < -h, CELL_INSIDE_MINUS, CELL_OUTSIDE)
+        ).astype(np.uint8)
 
     def describe(self) -> dict:
         return {"kind": "synthetic", "peak": _SYNTHETIC_PEAK, "depth": _SYNTHETIC_DEPTH}

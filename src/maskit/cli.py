@@ -24,7 +24,7 @@ import shlex
 import sys
 import time
 
-from .classify import ClassifierConfig, RealClassifier, SyntheticSlice
+from .classify import REAL_PART_LIMIT, ClassifierConfig, RealClassifier, SyntheticSlice
 from .cusps import BoundaryCuspError, cusp_point
 from .farey import slopes_up_to
 from .raster import Window, components, rasterize_a_slice, rasterize_maskit, save_ppm
@@ -40,6 +40,10 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_PRECONDITION = 3
 EXIT_WITNESS = 4
+
+# The witness's R lies in -3 < Re w < -1, so the counting window over
+# R + 2j, j < k, stays within |Re| <= REAL_PART_LIMIT up to this k.
+_MAX_TRANSLATES = int(REAL_PART_LIMIT) // 2
 
 
 class _UsageError(Exception):
@@ -181,6 +185,11 @@ def cmd_witness(args) -> int:
     k = args.k
     if k < 1:
         raise _UsageError("need k >= 1 translates")
+    if k > _MAX_TRANSLATES:
+        raise _UsageError(
+            f"-k must be at most {_MAX_TRANSLATES}, so that the counting window "
+            f"satisfies |Re| <= {REAL_PART_LIMIT:g}"
+        )
     cols, rows = args.res
     prefix = args.out
     classifier = SyntheticSlice() if args.synthetic else RealClassifier(cfg)

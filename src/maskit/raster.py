@@ -6,10 +6,12 @@ integer verdict codes (uint8), so PPM export is a palette lookup.
 
 Everything is a pure function of (classifier, window, row range), so the
 worker count cannot change any byte of the output: row chunks are mapped
-and concatenated in order.  A classifier with classify_grid (RealClassifier)
-gets each chunk's rows in one call, and the membership raster forms each
-row's test points as membership_with does; any other classifier is called
-pixel by pixel.  Both paths give the same bytes.
+and concatenated in order.  A classifier with classify_grid (RealClassifier
+and SyntheticSlice both have it) gets each chunk's rows in one call; the
+membership raster goes through membership_grid, which forms membership_with's
+test points for any batch of w and which verify_witness also uses for its
+boundary samples.  Any other classifier is called pixel by pixel.  Both
+paths give the same bytes.
 """
 
 from __future__ import annotations
@@ -164,35 +166,53 @@ def _classify_rows(task):
     return out
 
 
+def membership_grid(classify_grid, z, w_re, w_im) -> tuple[np.ndarray, np.ndarray]:
+    """membership_with's verdicts at the points w = w_re + i*w_im, at once.
+
+    w_re and w_im are float arrays that broadcast to one shape.  Returns the
+    verdict codes (CELL_MEMBER, CELL_NON_MEMBER, CELL_UNDETERMINED) and n of
+    each point, as floats; n is NaN where membership_with has none and a
+    reason decides (see _membership_shift).  s and n come from
+    _membership_shift once per distinct Im w; the test points z - s*n*w and
+    z - s*(n+1)*w are formed as CPython forms them and classified in one
+    classify_grid call.  Pre-condition and ValueError as membership_with's.
+    """
+    z = complex(z)
+    w_re = np.asarray(w_re, np.float64)
+    w_im = np.asarray(w_im, np.float64)
+    if not (cmath.isfinite(z) and np.isfinite(w_re).all() and np.isfinite(w_im).all()):
+        raise ValueError(f"cannot test membership at a non-finite z or w (z={z})")
+    heights, at = np.unique(w_im, return_inverse=True)
+    at = at.reshape(w_im.shape)
+    shifts = [_membership_shift(z, y) for y in heights.tolist()]
+    s = np.array([sign for sign, _, _ in shifts], np.float64)[at]
+    n = np.array([k if why is None else math.nan for _, k, why in shifts], np.float64)[at]
+    w_re, w_im, s, n = np.broadcast_arrays(w_re, w_im, s, n)
+    codes = np.full(n.shape, CELL_NON_MEMBER, dtype=np.uint8)
+    tested = ~np.isnan(n)
+    re, im, s_t, n_t = (a[tested] for a in (w_re, w_im, s, n))
+    x = np.stack((s_t * n_t, s_t * (n_t + 1.0)))  # |n| < 2^52 here: exact, as with ints
+    # x*w = (x*Re w - 0.0*Im w, x*Im w + 0.0*Re w), then z - x*w
+    upper, lower = classify_grid(z.real - (x * re - 0.0 * im), z.imag - (x * im + 0.0 * re))
+    codes[tested] = np.where(
+        (upper == CELL_INSIDE_PLUS) & (lower == CELL_INSIDE_MINUS),
+        CELL_MEMBER,
+        np.where(
+            (upper == CELL_OUTSIDE) | (lower == CELL_OUTSIDE),
+            CELL_NON_MEMBER,
+            CELL_UNDETERMINED,
+        ),
+    )
+    return codes, np.array(n)
+
+
 def _membership_grid(classify_grid, z: complex, win: Window, i0: int, i1: int):
-    """_membership_rows through classify_grid: membership_with's test points
-    for a whole row, formed as CPython forms z - s*n*w, classified at once."""
+    """_membership_rows through membership_grid, all rows at once."""
     xs, ys = win.centers()
+    ys = ys[i0:i1]
     out = np.full((i1 - i0, win.cols), CELL_NON_MEMBER, dtype=np.uint8)
-    rows, re, im = [], [], []
-    for i in range(i0, i1):
-        y = float(ys[i])
-        if y < 0:
-            continue  # the locus is defined in Im w >= 0
-        s, n, reason = _membership_shift(z, y)
-        if reason is not None:
-            continue
-        rows.append(i - i0)
-        for x in (s * n, s * (n + 1)):  # x*w = (x*Re w - 0.0*Im w, x*Im w + 0.0*Re w)
-            re.append(z.real - (x * xs - 0.0 * y))
-            im.append(z.imag - (x * y + 0.0 * xs))
-    if rows:
-        codes = classify_grid(np.array(re), np.array(im))
-        upper, lower = codes[0::2], codes[1::2]
-        out[rows] = np.where(
-            (upper == CELL_INSIDE_PLUS) & (lower == CELL_INSIDE_MINUS),
-            CELL_MEMBER,
-            np.where(
-                (upper == CELL_OUTSIDE) | (lower == CELL_OUTSIDE),
-                CELL_NON_MEMBER,
-                CELL_UNDETERMINED,
-            ),
-        )
+    upper = ys >= 0  # the locus is defined in Im w >= 0
+    out[upper] = membership_grid(classify_grid, z, xs, ys[upper, None])[0]
     return out
 
 

@@ -30,7 +30,10 @@ then tried until every side sample certifies outside.
 
 Every stage takes the classifier as an argument: any object with
 .classify(z) and .describe(), such as RealClassifier or SyntheticSlice.
-There is no default.
+There is no default.  Both of those also have classify_grid; for such a
+classifier verify_witness tests its boundary samples in one batch (see
+raster.membership_grid) and the counting raster classifies whole rows, with
+the same verdicts and bytes as the point-by-point path other classifiers take.
 """
 
 from __future__ import annotations
@@ -42,17 +45,20 @@ from .classify import (
     AMembership,
     AVerdict,
     Verdict,
+    _membership_shift,
     check_base_point,
     membership_with,
 )
 from .moebius import normalized_length
 from .raster import (
+    _AVERDICT_CODE,
     CELL_MEMBER,
     Component,
     ComponentReport,
     Raster,
     Window,
     components,
+    membership_grid,
     rasterize_a_slice,
 )
 
@@ -284,6 +290,29 @@ def _rect_boundary_samples(r: AxisRectangle, spacing: float):
     return pts
 
 
+_CODE_AVERDICT = {code: verdict for verdict, code in _AVERDICT_CODE.items()}
+
+
+def _memberships(classifier, base: complex, points: list) -> list[AMembership]:
+    """membership_with(classifier, base, w) for each w, in one membership_grid
+    call when the classifier has classify_grid; those records' verdict, n
+    and reason are membership_with's, and their sub_verdicts are None."""
+    classify_grid = getattr(classifier, "classify_grid", None)
+    if classify_grid is None:
+        return [membership_with(classifier, base, w) for w in points]
+    codes, ns = membership_grid(
+        classify_grid, base, [w.real for w in points], [w.imag for w in points]
+    )
+    out = []
+    for w, code, n in zip(points, codes.tolist(), ns.tolist()):
+        if math.isnan(n):
+            reason = _membership_shift(base, w.imag)[2]
+            out.append(AMembership(AVerdict.NON_MEMBER_CERTIFIED, None, None, reason=reason))
+        else:
+            out.append(AMembership(_CODE_AVERDICT[code], int(n), None))
+    return out
+
+
 def verify_witness(
     q: AxisRectangle, z, classifier, *, raster_rows: int = 64
 ) -> WitnessReport:
@@ -294,6 +323,11 @@ def verify_witness(
     pitches -- must be NonMemberCertified.  The pitch is R height /
     raster_rows, and samples lie half a pitch apart.
     all_certified reports the conjunction; failures are listed, not raised.
+
+    A classifier with classify_grid has all samples tested in one batch and
+    their nudged copies in another; the sample records then carry
+    membership_with's verdict, n and reason, with sub_verdicts None.  Any
+    other classifier is called sample by sample.
     """
     z = complex(z)
     if not q.contains_interior(z):
@@ -307,17 +341,15 @@ def verify_witness(
 
     interior = membership_with(classifier, base, 2.0 * z)
 
-    boundary = []
-    offending = []
-    for w, inward in _rect_boundary_samples(r, spacing):
-        rec = membership_with(classifier, base, w)
-        boundary.append((w, rec))
-        ok = rec.verdict is AVerdict.NON_MEMBER_CERTIFIED
-        if ok:
-            nudged = membership_with(classifier, base, w + margin * inward)
-            ok = nudged.verdict is AVerdict.NON_MEMBER_CERTIFIED
-        if not ok:
-            offending.append(w)
+    samples = _rect_boundary_samples(r, spacing)
+    recs = _memberships(classifier, base, [w for w, _ in samples])
+    boundary = [(w, rec) for (w, _), rec in zip(samples, recs)]
+    ok = [rec.verdict is AVerdict.NON_MEMBER_CERTIFIED for rec in recs]
+    held = [i for i, good in enumerate(ok) if good]  # only these have their copy tested
+    nudged = [samples[i][0] + margin * samples[i][1] for i in held]
+    for i, rec in zip(held, _memberships(classifier, base, nudged)):
+        ok[i] = rec.verdict is AVerdict.NON_MEMBER_CERTIFIED
+    offending = [w for (w, _), good in zip(samples, ok) if not good]
 
     all_certified = interior.verdict is AVerdict.MEMBER and not offending
     return WitnessReport(

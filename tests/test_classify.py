@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 import maskit.classify
 from maskit.classify import (
     _VERDICT_CODE,
+    CELL_INSIDE_MINUS,
+    CELL_INSIDE_PLUS,
+    CELL_OUTSIDE,
     REAL_PART_LIMIT,
     AVerdict,
     ClassifierConfig,
@@ -211,6 +214,55 @@ def test_classify_grid_shapes():
     codes = clf.classify_grid(np.array([0.0, 1.0]), np.array([[4.0], [0.5], [-4.0]]))
     assert codes.shape == (3, 2) and codes.dtype == np.uint8
     assert codes.tolist() == [[0, 0], [2, 2], [1, 1]]
+    assert clf.classify_grid(0.0, 4.0).shape == ()
+
+
+def _synthetic_codes(re, im):
+    clf = SyntheticSlice()
+    return [_VERDICT_CODE[clf.classify(complex(x, y)).verdict] for x, y in zip(re, im)]
+
+
+@given(
+    points=st.lists(
+        st.tuples(
+            st.floats(min_value=-7.0, max_value=7.0) | st.floats(min_value=-1e9, max_value=1e9),
+            st.floats(min_value=-3.0, max_value=3.0) | st.sampled_from([0.0, 1.5, -2.0]),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_synthetic_classify_grid_matches_classify(points):
+    clf = SyntheticSlice()
+    x = np.array([p[0] for p in points])
+    h = np.array([clf.boundary_height(v) for v in x.tolist()])
+    # Free points, then Im z = h(x) and -h(x) exactly and their neighbours.
+    heights = [np.array([p[1] for p in points]), h, -h]
+    heights += [np.nextafter(y, toward) for y in (h, -h) for toward in (np.inf, -np.inf)]
+    re = np.tile(x, len(heights))
+    im = np.concatenate(heights)
+    codes = clf.classify_grid(re, im)
+    assert codes.tolist() == _synthetic_codes(re.tolist(), im.tolist())
+    _, top, bottom, above_top, below_top, above_bottom, below_bottom = codes.reshape(7, -1)
+    assert (top == CELL_OUTSIDE).all() and (bottom == CELL_OUTSIDE).all()
+    assert (below_top == CELL_OUTSIDE).all() and (above_bottom == CELL_OUTSIDE).all()
+    assert (above_top == CELL_INSIDE_PLUS).all() and (below_bottom == CELL_INSIDE_MINUS).all()
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0), (math.nan, math.nan)])
+def test_synthetic_classify_grid_rejects_non_finite_points(bad):
+    re, im = np.array([0.0, bad[0]]), np.array([4.0, bad[1]])
+    with pytest.raises(ValueError, match="non-finite"):
+        SyntheticSlice().classify_grid(re, im)
+
+
+def test_synthetic_classify_grid_shapes():
+    clf = SyntheticSlice()
+    assert clf.classify_grid([], []).shape == (0,)
+    codes = clf.classify_grid(np.array([0.0, 1.0]), np.array([[4.0], [1.6], [-4.0]]))
+    assert codes.shape == (3, 2) and codes.dtype == np.uint8
+    assert codes.tolist() == [[0, 0], [2, 0], [1, 1]]
     assert clf.classify_grid(0.0, 4.0).shape == ()
 
 

@@ -1,10 +1,12 @@
 """Tests for the command-line interface: exit codes, goldens, config layering."""
 
+import hashlib
 import json
 import time
 
 import pytest
 
+import maskit.cli
 from maskit.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -129,6 +131,16 @@ def test_window_past_the_real_part_limit_is_usage_error(command, tmp_path, capsy
 def test_witness_k_zero_is_usage_error(capsys):
     assert main(["witness", "-k", "0", "--synthetic"]) == EXIT_USAGE
     assert "k >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["1000000000000000", str(2**49 + 1)])
+def test_witness_oversized_k_is_usage_error(k, tmp_path, monkeypatch, capsys):
+    # The counting window over R + 2j, j < k, would pass |Re| <= 2^50.
+    monkeypatch.setattr(maskit.cli, "find_rectangle", lambda clf: pytest.fail("search ran"))
+    assert main(["witness", "-k", k, "--synthetic", "--out", str(tmp_path / "w")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: -k must be at most 562949953421312") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cusps_cap_is_enforced():
@@ -424,6 +436,26 @@ def test_witness_worker_count_byte_identical(tmp_path):
         b1 = (p1.parent / (p1.name + ext)).read_bytes()
         b2 = (p2.parent / (p2.name + ext)).read_bytes()
         assert b1 == b2
+
+
+# sha256 of witness -k 5 --no-timestamp at the default 1024x64: whichever
+# path (batch or per point) classifies, no byte of the artifacts may move.
+WITNESS_K5_SHA256 = {
+    ("honest", ".json"): "88b9566276e02ec8c48961f55ebb691bdd1f4477cb1a731aad23de9b6ce15b77",
+    ("honest", ".ppm"): "a680fbfe10bd0254c694ba265ec58d216a2ffacab92e3b25d066c920dc3883ee",
+    ("synthetic", ".json"): "045780671269001e30f16e2af36973cad652697ce1e2bb7ee524a505ae8b6457",
+    ("synthetic", ".ppm"): "ba2b6bab8d0d0bdc586a18a79e80b1db0db8cdeb0d520cd965e2fc43daecd001",
+}
+
+
+@pytest.mark.parametrize("kind", ["honest", "synthetic"])
+def test_witness_k5_artifacts_are_pinned(kind, tmp_path):
+    prefix = tmp_path / kind
+    argv = ["witness", "-k", "5", "--no-timestamp", "--out", str(prefix)]
+    assert main(argv + (["--synthetic"] if kind == "synthetic" else [])) == EXIT_OK
+    for ext in (".json", ".ppm"):
+        digest = hashlib.sha256((tmp_path / (kind + ext)).read_bytes()).hexdigest()
+        assert digest == WITNESS_K5_SHA256[kind, ext], ext
 
 
 def test_witness_timestamp_toggle(tmp_path):

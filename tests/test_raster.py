@@ -19,8 +19,10 @@ from maskit import (
     ClassifierConfig,
     Raster,
     RealClassifier,
+    SyntheticSlice,
     Window,
     components,
+    membership_with,
     rasterize_a_slice,
     rasterize_maskit,
     save_ppm,
@@ -349,6 +351,56 @@ def test_real_classifier_rasters_use_the_grid_path(monkeypatch):
     rasterize_a_slice(4j, win, classifier=clf)  # classifies only the base point one by one
     monkeypatch.setattr(RealClassifier, "classify", per_pixel_call)
     rasterize_maskit(win, classifier=clf)
+
+
+def test_synthetic_rasters_use_the_grid_path(monkeypatch):
+    def per_pixel_call(*args):
+        raise AssertionError("per-pixel call on the grid path")
+
+    win = Window.from_bounds(-3.0, 3.0, -1.0, 3.0, 8, 8)
+    clf = SyntheticSlice()
+    monkeypatch.setattr(maskit.raster, "membership_with", per_pixel_call)
+    rasterize_a_slice(4j, win, classifier=clf)
+    monkeypatch.setattr(SyntheticSlice, "classify", per_pixel_call)
+    rasterize_maskit(win, classifier=clf)
+
+
+@given(
+    w=st.lists(
+        st.tuples(
+            st.floats(min_value=-6.0, max_value=6.0),
+            # Im w = 0 and exact divisors of Im z decide by a reason, not a test
+            # pair; at 5e-324, Im z / |Im w| overflows and both paths raise
+            st.floats(min_value=-9.0, max_value=9.0)
+            | st.sampled_from([0.0, -0.0, 4.2, 2.1, -1.4, 1e-14, 5e-324]),
+        ),
+        max_size=30,
+    ),
+    z=st.sampled_from([complex(0.7, 4.2), complex(-1.3, 4.2)]),
+    clf=st.sampled_from([RealClassifier(_FAST_CFG), RealClassifier(_TINY_CFG), SyntheticSlice()]),
+)
+@settings(max_examples=80, deadline=None)
+def test_membership_grid_matches_membership_with(w, z, clf):
+    w_re = np.array([x for x, _ in w])
+    w_im = np.array([y for _, y in w])
+    try:
+        wants = [membership_with(clf, z, complex(x, y)) for x, y in w]
+    except (ValueError, OverflowError):
+        # A test point past |Re z| <= 2^50, or Im z / |Im w| overflowing: the
+        # batch raises too, though not always the first point's error.
+        with pytest.raises((ValueError, OverflowError)):
+            maskit.raster.membership_grid(clf.classify_grid, z, w_re, w_im)
+        return
+    codes, ns = maskit.raster.membership_grid(clf.classify_grid, z, w_re, w_im)
+    assert codes.shape == ns.shape == (len(w),)
+    for want, code, n in zip(wants, codes.tolist(), ns.tolist()):
+        assert code == maskit.raster._AVERDICT_CODE[want.verdict]
+        assert (want.n is None and math.isnan(n)) or want.n == n
+
+
+def test_membership_grid_rejects_non_finite_points():
+    with pytest.raises(ValueError, match="non-finite"):
+        maskit.raster.membership_grid(SyntheticSlice().classify_grid, 4j, [0.0, math.inf], 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,12 @@ from maskit import (
     build_R,
     components_near_infinity,
     find_rectangle,
+    membership_with,
     rasterize_a_slice,
     rasterize_maskit,
     verify_witness,
 )
+from maskit.witness import _memberships
 
 SQRT3 = math.sqrt(3.0)
 
@@ -278,6 +280,66 @@ def test_a_bare_classifier_drives_the_rasters_and_the_witness_stages():
         assert report.all_certified and counting.ok
         docs.append(json.dumps(report.to_json_dict(counting, clf.describe())))
     assert docs[0] == docs[1]
+
+
+def _oversized_case():
+    # test_verify_witness_flags_oversized_rectangle's Q and z
+    return SyntheticSlice(), AxisRectangle(-1.45, -0.55, 1.485, 1.52), complex(-1.0, 1.515)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (SyntheticSlice(), *find_rectangle(SyntheticSlice())),
+        lambda: (RealClassifier(), REAL_Q, REAL_Z),
+        _oversized_case,
+    ],
+    ids=["synthetic", "real", "oversized"],
+)
+def test_batched_verify_matches_the_per_sample_path(case):
+    clf, q, z = case()
+    batched = verify_witness(q, z, clf)
+    per_sample = verify_witness(q, z, _BareClassifier(clf))  # no classify_grid
+
+    def records(report):
+        return [(w, rec.verdict, rec.n, rec.reason) for w, rec in report.boundary_samples]
+
+    assert records(batched) == records(per_sample)
+    assert batched.offending_samples == per_sample.offending_samples
+    assert batched.all_certified == per_sample.all_certified
+    assert batched.interior_sample_verdict == per_sample.interior_sample_verdict
+    assert all(rec.sub_verdicts is None for _, rec in batched.boundary_samples)
+    assert all(rec.sub_verdicts is not None for _, rec in per_sample.boundary_samples)
+    if case is _oversized_case:
+        assert batched.offending_samples and not batched.all_certified
+
+
+def test_batched_memberships_carry_membership_withs_reason():
+    # Im w = 0 and an exact divisor of Im z are decided by a reason alone.
+    clf, base = SyntheticSlice(), complex(-3.0, 4.5)
+    points = [complex(0.3, 0.0), complex(-1.0, 1.5), complex(0.2, -2.25), complex(-2.0, 3.0)]
+    got = _memberships(clf, base, points)
+    want = [membership_with(clf, base, w) for w in points]
+    assert [(r.verdict, r.n, r.reason) for r in got] == [(r.verdict, r.n, r.reason) for r in want]
+    assert [r.reason is None for r in got] == [False, False, False, True]
+
+
+def test_batched_verify_tests_only_certified_samples_nudged_copies(monkeypatch):
+    # As sample by sample: a sample that fails is offending without its copy.
+    clf, q, z = _oversized_case()
+    batches = []
+    grid = clf.classify_grid
+
+    def counting_grid(self, re, im):
+        batches.append(re.size)
+        return grid(re, im)
+
+    monkeypatch.setattr(SyntheticSlice, "classify_grid", counting_grid)
+    report = verify_witness(q, z, clf)
+    samples = len(report.boundary_samples)
+    failed = sum(rec.verdict is not AVerdict.NON_MEMBER_CERTIFIED for _, rec in report.boundary_samples)
+    assert 0 < failed < samples
+    assert batches == [2 * samples, 2 * (samples - failed)]  # two test points per sample
 
 
 def test_witness_report_json_shape():
