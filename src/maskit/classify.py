@@ -48,9 +48,10 @@ the limit that decided it: "budget", "q_max" or "margin".  Points with
 
 RealClassifier.classify_grid gives classify_point's verdicts for whole
 arrays of points at once, as uint8 codes: the integer fan is settled in
-bulk, then every point still searching takes one step of the same
-depth-first search per round, on float arrays with CPython's own complex
-arithmetic written out, so each verdict is the scalar one bit for bit.
+bulk, then a fixed set of lanes runs the same depth-first search, one step
+per lane per round, each lane taking a new point as its last one finishes.
+The search runs on float arrays with CPython's own complex arithmetic
+written out, so each verdict is the scalar one bit for bit.
 SyntheticSlice.classify_grid does the same for the stand-in slice.
 
 a_membership layers the two-parameter test on top: w belongs to the locus
@@ -116,9 +117,13 @@ _VERDICT_CODE = {
     Verdict.UNDETERMINED: CELL_UNDETERMINED,
 }
 
-# classify_grid's lock-step search: points per batch, stack entries per
-# point (a point whose stack would grow past it goes to classify_point), and
-# the live count at which the rest go to classify_point one by one.
+# classify_grid's lock-step search.  The integer fan is settled _GRID_BLOCK
+# input points at a time, and the points it leaves searching are queued.
+# The search runs _GRID_BLOCK lanes, each holding one point's stack of up to
+# _GRID_DEPTH entries; a lane whose point finishes takes the next queued
+# point.  A point whose stack would grow past _GRID_DEPTH goes to
+# classify_point, and so do the last _GRID_STRAGGLERS live points once the
+# queue is empty.
 _GRID_BLOCK = 1024
 _GRID_DEPTH = 8
 _GRID_STRAGGLERS = 8
@@ -262,91 +267,147 @@ def classify_point(z, cfg: ClassifierConfig | None = None) -> Classification:
     return Classification(side, None, explored)
 
 
-def _classify_block(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig) -> np.ndarray:
-    """classify_point's verdict codes for the points re + i*im, in lock step.
+def _fan_trace(re: np.ndarray, im: np.ndarray, two_n: np.ndarray):
+    """Re, Im and modulus of the integer-slope trace 1j*(z + 2.0*n), given
+    2.0*n, formed as classify_point forms it."""
+    a = re + two_n
+    b = im + 0.0
+    tr = 0.0 * a - 1.0 * b
+    ti = 0.0 * b + 1.0 * a
+    return tr, ti, np.hypot(tr, ti)
 
-    The integer fan is settled for every point at once; then each point
-    still searching pops one stack entry per step, in classify_point's
-    order, so its explored count and budget cut-off are classify_point's.
-    Every complex product is written out on float arrays as CPython forms
-    it, and every modulus is np.hypot, as abs(complex) is: each trace and
-    each comparison is bit for bit the scalar one.  classify_point itself
-    finishes the points still live once at most _GRID_STRAGGLERS are, the
-    points whose stack would pass _GRID_DEPTH entries, and the points where
-    it would raise OverflowError.
+
+def _windows(rows: np.ndarray, count: int) -> np.ndarray:
+    """A view of the C-contiguous float array rows, shape (n, 4), whose
+    record i is rows i to i + count - 1 as one opaque record.  The records
+    overlap; one fancy index reads or writes count consecutive rows."""
+    n = max(len(rows) - count + 1, 0)
+    return np.ndarray((n,), (np.void, 32 * count), rows, strides=(32,))
+
+
+def _classify_lanes(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig) -> np.ndarray:
+    """classify_point's verdict codes for the points re.flat + i*im.flat, in lock step.
+
+    The integer fan is settled _GRID_BLOCK points at a time.  Each point it
+    leaves searching joins a queue and keeps three small numbers: hi, the
+    offset of the fan's right end from n0 = round(-Re z / 2); sp, its first
+    stack size; and whether a fan trace fell below the bar.  The search then
+    runs _GRID_BLOCK lanes.  In every round each lane pops one stack entry
+    of its point, in classify_point's order, so the point's explored count
+    and budget cut-off are classify_point's.  Lanes whose points have
+    finished take the next queued points, whose first stack entries are
+    their fan edges, formed again from z as the fan forms them.  Every
+    complex product is written out on float arrays as CPython forms it, and
+    every modulus is np.hypot, as abs(complex) is: each trace and each
+    comparison is bit for bit the scalar one.  classify_point itself
+    finishes the points still live once the queue is empty and at most
+    _GRID_STRAGGLERS are, the points whose stack would pass _GRID_DEPTH
+    entries, and the points where it would raise OverflowError.  Raises
+    ValueError where classify_point would, before any point is searched.
     """
     g = GROW_THRESHOLD
     bar = 2.0 + INSIDE_MARGIN
     size = re.size
-    out = np.where(im > 0, CELL_INSIDE_PLUS, CELL_INSIDE_MINUS).astype(np.uint8)
+    out = np.empty(size, np.uint8)
+    first_hi = np.zeros(size, np.int8)
+    first_sp = np.zeros(size, np.int8)  # 0 unless the point is queued
+    first_spoiled = np.zeros(size, bool)
+    handoff = []
 
-    # Integer fan, as offsets k from n0 = round(-Re z / 2): lo and hi step
-    # away from 0 while |z + 2.0*n| < g, as in classify_point.
-    two_n0 = 2.0 * np.rint(-re / 2.0)
-    lo = np.zeros(size, np.int64)
-    hi = np.zeros(size, np.int64)
-    go_lo = np.ones(size, bool)
-    go_hi = np.ones(size, bool)
-    for k in range(_FAN_REACH):
-        go_lo &= np.hypot(re + (two_n0 - 2.0 * k), im) < g
-        lo -= go_lo
-        go_hi &= np.hypot(re + (two_n0 + 2.0 * k), im) < g
-        hi += go_hi
-    reach = range(-_FAN_REACH, _FAN_REACH + 1)
-    fan = np.empty((3, len(reach), size))  # Re, Im and modulus of 1j*(z + 2.0*n)
-    rejected = im == 0.0  # the slice misses the real axis
-    spoiled = np.zeros(size, bool)  # a trace below the bar, or an edge capped at q_max
-    b = im + 0.0
-    for row, k in enumerate(reach):
-        a = re + (two_n0 + 2.0 * k)
-        fan[0, row] = 0.0 * a - 1.0 * b
-        fan[1, row] = 0.0 * b + 1.0 * a
-        m = fan[2, row] = np.hypot(fan[0, row], fan[1, row])
-        in_fan = (lo <= k) & (k <= hi)
-        rejected |= in_fan & (m < REJECT_THRESHOLD)
-        spoiled |= in_fan & (m < bar)
-    out[rejected] = CELL_OUTSIDE
+    # Integer fan, as offsets k from n0: lo and hi step away from 0 while
+    # |z + 2.0*n| < g, as in classify_point.  The trace 1j*(z + 2.0*n) has
+    # the parts of z + 2.0*n up to order and sign, which hypot ignores, so
+    # the same moduli are the fan traces'.  At |k| = _FAN_REACH the modulus
+    # is at least g (see _FAN_REACH), above the bar: only |k| < _FAN_REACH
+    # can stop lo or hi, reject or spoil.
+    ks = np.arange(1 - _FAN_REACH, _FAN_REACH)[:, None]
+    for b in range(0, size, _GRID_BLOCK):
+        x = re.flat[b : b + _GRID_BLOCK]
+        y = im.flat[b : b + _GRID_BLOCK]
+        bad = ~(np.isfinite(x) & np.isfinite(y)) | (np.abs(x) > REAL_PART_LIMIT)
+        if bad.any():
+            i = int(np.argmax(bad))
+            _check_point(complex(float(x[i]), float(y[i])))
+        m = np.hypot(x + (2.0 * np.rint(-x / 2.0) + 2.0 * ks), y)
+        below = m < g
+        lo = -np.logical_and.accumulate(below[_FAN_REACH - 1 :: -1]).sum(0)
+        hi = np.logical_and.accumulate(below[_FAN_REACH - 1 :]).sum(0)
+        in_fan = (lo <= ks) & (ks <= hi)
+        rejected = (y == 0.0) | (in_fan & (m < REJECT_THRESHOLD)).any(0)
+        codes = np.where(y > 0, CELL_INSIDE_PLUS, CELL_INSIDE_MINUS).astype(np.uint8)
+        codes[rejected] = CELL_OUTSIDE
+        # An empty stack (sp = 0) leaves one fan trace, of modulus >= g: inside.
+        sp = hi - lo
+        live = ~rejected & (sp > 0)
+        stop = live & (sp + 1 >= cfg.node_budget)
+        codes[stop] = CELL_UNDETERMINED
+        live &= ~stop
+        deep = live & (sp > _GRID_DEPTH)
+        handoff.extend((b + np.flatnonzero(deep)).tolist())
+        live &= ~deep
+        out[b : b + _GRID_BLOCK] = codes
+        first_hi[b : b + _GRID_BLOCK] = hi
+        first_sp[b : b + _GRID_BLOCK] = np.where(live, sp, 0)
+        first_spoiled[b : b + _GRID_BLOCK] = (in_fan & (m < bar)).any(0)
 
-    # An empty stack (sp = 0) leaves one fan trace, of modulus >= g: inside.
-    sp = hi - lo
-    explored = sp + 1
-    live = ~rejected & (sp > 0)
-    stop = live & (explored >= cfg.node_budget)
-    out[stop] = CELL_UNDETERMINED
-    live &= ~stop
-    deep = live & (sp > _GRID_DEPTH)
-    live &= ~deep
-    handoff = np.flatnonzero(deep).tolist()
+    # Lane j's stack is a chain of vertices, each (q, Re t, Im t, |t|):
+    # chain[j, 2i] is V_i, chain[j, 2i+1] is D_i, and entry i is the edge
+    # (V_{i+1}, V_i) with difference D_i, three vertices in a row
+    # (right, difference, left).  Popping the top entry (l, r; d) and
+    # pushing (m, r; l), then (l, m; r), writes (l, m, r, l) from d's place,
+    # so a chain of span vertices holds _GRID_DEPTH entries and one push.
+    queue = np.flatnonzero(first_sp)
+    width = min(_GRID_BLOCK, queue.size)
+    span = 2 * _GRID_DEPTH + 3
+    fan_i = np.arange(min(2 * _FAN_REACH, _GRID_DEPTH) + 1)  # V_0 to V_sp at most
+    fan_span = 2 * fan_i.size - 1
+    chain = np.empty((width, span, 4))
+    vertices = chain.reshape(-1, 4)
+    entries = _windows(vertices, 3)
+    pushes = _windows(vertices, 4)
+    # One column per busy lane: its point, lane number, stack size, explored
+    # count, and spoiled flag (a trace below the bar, or an edge capped at
+    # q_max).
+    busy = np.zeros((5, 0), np.intp)
+    free = np.arange(width)
+    # Lanes are refilled once an eighth of them are free, as a refill costs
+    # about as much as a round, and at most a quarter at once, so that a
+    # refill's temporaries stay below a round's.  A new point's chain: V_i
+    # is the fan vertex n0 + hi - i and every D_i is 1/0, of trace 2, so
+    # entry i is the edge (n, n+1) with n = n0 + hi - 1 - i, and the
+    # leftmost edge is on top.  Vertices past V_sp are dead.
+    most = -(-width // 4)
+    fan = np.empty((most, fan_span, 4))
+    fan[:, 0::2, 0] = 1.0
+    fan[:, 1::2] = (0.0, 2.0, 0.0, 2.0)
+    head = 0
+    while head < queue.size or busy.shape[1] > _GRID_STRAGGLERS:
+        if free.size * 8 >= width and head < queue.size:
+            new = queue[head : head + min(free.size, most)]
+            head += new.size
+            lanes, free = free[: new.size], free[new.size :]
+            new_sp = first_sp[new].astype(np.intp)
+            x = re.flat[new][:, None]
+            two_n = 2.0 * np.rint(-x / 2.0) + 2.0 * (first_hi[new][:, None] - fan_i)
+            v = fan[: new.size, 0::2]
+            v[..., 1], v[..., 2], v[..., 3] = _fan_trace(x, im.flat[new][:, None], two_n)
+            chain[lanes, :fan_span] = fan[: new.size]
+            entered = (new, lanes, new_sp, new_sp + 1, first_spoiled[new])
+            busy = np.concatenate((busy, entered), axis=1)
+        point, lane, sp, explored, spoiled = busy
 
-    # The stacks, one array per field (q of the left and right slopes; the
-    # left, right and difference traces; their moduli).  Entry d of the
-    # j-th live point sits at d*width + j.
-    idx = np.flatnonzero(live)
-    sp = sp[idx]
-    explored = explored[idx]
-    spoiled = spoiled[idx]
-    width = idx.size
-    stack = [np.empty((_GRID_DEPTH + 1) * width) for _ in range(11)]
-    # Entry d holds the edge (n, n+1) with n = hi-1-d, so lo's is on top.
-    d, j = np.nonzero(np.arange(2 * _FAN_REACH)[:, None] < sp)
-    p = idx[j]
-    left = hi[p] - 1 - d + _FAN_REACH
-    entries = (
-        1.0, 1.0,
-        fan[0, left, p], fan[1, left, p], fan[0, left + 1, p], fan[1, left + 1, p],
-        2.0, 0.0,
-        fan[2, left, p], fan[2, left + 1, p], 2.0,
-    )
-    at = d * width + j
-    for field, value in zip(stack, entries):
-        field[at] = value
-    slot = np.arange(width)
-    while idx.size > _GRID_STRAGGLERS:
-        top = (sp - 1) * width + slot
-        lq, rq, tlr, tli, trr, tri, tdr, tdi, al, ar, ad = (field[top] for field in stack)
-        tmr = tlr * trr - tli * tri - tdr
-        tmi = tlr * tri + tli * trr - tdi
-        m = np.hypot(tmr, tmi)
+        top = lane * span + 2 * sp - 2
+        edge = entries[top].view(np.float64).reshape(-1, 12)
+        rq, trr, tri, ar, _, tdr, tdi, ad, lq, tlr, tli, al = edge.T
+        # The pushes (l, d, r, l), with the mediant m formed in d's place:
+        # both are dead unless sp grows.
+        pushed = edge.view((np.void, 32)).take((2, 1, 0, 2), axis=1).view(np.float64)
+        mq, tmr, tmi, m = pushed[:, 4:8].T
+        np.subtract(tlr * trr - tli * tri, tdr, out=tmr)
+        np.subtract(tlr * tri + tli * trr, tdi, out=tmi)
+        np.hypot(tmr, tmi, out=m)
+        np.add(lq, rq, out=mq)
+        pushes[top + 1] = pushed.view(pushes.dtype).ravel()
         explored += 1
         rejected = m < REJECT_THRESHOLD
         spoiled |= m < bar
@@ -355,17 +416,9 @@ def _classify_block(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig) -> np
         pruned = big_l & big_r & (m >= np.where(al >= ar, al, ar))
         pruned |= (al > 2.0) & big_r & (ad <= ar)
         pruned |= (ar > 2.0) & big_l & (ad <= al)
-        mq = lq + rq
         capped = ~pruned & (mq >= cfg.q_max)
         spoiled |= capped
         sp += np.where(pruned | capped, -1, 1)
-        # Push (m, r; l) over the popped (l, r; d), keeping its r fields,
-        # then (l, m; r) above it; both are dead unless sp grew.
-        above = top + width
-        for field, value in zip(stack, (lq, mq, tlr, tli, tmr, tmi, trr, tri, al, m, ar)):
-            field[above] = value
-        for f, value in ((0, mq), (2, tmr), (3, tmi), (6, tlr), (7, tli), (8, m), (10, al)):
-            stack[f][top] = value
 
         # abs() raises OverflowError where np.hypot gives inf from finite
         # parts; classify_point redoes such points and raises as it would.
@@ -374,23 +427,19 @@ def _classify_block(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig) -> np
         done = rejected | (sp == 0) | stop | (sp > _GRID_DEPTH) | escaped
         if not done.any():
             continue
-        handoff.extend(idx[escaped].tolist())
+        handoff.extend(point[escaped].tolist())
         rejected &= ~escaped
-        out[idx[rejected]] = CELL_OUTSIDE
+        out[point[rejected]] = CELL_OUTSIDE
         settled = ~(escaped | rejected)
-        out[idx[settled & (sp == 0) & spoiled]] = CELL_UNDETERMINED
+        out[point[settled & (sp == 0) & (spoiled != 0)]] = CELL_UNDETERMINED
         going = settled & (sp > 0)
-        out[idx[going & stop]] = CELL_UNDETERMINED
-        handoff.extend(idx[going & ~stop & (sp > _GRID_DEPTH)].tolist())
-        keep = ~done
-        idx = idx[keep]
-        slot = slot[keep]
-        sp = sp[keep]
-        explored = explored[keep]
-        spoiled = spoiled[keep]
+        out[point[going & stop]] = CELL_UNDETERMINED
+        handoff.extend(point[going & ~stop & (sp > _GRID_DEPTH)].tolist())
+        free = np.concatenate((free, lane[done]))
+        busy = busy.compress(~done, axis=1)
 
-    for p in handoff + idx.tolist():
-        verdict = classify_point(complex(float(re[p]), float(im[p])), cfg).verdict
+    for p in handoff + busy[0].tolist():
+        verdict = classify_point(complex(float(re.flat[p]), float(im.flat[p])), cfg).verdict
         out[p] = _VERDICT_CODE[verdict]
     return out
 
@@ -412,18 +461,8 @@ class RealClassifier:
         point, bit for bit.  Raises ValueError where classify_point would.
         """
         re, im = np.broadcast_arrays(np.asarray(re, np.float64), np.asarray(im, np.float64))
-        out = np.empty(re.shape, np.uint8)
-        for b in range(0, re.size, _GRID_BLOCK):
-            block_re = re.flat[b : b + _GRID_BLOCK]
-            block_im = im.flat[b : b + _GRID_BLOCK]
-            bad = ~(np.isfinite(block_re) & np.isfinite(block_im))
-            bad |= np.abs(block_re) > REAL_PART_LIMIT
-            if bad.any():
-                i = int(np.argmax(bad))
-                _check_point(complex(float(block_re[i]), float(block_im[i])))
-            with np.errstate(over="ignore", invalid="ignore"):  # silent, as with floats
-                out.flat[b : b + _GRID_BLOCK] = _classify_block(block_re, block_im, self.cfg)
-        return out
+        with np.errstate(over="ignore", invalid="ignore"):  # silent, as with floats
+            return _classify_lanes(re, im, self.cfg).reshape(re.shape)
 
     def describe(self) -> dict:
         return {
@@ -493,11 +532,16 @@ def check_base_point(classifier, z) -> None:
 
 def _membership_shift(z: complex, w_imag: float) -> tuple[float, int, str | None]:
     """s = sign Im w and n = floor(Im z / |Im w|) of the test points z - s*n*w
-    and z - s*(n+1)*w, or a reason why w is certainly not a member."""
+    and z - s*(n+1)*w, or a reason why w is certainly not a member.
+
+    Raises ValueError when Im z / |Im w| overflows: no test point exists.
+    """
     if w_imag == 0.0:
         return 0.0, 0, "Im w = 0"
     s = 1.0 if w_imag > 0 else -1.0
     ratio = z.imag / abs(w_imag)
+    if math.isinf(ratio):
+        raise ValueError(f"cannot test membership at Im w = {w_imag!r}: Im z / |Im w| overflows")
     n = math.floor(ratio)
     if ratio == n:
         return s, n, "Im z is an exact multiple of Im w: a test point lands on the real axis"

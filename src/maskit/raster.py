@@ -11,7 +11,8 @@ and SyntheticSlice both have it) gets each chunk's rows in one call; the
 membership raster goes through membership_grid, which forms membership_with's
 test points for any batch of w and which verify_witness also uses for its
 boundary samples.  Any other classifier is called pixel by pixel.  Both
-paths give the same bytes.
+paths give the same bytes.  A raster of fewer than _POOL_MIN_PX pixels runs
+in process whatever the worker count, as for one worker.
 """
 
 from __future__ import annotations
@@ -63,6 +64,13 @@ PALETTE = np.array(
 )
 
 _MEMBER_CODES = frozenset({CELL_INSIDE_PLUS, CELL_INSIDE_MINUS, CELL_MEMBER})
+
+# A raster of fewer pixels runs in process at any worker count.  On a 2-vCPU
+# Xeon a two-worker pool took 16 ms to start.  At 65,536 px it made the
+# witness counting raster slower (honest 85 -> 123 ms, synthetic 22 -> 33 ms)
+# and a render 12% faster; at 131,072 px it made the honest rasters 22-26%
+# faster and the synthetic one no slower.
+_POOL_MIN_PX = 2**17
 
 
 @dataclass(frozen=True)
@@ -234,6 +242,11 @@ def _membership_rows(task):
     return out
 
 
+def _workers_for(win: Window, workers: int) -> int:
+    """The worker count a raster of win runs on: 1 below _POOL_MIN_PX pixels."""
+    return workers if win.rows * win.cols >= _POOL_MIN_PX else 1
+
+
 def _run_chunks(fn, tasks, workers: int):
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
@@ -256,6 +269,7 @@ def rasterize_maskit(
     """Per-pixel slice classification at pixel centers."""
     if classifier is None:
         classifier = RealClassifier(cfg or ClassifierConfig())
+    workers = _workers_for(win, workers)
     tasks = [(classifier, win, i0, i1) for i0, i1 in _row_chunks(win.rows, workers)]
     cells = np.concatenate(_run_chunks(_classify_rows, tasks, workers))
     return Raster(window=win, cells=cells)
@@ -278,6 +292,7 @@ def rasterize_a_slice(
         classifier = RealClassifier(cfg or ClassifierConfig())
     z = complex(z)
     check_base_point(classifier, z)
+    workers = _workers_for(win, workers)
     tasks = [(classifier, z, win, i0, i1) for i0, i1 in _row_chunks(win.rows, workers)]
     cells = np.concatenate(_run_chunks(_membership_rows, tasks, workers))
     return Raster(window=win, cells=cells)

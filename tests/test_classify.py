@@ -182,15 +182,19 @@ def test_classify_grid_matches_classify_point(points, k, cfg):
     "constants",
     [
         {},
-        {"_GRID_BLOCK": 7},  # block edges inside the grid
+        {"_GRID_BLOCK": 7},  # fan-block edges inside the grid
         {"_GRID_DEPTH": 1},  # every deep stack goes to classify_point
         {"_GRID_STRAGGLERS": 0},  # the lock-step loop runs to the end
-        {"_GRID_STRAGGLERS": 10**9},  # every live point goes to classify_point
+        # the lanes drain the queue, then every live point goes to classify_point
+        {"_GRID_STRAGGLERS": 10**9},
         # Below 2 the search rejects past the fan too, and runs deep; below
         # 1 some traces overflow, and abs() raises OverflowError.
         {"REJECT_THRESHOLD": 1.5},
         {"REJECT_THRESHOLD": 1.5, "_GRID_DEPTH": 3},
         {"REJECT_THRESHOLD": 0.5},
+        # one or three lanes: a lane is refilled on almost every round
+        {"_GRID_BLOCK": 1},
+        {"_GRID_BLOCK": 3},
     ],
 )
 @pytest.mark.parametrize("cfg", _CFGS)
@@ -206,6 +210,23 @@ def test_classify_grid_pinned_cases(monkeypatch, constants, cfg):
             RealClassifier(cfg).classify_grid(re, im)
         return
     assert RealClassifier(cfg).classify_grid(re, im).tolist() == want
+
+
+@pytest.mark.parametrize("lanes", [1024, 16])
+def test_classify_grid_refills_lanes_from_a_sparse_queue(monkeypatch, lanes):
+    # 16 fan blocks of points the fan settles (inside at Im z = 6, outside
+    # at 0.5), with 40 points that need a search scattered among them.  Their
+    # searches take 13 to 25 nodes, so a budget of 16 cuts off about half.
+    monkeypatch.setattr(maskit.classify, "_GRID_BLOCK", lanes)
+    rng = np.random.default_rng(7)
+    re = rng.uniform(-3.0, 3.0, 16 * 1024)
+    im = np.where(rng.random(re.size) < 0.5, 6.0, 0.5)
+    searched = rng.choice(re.size, 40, replace=False)
+    im[searched] = rng.uniform(1.7, 2.6, searched.size)
+    explored = [classify_point(complex(re[p], im[p])).explored for p in searched]
+    assert sum(n > 16 for n in explored) >= 10 and sum(7 < n <= 16 for n in explored) >= 10
+    for cfg in (ClassifierConfig(), ClassifierConfig(node_budget=16)):
+        assert RealClassifier(cfg).classify_grid(re, im).tolist() == _scalar_codes(re, im, cfg)
 
 
 def test_classify_grid_shapes():

@@ -158,6 +158,21 @@ def test_a_slice_uncertified_base_is_precondition_error(capsys):
     assert "precondition" in capsys.readouterr().err
 
 
+def test_a_slice_subnormal_im_w_is_precondition_error(tmp_path, capsys):
+    # At Im w near 1e-310, Im z / |Im w| overflows: no test point exists.
+    argv = [
+        "a-slice", "--z", "0", "4",
+        "--window", "-1", "1", "0", "1e-310",
+        "--res", "2x2",
+        "--out", str(tmp_path / "a.ppm"),
+        "--json", str(tmp_path / "a.json"),
+    ]
+    assert main(argv) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("precondition: ") and "overflows" in err
+    assert err.count("\n") == 1
+
+
 def test_unwritable_output_is_io_error(tmp_path, capsys):
     code = main(
         [
@@ -380,6 +395,19 @@ def test_a_slice_writes_image_and_component_json(tmp_path):
     assert doc["cell_counts"] == {"Member": 2}
     assert doc["cfg"]["q_max"] == 64
     assert "generated_at" not in doc
+
+
+# sha256 of render-maskit --window -3 3 0 3 --res 512x512: the lock-step
+# kernel and the pool may not move a byte of the render.
+RENDER_512_SHA256 = "6d5aa4240eddafa9a44db75dabaf9b35303306c0a769b5003840ed14bfcbd88b"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_render_512_is_pinned(workers, tmp_path):
+    out = tmp_path / "r.ppm"
+    argv = ["render-maskit", "--window", "-3", "3", "0", "3", "--res", "512x512"]
+    assert main(argv + ["--workers", workers, "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RENDER_512_SHA256
 
 
 # ---------------------------------------------------------------------------

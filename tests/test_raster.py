@@ -182,12 +182,11 @@ def test_rasterize_maskit_worker_count_is_invisible():
     assert to_ppm_bytes(one) == to_ppm_bytes(two)
 
 
-def test_pool_is_sized_by_the_row_chunks(monkeypatch):
+def _record_pools(monkeypatch) -> list:
+    """Stand multiprocessing.Pool in with an in-process map; returns the sizes asked for."""
     sizes = []
 
     class RecordingPool:
-        """Stands in for multiprocessing.Pool: records its size, maps in-process."""
-
         def __init__(self, processes):
             sizes.append(processes)
 
@@ -201,12 +200,45 @@ def test_pool_is_sized_by_the_row_chunks(monkeypatch):
             return [fn(t) for t in tasks]
 
     monkeypatch.setattr(maskit.raster, "multiprocessing", types.SimpleNamespace(Pool=RecordingPool))
+    return sizes
+
+
+def test_pool_is_sized_by_the_row_chunks(monkeypatch):
+    monkeypatch.setattr(maskit.raster, "_POOL_MIN_PX", 0)
+    sizes = _record_pools(monkeypatch)
     win = Window.from_bounds(-0.2, 0.2, 0.05, 0.15, 4, 3)
     raster = rasterize_maskit(win, _FAST_CFG, workers=64)  # 3 rows: 3 chunks
     assert sizes == [3]
     assert to_ppm_bytes(raster) == to_ppm_bytes(rasterize_maskit(win, _FAST_CFG))
     rasterize_a_slice(4j, Window.from_bounds(-1.0, 1.0, 7.0, 9.0, 2, 2), _FAST_CFG, workers=5)
     assert sizes == [3, 2]
+
+
+def test_small_rasters_start_no_pool(monkeypatch):
+    win = Window.from_bounds(-3.0, 3.0, 0.0, 3.0, 16, 8)
+    sizes = _record_pools(monkeypatch)
+    chunks = []
+    classify_rows = maskit.raster._classify_rows
+
+    def recording_rows(task):
+        chunks.append(task[2:])
+        return classify_rows(task)
+
+    monkeypatch.setattr(maskit.raster, "_classify_rows", recording_rows)
+    one = to_ppm_bytes(rasterize_maskit(win, _FAST_CFG))
+    # One pixel short of the threshold: in process, chunked as for one worker.
+    monkeypatch.setattr(maskit.raster, "_POOL_MIN_PX", win.rows * win.cols + 1)
+    chunks.clear()
+    assert to_ppm_bytes(rasterize_maskit(win, _FAST_CFG, workers=2)) == one
+    assert sizes == [] and chunks == maskit.raster._row_chunks(win.rows, 1)
+    member_win = Window.from_bounds(-1.0, 1.0, 0.5, 9.0, 4, 4)
+    member = to_ppm_bytes(rasterize_a_slice(4j, member_win, _FAST_CFG))
+    assert to_ppm_bytes(rasterize_a_slice(4j, member_win, _FAST_CFG, workers=2)) == member
+    assert sizes == []
+    # At the threshold the pool starts.
+    monkeypatch.setattr(maskit.raster, "_POOL_MIN_PX", win.rows * win.cols)
+    assert to_ppm_bytes(rasterize_maskit(win, _FAST_CFG, workers=2)) == one
+    assert sizes == [2]
 
 
 def test_rasterize_maskit_counts_names():
@@ -385,10 +417,10 @@ def test_membership_grid_matches_membership_with(w, z, clf):
     w_im = np.array([y for _, y in w])
     try:
         wants = [membership_with(clf, z, complex(x, y)) for x, y in w]
-    except (ValueError, OverflowError):
+    except ValueError:
         # A test point past |Re z| <= 2^50, or Im z / |Im w| overflowing: the
         # batch raises too, though not always the first point's error.
-        with pytest.raises((ValueError, OverflowError)):
+        with pytest.raises(ValueError):
             maskit.raster.membership_grid(clf.classify_grid, z, w_re, w_im)
         return
     codes, ns = maskit.raster.membership_grid(clf.classify_grid, z, w_re, w_im)
