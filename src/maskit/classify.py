@@ -317,38 +317,43 @@ def _classify_lanes(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig) -> np
     # Integer fan, as offsets k from n0: lo and hi step away from 0 while
     # |z + 2.0*n| < g, as in classify_point.  The trace 1j*(z + 2.0*n) has
     # the parts of z + 2.0*n up to order and sign, which hypot ignores, so
-    # the same moduli are the fan traces'.  At |k| = _FAN_REACH the modulus
-    # is at least g (see _FAN_REACH), above the bar: only |k| < _FAN_REACH
-    # can stop lo or hi, reject or spoil.
+    # the same moduli are the fan traces'.  n0 is always in the fan, and
+    # most points the fan rejects are rejected there, so the rest of the
+    # fan is formed only for the points n0 leaves.  At |k| = _FAN_REACH the
+    # modulus is at least g (see _FAN_REACH), above the bar: only
+    # |k| < _FAN_REACH can stop lo or hi, reject or spoil.
     ks = np.arange(1 - _FAN_REACH, _FAN_REACH)[:, None]
     for b in range(0, size, _GRID_BLOCK):
         x = re.flat[b : b + _GRID_BLOCK]
         y = im.flat[b : b + _GRID_BLOCK]
-        bad = ~(np.isfinite(x) & np.isfinite(y)) | (np.abs(x) > REAL_PART_LIMIT)
-        if bad.any():
-            i = int(np.argmax(bad))
+        ok = (np.abs(x) <= REAL_PART_LIMIT) & np.isfinite(y)
+        if not ok.all():
+            i = int(np.argmin(ok))
             _check_point(complex(float(x[i]), float(y[i])))
-        m = np.hypot(x + (2.0 * np.rint(-x / 2.0) + 2.0 * ks), y)
+        two_n0 = 2.0 * np.rint(-x / 2.0)
+        rejected = (np.hypot(x + two_n0, y) < REJECT_THRESHOLD) | (y == 0.0)
+        codes = np.where(y > 0, CELL_INSIDE_PLUS, CELL_INSIDE_MINUS).astype(np.uint8)
+        codes[rejected] = CELL_OUTSIDE
+        out[b : b + _GRID_BLOCK] = codes
+        p = np.flatnonzero(~rejected)
+        x, y, two_n0 = x[p], y[p], two_n0[p]
+        p += b
+        m = np.hypot(x + (two_n0 + 2.0 * ks), y)
         below = m < g
         lo = -np.logical_and.accumulate(below[_FAN_REACH - 1 :: -1]).sum(0)
         hi = np.logical_and.accumulate(below[_FAN_REACH - 1 :]).sum(0)
-        in_fan = (lo <= ks) & (ks <= hi)
-        rejected = (y == 0.0) | (in_fan & (m < REJECT_THRESHOLD)).any(0)
-        codes = np.where(y > 0, CELL_INSIDE_PLUS, CELL_INSIDE_MINUS).astype(np.uint8)
-        codes[rejected] = CELL_OUTSIDE
+        lowest = np.where((lo <= ks) & (ks <= hi), m, np.inf).min(0)
+        rejected = lowest < REJECT_THRESHOLD
+        out[p[rejected]] = CELL_OUTSIDE
         # An empty stack (sp = 0) leaves one fan trace, of modulus >= g: inside.
-        sp = hi - lo
-        live = ~rejected & (sp > 0)
-        stop = live & (sp + 1 >= cfg.node_budget)
-        codes[stop] = CELL_UNDETERMINED
-        live &= ~stop
-        deep = live & (sp > _GRID_DEPTH)
-        handoff.extend((b + np.flatnonzero(deep)).tolist())
-        live &= ~deep
-        out[b : b + _GRID_BLOCK] = codes
-        first_hi[b : b + _GRID_BLOCK] = hi
-        first_sp[b : b + _GRID_BLOCK] = np.where(live, sp, 0)
-        first_spoiled[b : b + _GRID_BLOCK] = (in_fan & (m < bar)).any(0)
+        sp = np.where(rejected, 0, hi - lo)
+        stop = sp >= max(cfg.node_budget - 1, 1)  # explored = sp + 1 at the budget
+        out[p[stop]] = CELL_UNDETERMINED
+        deep = ~stop & (sp > _GRID_DEPTH)
+        handoff.extend(p[deep].tolist())
+        first_hi[p] = hi
+        first_sp[p] = np.where(stop | deep, 0, sp)
+        first_spoiled[p] = lowest < bar
 
     # Lane j's stack is a chain of vertices, each (q, Re t, Im t, |t|):
     # chain[j, 2i] is V_i, chain[j, 2i+1] is D_i, and entry i is the edge
@@ -365,10 +370,10 @@ def _classify_lanes(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig) -> np
     vertices = chain.reshape(-1, 4)
     entries = _windows(vertices, 3)
     pushes = _windows(vertices, 4)
-    # One column per busy lane: its point, lane number, stack size, explored
-    # count, and spoiled flag (a trace below the bar, or an edge capped at
-    # q_max).
-    busy = np.zeros((5, 0), np.intp)
+    # One column per busy lane: its point, lane number, stack size, the row
+    # of its top entry in vertices, explored count, and spoiled flag (a
+    # trace below the bar, or an edge capped at q_max).
+    busy = np.zeros((6, 0), np.intp)
     free = np.arange(width)
     # Lanes are refilled once an eighth of them are free, as a refill costs
     # about as much as a round, and at most a quarter at once, so that a
@@ -392,11 +397,11 @@ def _classify_lanes(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig) -> np
             v = fan[: new.size, 0::2]
             v[..., 1], v[..., 2], v[..., 3] = _fan_trace(x, im.flat[new][:, None], two_n)
             chain[lanes, :fan_span] = fan[: new.size]
-            entered = (new, lanes, new_sp, new_sp + 1, first_spoiled[new])
+            top = lanes * span + 2 * new_sp - 2
+            entered = (new, lanes, new_sp, top, new_sp + 1, first_spoiled[new])
             busy = np.concatenate((busy, entered), axis=1)
-        point, lane, sp, explored, spoiled = busy
+        point, lane, sp, top, explored, spoiled = busy
 
-        top = lane * span + 2 * sp - 2
         edge = entries[top].view(np.float64).reshape(-1, 12)
         rq, trr, tri, ar, _, tdr, tdi, ad, lq, tlr, tli, al = edge.T
         # The pushes (l, d, r, l), with the mediant m formed in d's place:
@@ -418,7 +423,9 @@ def _classify_lanes(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig) -> np
         pruned |= (ar > 2.0) & big_l & (ad <= al)
         capped = ~pruned & (mq >= cfg.q_max)
         spoiled |= capped
-        sp += np.where(pruned | capped, -1, 1)
+        step = np.where(pruned | capped, -1, 1)
+        sp += step
+        top += 2 * step
 
         # abs() raises OverflowError where np.hypot gives inf from finite
         # parts; classify_point redoes such points and raises as it would.
