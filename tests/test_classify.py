@@ -215,8 +215,8 @@ def test_classify_grid_pinned_cases(monkeypatch, constants, cfg):
 @pytest.mark.parametrize("lanes", [1024, 16])
 def test_classify_grid_refills_lanes_from_a_sparse_queue(monkeypatch, lanes):
     # 16 fan blocks of points the fan settles (inside at Im z = 6, outside
-    # at 0.5), with 40 points that need a search scattered among them.  Their
-    # searches take 13 to 25 nodes, so a budget of 16 cuts off about half.
+    # at 0.5), with 40 points that need a search scattered among them.  A
+    # budget of 16 nodes cuts off about half of their searches.
     monkeypatch.setattr(maskit.classify, "_GRID_BLOCK", lanes)
     rng = np.random.default_rng(7)
     re = rng.uniform(-3.0, 3.0, 16 * 1024)
