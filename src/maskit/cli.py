@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import shlex
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .classify import REAL_PART_LIMIT, ClassifierConfig, RealClassifier, SyntheticSlice
 from .cusps import BoundaryCuspError, cusp_point
@@ -98,6 +98,85 @@ def _maybe_timestamp(meta: dict, args) -> dict:
     return meta
 
 
+def _json_text(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte, without its generator chain.
+
+    Exact types are dispatched first, then subclasses in json.dumps's order;
+    one str.join per container; a memo of float texts, since the witness
+    document repeats most of its floats (each side of R shares one
+    coordinate).  Raises TypeError where json.dumps does; a circular
+    container recurses until RecursionError.
+    """
+    floats: dict[float, str] = {}
+
+    def number(x: float) -> str:
+        text = floats.get(x)
+        if text is None:
+            if x != x:
+                text = "NaN"
+            elif x in (_INF, -_INF):
+                text = "Infinity" if x > 0 else "-Infinity"
+            else:
+                text = float.__repr__(x)
+            if x:  # 0.0 == -0.0 with one hash: a memo keyed on them would merge the two
+                floats[x] = text
+        return text
+
+    def key(k) -> str:
+        if isinstance(k, str):
+            return _json_str(k)
+        if isinstance(k, float):
+            return f'"{number(k)}"'
+        if k is None or k is True or k is False:
+            return f'"{_JSON_CONSTANTS[k]}"'
+        if isinstance(k, int):
+            return f'"{int.__repr__(k)}"'
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+    def text(o, pad: str) -> str:
+        t = type(o)
+        if t is str:
+            return _json_str(o)
+        if t is float:
+            return number(o)
+        if t is int:
+            return int.__repr__(o)
+        if t is dict:
+            if not o:
+                return "{}"
+            inner = pad + "  "
+            items = [
+                (_json_str(k) if type(k) is str else key(k)) + ": " + text(v, inner)
+                for k, v in o.items()
+            ]
+            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+        if t is list or t is tuple:
+            if not o:
+                return "[]"
+            inner = pad + "  "
+            return "[\n" + inner + (",\n" + inner).join([text(v, inner) for v in o]) + "\n" + pad + "]"
+        if o is None or o is True or o is False:
+            return _JSON_CONSTANTS[o]
+        # subclasses, tested in json.dumps's order
+        if isinstance(o, str):
+            return _json_str(o)
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return number(o)
+        if isinstance(o, (list, tuple)):
+            return text(list(o), pad)
+        if isinstance(o, dict):
+            return text(dict(o.items()), pad)
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+    return text(obj, "")
+
+
+_INF = float("inf")
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
 def _write_text(path, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
@@ -171,8 +250,8 @@ def cmd_a_slice(args) -> int:
     }
     _maybe_timestamp(doc, args)
     try:
+        _write_text(args.json_out, _json_text(doc) + "\n")
         save_ppm(grid, args.out)
-        _write_text(args.json_out, json.dumps(doc, indent=2) + "\n")
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -224,7 +303,7 @@ def cmd_witness(args) -> int:
     doc = _maybe_timestamp(report.to_json_dict(counting, classifier.describe()), args)
 
     try:
-        _write_text(f"{prefix}.json", json.dumps(doc, indent=2) + "\n")
+        _write_text(f"{prefix}.json", _json_text(doc) + "\n")
         save_ppm(counting.raster, f"{prefix}.ppm")
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)

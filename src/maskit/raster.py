@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 import multiprocessing
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -331,40 +330,32 @@ def components(raster: Raster) -> ComponentReport:
 
     Labels are assigned in row-major order of each component's first cell,
     so the report is independent of any traversal implementation detail.
+    The search visits member cells only, by flat row-major index: its cost
+    follows the member cells, not the raster's size.
     """
-    cells = raster.cells
-    rows, cols = cells.shape
-    member = np.isin(cells, list(_MEMBER_CODES))
-    seen = np.zeros_like(member, dtype=bool)
+    rows, cols = raster.cells.shape
+    member = np.flatnonzero(np.isin(raster.cells, list(_MEMBER_CODES))).tolist()
+    unseen = set(member)
     comps = []
-    label = 0
-    for i in range(rows):
-        for j in range(cols):
-            if not member[i, j] or seen[i, j]:
-                continue
-            label += 1
-            count = 0
-            i_min = i_max = i
-            j_min = j_max = j
-            touching = False
-            queue = deque([(i, j)])
-            seen[i, j] = True
-            while queue:
-                ci, cj = queue.popleft()
-                count += 1
-                i_min = min(i_min, ci)
-                i_max = max(i_max, ci)
-                j_min = min(j_min, cj)
-                j_max = max(j_max, cj)
-                if ci in (0, rows - 1) or cj in (0, cols - 1):
-                    touching = True
-                for ni, nj in ((ci - 1, cj), (ci + 1, cj), (ci, cj - 1), (ci, cj + 1)):
-                    if 0 <= ni < rows and 0 <= nj < cols and member[ni, nj] and not seen[ni, nj]:
-                        seen[ni, nj] = True
-                        queue.append((ni, nj))
-            comps.append(
-                Component(label, count, (i_min, j_min, i_max, j_max), touching)
-            )
+    for first in member:
+        if first not in unseen:
+            continue
+        unseen.remove(first)
+        queue = [first]
+        for p in queue:  # grows while it is walked: breadth first
+            j = p % cols
+            # -1 stands for a neighbour past the left or right edge: never a cell
+            for q in (p - cols, p + cols, p - 1 if j else -1, p + 1 if j < cols - 1 else -1):
+                if q in unseen:
+                    unseen.remove(q)
+                    queue.append(q)
+        i_min, i_max = first // cols, max(queue) // cols
+        j_min = min(p % cols for p in queue)
+        j_max = max(p % cols for p in queue)
+        touching = i_min == 0 or i_max == rows - 1 or j_min == 0 or j_max == cols - 1
+        comps.append(
+            Component(len(comps) + 1, len(queue), (i_min, j_min, i_max, j_max), touching)
+        )
     return ComponentReport(tuple(comps))
 
 

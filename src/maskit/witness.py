@@ -296,20 +296,26 @@ _CODE_AVERDICT = {code: verdict for verdict, code in _AVERDICT_CODE.items()}
 def _memberships(classifier, base: complex, points: list) -> list[AMembership]:
     """membership_with(classifier, base, w) for each w, in one membership_grid
     call when the classifier has classify_grid; those records' verdict, n
-    and reason are membership_with's, and their sub_verdicts are None."""
+    and reason are membership_with's, and their sub_verdicts are None.
+    AMembership is frozen, so points with the same verdict and n share one
+    record."""
     classify_grid = getattr(classifier, "classify_grid", None)
     if classify_grid is None:
         return [membership_with(classifier, base, w) for w in points]
     codes, ns = membership_grid(
         classify_grid, base, [w.real for w in points], [w.imag for w in points]
     )
+    records: dict[tuple[int, float], AMembership] = {}
     out = []
     for w, code, n in zip(points, codes.tolist(), ns.tolist()):
         if math.isnan(n):
             reason = _membership_shift(base, w.imag)[2]
             out.append(AMembership(AVerdict.NON_MEMBER_CERTIFIED, None, None, reason=reason))
-        else:
-            out.append(AMembership(_CODE_AVERDICT[code], int(n), None))
+            continue
+        rec = records.get((code, n))
+        if rec is None:
+            rec = records[code, n] = AMembership(_CODE_AVERDICT[code], int(n), None)
+        out.append(rec)
     return out
 
 

@@ -5,6 +5,8 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maskit.cli
 from maskit.cli import (
@@ -12,6 +14,7 @@ from maskit.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_USAGE,
+    _json_text,
     main,
 )
 from maskit.farey import slopes_up_to
@@ -397,6 +400,45 @@ def test_a_slice_writes_image_and_component_json(tmp_path):
     assert "generated_at" not in doc
 
 
+# sha256 of a-slice --z -3 5.244615 --window -4 4 0 10 --res 64x64
+# --no-timestamp: the JSON writer and the component labelling may not move a
+# byte of the document.
+A_SLICE_64_SHA256 = {
+    ".json": "c5bec7c171db50d7b46299d1ad71979217f23c983f6a1eca5a9ef1584cbc2374",
+    ".ppm": "86180df62966b748929559ab7e702e5042b71c184305d89c80ff1b1c5feeb092",
+}
+
+
+def test_a_slice_64_artifacts_are_pinned(tmp_path):
+    argv = [
+        "a-slice",
+        "--z", "-3", "5.244615",
+        "--window", "-4", "4", "0", "10",
+        "--res", "64x64",
+        "--no-timestamp",
+        "--out", str(tmp_path / "a.ppm"),
+        "--json", str(tmp_path / "a.json"),
+    ]
+    assert main(argv) == EXIT_OK
+    for ext in (".json", ".ppm"):
+        digest = hashlib.sha256((tmp_path / ("a" + ext)).read_bytes()).hexdigest()
+        assert digest == A_SLICE_64_SHA256[ext], ext
+
+
+def test_a_slice_unwritable_json_writes_no_ppm(tmp_path, capsys):
+    ppm = tmp_path / "a.ppm"
+    argv = [
+        "a-slice",
+        "--z", "0", "4",
+        "--res", "2x2",
+        "--out", str(ppm),
+        "--json", str(tmp_path / "no-such-dir" / "e.json"),
+    ]
+    assert main(argv) == EXIT_IO
+    assert "cannot write output" in capsys.readouterr().err
+    assert not ppm.exists()
+
+
 # sha256 of render-maskit --window -3 3 0 3 --res 512x512: the lock-step
 # kernel and the pool may not move a byte of the render.
 RENDER_512_SHA256 = "6d5aa4240eddafa9a44db75dabaf9b35303306c0a769b5003840ed14bfcbd88b"
@@ -510,3 +552,50 @@ def test_witness_config_file_drives_run(tmp_path):
     doc = json.loads((prefix.parent / "cfgrun.json").read_text())
     assert doc["diagnostics"]["k"] == 2
     assert doc["diagnostics"]["synthetic"] is True
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer
+# ---------------------------------------------------------------------------
+
+_TEXTS = st.text() | st.sampled_from(["", "\u00e9\u4e2d\U0001f600", "\x00\x1f\n\t\"\\/", "\ud800"])
+_KEYS = _TEXTS | st.integers() | st.floats() | st.booleans() | st.none()
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | _TEXTS
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(_KEYS, inner),
+    max_leaves=20,
+)
+
+
+@given(doc=_DOCS)
+@settings(max_examples=200, deadline=None)
+def test_json_text_is_json_dumps_indent_2(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # a float memo keyed on the value would write the second zero as 0.0
+        [0.0, -0.0, {"a": -0.0}],
+        [-0.0, 0.0, {-0.0: 0.0, "b": [0.0, -0.0]}],
+        [float("nan"), float("inf"), -float("inf"), {float("inf"): float("nan")}],
+        {True: 1, False: 0, None: None, 2: [], 2.5: {}, "t": ()},
+        ([], {}, (), [[]], {"": {}}),
+        "\u00e9\x00",
+        7,
+    ],
+)
+def test_json_text_matches_json_dumps_on_edge_cases(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, 1j, b"bytes", [1, {2: {3}}], {(1, 2): 3}])
+def test_json_text_raises_type_error_as_json_dumps_does(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        _json_text(value)

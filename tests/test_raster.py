@@ -2,6 +2,7 @@
 
 import math
 import types
+from collections import deque
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from maskit import (
     CELL_OUTSIDE,
     CELL_UNDETERMINED,
     ClassifierConfig,
+    Component,
+    ComponentReport,
     Raster,
     RealClassifier,
     SyntheticSlice,
@@ -527,3 +530,71 @@ def test_component_report_describe_shape():
             "boundary_touching": True,
         }
     ]
+
+
+def _components_all_pixels(raster):
+    """The reference labelling: a BFS from every pixel in row-major order."""
+    cells = raster.cells
+    rows, cols = cells.shape
+    member = np.isin(cells, [CELL_INSIDE_PLUS, CELL_INSIDE_MINUS, CELL_MEMBER])
+    seen = np.zeros_like(member, dtype=bool)
+    comps = []
+    label = 0
+    for i in range(rows):
+        for j in range(cols):
+            if not member[i, j] or seen[i, j]:
+                continue
+            label += 1
+            count = 0
+            i_min = i_max = i
+            j_min = j_max = j
+            touching = False
+            queue = deque([(i, j)])
+            seen[i, j] = True
+            while queue:
+                ci, cj = queue.popleft()
+                count += 1
+                i_min = min(i_min, ci)
+                i_max = max(i_max, ci)
+                j_min = min(j_min, cj)
+                j_max = max(j_max, cj)
+                if ci in (0, rows - 1) or cj in (0, cols - 1):
+                    touching = True
+                for ni, nj in ((ci - 1, cj), (ci + 1, cj), (ci, cj - 1), (ci, cj + 1)):
+                    if 0 <= ni < rows and 0 <= nj < cols and member[ni, nj] and not seen[ni, nj]:
+                        seen[ni, nj] = True
+                        queue.append((ni, nj))
+            comps.append(Component(label, count, (i_min, j_min, i_max, j_max), touching))
+    return ComponentReport(tuple(comps))
+
+
+_ALL_CODES = [
+    CELL_INSIDE_PLUS,
+    CELL_INSIDE_MINUS,
+    CELL_OUTSIDE,
+    CELL_UNDETERMINED,
+    CELL_MEMBER,
+    CELL_NON_MEMBER,
+]
+
+
+@st.composite
+def _rasters(draw):
+    n = draw(st.integers(min_value=1, max_value=14))
+    m = draw(st.integers(min_value=1, max_value=14))
+    rows, cols = draw(st.sampled_from([(1, n), (n, 1), (n, m)]))
+    codes = draw(st.lists(st.sampled_from(_ALL_CODES), min_size=rows * cols, max_size=rows * cols))
+    return _raster_of(np.array(codes).reshape(rows, cols))
+
+
+@given(raster=_rasters())
+@settings(max_examples=300, deadline=None)
+def test_components_match_the_all_pixel_reference(raster):
+    assert components(raster) == _components_all_pixels(raster)
+
+
+def test_components_of_the_512_render_match_the_reference():
+    raster = rasterize_maskit(Window.from_bounds(-3.0, 3.0, 0.0, 3.0, 512, 512))
+    report = components(raster)
+    assert report.count >= 1
+    assert report == _components_all_pixels(raster)
