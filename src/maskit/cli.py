@@ -98,6 +98,10 @@ def _maybe_timestamp(meta: dict, args) -> dict:
     return meta
 
 
+_INF = float("inf")
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
 def _json_text(obj) -> str:
     """json.dumps(obj, indent=2), byte for byte, without its generator chain.
 
@@ -171,10 +175,6 @@ def _json_text(obj) -> str:
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
     return text(obj, "")
-
-
-_INF = float("inf")
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _write_text(path, text: str) -> None:

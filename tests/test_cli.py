@@ -1,9 +1,12 @@
 """Tests for the command-line interface: exit codes, goldens, config layering."""
 
+import collections
+import enum
 import hashlib
 import json
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -576,6 +579,14 @@ def test_json_text_is_json_dumps_indent_2(doc):
     assert _json_text(doc) == json.dumps(doc, indent=2)
 
 
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _Name(str, enum.Enum):
+    A = "a\u00e9"
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -587,6 +598,11 @@ def test_json_text_is_json_dumps_indent_2(doc):
         ([], {}, (), [[]], {"": {}}),
         "\u00e9\x00",
         7,
+        # subclasses are written as their base types
+        {"x": np.float64(0.1), "y": [np.float64(-0.0), np.float64("nan")]},
+        {_Level.HIGH: _Level.HIGH, "n": [_Name.A], _Name.A: True},
+        collections.namedtuple("Pair", "re im")(1.5, -2.0),
+        collections.OrderedDict([("b", 1), ("a", collections.OrderedDict())]),
     ],
 )
 def test_json_text_matches_json_dumps_on_edge_cases(doc):
