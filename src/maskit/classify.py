@@ -48,10 +48,12 @@ the limit that decided it: "budget", "q_max" or "margin".  Points with
 
 RealClassifier.classify_grid gives classify_point's verdicts for whole
 arrays of points at once, as uint8 codes: the integer fan is settled in
-bulk, then a fixed set of lanes runs the same depth-first search, one step
-per lane per round, each lane taking a new point as its last one finishes.
-The search runs on float arrays with CPython's own complex arithmetic
-written out, so each verdict is the scalar one bit for bit.
+bulk, then the points it leaves are searched in blocks, one tree level of
+every point per round.  The search runs on float arrays with CPython's own
+complex arithmetic written out, so each trace is the scalar one bit for bit.
+A point whose whole pruned tree fits in the budget gets a verdict that does
+not depend on the search order; the few points where the order could matter
+go to classify_point.
 SyntheticSlice.classify_grid does the same for the stand-in slice.
 
 a_membership layers the two-parameter test on top: w belongs to the locus
@@ -117,16 +119,16 @@ _VERDICT_CODE = {
     Verdict.UNDETERMINED: CELL_UNDETERMINED,
 }
 
-# classify_grid's lock-step search.  The integer fan is settled _GRID_BLOCK
-# input points at a time, and the points it leaves searching are queued.
-# The search runs _GRID_BLOCK lanes, each holding one point's stack of up to
-# _GRID_DEPTH entries; a lane whose point finishes takes the next queued
-# point.  A point whose stack would grow past _GRID_DEPTH goes to
-# classify_point, and so do the last _GRID_STRAGGLERS live points once the
-# queue is empty.
-_GRID_BLOCK = 1024
-_GRID_DEPTH = 8
-_GRID_STRAGGLERS = 8
+# classify_grid's level-by-level search.  The integer fan is settled
+# _GRID_BLOCK input points at a time, and the points it leaves searching are
+# queued.  The queue is searched _GRID_BLOCK points at a time, one tree level
+# per round, with every live edge of a block in one frontier.  A round takes
+# up to some 500 bytes an edge.  At 512 points a block's frontier stays
+# within 3,072 edges on the 512² render, so a round's arrays stay near 1 MB.
+# The live points of a block whose frontier would pass _GRID_EDGES edges go
+# to classify_point, so that no round takes more than about 8 MB.
+_GRID_BLOCK = 512
+_GRID_EDGES = 2**14
 # The integer fan lies within this many translates of the nearest one:
 # |Re z + 2n0| <= 1, so |z + 2(n0 +- k)| >= 2k - 1 >= GROW_THRESHOLD there.
 _FAN_REACH = 3
@@ -277,42 +279,61 @@ def _fan_trace(re: np.ndarray, im: np.ndarray, two_n: np.ndarray):
     return tr, ti, np.hypot(tr, ti)
 
 
-def _windows(rows: np.ndarray, count: int) -> np.ndarray:
-    """A view of the C-contiguous float array rows, shape (n, 4), whose
-    record i is rows i to i + count - 1 as one opaque record.  The records
-    overlap; one fancy index reads or writes count consecutive rows."""
-    n = max(len(rows) - count + 1, 0)
-    return np.ndarray((n,), (np.void, 32 * count), rows, strides=(32,))
+def _classify_blocks(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig) -> np.ndarray:
+    """classify_point's verdict codes for the points re.flat + i*im.flat.
 
-
-def _classify_lanes(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig) -> np.ndarray:
-    """classify_point's verdict codes for the points re.flat + i*im.flat, in lock step.
-
-    The integer fan is settled _GRID_BLOCK points at a time.  Each point it
-    leaves searching joins a queue and keeps three small numbers: hi, the
-    offset of the fan's right end from n0 = round(-Re z / 2); sp, its first
-    stack size; and whether a fan trace fell below the bar.  The search then
-    runs _GRID_BLOCK lanes.  In every round each lane pops one stack entry
-    of its point, in classify_point's order, so the point's explored count
-    and budget cut-off are classify_point's.  Lanes whose points have
-    finished take the next queued points, whose first stack entries are
-    their fan edges, formed again from z as the fan forms them.  Every
-    complex product is written out on float arrays as CPython forms it, and
-    every modulus is np.hypot, as abs(complex) is: each trace and each
-    comparison is bit for bit the scalar one.  classify_point itself
-    finishes the points still live once the queue is empty and at most
-    _GRID_STRAGGLERS are, the points whose stack would pass _GRID_DEPTH
-    entries, and the points where it would raise OverflowError.  Raises
-    ValueError where classify_point would, before any point is searched.
+    _settle_fans settles the integer fan of every point, and raises
+    ValueError where classify_point would.  The points it leaves searching
+    are queued, and searched _GRID_BLOCK points at a time, level by level.
+    Every live edge of a block sits in one frontier, and each round
+    (_next_level) replaces it by the children of the edges that go on.  A
+    point whose frontier empties with explored <= node_budget has explored
+    classify_point's whole tree, so its verdict does not depend on the
+    search order: inside, or Undetermined if a trace fell below the bar or
+    an edge was capped at q_max.  The others are handed to classify_point:
+    a point whose tree passes node_budget, a point with a trace below
+    REJECT_THRESHOLD (which one classify_point meets first depends on the
+    order), a point with an infinite modulus (abs() raises OverflowError
+    where np.hypot gives inf from finite parts), and every live point of a
+    block whose frontier would pass _GRID_EDGES edges.
     """
+    out, first_hi, first_sp, first_spoiled = _settle_fans(re, im, cfg)
+    handoff = []
+    queue = np.flatnonzero(first_sp)
+    for b in range(0, queue.size, _GRID_BLOCK):
+        p = queue[b : b + _GRID_BLOCK]
+        sp = first_sp[p].astype(np.intp)
+        explored = sp + 1
+        spoiled = first_spoiled[p]
+        handed = np.zeros(p.size, bool)
+        owner, frontier = _fan_edges(re.flat[p], im.flat[p], first_hi[p], sp)
+        while owner.size:
+            if owner.size > _GRID_EDGES:
+                handed[owner] = True
+                break
+            owner, frontier = _next_level(owner, frontier, explored, spoiled, handed, cfg)
+        out[p[spoiled]] = CELL_UNDETERMINED
+        handoff.extend(p[handed].tolist())
+    for p in handoff:
+        verdict = classify_point(complex(float(re.flat[p]), float(im.flat[p])), cfg).verdict
+        out[p] = _VERDICT_CODE[verdict]
+    return out
+
+
+def _settle_fans(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig):
+    """The integer fan of the points re.flat + i*im.flat, _GRID_BLOCK points
+    at a time: the verdict codes it settles, and for each point it leaves
+    searching (the others read 0 there) hi, the offset of the fan's right
+    end from n0 = round(-Re z / 2); sp, its number of fan edges; and
+    whether a fan trace fell below the bar.  The codes of the points left
+    searching are their inside side."""
     g = GROW_THRESHOLD
     bar = 2.0 + INSIDE_MARGIN
     size = re.size
     out = np.empty(size, np.uint8)
     first_hi = np.zeros(size, np.int8)
-    first_sp = np.zeros(size, np.int8)  # 0 unless the point is queued
+    first_sp = np.zeros(size, np.int8)
     first_spoiled = np.zeros(size, bool)
-    handoff = []
 
     # Integer fan, as offsets k from n0: lo and hi step away from 0 while
     # |z + 2.0*n| < g, as in classify_point.  The trace 1j*(z + 2.0*n) has
@@ -345,110 +366,80 @@ def _classify_lanes(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig) -> np
         lowest = np.where((lo <= ks) & (ks <= hi), m, np.inf).min(0)
         rejected = lowest < REJECT_THRESHOLD
         out[p[rejected]] = CELL_OUTSIDE
-        # An empty stack (sp = 0) leaves one fan trace, of modulus >= g: inside.
+        # No fan edge (sp = 0) leaves one fan trace, of modulus >= g: inside.
         sp = np.where(rejected, 0, hi - lo)
         stop = sp >= max(cfg.node_budget - 1, 1)  # explored = sp + 1 at the budget
         out[p[stop]] = CELL_UNDETERMINED
-        deep = ~stop & (sp > _GRID_DEPTH)
-        handoff.extend(p[deep].tolist())
         first_hi[p] = hi
-        first_sp[p] = np.where(stop | deep, 0, sp)
+        first_sp[p] = np.where(stop, 0, sp)
         first_spoiled[p] = lowest < bar
+    return out, first_hi, first_sp, first_spoiled
 
-    # Lane j's stack is a chain of vertices, each (q, Re t, Im t, |t|):
-    # chain[j, 2i] is V_i, chain[j, 2i+1] is D_i, and entry i is the edge
-    # (V_{i+1}, V_i) with difference D_i, three vertices in a row
-    # (right, difference, left).  Popping the top entry (l, r; d) and
-    # pushing (m, r; l), then (l, m; r), writes (l, m, r, l) from d's place,
-    # so a chain of span vertices holds _GRID_DEPTH entries and one push.
-    queue = np.flatnonzero(first_sp)
-    width = min(_GRID_BLOCK, queue.size)
-    span = 2 * _GRID_DEPTH + 3
-    fan_i = np.arange(min(2 * _FAN_REACH, _GRID_DEPTH) + 1)  # V_0 to V_sp at most
-    fan_span = 2 * fan_i.size - 1
-    chain = np.empty((width, span, 4))
-    vertices = chain.reshape(-1, 4)
-    entries = _windows(vertices, 3)
-    pushes = _windows(vertices, 4)
-    # One column per busy lane: its point, lane number, stack size, the row
-    # of its top entry in vertices, explored count, and spoiled flag (a
-    # trace below the bar, or an edge capped at q_max).
-    busy = np.zeros((6, 0), np.intp)
-    free = np.arange(width)
-    # Lanes are refilled once an eighth of them are free, as a refill costs
-    # about as much as a round, and at most a quarter at once, so that a
-    # refill's temporaries stay below a round's.  A new point's chain: V_i
-    # is the fan vertex n0 + hi - i and every D_i is 1/0, of trace 2, so
-    # entry i is the edge (n, n+1) with n = n0 + hi - 1 - i, and the
-    # leftmost edge is on top.  Vertices past V_sp are dead.
-    most = -(-width // 4)
-    fan = np.empty((most, fan_span, 4))
-    fan[:, 0::2, 0] = 1.0
-    fan[:, 1::2] = (0.0, 2.0, 0.0, 2.0)
-    head = 0
-    while head < queue.size or busy.shape[1] > _GRID_STRAGGLERS:
-        if free.size * 8 >= width and head < queue.size:
-            new = queue[head : head + min(free.size, most)]
-            head += new.size
-            lanes, free = free[: new.size], free[new.size :]
-            new_sp = first_sp[new].astype(np.intp)
-            x = re.flat[new][:, None]
-            two_n = 2.0 * np.rint(-x / 2.0) + 2.0 * (first_hi[new][:, None] - fan_i)
-            v = fan[: new.size, 0::2]
-            v[..., 1], v[..., 2], v[..., 3] = _fan_trace(x, im.flat[new][:, None], two_n)
-            chain[lanes, :fan_span] = fan[: new.size]
-            top = lanes * span + 2 * new_sp - 2
-            entered = (new, lanes, new_sp, top, new_sp + 1, first_spoiled[new])
-            busy = np.concatenate((busy, entered), axis=1)
-        point, lane, sp, top, explored, spoiled = busy
 
-        edge = entries[top].view(np.float64).reshape(-1, 12)
-        rq, trr, tri, ar, _, tdr, tdi, ad, lq, tlr, tli, al = edge.T
-        # The pushes (l, d, r, l), with the mediant m formed in d's place:
-        # both are dead unless sp grows.
-        pushed = edge.view((np.void, 32)).take((2, 1, 0, 2), axis=1).view(np.float64)
-        mq, tmr, tmi, m = pushed[:, 4:8].T
-        np.subtract(tlr * trr - tli * tri, tdr, out=tmr)
-        np.subtract(tlr * tri + tli * trr, tdi, out=tmi)
-        np.hypot(tmr, tmi, out=m)
-        np.add(lq, rq, out=mq)
-        pushes[top + 1] = pushed.view(pushes.dtype).ravel()
-        explored += 1
-        rejected = m < REJECT_THRESHOLD
-        spoiled |= m < bar
-        big_l = al >= g
-        big_r = ar >= g
-        pruned = big_l & big_r & (m >= np.where(al >= ar, al, ar))
-        pruned |= (al > 2.0) & big_r & (ad <= ar)
-        pruned |= (ar > 2.0) & big_l & (ad <= al)
-        capped = ~pruned & (mq >= cfg.q_max)
-        spoiled |= capped
-        step = np.where(pruned | capped, -1, 1)
-        sp += step
-        top += 2 * step
+def _fan_edges(x, y, hi, sp):
+    """The first frontier of the queued points x + i*y, and the point each
+    of its edges belongs to.
 
-        # abs() raises OverflowError where np.hypot gives inf from finite
-        # parts; classify_point redoes such points and raises as it would.
-        escaped = np.isinf(m)
-        stop = explored >= cfg.node_budget
-        done = rejected | (sp == 0) | stop | (sp > _GRID_DEPTH) | escaped
-        if not done.any():
-            continue
-        handoff.extend(point[escaped].tolist())
-        rejected &= ~escaped
-        out[point[rejected]] = CELL_OUTSIDE
-        settled = ~(escaped | rejected)
-        out[point[settled & (sp == 0) & (spoiled != 0)]] = CELL_UNDETERMINED
-        going = settled & (sp > 0)
-        out[point[going & stop]] = CELL_UNDETERMINED
-        handoff.extend(point[going & ~stop & (sp > _GRID_DEPTH)].tolist())
-        free = np.concatenate((free, lane[done]))
-        busy = busy.compress(~done, axis=1)
+    A frontier is a float array of 15 rows, one column per edge: the left
+    vertex (q, Re t, Im t, |t|), the right vertex, the difference (Re t,
+    Im t, |t|), and room for the mediant (q, Re t, Im t, |t|).  Point i's
+    fan vertices n0 + hi - sp, ..., n0 + hi are formed one after another;
+    its fan edges (n, n + 1), with difference 1/0 of trace 2, are the pairs
+    of consecutive vertices.
+    """
+    owner = np.repeat(np.arange(x.size), sp + 1)
+    last = np.cumsum(sp + 1) - 1
+    k = np.arange(owner.size) + (hi - last)[owner]
+    vertex = np.array(_fan_trace(x[owner], y[owner], 2.0 * np.rint(-x / 2.0)[owner] + 2.0 * k))
+    is_left = np.ones(owner.size, bool)
+    is_left[last] = False
+    left = np.flatnonzero(is_left)
+    frontier = np.empty((15, left.size))
+    frontier[0] = frontier[4] = 1.0
+    frontier[1:4] = vertex.take(left, axis=1)
+    frontier[5:8] = vertex.take(left + 1, axis=1)
+    frontier[8:11] = ((2.0,), (0.0,), (2.0,))
+    return owner[left], frontier
 
-    for p in handoff + busy[0].tolist():
-        verdict = classify_point(complex(float(re.flat[p]), float(im.flat[p])), cfg).verdict
-        out[p] = _VERDICT_CODE[verdict]
-    return out
+
+def _next_level(owner, frontier, explored, spoiled, handed, cfg: ClassifierConfig):
+    """One level of _classify_blocks' search: the next frontier, and the
+    point each of its edges belongs to.
+
+    Every mediant is formed with each complex product written out as
+    CPython forms it and each modulus np.hypot, as abs(complex) is, so each
+    trace and each comparison is classify_point's bit for bit.  Adds each
+    point's new nodes to explored, and marks spoiled and handed points, in
+    place.
+    """
+    g = GROW_THRESHOLD
+    bar = 2.0 + INSIDE_MARGIN
+    lq, tlr, tli, al, rq, trr, tri, ar, tdr, tdi, ad, mq, tmr, tmi, m = frontier
+    np.add(lq, rq, out=mq)
+    np.subtract(tlr * trr - tli * tri, tdr, out=tmr)
+    np.subtract(tlr * tri + tli * trr, tdi, out=tmi)
+    np.hypot(tmr, tmi, out=m)
+    explored += np.bincount(owner, minlength=explored.size)
+    spoiled[owner[m < bar]] = True
+    big_l = al >= g
+    big_r = ar >= g
+    ends = big_l & big_r & (m >= np.where(al >= ar, al, ar))
+    ends |= (al > 2.0) & big_r & (ad <= ar)
+    ends |= (ar > 2.0) & big_l & (ad <= al)
+    capped = ~ends & (mq >= cfg.q_max)
+    spoiled[owner[capped]] = True
+    handed[owner[(m < REJECT_THRESHOLD) | np.isinf(m)]] = True
+    handed |= explored > cfg.node_budget
+    goes = ~(ends | capped | handed[owner])
+    kept = frontier.compress(goes, axis=1)
+    owner = owner[goes]
+    # The edge (l, r; d) goes on as (l, m; r) and (m, r; l).
+    s = owner.size
+    children = np.empty((15, 2 * s))
+    left, right = children[:, :s], children[:, s:]
+    left[0:4], left[4:8], left[8:11] = kept[0:4], kept[11:15], kept[5:8]
+    right[0:4], right[4:8], right[8:11] = kept[11:15], kept[4:8], kept[1:4]
+    return np.concatenate((owner, owner)), children
 
 
 @dataclass(frozen=True)
@@ -469,7 +460,7 @@ class RealClassifier:
         """
         re, im = np.broadcast_arrays(np.asarray(re, np.float64), np.asarray(im, np.float64))
         with np.errstate(over="ignore", invalid="ignore"):  # silent, as with floats
-            return _classify_lanes(re, im, self.cfg).reshape(re.shape)
+            return _classify_blocks(re, im, self.cfg).reshape(re.shape)
 
     def describe(self) -> dict:
         return {

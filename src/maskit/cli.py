@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import os
 import shlex
 import sys
 import time
@@ -27,7 +28,14 @@ from json.encoder import encode_basestring_ascii as _json_str
 from .classify import REAL_PART_LIMIT, ClassifierConfig, RealClassifier, SyntheticSlice
 from .cusps import BoundaryCuspError, cusp_point
 from .farey import slopes_up_to
-from .raster import Window, components, rasterize_a_slice, rasterize_maskit, save_ppm
+from .raster import (
+    Window,
+    components,
+    rasterize_a_slice,
+    rasterize_maskit,
+    save_ppm,
+    to_ppm_bytes,
+)
 from .witness import (
     WitnessSearchError,
     components_near_infinity,
@@ -185,6 +193,35 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
+def _write_files(files) -> None:
+    """Write each (path, text or bytes) of files, all of them or none.
+
+    Each is written to a temporary sibling first, and the temporaries
+    replace their paths only once every one is written.  On failure the
+    temporaries are removed, and so are the paths already replaced, before
+    the OSError propagates.
+    """
+    staged, replaced = [], []
+    try:
+        for i, (path, data) in enumerate(files):
+            head, tail = os.path.split(os.fspath(path))
+            tmp = os.path.join(head, f".{tail}.{os.getpid()}.{i}.tmp")
+            text = isinstance(data, str)
+            with open(tmp, "x" if text else "xb", encoding="utf-8" if text else None) as fh:
+                staged.append(tmp)
+                fh.write(data)
+        for tmp, (path, _) in zip(staged, files):
+            os.replace(tmp, path)
+            replaced.append(path)
+    except OSError:
+        for leftover in staged + replaced:
+            try:
+                os.remove(leftover)
+            except OSError:
+                pass
+        raise
+
+
 def cmd_render_maskit(args) -> int:
     cfg = _build_cfg(args)
     win = _window(args)
@@ -249,12 +286,17 @@ def cmd_a_slice(args) -> int:
         "cfg": RealClassifier(cfg).describe(),
     }
     _maybe_timestamp(doc, args)
+    text = _json_text(doc) + "\n"
+    files = [(args.out, to_ppm_bytes(grid))]
+    if args.json_out != "-":
+        files.append((args.json_out, text))
     try:
-        _write_text(args.json_out, _json_text(doc) + "\n")
-        save_ppm(grid, args.out)
+        _write_files(files)
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
+    if args.json_out == "-":
+        sys.stdout.write(text)
     print(f"wrote {args.out} and {args.json_out}: {rep.count} components")
     return EXIT_OK
 
@@ -303,8 +345,8 @@ def cmd_witness(args) -> int:
     doc = _maybe_timestamp(report.to_json_dict(counting, classifier.describe()), args)
 
     try:
-        _write_text(f"{prefix}.json", _json_text(doc) + "\n")
-        save_ppm(counting.raster, f"{prefix}.ppm")
+        text = _json_text(doc) + "\n"
+        _write_files([(f"{prefix}.json", text), (f"{prefix}.ppm", to_ppm_bytes(counting.raster))])
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from maskit.classify import (
 )
 from maskit.farey import slope_word
 from maskit.moebius import make_sigma_z, trace, word_matrix
+from maskit.raster import Window
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -182,17 +184,19 @@ def test_classify_grid_matches_classify_point(points, k, cfg):
     "constants",
     [
         {},
-        {"_GRID_BLOCK": 7},  # fan-block edges inside the grid
-        {"_GRID_DEPTH": 1},  # every deep stack goes to classify_point
-        {"_GRID_STRAGGLERS": 0},  # the lock-step loop runs to the end
-        # the lanes drain the queue, then every live point goes to classify_point
-        {"_GRID_STRAGGLERS": 10**9},
+        {"_GRID_BLOCK": 7},  # fan and search blocks end inside the grid
+        # every searched point has at least two fan edges, so every block's
+        # first frontier passes the cap: all go to classify_point
+        {"_GRID_EDGES": 1},
+        {"_GRID_BLOCK": 10**9},  # one block searches the whole queue
+        # a small cap: some blocks pass it mid-search, others finish
+        {"_GRID_BLOCK": 7, "_GRID_EDGES": 30},
         # Below 2 the search rejects past the fan too, and runs deep; below
         # 1 some traces overflow, and abs() raises OverflowError.
         {"REJECT_THRESHOLD": 1.5},
-        {"REJECT_THRESHOLD": 1.5, "_GRID_DEPTH": 3},
+        {"REJECT_THRESHOLD": 1.5, "_GRID_BLOCK": 7, "_GRID_EDGES": 30},
         {"REJECT_THRESHOLD": 0.5},
-        # one or three lanes: a lane is refilled on almost every round
+        # one or three points per block: a block rarely holds a whole row
         {"_GRID_BLOCK": 1},
         {"_GRID_BLOCK": 3},
     ],
@@ -212,12 +216,13 @@ def test_classify_grid_pinned_cases(monkeypatch, constants, cfg):
     assert RealClassifier(cfg).classify_grid(re, im).tolist() == want
 
 
-@pytest.mark.parametrize("lanes", [1024, 16])
-def test_classify_grid_refills_lanes_from_a_sparse_queue(monkeypatch, lanes):
-    # 16 fan blocks of points the fan settles (inside at Im z = 6, outside
-    # at 0.5), with 40 points that need a search scattered among them.  A
-    # budget of 16 nodes cuts off about half of their searches.
-    monkeypatch.setattr(maskit.classify, "_GRID_BLOCK", lanes)
+@pytest.mark.parametrize("block", [1024, 16])
+def test_classify_grid_searches_a_sparse_queue(monkeypatch, block):
+    # 16,384 points the fan settles (inside at Im z = 6, outside at 0.5),
+    # with 40 points that need a search scattered among them: the queue
+    # gathers those into search blocks.  A budget of 16 nodes cuts off about
+    # half of their searches.
+    monkeypatch.setattr(maskit.classify, "_GRID_BLOCK", block)
     rng = np.random.default_rng(7)
     re = rng.uniform(-3.0, 3.0, 16 * 1024)
     im = np.where(rng.random(re.size) < 0.5, 6.0, 0.5)
@@ -227,6 +232,76 @@ def test_classify_grid_refills_lanes_from_a_sparse_queue(monkeypatch, lanes):
     assert sum(n > 16 for n in explored) >= 10 and sum(7 < n <= 16 for n in explored) >= 10
     for cfg in (ClassifierConfig(), ClassifierConfig(node_budget=16)):
         assert RealClassifier(cfg).classify_grid(re, im).tolist() == _scalar_codes(re, im, cfg)
+
+
+def _count_handoffs(monkeypatch) -> list:
+    """The points classify_grid hands to classify_point from now on."""
+    calls = []
+    scalar = maskit.classify.classify_point
+
+    def counting(z, cfg=None):
+        calls.append(z)
+        return scalar(z, cfg)
+
+    monkeypatch.setattr(maskit.classify, "classify_point", counting)
+    return calls
+
+
+def _render_chunk():
+    """Rows 128 to 191 of the 512² render window: the 64×512 chunk whose
+    search frontiers are the largest."""
+    xs, ys = Window.from_bounds(-3.0, 3.0, 0.0, 3.0, 512, 512).centers()
+    return np.broadcast_arrays(xs, ys[128:192, None])
+
+
+@pytest.mark.parametrize("z", [-1 + 1.8j, -0.95 + 1.8j, -1 + 1.9j, -1 + 2.5j, -0.85 - 2.5j])
+def test_classify_grid_is_exact_at_the_budget(monkeypatch, z):
+    # The whole tree of z has n nodes.  At node_budget = n the search
+    # finishes it and gives the inside verdict itself; at n - 1 the tree
+    # passes the budget, and classify_point decides (Undetermined).
+    n = classify_point(z).explored
+    assert classify_point(z).verdict in (Verdict.INSIDE_PLUS, Verdict.INSIDE_MINUS)
+    calls = _count_handoffs(monkeypatch)
+    for budget, handed in ((n, 0), (n - 1, 1)):
+        cfg = ClassifierConfig(node_budget=budget)
+        want = _scalar_codes([z.real], [z.imag], cfg)
+        calls.clear()
+        assert RealClassifier(cfg).classify_grid(z.real, z.imag).tolist() == want[0]
+        assert len(calls) == handed
+    assert want == [_VERDICT_CODE[Verdict.UNDETERMINED]]
+
+
+def test_classify_grid_hands_off_only_order_dependent_points(monkeypatch):
+    re, im = _render_chunk()
+    calls = _count_handoffs(monkeypatch)
+    RealClassifier().classify_grid(re, im)
+    assert calls == []
+    # Rejections past the fan, and trees past a small budget, are decided
+    # by classify_point.
+    monkeypatch.setattr(maskit.classify, "REJECT_THRESHOLD", 1.5)
+    cfg = ClassifierConfig(node_budget=9)
+    codes = RealClassifier(cfg).classify_grid(re, im)
+    assert len(calls) > 0
+    assert codes.ravel().tolist() == _scalar_codes(re.ravel(), im.ravel(), cfg)
+
+
+# tracemalloc's peak for classify_grid on _render_chunk() with the lock-step
+# lanes this search replaced (numpy 2.4.6).  The frontiers, 512 queued points
+# to a block, stay below it.
+_LANES_PEAK_BYTES = 1_568_625
+
+
+def test_classify_grid_peak_allocation():
+    re, im = _render_chunk()
+    clf = RealClassifier()
+    clf.classify_grid(re, im)  # numpy's one-time allocations
+    tracemalloc.start()
+    try:
+        clf.classify_grid(re, im)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _LANES_PEAK_BYTES
 
 
 def test_classify_grid_shapes():

@@ -440,9 +440,33 @@ def test_a_slice_unwritable_json_writes_no_ppm(tmp_path, capsys):
     assert main(argv) == EXIT_IO
     assert "cannot write output" in capsys.readouterr().err
     assert not ppm.exists()
+    assert list(tmp_path.iterdir()) == []  # no temporary left behind
 
 
-# sha256 of render-maskit --window -3 3 0 3 --res 512x512: the lock-step
+def test_a_slice_unwritable_ppm_writes_no_json(tmp_path, capsys):
+    doc_path = tmp_path / "e.json"
+    argv = [
+        "a-slice",
+        "--z", "0", "4",
+        "--res", "2x2",
+        "--out", str(tmp_path / "no-such-dir" / "a.ppm"),
+        "--json", str(doc_path),
+    ]
+    assert main(argv) == EXIT_IO
+    assert "cannot write output" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no e.json and no temporary
+
+
+def test_a_slice_json_to_stdout(tmp_path, capsys):
+    ppm = tmp_path / "a.ppm"
+    argv = ["a-slice", "--z", "0", "4", "--res", "2x2", "--out", str(ppm), "--json", "-"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert json.loads(out[: out.rindex("}") + 1])["count"] >= 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ppm"]
+
+
+# sha256 of render-maskit --window -3 3 0 3 --res 512x512: the batch
 # kernel and the pool may not move a byte of the render.
 RENDER_512_SHA256 = "6d5aa4240eddafa9a44db75dabaf9b35303306c0a769b5003840ed14bfcbd88b"
 
@@ -499,6 +523,17 @@ def test_witness_synthetic_certifies(tmp_path, capsys):
     assert "generated_at" not in doc
     header = (prefix.parent / (prefix.name + ".ppm")).read_bytes()
     assert header.startswith(b"P6\n")
+
+
+def test_witness_unwritable_ppm_writes_no_json(tmp_path, capsys):
+    # A directory where the PPM should go: the JSON is written to its
+    # temporary first, and must not survive the PPM's failed rename.
+    (tmp_path / "w.ppm").mkdir()
+    code, prefix = _run_witness(tmp_path, "w", [])
+    assert code == EXIT_IO
+    assert "cannot write output" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["w.ppm"]
+    assert list((tmp_path / "w.ppm").iterdir()) == []
 
 
 def test_witness_worker_count_byte_identical(tmp_path):
