@@ -48,12 +48,10 @@ the limit that decided it: "budget", "q_max" or "margin".  Points with
 
 RealClassifier.classify_grid gives classify_point's verdicts for whole
 arrays of points at once, as uint8 codes: the integer fan is settled in
-bulk, then the points it leaves are searched in blocks, one tree level of
-every point per round.  The search runs on float arrays with CPython's own
-complex arithmetic written out, so each trace is the scalar one bit for bit.
-A point whose whole pruned tree fits in the budget gets a verdict that does
-not depend on the search order; the few points where the order could matter
-go to classify_point.
+bulk, then the points it leaves are searched in blocks, a tree level a round,
+with CPython's complex arithmetic written out on float arrays, so each trace
+is the scalar one bit for bit.  The few points whose verdict could depend on
+the search order go to classify_point.
 SyntheticSlice.classify_grid does the same for the stand-in slice.
 
 a_membership layers the two-parameter test on top: w belongs to the locus
@@ -119,14 +117,12 @@ _VERDICT_CODE = {
     Verdict.UNDETERMINED: CELL_UNDETERMINED,
 }
 
-# classify_grid's level-by-level search.  The integer fan is settled
-# _GRID_BLOCK input points at a time, and the points it leaves searching are
-# queued.  The queue is searched _GRID_BLOCK points at a time, one tree level
-# per round, with every live edge of a block in one frontier.  A round takes
-# up to some 500 bytes an edge.  At 512 points a block's frontier stays
-# within 3,072 edges on the 512² render, so a round's arrays stay near 1 MB.
-# The live points of a block whose frontier would pass _GRID_EDGES edges go
-# to classify_point, so that no round takes more than about 8 MB.
+# classify_grid settles the integer fan _FAN_BLOCK points at a time (its cost
+# is mostly per call) and searches the points it leaves _GRID_BLOCK at a
+# time.  A search round takes up to some 400 bytes an edge; at 512 points a
+# block's frontier stays within 3,072 edges on the 512² render, and
+# _GRID_EDGES keeps any round below about 7 MB.
+_FAN_BLOCK = 4096
 _GRID_BLOCK = 512
 _GRID_EDGES = 2**14
 # The integer fan lies within this many translates of the nearest one:
@@ -279,26 +275,32 @@ def _fan_trace(re: np.ndarray, im: np.ndarray, two_n: np.ndarray):
     return tr, ti, np.hypot(tr, ti)
 
 
+def _reused(store: list, i: int, shape) -> np.ndarray:
+    """An uninitialised float array of the given shape in the flat buffer
+    store[i], grown as needed.  Fresh arrays of this size each round would
+    cost a page fault a page, as malloc gives them back between rounds."""
+    size = math.prod(shape)
+    if store[i].size < size:
+        store[i] = np.empty(size)
+    return store[i][:size].reshape(shape)
+
+
 def _classify_blocks(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig) -> np.ndarray:
     """classify_point's verdict codes for the points re.flat + i*im.flat.
 
-    _settle_fans settles the integer fan of every point, and raises
-    ValueError where classify_point would.  The points it leaves searching
-    are queued, and searched _GRID_BLOCK points at a time, level by level.
-    Every live edge of a block sits in one frontier, and each round
-    (_next_level) replaces it by the children of the edges that go on.  A
-    point whose frontier empties with explored <= node_budget has explored
-    classify_point's whole tree, so its verdict does not depend on the
-    search order: inside, or Undetermined if a trace fell below the bar or
-    an edge was capped at q_max.  The others are handed to classify_point:
-    a point whose tree passes node_budget, a point with a trace below
-    REJECT_THRESHOLD (which one classify_point meets first depends on the
-    order), a point with an infinite modulus (abs() raises OverflowError
-    where np.hypot gives inf from finite parts), and every live point of a
-    block whose frontier would pass _GRID_EDGES edges.
+    The points _settle_fans leaves searching are queued, and searched
+    _GRID_BLOCK points at a time, level by level: each round replaces the
+    block's frontier, all its live edges, by the children of the edges that
+    go on.  A point whose frontier empties with explored <= node_budget has
+    met classify_point's whole tree, so its verdict (inside, or Undetermined
+    if spoiled) does not depend on the search order.  classify_point decides
+    the rest: a tree past node_budget, a trace below REJECT_THRESHOLD (which
+    one the scalar search meets first depends on the order), an infinite
+    modulus, and the live points of a frontier that would pass _GRID_EDGES.
     """
     out, first_hi, first_sp, first_spoiled = _settle_fans(re, im, cfg)
     handoff = []
+    store = [np.empty(0)] * 2  # the frontier and its children
     queue = np.flatnonzero(first_sp)
     for b in range(0, queue.size, _GRID_BLOCK):
         p = queue[b : b + _GRID_BLOCK]
@@ -306,12 +308,12 @@ def _classify_blocks(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig) -> n
         explored = sp + 1
         spoiled = first_spoiled[p]
         handed = np.zeros(p.size, bool)
-        owner, frontier = _fan_edges(re.flat[p], im.flat[p], first_hi[p], sp)
+        owner, frontier = _fan_edges(re.flat[p], im.flat[p], first_hi[p], sp, store)
         while owner.size:
             if owner.size > _GRID_EDGES:
                 handed[owner] = True
                 break
-            owner, frontier = _next_level(owner, frontier, explored, spoiled, handed, cfg)
+            owner, frontier = _next_level(owner, frontier, explored, spoiled, handed, cfg, store)
         out[p[spoiled]] = CELL_UNDETERMINED
         handoff.extend(p[handed].tolist())
     for p in handoff:
@@ -321,7 +323,7 @@ def _classify_blocks(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig) -> n
 
 
 def _settle_fans(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig):
-    """The integer fan of the points re.flat + i*im.flat, _GRID_BLOCK points
+    """The integer fan of the points re.flat + i*im.flat, _FAN_BLOCK points
     at a time: the verdict codes it settles, and for each point it leaves
     searching (the others read 0 there) hi, the offset of the fan's right
     end from n0 = round(-Re z / 2); sp, its number of fan edges; and
@@ -344,9 +346,9 @@ def _settle_fans(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig):
     # modulus is at least g (see _FAN_REACH), above the bar: only
     # |k| < _FAN_REACH can stop lo or hi, reject or spoil.
     ks = np.arange(1 - _FAN_REACH, _FAN_REACH)[:, None]
-    for b in range(0, size, _GRID_BLOCK):
-        x = re.flat[b : b + _GRID_BLOCK]
-        y = im.flat[b : b + _GRID_BLOCK]
+    for b in range(0, size, _FAN_BLOCK):
+        x = re.flat[b : b + _FAN_BLOCK]
+        y = im.flat[b : b + _FAN_BLOCK]
         ok = (np.abs(x) <= REAL_PART_LIMIT) & np.isfinite(y)
         if not ok.all():
             i = int(np.argmin(ok))
@@ -355,7 +357,7 @@ def _settle_fans(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig):
         rejected = (np.hypot(x + two_n0, y) < REJECT_THRESHOLD) | (y == 0.0)
         codes = np.where(y > 0, CELL_INSIDE_PLUS, CELL_INSIDE_MINUS).astype(np.uint8)
         codes[rejected] = CELL_OUTSIDE
-        out[b : b + _GRID_BLOCK] = codes
+        out[b : b + _FAN_BLOCK] = codes
         p = np.flatnonzero(~rejected)
         x, y, two_n0 = x[p], y[p], two_n0[p]
         p += b
@@ -376,16 +378,12 @@ def _settle_fans(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig):
     return out, first_hi, first_sp, first_spoiled
 
 
-def _fan_edges(x, y, hi, sp):
-    """The first frontier of the queued points x + i*y, and the point each
-    of its edges belongs to.
-
-    A frontier is a float array of 15 rows, one column per edge: the left
-    vertex (q, Re t, Im t, |t|), the right vertex, the difference (Re t,
-    Im t, |t|), and room for the mediant (q, Re t, Im t, |t|).  Point i's
-    fan vertices n0 + hi - sp, ..., n0 + hi are formed one after another;
-    its fan edges (n, n + 1), with difference 1/0 of trace 2, are the pairs
-    of consecutive vertices.
+def _fan_edges(x, y, hi, sp, store):
+    """The first frontier of the queued points x + i*y, in store[0], and the
+    point each edge belongs to.  A frontier has a column per edge and 11
+    rows: the left vertex (q, Re t, Im t, |t|), the right vertex, and the
+    difference (Re t, Im t, |t|).  Point i's fan edges (n, n + 1), of
+    difference 1/0 and trace 2, join its fan vertices n0 + hi - sp to n0 + hi.
     """
     owner = np.repeat(np.arange(x.size), sp + 1)
     last = np.cumsum(sp + 1) - 1
@@ -394,7 +392,7 @@ def _fan_edges(x, y, hi, sp):
     is_left = np.ones(owner.size, bool)
     is_left[last] = False
     left = np.flatnonzero(is_left)
-    frontier = np.empty((15, left.size))
+    frontier = _reused(store, 0, (11, left.size))
     frontier[0] = frontier[4] = 1.0
     frontier[1:4] = vertex.take(left, axis=1)
     frontier[5:8] = vertex.take(left + 1, axis=1)
@@ -402,43 +400,51 @@ def _fan_edges(x, y, hi, sp):
     return owner[left], frontier
 
 
-def _next_level(owner, frontier, explored, spoiled, handed, cfg: ClassifierConfig):
-    """One level of _classify_blocks' search: the next frontier, and the
-    point each of its edges belongs to.
-
-    Every mediant is formed with each complex product written out as
-    CPython forms it and each modulus np.hypot, as abs(complex) is, so each
-    trace and each comparison is classify_point's bit for bit.  Adds each
-    point's new nodes to explored, and marks spoiled and handed points, in
-    place.
-    """
+def _next_level(owner, frontier, explored, spoiled, handed, cfg: ClassifierConfig, store):
+    """One search round: the next frontier and the point each edge belongs
+    to.  Complex products are written out as CPython forms them and moduli
+    are np.hypot, as abs(complex) is, so each comparison is classify_point's
+    bit for bit.  Updates explored, spoiled and handed in place."""
     g = GROW_THRESHOLD
     bar = 2.0 + INSIDE_MARGIN
-    lq, tlr, tli, al, rq, trr, tri, ar, tdr, tdi, ad, mq, tmr, tmi, m = frontier
+    lq, tlr, tli, al, rq, trr, tri, ar, tdr, tdi, ad = frontier
+    mediant = np.empty((4, owner.size))
+    mq, tmr, tmi, m = mediant
     np.add(lq, rq, out=mq)
     np.subtract(tlr * trr - tli * tri, tdr, out=tmr)
     np.subtract(tlr * tri + tli * trr, tdi, out=tmi)
     np.hypot(tmr, tmi, out=m)
     explored += np.bincount(owner, minlength=explored.size)
-    spoiled[owner[m < bar]] = True
     big_l = al >= g
     big_r = ar >= g
-    ends = big_l & big_r & (m >= np.where(al >= ar, al, ar))
+    ends = big_l & big_r & (m >= np.maximum(al, ar))
     ends |= (al > 2.0) & big_r & (ad <= ar)
     ends |= (ar > 2.0) & big_l & (ad <= al)
-    capped = ~ends & (mq >= cfg.q_max)
-    spoiled[owner[capped]] = True
-    handed[owner[(m < REJECT_THRESHOLD) | np.isinf(m)]] = True
+    # Rare, so dealt with only where they occur: a trace below the bar or
+    # REJECT_THRESHOLD, an infinite modulus (abs() raises OverflowError where
+    # np.hypot gives inf from finite parts), a q_max cap, a handed point.
+    if ((m < max(bar, REJECT_THRESHOLD)) | (m == np.inf)).any():
+        spoiled[owner[m < bar]] = True
+        handed[owner[(m < REJECT_THRESHOLD) | np.isinf(m)]] = True
+    capped = mq >= cfg.q_max
+    if capped.any():
+        capped &= ~ends
+        spoiled[owner[capped]] = True
+        ends |= capped
     handed |= explored > cfg.node_budget
-    goes = ~(ends | capped | handed[owner])
-    kept = frontier.compress(goes, axis=1)
-    owner = owner[goes]
-    # The edge (l, r; d) goes on as (l, m; r) and (m, r; l).
-    s = owner.size
-    children = np.empty((15, 2 * s))
-    left, right = children[:, :s], children[:, s:]
-    left[0:4], left[4:8], left[8:11] = kept[0:4], kept[11:15], kept[5:8]
-    right[0:4], right[4:8], right[8:11] = kept[11:15], kept[4:8], kept[1:4]
+    if handed.any():
+        ends |= handed[owner]
+    goes = np.flatnonzero(~ends)
+    s = goes.size
+    left, right = frontier[0:4].take(goes, axis=1), frontier[4:8].take(goes, axis=1)
+    mediant = mediant.take(goes, axis=1)
+    # The edge (l, r; d) goes on as (l, m; r) and (m, r; l).  The children
+    # go to the buffer the frontier is not in, which becomes store[0].
+    children = _reused(store, 1, (11, 2 * s))
+    store[0], store[1] = store[1], store[0]
+    children[0:4, :s], children[4:8, :s], children[8:11, :s] = left, mediant, right[1:]
+    children[0:4, s:], children[4:8, s:], children[8:11, s:] = mediant, right, left[1:]
+    owner = owner.take(goes)
     return np.concatenate((owner, owner)), children
 
 

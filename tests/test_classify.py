@@ -184,7 +184,7 @@ def test_classify_grid_matches_classify_point(points, k, cfg):
     "constants",
     [
         {},
-        {"_GRID_BLOCK": 7},  # fan and search blocks end inside the grid
+        {"_FAN_BLOCK": 7, "_GRID_BLOCK": 7},  # fan and search blocks end inside the grid
         # every searched point has at least two fan edges, so every block's
         # first frontier passes the cap: all go to classify_point
         {"_GRID_EDGES": 1},
@@ -196,9 +196,9 @@ def test_classify_grid_matches_classify_point(points, k, cfg):
         {"REJECT_THRESHOLD": 1.5},
         {"REJECT_THRESHOLD": 1.5, "_GRID_BLOCK": 7, "_GRID_EDGES": 30},
         {"REJECT_THRESHOLD": 0.5},
-        # one or three points per block: a block rarely holds a whole row
-        {"_GRID_BLOCK": 1},
-        {"_GRID_BLOCK": 3},
+        # one or three points to a fan block and to a search block
+        {"_FAN_BLOCK": 1, "_GRID_BLOCK": 1},
+        {"_FAN_BLOCK": 3, "_GRID_BLOCK": 3},
     ],
 )
 @pytest.mark.parametrize("cfg", _CFGS)
