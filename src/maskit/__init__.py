@@ -1,10 +1,13 @@
 """Numerical toolkit for once-punctured-torus quasifuchsian slices.
 
-The package pins down one two-parameter family of representations,
-computes slope traces exactly, classifies points of the parameter
-slice, locates boundary cusps to high precision, rasterizes slices,
-and certifies a rectangle witnessing infinitely many bounded
-components in an extension locus.
+For the family A = [[iz, i], [i, 0]], B = [[1, 2], [0, 1]], extended by the
+commuting parabolic C = [[1, w], [0, 1]], the package computes slope traces
+by the Farey recursion (as numbers and as exact polynomials), classifies
+points of the parameter slice, locates boundary cusps to high precision,
+rasterizes slices, and certifies a rectangle witnessing infinitely many
+bounded components in an extension locus.  It works with traces only; the
+matrices themselves live beside the tests, as the oracle that the
+recursion is checked against.
 """
 
 from .classify import (
@@ -31,26 +34,9 @@ from .farey import (
     FareySlope,
     TraceCache,
     TracePolynomial,
-    farey_difference,
-    farey_parents,
-    mediant,
     slope,
-    slope_word,
     slopes_up_to,
-    trace_of_slope,
     trace_polynomial,
-)
-from .moebius import (
-    ExtendedRep,
-    Moebius,
-    PuncturedTorusRep,
-    commutator,
-    make_moebius,
-    make_sigma_z,
-    make_sigma_zw,
-    normalized_length,
-    trace,
-    word_matrix,
 )
 from .raster import (
     CELL_INSIDE_MINUS,
@@ -77,6 +63,7 @@ from .witness import (
     build_R,
     components_near_infinity,
     find_rectangle,
+    normalized_length,
     verify_witness,
 )
 
@@ -99,10 +86,7 @@ __all__ = [
     "ComponentReport",
     "ComponentsNearInfinity",
     "CuspResult",
-    "ExtendedRep",
     "FareySlope",
-    "Moebius",
-    "PuncturedTorusRep",
     "Raster",
     "RealClassifier",
     "RootSolveError",
@@ -116,17 +100,10 @@ __all__ = [
     "a_membership",
     "build_R",
     "classify_point",
-    "commutator",
     "components",
     "components_near_infinity",
     "cusp_point",
-    "farey_difference",
-    "farey_parents",
     "find_rectangle",
-    "make_moebius",
-    "make_sigma_z",
-    "make_sigma_zw",
-    "mediant",
     "membership_with",
     "normalized_length",
     "pleating_ray",
@@ -135,10 +112,6 @@ __all__ = [
     "rasterize_maskit",
     "save_ppm",
     "slope",
-    "slope_word",
     "slopes_up_to",
-    "trace",
-    "trace_of_slope",
     "trace_polynomial",
-    "word_matrix",
 ]

@@ -270,6 +270,8 @@ def cmd_a_slice(args) -> int:
     z = complex(*args.z)
     if not cmath.isfinite(z):
         raise _UsageError(f"--z must be finite, got {z}")
+    if args.json_out != "-" and os.path.realpath(args.out) == os.path.realpath(args.json_out):
+        raise _UsageError(f"--out and --json name the same file: {args.out}")
     win = _window(args)
     try:
         grid = rasterize_a_slice(z, win, cfg, workers=args.workers)

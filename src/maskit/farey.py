@@ -12,10 +12,10 @@ which on the Farey diagram reads
     t_mediant = t_left * t_right - t_difference,
 
 where "difference" is the fourth vertex of the Farey quadrilateral around the
-edge (left, right).  With the word convention fixed below (0/1 -> "a",
-1/0 -> "b", mediant -> concatenation in fraction order) the recursion holds
-with this exact sign, no per-step sign choices -- checked against direct
-matrix products in the test suite.
+edge (left, right).  With the word convention 0/1 -> "a", 1/0 -> "b",
+mediant -> concatenation in fraction order, the recursion holds with this
+exact sign, no per-step sign choices -- checked in the test suite against
+matrix products of the words, which the package itself never forms.
 
 Seeds:  t_{0/1} = iz,  t_{1/0} = 2,  t_{1/1} = i(z+2),  t_{-1/1} = i(z-2);
 more generally t_{n/1} = i(z+2n).  Every t_{p/q} equals i^q times an
@@ -25,21 +25,23 @@ trace_polynomial computes exactly (Gaussian-integer pairs, arbitrary size).
 The recursion lives in one place: _edge_pq gives the parents and the
 normalised difference vertex of an edge, and _fill applies the identity
 above over a memo table.  TraceCache runs it on complex numbers for one z,
-trace_polynomial on exact polynomials.  classify.py carries two more
-copies of the step, with the traces on their stacks, because they are the
-hot loops: classify_point's depth-first search, and RealClassifier's
-classify_grid, the same search run in lock step over float arrays, which
-the tests hold equal to classify_point verdict for verdict.
+trace_polynomial on exact polynomials, and cusps.py on the slots of its
+continuation schedule.  classify.py carries two more copies of the step,
+because they are the hot loops: classify_point's depth-first search, with
+the traces on its stack, and RealClassifier's classify_grid, which searches
+blocks of points a tree level a round with every live edge of a block in
+flat float arrays, and which the tests hold equal to classify_point verdict
+for verdict.
 
-Caches are per-z and mutated by trace_of_slope; confine each cache to one
-worker at a time.  The polynomial table is shared and only ever grows.
+A TraceCache holds one z and grows as its trace method fills it; confine
+each cache to one worker at a time.  The polynomial table is shared and only
+ever grows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 @dataclass(frozen=True, order=True)
@@ -71,12 +73,6 @@ def slope(p: int, q: int) -> FareySlope:
         return FareySlope(1, 0)
     g = math.gcd(abs(p), q)
     return FareySlope(p // g, q // g)
-
-
-INFINITY = FareySlope(1, 0)
-ZERO = FareySlope(0, 1)
-
-_ROOTS = {(0, 1), (1, 0), (1, 1), (-1, 1)}
 
 
 def _parents_pq(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -136,57 +132,6 @@ def _fill(table: dict, key: tuple[int, int]):
     return table[key]
 
 
-def farey_parents(s: FareySlope) -> tuple[FareySlope, FareySlope]:
-    """The unique Farey-neighbor pair whose mediant is s.
-
-    The returned pair (l, r) satisfies l + r = s as integer vectors and
-    |l.p*r.q - r.p*l.q| = 1.  For positive slopes l < s < r as fractions.
-    """
-    if (s.p, s.q) in _ROOTS:
-        raise ValueError("root slope has no parents")
-    (lp, lq), (rp, rq) = _parents_pq(s.p, s.q)
-    return FareySlope(lp, lq) if lq else INFINITY, FareySlope(rp, rq) if rq else INFINITY
-
-
-def mediant(l: FareySlope, r: FareySlope) -> FareySlope:
-    return slope(l.p + r.p, l.q + r.q)
-
-
-def farey_difference(s: FareySlope) -> FareySlope:
-    """Fourth vertex of the Farey quadrilateral around s's parent edge.
-
-    Computed from representative vectors (see _edge_pq), not from normalized
-    parent slopes, so negative integer slopes land on the right vertex.
-    """
-    if (s.p, s.q) in _ROOTS:
-        raise ValueError("root slope has no difference")
-    _, _, (dp, dq) = _edge_pq(s.p, s.q)
-    return FareySlope(dp, dq)
-
-
-@lru_cache(maxsize=None)
-def _word_pos(p: int, q: int) -> str:
-    # Christoffel concatenation for p >= 0: word(mediant) = word(l) + word(r).
-    if (p, q) == (1, 0):
-        return "b"
-    if q == 1:
-        return "a" + "b" * p  # closed form of the concatenation chain
-    (lp, lq), (rp, rq) = _parents_pq(p, q)
-    return _word_pos(lp, lq) + _word_pos(rp, rq)
-
-
-def slope_word(s: FareySlope) -> str:
-    """Cyclically-reduced representative word: q letters a, |p| letters b.
-
-    b appears inverted (letter 'B') for negative slopes, which mirrors the
-    automorphism fixing a and inverting b.  Anchors: 0/1 -> "a", 1/0 -> "b",
-    1/1 -> "ab", 1/2 -> "aab".
-    """
-    if s.p < 0:
-        return _word_pos(-s.p, s.q).replace("b", "B")
-    return _word_pos(s.p, s.q)
-
-
 class TraceCache:
     """Memoized traces t_{p/q}(z) for one fixed parameter z."""
 
@@ -204,15 +149,6 @@ class TraceCache:
         return _fill(self.table, (s.p, s.q))
 
 
-def trace_of_slope(z, s: FareySlope, cache: TraceCache | None = None) -> complex:
-    """t_{p/q}(z), by the memoized Farey recursion (sign per word convention)."""
-    if cache is None:
-        cache = TraceCache(z)
-    elif cache.z != complex(z):
-        raise ValueError(f"cache belongs to z={cache.z!r}, not z={complex(z)!r}")
-    return cache.trace(s)
-
-
 @dataclass(frozen=True)
 class TracePolynomial:
     """Exact polynomial in z with Gaussian-integer coefficients.
@@ -226,13 +162,6 @@ class TracePolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def evaluate(self, z) -> complex:
-        z = complex(z)
-        acc = 0j
-        for re, im in reversed(self.coeffs):
-            acc = acc * z + complex(re, im)
-        return acc
 
     def __mul__(self, other: "TracePolynomial") -> "TracePolynomial":
         a, b = self.coeffs, other.coeffs

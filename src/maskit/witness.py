@@ -49,7 +49,6 @@ from .classify import (
     check_base_point,
     membership_with,
 )
-from .moebius import normalized_length
 from .raster import (
     _AVERDICT_CODE,
     CELL_MEMBER,
@@ -227,6 +226,19 @@ def build_R(q: AxisRectangle, z) -> AxisRectangle:
         3.0 * z.imag - q.im_max,
         3.0 * z.imag - q.im_min,
     )
+
+
+def normalized_length(w) -> float:
+    """Length of the translation w normalized by the coarea of the lattice <2, w>.
+
+    The two parabolic translations 2 (from b) and w (from c) span a rank-two
+    lattice of area 2*Im(w); the scale-free length of the w-curve in that
+    lattice is |w| / sqrt(2*Im(w)).  Defined for Im w > 0 only.
+    """
+    w = complex(w)
+    if w.imag <= 0:
+        raise ValueError("not a valid cusp parameter: Im w must be positive")
+    return abs(w) / math.sqrt(2.0 * w.imag)
 
 
 @dataclass(frozen=True)

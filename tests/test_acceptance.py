@@ -16,25 +16,19 @@ from maskit import (
     AVerdict,
     AxisRectangle,
     ClassifierConfig,
-    FareySlope,
     RealClassifier,
     TraceCache,
     Verdict,
     a_membership,
     classify_point,
-    commutator,
     cusp_point,
-    make_sigma_z,
     membership_with,
     normalized_length,
     slope,
-    slope_word,
     slopes_up_to,
-    trace,
-    trace_of_slope,
-    word_matrix,
 )
 from maskit.cli import main
+from oracle import commutator, generators, matrix_trace, tr
 
 SQRT3 = math.sqrt(3.0)
 
@@ -54,10 +48,6 @@ def _close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def _matrix_trace(z: complex, s: FareySlope) -> complex:
-    return trace(word_matrix(make_sigma_z(z), slope_word(s)))
-
-
 def test_criterion_1_boundary_cusp_fixtures(tmp_path):
     start = time.monotonic()
     out = tmp_path / "cusps.csv"
@@ -73,7 +63,7 @@ def test_criterion_1_boundary_cusp_fixtures(tmp_path):
     assert abs(z01 - 2j) < 1e-9
     assert abs(z12 - complex(-1.0, SQRT3)) < 1e-9
     for s, z in ((slope(0, 1), z01), (slope(1, 2), z12)):
-        t = trace_of_slope(z, s)
+        t = TraceCache(z).trace(s)
         assert abs(t * t - 4.0) < 1e-9
 
     expected_roots = {0.0 + 0.0j, -2.0 + 0.0j, complex(-1.0, SQRT3), complex(-1.0, -SQRT3)}
@@ -91,8 +81,7 @@ def test_criterion_2_parabolic_commutator():
     start = time.monotonic()
     rng = random.Random(20260814)
     for _ in range(1000):
-        rep = make_sigma_z(_sample_z(rng))
-        t = trace(commutator(rep.A, rep.B))
+        t = tr(commutator(*generators(_sample_z(rng))))
         assert abs(t - (-2.0)) < 1e-10
     assert time.monotonic() - start < 1.0
 
@@ -105,8 +94,8 @@ def test_criterion_3_recursion_matches_matrices():
         z = _sample_z(rng)
         cache = TraceCache(z)
         for s in slopes:
-            t_rec = trace_of_slope(z, s, cache)
-            t_mat = _matrix_trace(z, s)
+            t_rec = cache.trace(s)
+            t_mat = matrix_trace(z, s)
             assert _close(abs(t_rec), abs(t_mat), 1e-8), (z, s)
     assert time.monotonic() - start < 30.0
 
@@ -124,18 +113,16 @@ def test_criterion_4_symmetry_suite():
             "conj": TraceCache(z.conjugate()),
         }
         for s in slopes:
-            base = abs(trace_of_slope(z, s, caches["z"]))
+            base = abs(caches["z"].trace(s))
             shifted = slope(s.p + s.q, s.q)
             neg = slope(-s.p, s.q)
             assert _close(
-                abs(trace_of_slope(z + 2.0, s, caches["z+2"])),
+                abs(caches["z+2"].trace(s)),
                 abs(caches["z"].trace(shifted)),
                 1e-9,
             )
-            assert _close(abs(trace_of_slope(-z, neg, caches["-z"])), base, 1e-9)
-            assert _close(
-                abs(trace_of_slope(z.conjugate(), s, caches["conj"])), base, 1e-9
-            )
+            assert _close(abs(caches["-z"].trace(neg)), base, 1e-9)
+            assert _close(abs(caches["conj"].trace(s)), base, 1e-9)
 
     # Verdict equality under z -> z+2 and z -> -conj(z) on a 64^2 grid,
     # compared wherever both verdicts are determined.

@@ -30,9 +30,8 @@ from maskit.classify import (
     classify_point,
     membership_with,
 )
-from maskit.farey import slope_word
-from maskit.moebius import make_sigma_z, trace, word_matrix
 from maskit.raster import Window
+from oracle import matrix_trace
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -372,7 +371,7 @@ def test_rejection_witness_is_sound():
         c = classify_point(z)
         if c.verdict is not Verdict.OUTSIDE_CERTIFIED or c.witness is None:
             continue
-        t = trace(word_matrix(make_sigma_z(z), slope_word(c.witness)))
+        t = matrix_trace(z, c.witness)
         assert abs(t) < 2.0, f"witness {c.witness} at z={z} has |t|={abs(t)}"
         checked += 1
     assert checked > 100

@@ -466,6 +466,25 @@ def test_a_slice_json_to_stdout(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ppm"]
 
 
+@pytest.mark.parametrize(
+    "out, json_out", [("same.x", "same.x"), ("./same.x", "same.x"), ("same.x", "./same.x")]
+)
+def test_a_slice_same_path_for_both_outputs_is_usage_error(
+    out, json_out, tmp_path, monkeypatch, capsys
+):
+    # The JSON would replace the PPM just written; refused before classifying.
+    monkeypatch.chdir(tmp_path)
+
+    def no_raster(*args, **kwargs):
+        raise AssertionError("classified before the paths were checked")
+
+    monkeypatch.setattr(maskit.cli, "rasterize_a_slice", no_raster)
+    argv = ["a-slice", "--z", "0", "4", "--res", "8x8", "--out", out, "--json", json_out]
+    assert main(argv) == EXIT_USAGE
+    assert "--out and --json name the same file" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # sha256 of render-maskit --window -3 3 0 3 --res 512x512: the batch
 # kernel and the pool may not move a byte of the render.
 RENDER_512_SHA256 = "6d5aa4240eddafa9a44db75dabaf9b35303306c0a769b5003840ed14bfcbd88b"

@@ -1,8 +1,8 @@
 """Slope bookkeeping and the trace recursion against independent oracles.
 
-The load-bearing oracle is _matrix_trace: evaluate the slope word letter by
-letter as a matrix product and take the trace.  The recursion must agree
-with it (up to overall sign, which PSL2 does not see) for every slope.
+The load-bearing oracle is oracle.matrix_trace: evaluate the slope word
+letter by letter as a matrix product and take the trace.  The recursion must
+agree with it (up to overall sign, which PSL2 does not see) for every slope.
 """
 
 import math
@@ -13,25 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maskit import farey
-from maskit.farey import (
-    INFINITY,
-    ZERO,
-    FareySlope,
-    TraceCache,
-    farey_difference,
-    farey_parents,
-    mediant,
-    slope,
-    slope_word,
-    slopes_up_to,
-    trace_of_slope,
-    trace_polynomial,
-)
-from maskit.moebius import make_sigma_z, trace, word_matrix
+from maskit.farey import FareySlope, TraceCache, slope, slopes_up_to, trace_polynomial
+from oracle import matrix_trace, poly_value, slope_word
 
-
-def _matrix_trace(z, s):
-    return trace(word_matrix(make_sigma_z(z), slope_word(s)))
+INFINITY = FareySlope(1, 0)
+ZERO = FareySlope(0, 1)
 
 
 def _rel_err(a, b):
@@ -85,18 +71,17 @@ def _brute_parents(s):
     raise AssertionError(f"no parents found for {s}")
 
 
+def _parents(s):
+    l, r, _ = farey._edge_pq(s.p, s.q)
+    return l, r
+
+
 def test_parents_fixtures():
-    assert farey_parents(FareySlope(1, 2)) == (ZERO, FareySlope(1, 1))
-    assert farey_parents(FareySlope(2, 5)) == (FareySlope(1, 3), FareySlope(1, 2))
-    assert farey_parents(FareySlope(3, 5)) == (FareySlope(1, 2), FareySlope(2, 3))
-    assert farey_parents(FareySlope(2, 1)) == (FareySlope(1, 1), INFINITY)
-    assert farey_parents(FareySlope(-2, 1)) == (FareySlope(-1, 1), INFINITY)
-
-
-def test_parents_roots_raise():
-    for s in (ZERO, INFINITY, FareySlope(1, 1), FareySlope(-1, 1)):
-        with pytest.raises(ValueError, match="root slope has no parents"):
-            farey_parents(s)
+    assert _parents(FareySlope(1, 2)) == ((0, 1), (1, 1))
+    assert _parents(FareySlope(2, 5)) == ((1, 3), (1, 2))
+    assert _parents(FareySlope(3, 5)) == ((1, 2), (2, 3))
+    assert _parents(FareySlope(2, 1)) == ((1, 1), (1, 0))
+    assert _parents(FareySlope(-2, 1)) == ((-1, 1), (1, 0))
 
 
 @given(_reduced)
@@ -104,11 +89,11 @@ def test_parents_roots_raise():
 def test_parents_against_brute_force(s):
     if (s.p, s.q) in ((0, 1), (1, 0), (1, 1), (-1, 1)):
         return
-    l, r = farey_parents(s)
+    (lp, lq), (rp, rq) = _parents(s)
     bl, br = _brute_parents(s)
-    assert {(l.p, l.q), (r.p, r.q)} == {(bl.p, bl.q), (br.p, br.q)}
+    assert {(lp, lq), (rp, rq)} == {(bl.p, bl.q), (br.p, br.q)}
     # mediant property as integer vectors (1/0 may represent (-1, 0))
-    assert (l.p + r.p, l.q + r.q) in ((s.p, s.q), (s.p - 2 * r.p, s.q - 2 * r.q))
+    assert (lp + rp, lq + rq) in ((s.p, s.q), (s.p - 2 * rp, s.q - 2 * rq))
 
 
 @given(_reduced)
@@ -116,25 +101,22 @@ def test_parents_against_brute_force(s):
 def test_parents_are_farey_neighbors(s):
     if (s.p, s.q) in ((0, 1), (1, 0), (1, 1), (-1, 1)):
         return
-    l, r = farey_parents(s)
-    assert abs(l.p * r.q - r.p * l.q) == 1
+    (lp, lq), (rp, rq) = _parents(s)
+    assert abs(lp * rq - rp * lq) == 1
 
 
 def test_mediant_and_difference():
-    assert mediant(ZERO, FareySlope(1, 1)) == FareySlope(1, 2)
-    # edge (0/1, 1/1) has 1/2 below and 1/0 above: t_{1/2} = t_0 t_1 - 2
-    assert farey_difference(FareySlope(1, 2)) == INFINITY
+    # edge (0/1, 1/1) has mediant 1/2 below and 1/0 above: t_{1/2} = t_0 t_1 - 2
+    assert farey._edge_pq(1, 2) == ((0, 1), (1, 1), (1, 0))
     # parents of 2/5 are 1/3 and 1/2; 2*(1/3) - (2/5) = (0, 1) as vectors
-    assert farey_difference(FareySlope(2, 5)) == ZERO
-    with pytest.raises(ValueError, match="root slope has no difference"):
-        farey_difference(INFINITY)
+    assert farey._edge_pq(2, 5)[2] == (0, 1)
 
 
 def test_difference_for_negative_integer_slopes():
     # parents of -3/1 are (-2/1, 1/0) where 1/0 stands for the vector (-1,0);
     # the difference must come out on the vector arithmetic, not the labels
-    assert farey_difference(FareySlope(-3, 1)) == FareySlope(-1, 1)
-    assert farey_difference(FareySlope(3, 1)) == FareySlope(1, 1)
+    assert farey._edge_pq(-3, 1)[2] == (-1, 1)
+    assert farey._edge_pq(3, 1)[2] == (1, 1)
 
 
 def test_word_fixtures():
@@ -168,7 +150,7 @@ def test_trace_seeds():
 
 def test_half_slope_closed_form():
     for z in (0.3 + 1.1j, -2.0 + 0.25j, 1j):
-        got = trace_of_slope(z, FareySlope(1, 2))
+        got = TraceCache(z).trace(FareySlope(1, 2))
         assert abs(got - (-(z * z + 2 * z + 2))) < 1e-12
 
 
@@ -179,14 +161,14 @@ def _matrix_errors(zs, slopes):
         cache = TraceCache(z)
         for s in slopes:
             t_rec = cache.trace(s)
-            t_mat = _matrix_trace(z, s)
+            t_mat = matrix_trace(z, s)
             errs.append((min(_rel_err(t_rec, t_mat), _rel_err(-t_rec, t_mat)), s, z))
     return errs
 
 
 def _polynomial_errors(caches, slopes):
     return [
-        (_rel_err(trace_polynomial(s).evaluate(c.z), c.trace(s)), s, c.z)
+        (_rel_err(poly_value(trace_polynomial(s), c.z), c.trace(s)), s, c.z)
         for c in caches
         for s in slopes
     ]
@@ -213,12 +195,6 @@ def test_markov_identity():
         x, y, u = c.trace(ZERO), c.trace(INFINITY), c.trace(FareySlope(1, 1))
         lhs = x * x + y * y + u * u
         assert abs(lhs - x * y * u) < 1e-9 * max(1.0, abs(lhs))
-
-
-def test_cache_rejects_foreign_z():
-    cache = TraceCache(1j)
-    with pytest.raises(ValueError, match="cache belongs to"):
-        trace_of_slope(2j, ZERO, cache)
 
 
 def test_trace_polynomial_fixtures():

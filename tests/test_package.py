@@ -1,13 +1,16 @@
 """The package's public surface, and no dead code in its modules."""
 
 import ast
+import doctest
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import maskit
 
+_README = Path(__file__).resolve().parent.parent / "README.md"
 _MODULES = sorted(p for p in Path(maskit.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
 
@@ -69,3 +72,17 @@ def test_importing_the_cli_loads_no_mpmath():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, maskit.cli; assert 'mpmath' not in sys.modules, 'mpmath loaded'"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_readme_examples_run():
+    # The >>> lines of README's python fences, run without the closing fence,
+    # which `python -m doctest README.md` would read as expected output.
+    text = _README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    parser, runner = doctest.DocTestParser(), doctest.DocTestRunner()
+    examples = 0
+    for block in blocks:
+        test = parser.get_doctest(block, {}, "README.md", str(_README), 0)
+        examples += len(test.examples)
+        assert runner.run(test).failed == 0
+    assert examples > 0

@@ -1,6 +1,7 @@
 """Tests for pixel grids, rasterization, components, and PPM output."""
 
 import math
+import multiprocessing
 import types
 from collections import deque
 
@@ -242,6 +243,28 @@ def test_small_rasters_start_no_pool(monkeypatch):
     monkeypatch.setattr(maskit.raster, "_POOL_MIN_PX", win.rows * win.cols)
     assert to_ppm_bytes(rasterize_maskit(win, _FAST_CFG, workers=2)) == one
     assert sizes == [2]
+
+
+@pytest.mark.parametrize(
+    "classifier", [RealClassifier(_FAST_CFG), SyntheticSlice()], ids=["real", "synthetic"]
+)
+def test_membership_raster_through_a_real_pool(classifier, monkeypatch):
+    # Rasters below _POOL_MIN_PX stay in process, and _record_pools maps in
+    # process too: only here do pickled tasks reach worker processes.
+    monkeypatch.setattr(maskit.raster, "_POOL_MIN_PX", 0)
+    sizes = []
+
+    def recording_pool(processes):
+        sizes.append(processes)
+        return multiprocessing.Pool(processes)
+
+    monkeypatch.setattr(maskit.raster, "multiprocessing", types.SimpleNamespace(Pool=recording_pool))
+    z, win = complex(-3.0, 5.244615), Window.from_bounds(-4.0, 4.0, 0.0, 10.0, 16, 12)
+    one = rasterize_a_slice(z, win, classifier=classifier, workers=1)
+    two = rasterize_a_slice(z, win, classifier=classifier, workers=2)
+    assert sizes == [2]
+    assert {CELL_MEMBER, CELL_NON_MEMBER} <= set(np.unique(one.cells).tolist())
+    assert to_ppm_bytes(two) == to_ppm_bytes(one)
 
 
 def test_rasterize_maskit_counts_names():
