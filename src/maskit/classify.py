@@ -557,7 +557,10 @@ def membership_with(classifier, z, w) -> AMembership:
 
     Pre-condition: the base point z is already certified InsidePlus (see
     check_base_point; callers doing pixel sweeps check once, not per pixel).
-    Raises ValueError for a non-finite z or w.
+    Raises ValueError for a non-finite z or w.  Both test points are
+    classified, upper first, even where one verdict already decides: the
+    record's sub_verdicts carry both.  (raster.membership_grid, which keeps
+    no sub_verdicts, skips the upper point where the lower one is outside.)
     """
     z = complex(z)
     w = complex(w)

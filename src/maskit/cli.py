@@ -345,6 +345,10 @@ def cmd_witness(args) -> int:
         workers=args.workers,
     )
     doc = _maybe_timestamp(report.to_json_dict(counting, classifier.describe()), args)
+    # Keep what the exit code and stderr need: the report's boundary-sample
+    # records are freed before the writer runs, which sets the run's peak RSS.
+    certified, offending = report.all_certified, len(report.offending_samples)
+    del report
 
     try:
         text = _json_text(doc) + "\n"
@@ -353,7 +357,7 @@ def cmd_witness(args) -> int:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    ok = report.all_certified and counting.ok
+    ok = certified and counting.ok
     print(
         f"witness {'CERTIFIED' if ok else 'NOT certified'}: "
         f"Q=[{q.re_min:.6f},{q.re_max:.6f}]x[{q.im_min:.6f},{q.im_max:.6f}], "
@@ -361,9 +365,9 @@ def cmd_witness(args) -> int:
         f"(wanted {k}); outputs {prefix}.json, {prefix}.ppm"
     )
     if not ok:
-        if report.offending_samples:
+        if offending:
             print(
-                f"  {len(report.offending_samples)} boundary sample(s) failed certification",
+                f"  {offending} boundary sample(s) failed certification",
                 file=sys.stderr,
             )
         if counting.straddlers:

@@ -7,10 +7,12 @@ integer verdict codes (uint8), so PPM export is a palette lookup.
 Everything is a pure function of (classifier, window, row range), so the
 worker count cannot change any byte of the output: row chunks are mapped
 and concatenated in order.  A classifier with classify_grid (RealClassifier
-and SyntheticSlice both have it) gets each chunk's rows in one call; the
-membership raster goes through membership_grid, which forms membership_with's
-test points for any batch of w and which verify_witness also uses for its
-boundary samples.  Any other classifier is called pixel by pixel.  Both
+and SyntheticSlice both have it) gets each chunk's rows in one call of the
+slice raster.  The membership raster goes through membership_grid, which
+forms membership_with's test points for any batch of w and which
+verify_witness also uses for its boundary samples: one classify_grid call
+for every lower test point, a second for the upper ones whose lower point is
+not OutsideCertified.  Any other classifier is called pixel by pixel.  Both
 paths give the same bytes.  A raster of fewer than _POOL_MIN_PX pixels runs
 in process whatever the worker count, as for one worker.
 """
@@ -180,9 +182,20 @@ def membership_grid(classify_grid, z, w_re, w_im) -> tuple[np.ndarray, np.ndarra
     verdict codes (CELL_MEMBER, CELL_NON_MEMBER, CELL_UNDETERMINED) and n of
     each point, as floats; n is NaN where membership_with has none and a
     reason decides (see _membership_shift).  s and n come from
-    _membership_shift once per distinct Im w; the test points z - s*n*w and
-    z - s*(n+1)*w are formed as CPython forms them and classified in one
-    classify_grid call.  Pre-condition and ValueError as membership_with's.
+    _membership_shift once per distinct Im w; the test points z - s*n*w
+    (upper) and z - s*(n+1)*w (lower) are formed as CPython forms them.
+    classify_grid takes the lower points of every tested w first, then the
+    upper points only where the lower verdict is not CELL_OUTSIDE: one
+    OutsideCertified verdict already makes w a NonMember, and classify_grid
+    gives each point its own verdict whatever else the batch holds.
+
+    Pre-condition as membership_with's: z is certified InsidePlus, so
+    Im z > 0, n >= 0, and classify_grid accepts z itself.  Re z - s*k*Re w
+    is monotone in k, so where classify_grid refuses an upper point (k = n)
+    it refuses the lower one (k = n + 1) too.  ValueError as
+    membership_with's, naming the same point: membership_with classifies
+    the upper point first, so when the lower points raise, every upper
+    point is classified before the error propagates.
     """
     z = complex(z)
     w_re = np.asarray(w_re, np.float64)
@@ -198,9 +211,20 @@ def membership_grid(classify_grid, z, w_re, w_im) -> tuple[np.ndarray, np.ndarra
     codes = np.full(n.shape, CELL_NON_MEMBER, dtype=np.uint8)
     tested = ~np.isnan(n)
     re, im, s_t, n_t = (a[tested] for a in (w_re, w_im, s, n))
-    x = np.stack((s_t * n_t, s_t * (n_t + 1.0)))  # |n| < 2^52 here: exact, as with ints
-    # x*w = (x*Re w - 0.0*Im w, x*Im w + 0.0*Re w), then z - x*w
-    upper, lower = classify_grid(z.real - (x * re - 0.0 * im), z.imag - (x * im + 0.0 * re))
+
+    def test_points(x, re, im):
+        # |n| < 2^52 here, so x is exact, as with ints.
+        # x*w = (x*Re w - 0.0*Im w, x*Im w + 0.0*Re w), then z - x*w
+        return z.real - (x * re - 0.0 * im), z.imag - (x * im + 0.0 * re)
+
+    try:
+        lower = classify_grid(*test_points(s_t * (n_t + 1.0), re, im))
+    except ValueError:
+        classify_grid(*test_points(s_t * n_t, re, im))  # a bad upper point is named first
+        raise
+    rest = np.flatnonzero(lower != CELL_OUTSIDE)  # elsewhere w is a NonMember already
+    upper = np.full(lower.shape, CELL_OUTSIDE, dtype=np.uint8)
+    upper[rest] = classify_grid(*test_points(s_t[rest] * n_t[rest], re[rest], im[rest]))
     codes[tested] = np.where(
         (upper == CELL_INSIDE_PLUS) & (lower == CELL_INSIDE_MINUS),
         CELL_MEMBER,

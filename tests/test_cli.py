@@ -17,6 +17,7 @@ from maskit.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_USAGE,
+    EXIT_WITNESS,
     _json_text,
     main,
 )
@@ -583,6 +584,29 @@ def test_witness_k5_artifacts_are_pinned(kind, tmp_path):
     for ext in (".json", ".ppm"):
         digest = hashlib.sha256((tmp_path / (kind + ext)).read_bytes()).hexdigest()
         assert digest == WITNESS_K5_SHA256[kind, ext], ext
+
+
+# witness -k 5 --synthetic --res 64x3 --no-timestamp: three raster rows are
+# too coarse for R's boundary, so the witness fails with exit code 4.
+WITNESS_UNCERTIFIED_STDERR = "  7 boundary sample(s) failed certification\n" + "".join(
+    f"  translate {i}: components=(), member_point_ok=False\n" for i in range(5)
+)
+WITNESS_UNCERTIFIED_SHA256 = {
+    ".json": "113a500c4c25564d4923fade77fbe5d1655b6536e29134e6a3a123be201110ad",
+    ".ppm": "e3715a542e73d42979b4a0be0be43b8cec99ad8628569767d14142e285273f62",
+}
+
+
+def test_uncertified_witness_exits_4_and_writes_both_files(tmp_path, capsys):
+    prefix = tmp_path / "w"
+    argv = ["witness", "-k", "5", "--synthetic", "--res", "64x3", "--no-timestamp"]
+    assert main(argv + ["--out", str(prefix)]) == EXIT_WITNESS
+    out, err = capsys.readouterr()
+    assert out.startswith("witness NOT certified: ")
+    assert err == WITNESS_UNCERTIFIED_STDERR
+    for ext in (".json", ".ppm"):
+        digest = hashlib.sha256((tmp_path / ("w" + ext)).read_bytes()).hexdigest()
+        assert digest == WITNESS_UNCERTIFIED_SHA256[ext], ext
 
 
 def test_witness_timestamp_toggle(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maskit.classify
 import maskit.raster
 from maskit import (
     CELL_INSIDE_MINUS,
@@ -24,6 +25,7 @@ from maskit import (
     Raster,
     RealClassifier,
     SyntheticSlice,
+    Verdict,
     Window,
     components,
     membership_with,
@@ -459,6 +461,50 @@ def test_membership_grid_matches_membership_with(w, z, clf):
 def test_membership_grid_rejects_non_finite_points():
     with pytest.raises(ValueError, match="non-finite"):
         maskit.raster.membership_grid(SyntheticSlice().classify_grid, 4j, [0.0, math.inf], 1.0)
+
+
+@pytest.mark.parametrize(
+    "clf", [RealClassifier(_FAST_CFG), SyntheticSlice()], ids=["real", "synthetic"]
+)
+def test_membership_grid_classifies_an_upper_point_only_where_the_lower_is_not_outside(clf):
+    calls = []
+
+    def counting_grid(re, im):
+        calls.append([complex(x, y) for x, y in zip(re.ravel().tolist(), im.ravel().tolist())])
+        return clf.classify_grid(re, im)
+
+    z = complex(0.7, 4.2)
+    # Im w = 0 and 2.1 (an exact divisor of Im z) decide by a reason alone
+    w_re, w_im = np.meshgrid(np.linspace(-4.0, 4.0, 17), [0.0, 0.3, 0.9, 1.7, 2.1, 3.3, 5.0])
+    codes, _ = maskit.raster.membership_grid(counting_grid, z, w_re, w_im)
+    lower, upper = [], []
+    for w in map(complex, w_re.ravel().tolist(), w_im.ravel().tolist()):
+        s, n, reason = maskit.classify._membership_shift(z, w.imag)
+        if reason is None:
+            lower.append(z - s * (n + 1) * w)
+            if clf.classify(lower[-1]).verdict is not Verdict.OUTSIDE_CERTIFIED:
+                upper.append(z - s * n * w)
+    assert calls == [lower, upper]
+    assert 0 < len(upper) < len(lower) < w_re.size
+    wants = [membership_with(clf, z, complex(x, y)) for x, y in zip(w_re.flat, w_im.flat)]
+    assert codes.ravel().tolist() == [maskit.raster._AVERDICT_CODE[r.verdict] for r in wants]
+
+
+def test_membership_grid_names_the_point_membership_with_names():
+    # Both test points of w lie past |Re| = 2^50.  membership_with refuses the
+    # upper one, which it classifies first; the batch must name it too.  (At
+    # Im w = 1e-14, Im z / Im w is an exact integer: a reason, no test point.)
+    z, w = complex(0.7, 4.2), complex(6.0, 1.1e-14)
+    clf = RealClassifier(_FAST_CFG)
+    s, n, _ = maskit.classify._membership_shift(z, w.imag)
+    with pytest.raises(ValueError) as lower:
+        clf.classify(z - s * (n + 1) * w)
+    with pytest.raises(ValueError) as want:
+        membership_with(clf, z, w)
+    assert str(want.value) != str(lower.value)
+    with pytest.raises(ValueError) as got:
+        maskit.raster.membership_grid(clf.classify_grid, z, [0.5, w.real, 7.0], [1.0, w.imag, w.imag])
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------

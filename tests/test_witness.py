@@ -23,7 +23,7 @@ from maskit import (
     rasterize_maskit,
     verify_witness,
 )
-from maskit.witness import _memberships
+from maskit.witness import _memberships, _rect_boundary_samples
 
 SQRT3 = math.sqrt(3.0)
 
@@ -326,6 +326,8 @@ def test_batched_memberships_carry_membership_withs_reason():
 
 def test_batched_verify_tests_only_certified_samples_nudged_copies(monkeypatch):
     # As sample by sample: a sample that fails is offending without its copy.
+    # Each batch is two classify_grid calls: every lower test point, then the
+    # upper points whose lower point is not outside.
     clf, q, z = _oversized_case()
     batches = []
     grid = clf.classify_grid
@@ -336,10 +338,26 @@ def test_batched_verify_tests_only_certified_samples_nudged_copies(monkeypatch):
 
     monkeypatch.setattr(SyntheticSlice, "classify_grid", counting_grid)
     report = verify_witness(q, z, clf)
-    samples = len(report.boundary_samples)
-    failed = sum(rec.verdict is not AVerdict.NON_MEMBER_CERTIFIED for _, rec in report.boundary_samples)
-    assert 0 < failed < samples
-    assert batches == [2 * samples, 2 * (samples - failed)]  # two test points per sample
+    samples = _rect_boundary_samples(report.R, report.sample_spacing)
+    assert [w for w, _ in samples] == [w for w, _ in report.boundary_samples]
+    copies = [  # of the held samples only
+        w + report.inward_margin * inward
+        for (w, inward), (_, rec) in zip(samples, report.boundary_samples)
+        if rec.verdict is AVerdict.NON_MEMBER_CERTIFIED
+    ]
+    assert 0 < len(copies) < len(samples)
+
+    def lower_not_outside(points):
+        subs = [membership_with(clf, 3.0 * z, w).sub_verdicts for w in points]
+        return sum(lower.verdict is not Verdict.OUTSIDE_CERTIFIED for _, lower in subs)
+
+    assert batches == [
+        len(samples),
+        lower_not_outside(w for w, _ in samples),
+        len(copies),
+        lower_not_outside(copies),
+    ]
+    assert 0 < batches[1] < batches[0] and 0 < batches[3] < batches[2]
 
 
 def test_witness_report_json_shape():
