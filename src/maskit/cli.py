@@ -110,79 +110,130 @@ _INF = float("inf")
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
+class _Frames(dict):
+    """depth -> the list opening, dict opening, separator, list closing and
+    dict closing around the items of a container at that depth."""
+
+    def __missing__(self, depth: int) -> tuple[str, str, str, str, str]:
+        line, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+        frame = self[depth] = ("[" + line, "{" + line, "," + line, outer + "]", outer + "}")
+        return frame
+
+
 def _json_text(obj) -> str:
     """json.dumps(obj, indent=2), byte for byte, without its generator chain.
 
-    Exact types are dispatched first, then subclasses in json.dumps's order;
-    one str.join per container; a memo of float texts, since the witness
-    document repeats most of its floats (each side of R shares one
-    coordinate).  Raises TypeError where json.dumps does; a circular
-    container recurses until RecursionError.
+    One pass appends the text's pieces to one list, which is joined once.
+    The line break and indentation around each depth's items, the '"key": '
+    text of each str key, and the text of each str, int and non-zero float
+    value are made once and shared: the witness document repeats most of
+    its keys and values, so the list holds few strings of its own.  Values
+    of exact type str, int and float in a container are written inline; any
+    other value is dispatched in json.dumps's order, so an int, float or str
+    subclass is written as its base type and a list, tuple or dict subclass
+    as a plain container.  Raises TypeError where json.dumps does; a
+    circular container recurses until RecursionError.
     """
+    pieces: list[str] = []
+    put = pieces.append
     floats: dict[float, str] = {}
+    ints: dict[int, str] = {}
+    strs: dict[str, str] = {}
+    keys: dict[str, str] = {}
+    frames = _Frames()
 
     def number(x: float) -> str:
-        text = floats.get(x)
-        if text is None:
-            if x != x:
-                text = "NaN"
-            elif x in (_INF, -_INF):
-                text = "Infinity" if x > 0 else "-Infinity"
-            else:
-                text = float.__repr__(x)
-            if x:  # 0.0 == -0.0 with one hash: a memo keyed on them would merge the two
-                floats[x] = text
+        if x != x:
+            text = "NaN"
+        elif x in (_INF, -_INF):
+            text = "Infinity" if x > 0 else "-Infinity"
+        else:
+            text = float.__repr__(x)
+        if x:  # 0.0 == -0.0 with one hash: a memo keyed on them would merge the two
+            floats[x] = text
+        return text
+
+    def integer(n: int) -> str:
+        text = ints[n] = int.__repr__(n)
+        return text
+
+    def string(s: str) -> str:
+        text = strs[s] = _json_str(s)
         return text
 
     def key(k) -> str:
+        if type(k) is str:
+            text = keys[k] = _json_str(k) + ": "
+            return text
         if isinstance(k, str):
-            return _json_str(k)
-        if isinstance(k, float):
-            return f'"{number(k)}"'
-        if k is None or k is True or k is False:
-            return f'"{_JSON_CONSTANTS[k]}"'
-        if isinstance(k, int):
-            return f'"{int.__repr__(k)}"'
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+            text = _json_str(k)
+        elif isinstance(k, float):
+            text = f'"{floats.get(k) or number(k)}"'
+        elif k is None or k is True or k is False:
+            text = f'"{_JSON_CONSTANTS[k]}"'
+        elif isinstance(k, int):
+            text = f'"{int.__repr__(k)}"'
+        else:
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+        return text + ": "
 
-    def text(o, pad: str) -> str:
+    def write(o, depth: int) -> None:
         t = type(o)
-        if t is str:
-            return _json_str(o)
-        if t is float:
-            return number(o)
-        if t is int:
-            return int.__repr__(o)
         if t is dict:
             if not o:
-                return "{}"
-            inner = pad + "  "
-            items = [
-                (_json_str(k) if type(k) is str else key(k)) + ": " + text(v, inner)
-                for k, v in o.items()
-            ]
-            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-        if t is list or t is tuple:
+                put("{}")
+                return
+            _, lead, sep, _, close = frames[depth]
+            for k, v in o.items():
+                put(lead)
+                lead = sep
+                put((keys.get(k) or key(k)) if type(k) is str else key(k))
+                t = type(v)
+                if t is str:
+                    put(strs.get(v) or string(v))
+                elif t is float:
+                    put(floats.get(v) or number(v))
+                elif t is int:
+                    put(ints.get(v) or integer(v))
+                else:
+                    write(v, depth + 1)
+            put(close)
+        elif t is list or t is tuple:
             if not o:
-                return "[]"
-            inner = pad + "  "
-            return "[\n" + inner + (",\n" + inner).join([text(v, inner) for v in o]) + "\n" + pad + "]"
-        if o is None or o is True or o is False:
-            return _JSON_CONSTANTS[o]
-        # subclasses, tested in json.dumps's order
-        if isinstance(o, str):
-            return _json_str(o)
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            return number(o)
-        if isinstance(o, (list, tuple)):
-            return text(list(o), pad)
-        if isinstance(o, dict):
-            return text(dict(o.items()), pad)
-        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+                put("[]")
+                return
+            lead, _, sep, close, _ = frames[depth]
+            for v in o:
+                put(lead)
+                lead = sep
+                t = type(v)
+                if t is float:
+                    put(floats.get(v) or number(v))
+                elif t is str:
+                    put(strs.get(v) or string(v))
+                elif t is int:
+                    put(ints.get(v) or integer(v))
+                else:
+                    write(v, depth + 1)
+            put(close)
+        # the scalars not written inline, and subclasses, in json.dumps's order
+        elif o is None or o is True or o is False:
+            put(_JSON_CONSTANTS[o])
+        elif isinstance(o, str):
+            put(_json_str(o))
+        elif isinstance(o, int):
+            put(int.__repr__(o))
+        elif isinstance(o, float):
+            put(floats.get(o) or number(o))
+        elif isinstance(o, (list, tuple)):
+            write(list(o), depth)
+        elif isinstance(o, dict):
+            write(dict(o.items()), depth)
+        else:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
-    return text(obj, "")
+    write(obj, 0)
+    return "".join(pieces)
 
 
 def _write_text(path, text: str) -> None:

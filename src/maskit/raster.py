@@ -64,6 +64,21 @@ PALETTE = np.array(
     dtype=np.uint8,
 )
 
+# PALETTE's rows as single 3-byte items.  Indexing them by the cell codes
+# gives the PPM body without the platform-integer copy of the codes that
+# np.take makes (2 MiB at 512x512), in 2.8 ms against 6.8 ms for
+# PALETTE[cells] at 512x512 (2-vCPU Xeon).
+_PALETTE_PIXELS = PALETTE.view("V3").ravel()
+
+_CELL_NAMES = {
+    CELL_INSIDE_PLUS: "InsidePlus",
+    CELL_INSIDE_MINUS: "InsideMinus",
+    CELL_OUTSIDE: "OutsideCertified",
+    CELL_UNDETERMINED: "Undetermined",
+    CELL_MEMBER: "Member",
+    CELL_NON_MEMBER: "NonMemberCertified",
+}
+
 _MEMBER_CODES = frozenset({CELL_INSIDE_PLUS, CELL_INSIDE_MINUS, CELL_MEMBER})
 
 # A raster of fewer pixels runs in process at any worker count.  On a 2-vCPU
@@ -149,16 +164,11 @@ class Raster:
     cells: np.ndarray  # uint8 verdict codes, shape (rows, cols)
 
     def counts(self) -> dict[str, int]:
-        names = {
-            CELL_INSIDE_PLUS: "InsidePlus",
-            CELL_INSIDE_MINUS: "InsideMinus",
-            CELL_OUTSIDE: "OutsideCertified",
-            CELL_UNDETERMINED: "Undetermined",
-            CELL_MEMBER: "Member",
-            CELL_NON_MEMBER: "NonMemberCertified",
-        }
-        vals, cnts = np.unique(self.cells, return_counts=True)
-        return {names[int(v)]: int(c) for v, c in zip(vals, cnts)}
+        """Cells per verdict name, for the verdicts present, in code order."""
+        # one boolean temporary at a time: np.bincount would first copy the
+        # uint8 codes to a platform integer array, eight times their size
+        tally = {name: np.count_nonzero(self.cells == code) for code, name in _CELL_NAMES.items()}
+        return {name: int(n) for name, n in tally.items() if n}
 
 
 def _classify_rows(task):
@@ -175,6 +185,13 @@ def _classify_rows(task):
     return out
 
 
+def _real_times(x, re, im):
+    """Re and Im of x*w for a float x and w = re + i*im, rounded as CPython
+    rounds a float times a complex, signed zeros included: x becomes
+    x + 0.0i, so x*w = (x*Re w - 0.0*Im w, x*Im w + 0.0*Re w)."""
+    return x * re - 0.0 * im, x * im + 0.0 * re
+
+
 def membership_grid(classify_grid, z, w_re, w_im) -> tuple[np.ndarray, np.ndarray]:
     """membership_with's verdicts at the points w = w_re + i*w_im, at once.
 
@@ -189,13 +206,13 @@ def membership_grid(classify_grid, z, w_re, w_im) -> tuple[np.ndarray, np.ndarra
     OutsideCertified verdict already makes w a NonMember, and classify_grid
     gives each point its own verdict whatever else the batch holds.
 
-    Pre-condition as membership_with's: z is certified InsidePlus, so
-    Im z > 0, n >= 0, and classify_grid accepts z itself.  Re z - s*k*Re w
-    is monotone in k, so where classify_grid refuses an upper point (k = n)
-    it refuses the lower one (k = n + 1) too.  ValueError as
-    membership_with's, naming the same point: membership_with classifies
-    the upper point first, so when the lower points raise, every upper
-    point is classified before the error propagates.
+    ValueError as membership_with's, naming the same point: membership_with
+    classifies the upper point first, so when the lower points raise, every
+    upper point is classified before the error propagates.  So is every
+    upper point where one that would be skipped is not finite or has
+    |Re| > REAL_PART_LIMIT, which only a z outside membership_with's
+    pre-condition (certified InsidePlus) allows: classify_grid can then
+    refuse it, as membership_with's classifier does.
     """
     z = complex(z)
     w_re = np.asarray(w_re, np.float64)
@@ -214,15 +231,19 @@ def membership_grid(classify_grid, z, w_re, w_im) -> tuple[np.ndarray, np.ndarra
 
     def test_points(x, re, im):
         # |n| < 2^52 here, so x is exact, as with ints.
-        # x*w = (x*Re w - 0.0*Im w, x*Im w + 0.0*Re w), then z - x*w
-        return z.real - (x * re - 0.0 * im), z.imag - (x * im + 0.0 * re)
+        x_re, x_im = _real_times(x, re, im)
+        return z.real - x_re, z.imag - x_im
 
     try:
         lower = classify_grid(*test_points(s_t * (n_t + 1.0), re, im))
     except ValueError:
         classify_grid(*test_points(s_t * n_t, re, im))  # a bad upper point is named first
         raise
-    rest = np.flatnonzero(lower != CELL_OUTSIDE)  # elsewhere w is a NonMember already
+    skip = lower == CELL_OUTSIDE  # there w is a NonMember already
+    x, y = test_points(s_t[skip] * n_t[skip], re[skip], im[skip])
+    if not ((np.abs(x) <= REAL_PART_LIMIT) & np.isfinite(y)).all():
+        skip[:] = False  # classify_grid may refuse a skipped point: classify them all
+    rest = np.flatnonzero(~skip)
     upper = np.full(lower.shape, CELL_OUTSIDE, dtype=np.uint8)
     upper[rest] = classify_grid(*test_points(s_t[rest] * n_t[rest], re[rest], im[rest]))
     codes[tested] = np.where(
@@ -386,7 +407,7 @@ def components(raster: Raster) -> ComponentReport:
 def to_ppm_bytes(raster: Raster) -> bytes:
     rows, cols = raster.cells.shape
     header = f"P6\n{cols} {rows}\n255\n".encode("ascii")
-    return header + PALETTE[raster.cells].tobytes()
+    return header + _PALETTE_PIXELS[raster.cells].tobytes()
 
 
 def save_ppm(raster: Raster, path) -> None:

@@ -39,7 +39,11 @@ the same verdicts and bytes as the point-by-point path other classifiers take.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
+
+import numpy as np
 
 from .classify import (
     AMembership,
@@ -52,10 +56,12 @@ from .classify import (
 from .raster import (
     _AVERDICT_CODE,
     CELL_MEMBER,
+    CELL_NON_MEMBER,
     Component,
     ComponentReport,
     Raster,
     Window,
+    _real_times,
     components,
     membership_grid,
     rasterize_a_slice,
@@ -255,10 +261,12 @@ class WitnessReport:
 
     def to_json_dict(self, counting: ComponentsNearInfinity, cfg_meta: dict) -> dict:
         """The witness JSON document: this report plus the translate count."""
-        verdict_counts: dict[str, int] = {}
-        for _, rec in self.boundary_samples:
-            key = rec.verdict.value
-            verdict_counts[key] = verdict_counts.get(key, 0) + 1
+        texts: dict[int, str] = {}  # id of each record: its verdict's text, looked up once
+        points = []
+        for w, rec in self.boundary_samples:
+            text = texts.get(id(rec)) or texts.setdefault(id(rec), rec.verdict.value)
+            points.append({"w": [w.real, w.imag], "verdict": text, "n": rec.n})
+        verdict_counts = dict(Counter(map(itemgetter("verdict"), points)))
         return {
             "q": self.Q.describe(),
             "z": [self.z.real, self.z.imag],
@@ -273,10 +281,7 @@ class WitnessReport:
                 "inward_margin": self.inward_margin,
                 "verdicts": verdict_counts,
                 "offending": [[w.real, w.imag] for w in self.offending_samples],
-                "points": [
-                    {"w": [w.real, w.imag], "verdict": rec.verdict.value, "n": rec.n}
-                    for w, rec in self.boundary_samples
-                ],
+                "points": points,
             },
             "components": counting.describe(),
             "all_certified": self.all_certified,
@@ -289,46 +294,40 @@ class WitnessReport:
         }
 
 
-def _rect_boundary_samples(r: AxisRectangle, spacing: float):
-    """(point, inward unit normal) pairs along the four sides, corners included."""
+def _boundary_arrays(r: AxisRectangle, spacing: float):
+    """The points along the four sides of r, corners included, at most
+    spacing apart, and their inward unit normals: four float arrays, Re and
+    Im of each point, then Re and Im of its normal."""
     nx = max(2, math.ceil(r.width / spacing) + 1)
     ny = max(2, math.ceil(r.height / spacing) + 1)
-    xs = [r.re_min + r.width * k / (nx - 1) for k in range(nx)]
-    ys = [r.im_min + r.height * k / (ny - 1) for k in range(ny)]
-    pts = [(complex(x, r.im_max), complex(0.0, -1.0)) for x in xs]  # top
-    pts += [(complex(x, r.im_min), complex(0.0, 1.0)) for x in xs]  # bottom
-    pts += [(complex(r.re_min, y), complex(1.0, 0.0)) for y in ys]  # left
-    pts += [(complex(r.re_max, y), complex(-1.0, 0.0)) for y in ys]  # right
-    return pts
+    xs = r.re_min + r.width * np.arange(nx) / (nx - 1)
+    ys = r.im_min + r.height * np.arange(ny) / (ny - 1)
+    sides = [nx, nx, ny, ny]  # top, bottom, left, right
+    re = np.concatenate([xs, xs, np.repeat([r.re_min, r.re_max], ny)])
+    im = np.concatenate([np.repeat([r.im_max, r.im_min], nx), ys, ys])
+    return re, im, np.repeat([0.0, 0.0, 1.0, -1.0], sides), np.repeat([-1.0, 1.0, 0.0, 0.0], sides)
 
 
 _CODE_AVERDICT = {code: verdict for verdict, code in _AVERDICT_CODE.items()}
 
 
-def _memberships(classifier, base: complex, points: list) -> list[AMembership]:
-    """membership_with(classifier, base, w) for each w, in one membership_grid
-    call when the classifier has classify_grid; those records' verdict, n
-    and reason are membership_with's, and their sub_verdicts are None.
-    AMembership is frozen, so points with the same verdict and n share one
-    record."""
-    classify_grid = getattr(classifier, "classify_grid", None)
-    if classify_grid is None:
-        return [membership_with(classifier, base, w) for w in points]
-    codes, ns = membership_grid(
-        classify_grid, base, [w.real for w in points], [w.imag for w in points]
-    )
-    records: dict[tuple[int, float], AMembership] = {}
-    out = []
-    for w, code, n in zip(points, codes.tolist(), ns.tolist()):
-        if math.isnan(n):
-            reason = _membership_shift(base, w.imag)[2]
-            out.append(AMembership(AVerdict.NON_MEMBER_CERTIFIED, None, None, reason=reason))
-            continue
-        rec = records.get((code, n))
-        if rec is None:
-            rec = records[code, n] = AMembership(_CODE_AVERDICT[code], int(n), None)
-        out.append(rec)
-    return out
+def _memberships(classify_grid, base: complex, re: np.ndarray, im: np.ndarray):
+    """membership_grid's codes at the points w = re + i*im, and the record
+    membership_with gives each w: its verdict, n and reason, with
+    sub_verdicts None.  AMembership is frozen, so the points with the same
+    verdict and n share one record."""
+    codes, ns = membership_grid(classify_grid, base, re, im)
+    decided = np.isnan(ns)  # by a reason, with no n: their records are made below
+    n_values, n_at = np.unique(np.where(decided, -1.0, ns), return_inverse=True)
+    keys, at = np.unique(n_at.reshape(-1) * 8 + codes, return_inverse=True)  # codes are below 8
+    shared = [
+        AMembership(_CODE_AVERDICT[key % 8], int(n_values[key // 8]), None) for key in keys.tolist()
+    ]
+    records = list(map(shared.__getitem__, at.reshape(-1).tolist()))
+    for i in np.flatnonzero(decided).tolist():
+        reason = _membership_shift(base, float(im[i]))[2]
+        records[i] = AMembership(AVerdict.NON_MEMBER_CERTIFIED, None, None, reason=reason)
+    return codes, records
 
 
 def verify_witness(
@@ -342,10 +341,13 @@ def verify_witness(
     raster_rows, and samples lie half a pitch apart.
     all_certified reports the conjunction; failures are listed, not raised.
 
-    A classifier with classify_grid has all samples tested in one batch and
-    their nudged copies in another; the sample records then carry
-    membership_with's verdict, n and reason, with sub_verdicts None.  Any
-    other classifier is called sample by sample.
+    The samples, their nudged copies (w + margin*inward, rounded as CPython
+    rounds it) and the mask of samples that held are numpy arrays.  A
+    classifier with classify_grid has all samples tested in one batch and
+    the copies of those that held in another; the sample records then carry
+    membership_with's verdict, n and reason, with sub_verdicts None, and
+    samples with the same verdict and n share one.  Any other classifier is
+    called sample by sample.
     """
     z = complex(z)
     if not q.contains_interior(z):
@@ -359,15 +361,26 @@ def verify_witness(
 
     interior = membership_with(classifier, base, 2.0 * z)
 
-    samples = _rect_boundary_samples(r, spacing)
-    recs = _memberships(classifier, base, [w for w, _ in samples])
-    boundary = [(w, rec) for (w, _), rec in zip(samples, recs)]
-    ok = [rec.verdict is AVerdict.NON_MEMBER_CERTIFIED for rec in recs]
-    held = [i for i, good in enumerate(ok) if good]  # only these have their copy tested
-    nudged = [samples[i][0] + margin * samples[i][1] for i in held]
-    for i, rec in zip(held, _memberships(classifier, base, nudged)):
-        ok[i] = rec.verdict is AVerdict.NON_MEMBER_CERTIFIED
-    offending = [w for (w, _), good in zip(samples, ok) if not good]
+    re, im, in_re, in_im = _boundary_arrays(r, spacing)
+    ws = list(map(complex, re.tolist(), im.tolist()))
+    grid = getattr(classifier, "classify_grid", None)
+    if grid is None:
+        records = [membership_with(classifier, base, w) for w in ws]
+        ok = np.array([rec.verdict is AVerdict.NON_MEMBER_CERTIFIED for rec in records], bool)
+    else:
+        codes, records = _memberships(grid, base, re, im)
+        ok = codes == CELL_NON_MEMBER
+    held = np.flatnonzero(ok)  # only these have their copy tested
+    shift_re, shift_im = _real_times(margin, in_re[held], in_im[held])  # margin * inward
+    copy_re, copy_im = re[held] + shift_re, im[held] + shift_im
+    if grid is None:
+        ok[held] = [
+            membership_with(classifier, base, w).verdict is AVerdict.NON_MEMBER_CERTIFIED
+            for w in map(complex, copy_re.tolist(), copy_im.tolist())
+        ]
+    else:
+        ok[held] = membership_grid(grid, base, copy_re, copy_im)[0] == CELL_NON_MEMBER
+    offending = [ws[i] for i in np.flatnonzero(~ok).tolist()]
 
     all_certified = interior.verdict is AVerdict.MEMBER and not offending
     return WitnessReport(
@@ -375,7 +388,7 @@ def verify_witness(
         z=z,
         R=r,
         interior_sample_verdict=interior,
-        boundary_samples=boundary,
+        boundary_samples=list(zip(ws, records)),
         all_certified=all_certified,
         offending_samples=tuple(offending),
         sample_spacing=spacing,

@@ -5,6 +5,7 @@ import enum
 import hashlib
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maskit.cli
+from maskit import SyntheticSlice, components_near_infinity, find_rectangle, verify_witness
 from maskit.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -655,6 +657,58 @@ _DOCS = st.recursive(
 @settings(max_examples=200, deadline=None)
 def test_json_text_is_json_dumps_indent_2(doc):
     assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+_RECORD_FLOATS = st.sampled_from([0.5, -2.45, 3.4341016151374824, -0.0, 0.0, 1e-300]) | st.floats()
+
+
+@given(
+    records=st.lists(
+        st.fixed_dictionaries(
+            {
+                "w": st.lists(_RECORD_FLOATS, min_size=2, max_size=2),
+                "verdict": st.sampled_from(["Member", "NonMemberCertified", "Undetermined"]),
+                "n": st.none() | st.integers(-3, 3),
+            }
+        ),
+        min_size=50,
+        max_size=80,
+    ),
+    shared=st.tuples(st.integers(0, 49), st.integers(1, 49)),
+)
+@settings(max_examples=25, deadline=None)
+def test_json_text_is_json_dumps_indent_2_on_sample_records(records, shared):
+    # The witness document's shape: many records with the same keys, whose
+    # floats repeat, with -0.0 beside 0.0, NaN and infinities, and None.
+    # One list object is referenced twice.
+    i, step = shared
+    records[(i + step) % len(records)]["w"] = records[i]["w"]
+    doc = {"boundary_samples": {"count": len(records), "points": records}}
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+# tracemalloc's peak for _json_text on the synthetic witness -k 5 document,
+# per character of its text (numpy 2.4.6, Python 3.11): 2.26 for the
+# one-pass writer, 3.40 for the nested-join writer it replaced.  The joined
+# text itself accounts for 1.0 of either.
+_JSON_TEXT_PEAK_PER_CHAR = 2.5
+
+
+def test_json_text_peak_allocation():
+    clf = SyntheticSlice()
+    q, z = find_rectangle(clf)
+    report = verify_witness(q, z, clf)
+    counting = components_near_infinity(3.0 * z, 5, clf, rectangle=report.R)
+    doc = report.to_json_dict(counting, clf.describe())
+    del report, counting
+    size = len(_json_text(doc))
+    tracemalloc.start()
+    try:
+        _json_text(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _JSON_TEXT_PEAK_PER_CHAR * size
 
 
 class _Level(enum.IntEnum):

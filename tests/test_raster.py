@@ -280,6 +280,30 @@ def test_rasterize_maskit_counts_names():
     assert set(counts) <= allowed
 
 
+@given(
+    cells=st.lists(st.sampled_from(range(6)), min_size=1, max_size=64).map(
+        lambda codes: np.array(codes, np.uint8).reshape(1, -1)
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_counts_and_ppm_are_the_sorted_unique_tally_and_the_palette_rows(cells):
+    raster = _raster_of(cells)
+    names = {
+        CELL_INSIDE_PLUS: "InsidePlus",
+        CELL_INSIDE_MINUS: "InsideMinus",
+        CELL_OUTSIDE: "OutsideCertified",
+        CELL_UNDETERMINED: "Undetermined",
+        CELL_MEMBER: "Member",
+        CELL_NON_MEMBER: "NonMemberCertified",
+    }
+    codes, tally = np.unique(cells, return_counts=True)
+    assert list(raster.counts().items()) == [
+        (names[c], n) for c, n in zip(codes.tolist(), tally.tolist())
+    ]
+    header = f"P6\n{cells.shape[1]} 1\n255\n".encode("ascii")
+    assert to_ppm_bytes(raster) == header + maskit.raster.PALETTE[cells].tobytes()
+
+
 def test_save_ppm_writes_exact_bytes(tmp_path):
     win = Window.from_bounds(-0.2, 0.2, 0.05, 0.15, 4, 2)
     raster = rasterize_maskit(win, _FAST_CFG)
@@ -504,6 +528,29 @@ def test_membership_grid_names_the_point_membership_with_names():
     assert str(want.value) != str(lower.value)
     with pytest.raises(ValueError) as got:
         maskit.raster.membership_grid(clf.classify_grid, z, [0.5, w.real, 7.0], [1.0, w.imag, w.imag])
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "z, w",
+    [
+        # the upper point is z itself (n = 0), past 2^50; the lower z - w is not
+        (complex(2**50 + 3, 4.2), complex(4.0, 5.0)),
+        # Im z < 0, so n = -6 and the upper point z + 6w lies further out than z + 5w
+        (complex(2**50 - 5.5, -5.5), complex(1.0, 1.0)),
+    ],
+)
+def test_membership_grid_raises_where_membership_with_does_past_its_pre_condition(z, w):
+    # Outside the pre-condition (z certified InsidePlus) the lower point can
+    # be accepted and outside while the upper one, which a batch would skip,
+    # is refused.
+    clf = RealClassifier(_FAST_CFG)
+    s, n, _ = maskit.classify._membership_shift(z, w.imag)
+    assert clf.classify(z - s * (n + 1) * w).verdict is Verdict.OUTSIDE_CERTIFIED
+    with pytest.raises(ValueError) as want:
+        membership_with(clf, z, w)
+    with pytest.raises(ValueError) as got:
+        maskit.raster.membership_grid(clf.classify_grid, z, [w.real], [w.imag])
     assert str(got.value) == str(want.value)
 
 

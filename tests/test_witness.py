@@ -23,7 +23,8 @@ from maskit import (
     rasterize_maskit,
     verify_witness,
 )
-from maskit.witness import _memberships, _rect_boundary_samples
+from maskit.raster import _real_times
+from maskit.witness import _boundary_arrays, _memberships
 
 SQRT3 = math.sqrt(3.0)
 
@@ -287,7 +288,7 @@ def _oversized_case():
     return SyntheticSlice(), AxisRectangle(-1.45, -0.55, 1.485, 1.52), complex(-1.0, 1.515)
 
 
-@pytest.mark.parametrize(
+_CASES = pytest.mark.parametrize(
     "case",
     [
         lambda: (SyntheticSlice(), *find_rectangle(SyntheticSlice())),
@@ -296,6 +297,23 @@ def _oversized_case():
     ],
     ids=["synthetic", "real", "oversized"],
 )
+
+
+def _rect_boundary_samples(r: AxisRectangle, spacing: float):
+    """(point, inward unit normal) pairs along the four sides, corners
+    included: the reference for witness._boundary_arrays, in Python floats."""
+    nx = max(2, math.ceil(r.width / spacing) + 1)
+    ny = max(2, math.ceil(r.height / spacing) + 1)
+    xs = [r.re_min + r.width * k / (nx - 1) for k in range(nx)]
+    ys = [r.im_min + r.height * k / (ny - 1) for k in range(ny)]
+    pts = [(complex(x, r.im_max), complex(0.0, -1.0)) for x in xs]  # top
+    pts += [(complex(x, r.im_min), complex(0.0, 1.0)) for x in xs]  # bottom
+    pts += [(complex(r.re_min, y), complex(1.0, 0.0)) for y in ys]  # left
+    pts += [(complex(r.re_max, y), complex(-1.0, 0.0)) for y in ys]  # right
+    return pts
+
+
+@_CASES
 def test_batched_verify_matches_the_per_sample_path(case):
     clf, q, z = case()
     batched = verify_witness(q, z, clf)
@@ -318,7 +336,9 @@ def test_batched_memberships_carry_membership_withs_reason():
     # Im w = 0 and an exact divisor of Im z are decided by a reason alone.
     clf, base = SyntheticSlice(), complex(-3.0, 4.5)
     points = [complex(0.3, 0.0), complex(-1.0, 1.5), complex(0.2, -2.25), complex(-2.0, 3.0)]
-    got = _memberships(clf, base, points)
+    _, got = _memberships(
+        clf.classify_grid, base, np.array([w.real for w in points]), np.array([w.imag for w in points])
+    )
     want = [membership_with(clf, base, w) for w in points]
     assert [(r.verdict, r.n, r.reason) for r in got] == [(r.verdict, r.n, r.reason) for r in want]
     assert [r.reason is None for r in got] == [False, False, False, True]
@@ -358,6 +378,29 @@ def test_batched_verify_tests_only_certified_samples_nudged_copies(monkeypatch):
         lower_not_outside(copies),
     ]
     assert 0 < batches[1] < batches[0] and 0 < batches[3] < batches[2]
+
+
+def _bits(re, im):
+    # float.hex tells -0.0 from 0.0
+    return [(float(x).hex(), float(y).hex()) for x, y in zip(re, im)]
+
+
+@_CASES
+@pytest.mark.parametrize("rows", [3, 64, 256])
+def test_boundary_arrays_are_the_samples_and_their_nudged_copies(case, rows):
+    _, q, z = case()
+    r = build_R(q, z)
+    spacing = r.height / rows / 2.0
+    margin = 4.0 * spacing
+    samples = _rect_boundary_samples(r, spacing)
+    re, im, in_re, in_im = _boundary_arrays(r, spacing)
+    assert _bits(re, im) == _bits([w.real for w, _ in samples], [w.imag for w, _ in samples])
+    assert _bits(in_re, in_im) == _bits([u.real for _, u in samples], [u.imag for _, u in samples])
+    copies = [w + margin * inward for w, inward in samples]
+    shift_re, shift_im = _real_times(margin, in_re, in_im)
+    assert _bits(re + shift_re, im + shift_im) == _bits(
+        [c.real for c in copies], [c.imag for c in copies]
+    )
 
 
 def test_witness_report_json_shape():
