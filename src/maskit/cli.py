@@ -13,17 +13,27 @@ command line override the file.  Identical flags produce byte-identical
 outputs; --no-timestamp suppresses the JSON timestamp for golden-file
 comparison.  Exit codes: 0 success, 1 usage (non-finite numbers and
 --workers < 1 included), 2 I/O, 3 precondition violation, 4 witness failure.
+
+Every JSON document is json.dumps(doc, indent=2)'s text.  The witness's
+boundary-sample records are formatted one at a time in that layout and
+streamed to the file.  Each command writes its files to temporary siblings
+and renames them only once all are written, so a write that fails leaves
+no partial file and no temporary; cusps --out - and a-slice --json - print
+to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import itertools
+import json
+import math
 import os
 import shlex
 import sys
 import time
-from json.encoder import encode_basestring_ascii as _json_str
+from collections.abc import Iterator
 
 from .classify import REAL_PART_LIMIT, ClassifierConfig, RealClassifier, SyntheticSlice
 from .cusps import BoundaryCuspError, cusp_point
@@ -33,7 +43,6 @@ from .raster import (
     components,
     rasterize_a_slice,
     rasterize_maskit,
-    save_ppm,
     to_ppm_bytes,
 )
 from .witness import (
@@ -106,165 +115,77 @@ def _maybe_timestamp(meta: dict, args) -> dict:
     return meta
 
 
-_INF = float("inf")
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+# boundary_samples.points stands in the witness document as this string,
+# which no other value holds, while json.dumps writes the rest; the records
+# are then written in its place.
+_POINTS = "\0points"
+_POINTS_TEXT = json.dumps(_POINTS)
+
+# One sample record as json.dumps(doc, indent=2) writes it at its depth in
+# the witness document (doc -> boundary_samples -> points -> record), after
+# the list's "[" or the "," that ends the record before it.
+_RECORD = (
+    '%s\n      {\n        "w": [\n          %s,\n          %s\n        ],'
+    '\n        "verdict": %s,\n        "n": %s\n      }'
+)
 
 
-class _Frames(dict):
-    """depth -> the list opening, dict opening, separator, list closing and
-    dict closing around the items of a container at that depth."""
-
-    def __missing__(self, depth: int) -> tuple[str, str, str, str, str]:
-        line, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-        frame = self[depth] = ("[" + line, "{" + line, "," + line, outer + "]", outer + "}")
-        return frame
+def _number(x: float) -> str:
+    """x as json.dumps writes a float: its repr, or NaN, Infinity, -Infinity."""
+    return repr(x) if math.isfinite(x) else json.dumps(x)
 
 
-def _json_text(obj) -> str:
-    """json.dumps(obj, indent=2), byte for byte, without its generator chain.
-
-    One pass appends the text's pieces to one list, which is joined once.
-    The line break and indentation around each depth's items, the '"key": '
-    text of each str key, and the text of each str, int and non-zero float
-    value are made once and shared: the witness document repeats most of
-    its keys and values, so the list holds few strings of its own.  Values
-    of exact type str, int and float in a container are written inline; any
-    other value is dispatched in json.dumps's order, so an int, float or str
-    subclass is written as its base type and a list, tuple or dict subclass
-    as a plain container.  Raises TypeError where json.dumps does; a
-    circular container recurses until RecursionError.
-    """
-    pieces: list[str] = []
-    put = pieces.append
-    floats: dict[float, str] = {}
-    ints: dict[int, str] = {}
-    strs: dict[str, str] = {}
-    keys: dict[str, str] = {}
-    frames = _Frames()
-
-    def number(x: float) -> str:
-        if x != x:
-            text = "NaN"
-        elif x in (_INF, -_INF):
-            text = "Infinity" if x > 0 else "-Infinity"
-        else:
-            text = float.__repr__(x)
-        if x:  # 0.0 == -0.0 with one hash: a memo keyed on them would merge the two
-            floats[x] = text
-        return text
-
-    def integer(n: int) -> str:
-        text = ints[n] = int.__repr__(n)
-        return text
-
-    def string(s: str) -> str:
-        text = strs[s] = _json_str(s)
-        return text
-
-    def key(k) -> str:
-        if type(k) is str:
-            text = keys[k] = _json_str(k) + ": "
-            return text
-        if isinstance(k, str):
-            text = _json_str(k)
-        elif isinstance(k, float):
-            text = f'"{floats.get(k) or number(k)}"'
-        elif k is None or k is True or k is False:
-            text = f'"{_JSON_CONSTANTS[k]}"'
-        elif isinstance(k, int):
-            text = f'"{int.__repr__(k)}"'
-        else:
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-        return text + ": "
-
-    def write(o, depth: int) -> None:
-        t = type(o)
-        if t is dict:
-            if not o:
-                put("{}")
-                return
-            _, lead, sep, _, close = frames[depth]
-            for k, v in o.items():
-                put(lead)
-                lead = sep
-                put((keys.get(k) or key(k)) if type(k) is str else key(k))
-                t = type(v)
-                if t is str:
-                    put(strs.get(v) or string(v))
-                elif t is float:
-                    put(floats.get(v) or number(v))
-                elif t is int:
-                    put(ints.get(v) or integer(v))
-                else:
-                    write(v, depth + 1)
-            put(close)
-        elif t is list or t is tuple:
-            if not o:
-                put("[]")
-                return
-            lead, _, sep, close, _ = frames[depth]
-            for v in o:
-                put(lead)
-                lead = sep
-                t = type(v)
-                if t is float:
-                    put(floats.get(v) or number(v))
-                elif t is str:
-                    put(strs.get(v) or string(v))
-                elif t is int:
-                    put(ints.get(v) or integer(v))
-                else:
-                    write(v, depth + 1)
-            put(close)
-        # the scalars not written inline, and subclasses, in json.dumps's order
-        elif o is None or o is True or o is False:
-            put(_JSON_CONSTANTS[o])
-        elif isinstance(o, str):
-            put(_json_str(o))
-        elif isinstance(o, int):
-            put(int.__repr__(o))
-        elif isinstance(o, float):
-            put(floats.get(o) or number(o))
-        elif isinstance(o, (list, tuple)):
-            write(list(o), depth)
-        elif isinstance(o, dict):
-            write(dict(o.items()), depth)
-        else:
-            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-
-    write(obj, 0)
-    return "".join(pieces)
-
-
-def _write_text(path, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
+def _record_texts(points) -> Iterator[str]:
+    """The points list's text in json.dumps(doc, indent=2), one record a piece."""
+    if not points:
+        yield "[]"
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    verdicts: dict[str, str] = {}
+    lead = "["
+    for p in points:
+        re, im = p["w"]
+        v, n = p["verdict"], p["n"]
+        verdict = verdicts.get(v) or verdicts.setdefault(v, json.dumps(v))
+        yield _RECORD % (lead, _number(re), _number(im), verdict, "null" if n is None else n)
+        lead = ","
+    yield "\n    ]"
+
+
+def _witness_json(doc: dict) -> Iterator[str]:
+    """json.dumps(doc, indent=2) + "\n" for a witness document, in pieces.
+
+    The text outside the sample records is formatted here, at the call; the
+    records are formatted one by one as the pieces are consumed, so the
+    whole text is never held at once.
+    """
+    samples = doc["boundary_samples"]
+    outline = {**doc, "boundary_samples": {**samples, "points": _POINTS}}
+    head, tail = json.dumps(outline, indent=2).split(_POINTS_TEXT)
+    return itertools.chain((head,), _record_texts(samples["points"]), (tail, "\n"))
 
 
 def _write_files(files) -> None:
-    """Write each (path, text or bytes) of files, all of them or none.
+    """Write each (path, bytes, str or iterable of str) of files, all of
+    them or none.
 
     Each is written to a temporary sibling first, and the temporaries
-    replace their paths only once every one is written.  On failure the
-    temporaries are removed, and so are the paths already replaced, before
-    the OSError propagates.
+    replace their paths only once every one is written.  On any exception
+    the temporaries are removed, and so are the paths already replaced,
+    before the exception propagates.
     """
     staged, replaced = [], []
     try:
         for i, (path, data) in enumerate(files):
             head, tail = os.path.split(os.fspath(path))
             tmp = os.path.join(head, f".{tail}.{os.getpid()}.{i}.tmp")
-            text = isinstance(data, str)
+            text = not isinstance(data, bytes)
             with open(tmp, "x" if text else "xb", encoding="utf-8" if text else None) as fh:
                 staged.append(tmp)
-                fh.write(data)
+                fh.writelines((data,) if isinstance(data, (str, bytes)) else data)
         for tmp, (path, _) in zip(staged, files):
             os.replace(tmp, path)
             replaced.append(path)
-    except OSError:
+    except BaseException:
         for leftover in staged + replaced:
             try:
                 os.remove(leftover)
@@ -278,7 +199,7 @@ def cmd_render_maskit(args) -> int:
     win = _window(args)
     grid = rasterize_maskit(win, cfg, workers=args.workers)
     try:
-        save_ppm(grid, args.out)
+        _write_files([(args.out, to_ppm_bytes(grid))])
     except OSError as exc:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -304,13 +225,15 @@ def cmd_cusps(args) -> int:
         except BoundaryCuspError as exc:
             rows.append(f"{s.p},{s.q},nan,nan,failed: {exc}")
     text = "\n".join(rows) + "\n"
+    if args.out == "-":
+        sys.stdout.write(text)
+        return EXIT_OK
     try:
-        _write_text(args.out, text)
+        _write_files([(args.out, text)])
     except OSError as exc:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
-    if args.out != "-":
-        print(f"wrote {args.out} ({len(table)} slopes)")
+    print(f"wrote {args.out} ({len(table)} slopes)")
     return EXIT_OK
 
 
@@ -339,7 +262,7 @@ def cmd_a_slice(args) -> int:
         "cfg": RealClassifier(cfg).describe(),
     }
     _maybe_timestamp(doc, args)
-    text = _json_text(doc) + "\n"
+    text = json.dumps(doc, indent=2) + "\n"
     files = [(args.out, to_ppm_bytes(grid))]
     if args.json_out != "-":
         files.append((args.json_out, text))
@@ -396,19 +319,14 @@ def cmd_witness(args) -> int:
         workers=args.workers,
     )
     doc = _maybe_timestamp(report.to_json_dict(counting, classifier.describe()), args)
-    # Keep what the exit code and stderr need: the report's boundary-sample
-    # records are freed before the writer runs, which sets the run's peak RSS.
-    certified, offending = report.all_certified, len(report.offending_samples)
-    del report
-
+    text = _witness_json(doc)
     try:
-        text = _json_text(doc) + "\n"
         _write_files([(f"{prefix}.json", text), (f"{prefix}.ppm", to_ppm_bytes(counting.raster))])
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    ok = certified and counting.ok
+    ok = report.all_certified and counting.ok
     print(
         f"witness {'CERTIFIED' if ok else 'NOT certified'}: "
         f"Q=[{q.re_min:.6f},{q.re_max:.6f}]x[{q.im_min:.6f},{q.im_max:.6f}], "
@@ -416,9 +334,9 @@ def cmd_witness(args) -> int:
         f"(wanted {k}); outputs {prefix}.json, {prefix}.ppm"
     )
     if not ok:
-        if offending:
+        if report.offending_samples:
             print(
-                f"  {offending} boundary sample(s) failed certification",
+                f"  {len(report.offending_samples)} boundary sample(s) failed certification",
                 file=sys.stderr,
             )
         if counting.straddlers:

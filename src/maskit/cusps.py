@@ -34,11 +34,11 @@ rounded cusp, then rounded.  A result is flagged when the classifier does
 not certify INSIDE_PLUS at z + i*_PROBE_EPS, a point that Keen-Series puts
 in M+: that is the classifier's shortfall, not the cusp's.
 
-poly_roots, the all-roots solver, stays for CuspResult.all_roots and as an
-independent check of the cusps.  Its coefficients grow like 10^(q/2), so it
-runs a simultaneous Durand-Kerner iteration with Newton polishing, finished
-in mpmath (imported on first use) at a precision scaled to the degree and
-the coefficient size.  The iteration is deterministic: the initial
+poly_roots, the all-roots solver, stays as an independent check of the
+cusps.  Its coefficients grow like 10^(q/2), so it runs a simultaneous
+Durand-Kerner iteration with Newton polishing, finished in mpmath
+(imported on first use) at a precision scaled to the degree and the
+coefficient size.  The iteration is deterministic: the initial
 configuration is a circle of radius given by the Cauchy bound with a phase
 derived from an explicit integer mix of the seed.  The same sweeps run first
 in complex floats, until the estimates sit at double resolution, and mpmath
@@ -61,7 +61,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .classify import ClassifierConfig, Verdict, classify_point
 from .farey import FareySlope, TracePolynomial, _fill, trace_polynomial
@@ -119,13 +118,6 @@ class CuspResult:
     z: complex
     residual: float
     flagged: bool = False
-
-    @cached_property
-    def all_roots(self) -> tuple[complex, ...]:
-        """Every root of t_{p/q} = 2, then of t_{p/q} = -2, by poly_roots
-        (seed 0); solved on first read, never by cusp_point itself."""
-        poly = trace_polynomial(self.slope)
-        return tuple(poly_roots(poly, 2) + poly_roots(poly, -2))
 
 
 class _Slot:

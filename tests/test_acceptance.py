@@ -21,11 +21,12 @@ from maskit import (
     Verdict,
     a_membership,
     classify_point,
-    cusp_point,
     membership_with,
     normalized_length,
+    poly_roots,
     slope,
     slopes_up_to,
+    trace_polynomial,
 )
 from maskit.cli import main
 from oracle import commutator, generators, matrix_trace, tr
@@ -67,7 +68,8 @@ def test_criterion_1_boundary_cusp_fixtures(tmp_path):
         assert abs(t * t - 4.0) < 1e-9
 
     expected_roots = {0.0 + 0.0j, -2.0 + 0.0j, complex(-1.0, SQRT3), complex(-1.0, -SQRT3)}
-    got = list(cusp_point(slope(1, 2), ClassifierConfig()).all_roots)
+    poly = trace_polynomial(slope(1, 2))
+    got = poly_roots(poly, 2) + poly_roots(poly, -2)
     assert len(got) == 4
     for want in expected_roots:
         matches = [r for r in got if abs(r - want) < 1e-9]

@@ -1,15 +1,13 @@
 """Tests for the command-line interface: exit codes, goldens, config layering."""
 
-import collections
-import enum
+import errno
 import hashlib
 import json
 import time
 import tracemalloc
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import maskit.cli
@@ -20,7 +18,8 @@ from maskit.cli import (
     EXIT_PRECONDITION,
     EXIT_USAGE,
     EXIT_WITNESS,
-    _json_text,
+    _witness_json,
+    _write_files,
     main,
 )
 from maskit.farey import slopes_up_to
@@ -638,112 +637,128 @@ def test_witness_config_file_drives_run(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The JSON writer
+# The file writer
 # ---------------------------------------------------------------------------
-
-_TEXTS = st.text() | st.sampled_from(["", "\u00e9\u4e2d\U0001f600", "\x00\x1f\n\t\"\\/", "\ud800"])
-_KEYS = _TEXTS | st.integers() | st.floats() | st.booleans() | st.none()
-_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | _TEXTS
-_DOCS = st.recursive(
-    _SCALARS,
-    lambda inner: st.lists(inner)
-    | st.lists(inner).map(tuple)
-    | st.dictionaries(_KEYS, inner),
-    max_leaves=20,
-)
-
-
-@given(doc=_DOCS)
-@settings(max_examples=200, deadline=None)
-def test_json_text_is_json_dumps_indent_2(doc):
-    assert _json_text(doc) == json.dumps(doc, indent=2)
-
 
 _RECORD_FLOATS = st.sampled_from([0.5, -2.45, 3.4341016151374824, -0.0, 0.0, 1e-300]) | st.floats()
 
 
 @given(
     records=st.lists(
-        st.fixed_dictionaries(
-            {
-                "w": st.lists(_RECORD_FLOATS, min_size=2, max_size=2),
-                "verdict": st.sampled_from(["Member", "NonMemberCertified", "Undetermined"]),
-                "n": st.none() | st.integers(-3, 3),
-            }
+        st.builds(
+            lambda w, verdict, n: {"w": w, "verdict": verdict, "n": n},  # to_json_dict's order
+            st.lists(_RECORD_FLOATS, min_size=2, max_size=2),
+            st.sampled_from(["Member", "NonMemberCertified", "Undetermined"]),
+            st.none() | st.integers(-3, 3),
         ),
-        min_size=50,
-        max_size=80,
+        max_size=60,
     ),
-    shared=st.tuples(st.integers(0, 49), st.integers(1, 49)),
+    shared=st.tuples(st.integers(0, 59), st.integers(0, 58)),
+    x=_RECORD_FLOATS,
 )
-@settings(max_examples=25, deadline=None)
-def test_json_text_is_json_dumps_indent_2_on_sample_records(records, shared):
-    # The witness document's shape: many records with the same keys, whose
-    # floats repeat, with -0.0 beside 0.0, NaN and infinities, and None.
-    # One list object is referenced twice.
-    i, step = shared
-    records[(i + step) % len(records)]["w"] = records[i]["w"]
-    doc = {"boundary_samples": {"count": len(records), "points": records}}
-    assert _json_text(doc) == json.dumps(doc, indent=2)
+@example(records=[], shared=(0, 0), x=0.5)
+@settings(max_examples=50, deadline=None)
+def test_witness_json_is_json_dumps_indent_2(records, shared, x):
+    # The witness document's shape around its records, whose floats repeat,
+    # with -0.0 beside 0.0, NaN and infinities, and None; one w list is
+    # referenced by two records.
+    if len(records) >= 2:
+        i, step = shared[0] % len(records), 1 + shared[1] % (len(records) - 1)
+        records[(i + step) % len(records)]["w"] = records[i]["w"]
+    doc = {
+        "z": [x, 1.5],
+        "boundary_samples": {
+            "count": len(records),
+            "spacing": x,
+            "verdicts": {"Member": len(records)},
+            "offending": [[x, -0.0]],
+            "points": records,
+        },
+        "all_certified": True,
+        "cfg": {"kind": "synthetic"},
+    }
+    assert "".join(_witness_json(doc)) == json.dumps(doc, indent=2) + "\n"
 
 
-# tracemalloc's peak for _json_text on the synthetic witness -k 5 document,
-# per character of its text (numpy 2.4.6, Python 3.11): 2.26 for the
-# one-pass writer, 3.40 for the nested-join writer it replaced.  The joined
-# text itself accounts for 1.0 of either.
-_JSON_TEXT_PEAK_PER_CHAR = 2.5
+def test_witness_json_formats_the_outline_at_the_call():
+    # a value json.dumps cannot write fails before any file is staged
+    doc = {"boundary_samples": {"points": []}, "cfg": {1j}}
+    with pytest.raises(TypeError):
+        _witness_json(doc)
 
 
-def test_json_text_peak_allocation():
+# tracemalloc's peak while the synthetic witness -k 5 document is written,
+# per character of its text (Python 3.11): 0.077 with the records streamed
+# to the file, 2.26 for the writer that built the whole text as one string.
+_WITNESS_WRITE_PEAK_PER_CHAR = 0.25
+
+
+def test_witness_json_write_peak_allocation(tmp_path):
     clf = SyntheticSlice()
     q, z = find_rectangle(clf)
     report = verify_witness(q, z, clf)
     counting = components_near_infinity(3.0 * z, 5, clf, rectangle=report.R)
     doc = report.to_json_dict(counting, clf.describe())
     del report, counting
-    size = len(_json_text(doc))
+    text = json.dumps(doc, indent=2) + "\n"
+    out = tmp_path / "w.json"
     tracemalloc.start()
     try:
-        _json_text(doc)
+        _write_files([(out, _witness_json(doc))])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < _JSON_TEXT_PEAK_PER_CHAR * size
+    assert out.read_text() == text
+    assert peak < _WITNESS_WRITE_PEAK_PER_CHAR * len(text)
 
 
-class _Level(enum.IntEnum):
-    HIGH = 3
+def test_write_files_removes_its_temporary_on_any_error(tmp_path):
+    target = tmp_path / "t.json"
+    target.write_text("old")
+
+    def pieces():
+        yield "new"
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        _write_files([(target, pieces())])
+    assert target.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
 
 
-class _Name(str, enum.Enum):
-    A = "a\u00e9"
+class _FullDisk:
+    """A file that takes its first three bytes, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:3])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
 
 
 @pytest.mark.parametrize(
-    "doc",
+    "argv",
     [
-        # a float memo keyed on the value would write the second zero as 0.0
-        [0.0, -0.0, {"a": -0.0}],
-        [-0.0, 0.0, {-0.0: 0.0, "b": [0.0, -0.0]}],
-        [float("nan"), float("inf"), -float("inf"), {float("inf"): float("nan")}],
-        {True: 1, False: 0, None: None, 2: [], 2.5: {}, "t": ()},
-        ([], {}, (), [[]], {"": {}}),
-        "\u00e9\x00",
-        7,
-        # subclasses are written as their base types
-        {"x": np.float64(0.1), "y": [np.float64(-0.0), np.float64("nan")]},
-        {_Level.HIGH: _Level.HIGH, "n": [_Name.A], _Name.A: True},
-        collections.namedtuple("Pair", "re im")(1.5, -2.0),
-        collections.OrderedDict([("b", 1), ("a", collections.OrderedDict())]),
+        ["render-maskit", "--window", "-0.2", "0.2", "0.05", "0.15", "--res", "4x2"],
+        ["cusps", "--max-q", "2"],
     ],
 )
-def test_json_text_matches_json_dumps_on_edge_cases(doc):
-    assert _json_text(doc) == json.dumps(doc, indent=2)
-
-
-@pytest.mark.parametrize("value", [{1, 2}, 1j, b"bytes", [1, {2: {3}}], {(1, 2): 3}])
-def test_json_text_raises_type_error_as_json_dumps_does(value):
-    with pytest.raises(TypeError):
-        json.dumps(value, indent=2)
-    with pytest.raises(TypeError):
-        _json_text(value)
+def test_failed_write_keeps_the_old_file(argv, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    out.write_bytes(b"the old bytes")
+    monkeypatch.setattr(maskit.cli, "open", lambda *a, **k: _FullDisk(open(*a, **k)), raising=False)
+    assert main(argv + ["--out", str(out)]) == EXIT_IO
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_bytes() == b"the old bytes"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
