@@ -11,16 +11,12 @@ recursion is checked against.
 """
 
 from .classify import (
-    AMembership,
-    AVerdict,
     Classification,
     ClassifierConfig,
     RealClassifier,
     SyntheticSlice,
     Verdict,
-    a_membership,
     classify_point,
-    membership_with,
 )
 from .cusps import (
     BoundaryCuspError,
@@ -45,11 +41,15 @@ from .raster import (
     CELL_NON_MEMBER,
     CELL_OUTSIDE,
     CELL_UNDETERMINED,
+    AMembership,
+    AVerdict,
     Component,
     ComponentReport,
     Raster,
     Window,
+    a_membership,
     components,
+    membership_with,
     rasterize_a_slice,
     rasterize_maskit,
     save_ppm,

@@ -1,4 +1,4 @@
-"""Graded discreteness classification on the z-slice and the (z, w) locus.
+"""Graded discreteness classification of points of the z-slice.
 
 classify_point decides, with explicit certainty grades, whether the
 parameter z lies in the upper (InsidePlus) or lower (InsideMinus) component
@@ -52,13 +52,11 @@ bulk, then the points it leaves are searched in blocks, a tree level a round,
 with CPython's complex arithmetic written out on float arrays, so each trace
 is the scalar one bit for bit.  The few points whose verdict could depend on
 the search order go to classify_point.
-SyntheticSlice.classify_grid does the same for the stand-in slice.
-
-a_membership layers the two-parameter test on top: w belongs to the locus
-of the extended representation at base z exactly when some integer n puts
-z - snw in the upper component and z - s(n+1)w in the lower one
-(s = sign Im w); the membership verdict is assembled from the two
-sub-classifications, conservatively when either is Undetermined.
+SyntheticSlice.classify_grid does the same for the stand-in slice.  The
+rasters and the witness take a classifier's batch function from _grid_of,
+which for a classifier with only classify calls it a point at a time under
+the same contract.  The membership test built on these verdicts is in
+maskit.raster.
 """
 
 from __future__ import annotations
@@ -77,15 +75,6 @@ class Verdict(Enum):
     INSIDE_PLUS = "InsidePlus"
     INSIDE_MINUS = "InsideMinus"
     OUTSIDE_CERTIFIED = "OutsideCertified"
-    UNDETERMINED = "Undetermined"
-
-    def __str__(self):
-        return self.value
-
-
-class AVerdict(Enum):
-    MEMBER = "Member"
-    NON_MEMBER_CERTIFIED = "NonMemberCertified"
     UNDETERMINED = "Undetermined"
 
     def __str__(self):
@@ -152,14 +141,6 @@ class Classification:
     verdict: Verdict
     witness: FareySlope | None
     explored: int
-    reason: str | None = None
-
-
-@dataclass(frozen=True)
-class AMembership:
-    verdict: AVerdict
-    n: int | None
-    sub_verdicts: tuple[Classification, Classification] | None
     reason: str | None = None
 
 
@@ -528,68 +509,19 @@ class SyntheticSlice:
         return {"kind": "synthetic", "peak": _SYNTHETIC_PEAK, "depth": _SYNTHETIC_DEPTH}
 
 
-def check_base_point(classifier, z) -> None:
-    """Raise ValueError unless the classifier certifies the base point z InsidePlus."""
-    if classifier.classify(z).verdict is not Verdict.INSIDE_PLUS:
-        raise ValueError("base point not certified in M+")
-
-
-def _membership_shift(z: complex, w_imag: float) -> tuple[float, int, str | None]:
-    """s = sign Im w and n = floor(Im z / |Im w|) of the test points z - s*n*w
-    and z - s*(n+1)*w, or a reason why w is certainly not a member.
-
-    Raises ValueError when Im z / |Im w| overflows: no test point exists.
+def _grid_of(classifier):
+    """The classifier's classify_grid, or for a classifier that has only
+    classify, a function with classify_grid's contract that calls classify
+    once a point, in row-major order, so a bad point raises at the first one.
     """
-    if w_imag == 0.0:
-        return 0.0, 0, "Im w = 0"
-    s = 1.0 if w_imag > 0 else -1.0
-    ratio = z.imag / abs(w_imag)
-    if math.isinf(ratio):
-        raise ValueError(f"cannot test membership at Im w = {w_imag!r}: Im z / |Im w| overflows")
-    n = math.floor(ratio)
-    if ratio == n:
-        return s, n, "Im z is an exact multiple of Im w: a test point lands on the real axis"
-    return s, n, None
+    grid = getattr(classifier, "classify_grid", None)
+    if grid is not None:
+        return grid
 
+    def classify_grid(re, im):
+        re, im = np.broadcast_arrays(np.asarray(re, np.float64), np.asarray(im, np.float64))
+        points = map(complex, re.ravel().tolist(), im.ravel().tolist())
+        codes = (_VERDICT_CODE[classifier.classify(z).verdict] for z in points)
+        return np.fromiter(codes, np.uint8, re.size).reshape(re.shape)
 
-def membership_with(classifier, z, w) -> AMembership:
-    """Two-point membership test against an arbitrary classifier.
-
-    Pre-condition: the base point z is already certified InsidePlus (see
-    check_base_point; callers doing pixel sweeps check once, not per pixel).
-    Raises ValueError for a non-finite z or w.  Both test points are
-    classified, upper first, even where one verdict already decides: the
-    record's sub_verdicts carry both.  (raster.membership_grid, which keeps
-    no sub_verdicts, skips the upper point where the lower one is outside.)
-    """
-    z = complex(z)
-    w = complex(w)
-    if not (cmath.isfinite(z) and cmath.isfinite(w)):
-        raise ValueError(f"cannot test membership at the non-finite pair z={z}, w={w}")
-    s, n, reason = _membership_shift(z, w.imag)
-    if reason is not None:
-        return AMembership(AVerdict.NON_MEMBER_CERTIFIED, None, None, reason=reason)
-    upper = classifier.classify(z - s * n * w)
-    lower = classifier.classify(z - s * (n + 1) * w)
-    if (
-        upper.verdict is Verdict.INSIDE_PLUS
-        and lower.verdict is Verdict.INSIDE_MINUS
-    ):
-        return AMembership(AVerdict.MEMBER, n, (upper, lower))
-    if (
-        upper.verdict is Verdict.OUTSIDE_CERTIFIED
-        or lower.verdict is Verdict.OUTSIDE_CERTIFIED
-    ):
-        return AMembership(AVerdict.NON_MEMBER_CERTIFIED, n, (upper, lower))
-    return AMembership(AVerdict.UNDETERMINED, n, (upper, lower))
-
-
-def a_membership(z, w, cfg: ClassifierConfig | None = None) -> AMembership:
-    """Does w belong to the locus of the extended representation at base z?
-
-    Raises ValueError("base point not certified in M+") unless classify_point
-    certifies z InsidePlus.
-    """
-    classifier = RealClassifier(cfg or ClassifierConfig())
-    check_base_point(classifier, z)
-    return membership_with(classifier, z, w)
+    return classify_grid

@@ -18,8 +18,9 @@ Every JSON document is json.dumps(doc, indent=2)'s text.  The witness's
 boundary-sample records are formatted one at a time in that layout and
 streamed to the file.  Each command writes its files to temporary siblings
 and renames them only once all are written, so a write that fails leaves
-no partial file and no temporary; cusps --out - and a-slice --json - print
-to stdout.
+no partial file and no temporary, and a rename that fails leaves the files
+already renamed whole; cusps --out - and a-slice --json - print to stdout
+(a-slice then reports on stderr, so stdout is the JSON document alone).
 """
 
 from __future__ import annotations
@@ -165,15 +166,15 @@ def _witness_json(doc: dict) -> Iterator[str]:
 
 
 def _write_files(files) -> None:
-    """Write each (path, bytes, str or iterable of str) of files, all of
-    them or none.
+    """Write each (path, bytes, str or iterable of str) of files, whole.
 
     Each is written to a temporary sibling first, and the temporaries
-    replace their paths only once every one is written.  On any exception
-    the temporaries are removed, and so are the paths already replaced,
-    before the exception propagates.
+    replace their paths, in order, only once every one is written.  On any
+    exception the temporaries not yet renamed are removed before the
+    exception propagates: a path is never left partial, and one already
+    replaced keeps its new contents.
     """
-    staged, replaced = [], []
+    staged = []
     try:
         for i, (path, data) in enumerate(files):
             head, tail = os.path.split(os.fspath(path))
@@ -182,11 +183,11 @@ def _write_files(files) -> None:
             with open(tmp, "x" if text else "xb", encoding="utf-8" if text else None) as fh:
                 staged.append(tmp)
                 fh.writelines((data,) if isinstance(data, (str, bytes)) else data)
-        for tmp, (path, _) in zip(staged, files):
-            os.replace(tmp, path)
-            replaced.append(path)
+        for path, _ in files:
+            os.replace(staged[0], path)
+            del staged[0]
     except BaseException:
-        for leftover in staged + replaced:
+        for leftover in staged:
             try:
                 os.remove(leftover)
             except OSError:
@@ -271,9 +272,11 @@ def cmd_a_slice(args) -> int:
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
+    status = sys.stdout
     if args.json_out == "-":
         sys.stdout.write(text)
-    print(f"wrote {args.out} and {args.json_out}: {rep.count} components")
+        status = sys.stderr  # stdout holds the JSON document alone
+    print(f"wrote {args.out} and {args.json_out}: {rep.count} components", file=status)
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Rasterization of verdict fields over complex windows, components, images.
+"""Verdict rasters over complex windows, the membership test, components, images.
 
 Pixels map affinely to the plane, row-major with the top row at maximal
 imaginary part; cell (i, j) is classified at its center.  Grids hold small
@@ -6,15 +6,20 @@ integer verdict codes (uint8), so PPM export is a palette lookup.
 
 Everything is a pure function of (classifier, window, row range), so the
 worker count cannot change any byte of the output: row chunks are mapped
-and concatenated in order.  A classifier with classify_grid (RealClassifier
-and SyntheticSlice both have it) gets each chunk's rows in one call of the
-slice raster.  The membership raster goes through membership_grid, which
-forms membership_with's test points for any batch of w and which
-verify_witness also uses for its boundary samples: one classify_grid call
-for every lower test point, a second for the upper ones whose lower point is
-not OutsideCertified.  Any other classifier is called pixel by pixel.  Both
-paths give the same bytes.  A raster of fewer than _POOL_MIN_PX pixels runs
-in process whatever the worker count, as for one worker.
+and concatenated in order.  Each chunk of the slice raster is one call of
+the classifier's batch function (see classify._grid_of).  A raster of fewer
+than _POOL_MIN_PX pixels runs in process whatever the worker count, as for
+one worker.
+
+The membership test is here as well.  w belongs to the locus of the
+extended representation at base z exactly when some integer n puts z - snw
+in the upper component and z - s(n+1)w in the lower one (s = sign Im w);
+the verdict is assembled from the two sub-classifications, conservatively
+when either is Undetermined.  membership_with tests one w.  membership_grid
+forms the same test points for any batch of w, and both the membership
+raster and verify_witness's boundary samples go through it: one batch call
+for every lower test point, a second for the upper ones whose lower point
+is not OutsideCertified.
 """
 
 from __future__ import annotations
@@ -23,23 +28,40 @@ import cmath
 import math
 import multiprocessing
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 from .classify import (
-    _VERDICT_CODE,
     CELL_INSIDE_MINUS,
     CELL_INSIDE_PLUS,
     CELL_OUTSIDE,
     CELL_UNDETERMINED,
     REAL_PART_LIMIT,
-    AVerdict,
+    Classification,
     ClassifierConfig,
     RealClassifier,
-    _membership_shift,
-    check_base_point,
-    membership_with,
+    Verdict,
+    _grid_of,
 )
+
+
+class AVerdict(Enum):
+    MEMBER = "Member"
+    NON_MEMBER_CERTIFIED = "NonMemberCertified"
+    UNDETERMINED = "Undetermined"
+
+    def __str__(self):
+        return self.value
+
+
+@dataclass(frozen=True)
+class AMembership:
+    verdict: AVerdict
+    n: int | None
+    sub_verdicts: tuple[Classification, Classification] | None
+    reason: str | None = None
+
 
 CELL_MEMBER = 4
 CELL_NON_MEMBER = 5
@@ -173,16 +195,75 @@ class Raster:
 
 def _classify_rows(task):
     classifier, win, i0, i1 = task
-    classify_grid = getattr(classifier, "classify_grid", None)
-    if classify_grid is not None:
-        xs, ys = win.centers()
-        return classify_grid(xs, ys[i0:i1, None])
-    out = np.empty((i1 - i0, win.cols), dtype=np.uint8)
-    for i in range(i0, i1):
-        row = out[i - i0]
-        for j in range(win.cols):
-            row[j] = _VERDICT_CODE[classifier.classify(win.pixel_center(i, j)).verdict]
-    return out
+    xs, ys = win.centers()
+    return _grid_of(classifier)(xs, ys[i0:i1, None])
+
+
+def check_base_point(classifier, z) -> None:
+    """Raise ValueError unless the classifier certifies the base point z InsidePlus."""
+    if classifier.classify(z).verdict is not Verdict.INSIDE_PLUS:
+        raise ValueError("base point not certified in M+")
+
+
+def _membership_shift(z: complex, w_imag: float) -> tuple[float, int, str | None]:
+    """s = sign Im w and n = floor(Im z / |Im w|) of the test points z - s*n*w
+    and z - s*(n+1)*w, or a reason why w is certainly not a member.
+
+    Raises ValueError when Im z / |Im w| overflows: no test point exists.
+    """
+    if w_imag == 0.0:
+        return 0.0, 0, "Im w = 0"
+    s = 1.0 if w_imag > 0 else -1.0
+    ratio = z.imag / abs(w_imag)
+    if math.isinf(ratio):
+        raise ValueError(f"cannot test membership at Im w = {w_imag!r}: Im z / |Im w| overflows")
+    n = math.floor(ratio)
+    if ratio == n:
+        return s, n, "Im z is an exact multiple of Im w: a test point lands on the real axis"
+    return s, n, None
+
+
+def membership_with(classifier, z, w) -> AMembership:
+    """Two-point membership test against an arbitrary classifier.
+
+    Pre-condition: the base point z is already certified InsidePlus (see
+    check_base_point; callers doing pixel sweeps check once, not per pixel).
+    Raises ValueError for a non-finite z or w.  Both test points are
+    classified, upper first, even where one verdict already decides: the
+    record's sub_verdicts carry both.  (membership_grid, which keeps no
+    sub_verdicts, skips the upper point where the lower one is outside.)
+    """
+    z = complex(z)
+    w = complex(w)
+    if not (cmath.isfinite(z) and cmath.isfinite(w)):
+        raise ValueError(f"cannot test membership at the non-finite pair z={z}, w={w}")
+    s, n, reason = _membership_shift(z, w.imag)
+    if reason is not None:
+        return AMembership(AVerdict.NON_MEMBER_CERTIFIED, None, None, reason=reason)
+    upper = classifier.classify(z - s * n * w)
+    lower = classifier.classify(z - s * (n + 1) * w)
+    if (
+        upper.verdict is Verdict.INSIDE_PLUS
+        and lower.verdict is Verdict.INSIDE_MINUS
+    ):
+        return AMembership(AVerdict.MEMBER, n, (upper, lower))
+    if (
+        upper.verdict is Verdict.OUTSIDE_CERTIFIED
+        or lower.verdict is Verdict.OUTSIDE_CERTIFIED
+    ):
+        return AMembership(AVerdict.NON_MEMBER_CERTIFIED, n, (upper, lower))
+    return AMembership(AVerdict.UNDETERMINED, n, (upper, lower))
+
+
+def a_membership(z, w, cfg: ClassifierConfig | None = None) -> AMembership:
+    """Does w belong to the locus of the extended representation at base z?
+
+    Raises ValueError("base point not certified in M+") unless classify_point
+    certifies z InsidePlus.
+    """
+    classifier = RealClassifier(cfg or ClassifierConfig())
+    check_base_point(classifier, z)
+    return membership_with(classifier, z, w)
 
 
 def _real_times(x, re, im):
@@ -258,31 +339,13 @@ def membership_grid(classify_grid, z, w_re, w_im) -> tuple[np.ndarray, np.ndarra
     return codes, np.array(n)
 
 
-def _membership_grid(classify_grid, z: complex, win: Window, i0: int, i1: int):
-    """_membership_rows through membership_grid, all rows at once."""
+def _membership_rows(task):
+    classifier, z, win, i0, i1 = task
     xs, ys = win.centers()
     ys = ys[i0:i1]
     out = np.full((i1 - i0, win.cols), CELL_NON_MEMBER, dtype=np.uint8)
     upper = ys >= 0  # the locus is defined in Im w >= 0
-    out[upper] = membership_grid(classify_grid, z, xs, ys[upper, None])[0]
-    return out
-
-
-def _membership_rows(task):
-    classifier, zbase, win, i0, i1 = task
-    classify_grid = getattr(classifier, "classify_grid", None)
-    if classify_grid is not None:
-        return _membership_grid(classify_grid, zbase, win, i0, i1)
-    out = np.empty((i1 - i0, win.cols), dtype=np.uint8)
-    for i in range(i0, i1):
-        row = out[i - i0]
-        for j in range(win.cols):
-            w = win.pixel_center(i, j)
-            if w.imag < 0:
-                row[j] = CELL_NON_MEMBER  # the locus is defined in Im w >= 0
-                continue
-            verdict = membership_with(classifier, zbase, w).verdict
-            row[j] = _AVERDICT_CODE[verdict]
+    out[upper] = membership_grid(_grid_of(classifier), z, xs, ys[upper, None])[0]
     return out
 
 

@@ -30,10 +30,10 @@ then tried until every side sample certifies outside.
 
 Every stage takes the classifier as an argument: any object with
 .classify(z) and .describe(), such as RealClassifier or SyntheticSlice.
-There is no default.  Both of those also have classify_grid; for such a
-classifier verify_witness tests its boundary samples in one batch (see
-raster.membership_grid) and the counting raster classifies whole rows, with
-the same verdicts and bytes as the point-by-point path other classifiers take.
+There is no default.  verify_witness tests its boundary samples in one batch
+(see raster.membership_grid), and the counting raster classifies whole rows:
+through classify_grid, or through classify a point at a time for a
+classifier without one.
 """
 
 from __future__ import annotations
@@ -45,25 +45,23 @@ from operator import itemgetter
 
 import numpy as np
 
-from .classify import (
-    AMembership,
-    AVerdict,
-    Verdict,
-    _membership_shift,
-    check_base_point,
-    membership_with,
-)
+from .classify import Verdict, _grid_of
 from .raster import (
     _AVERDICT_CODE,
     CELL_MEMBER,
     CELL_NON_MEMBER,
+    AMembership,
+    AVerdict,
     Component,
     ComponentReport,
     Raster,
     Window,
+    _membership_shift,
     _real_times,
+    check_base_point,
     components,
     membership_grid,
+    membership_with,
     rasterize_a_slice,
 )
 
@@ -342,12 +340,11 @@ def verify_witness(
     all_certified reports the conjunction; failures are listed, not raised.
 
     The samples, their nudged copies (w + margin*inward, rounded as CPython
-    rounds it) and the mask of samples that held are numpy arrays.  A
-    classifier with classify_grid has all samples tested in one batch and
-    the copies of those that held in another; the sample records then carry
-    membership_with's verdict, n and reason, with sub_verdicts None, and
-    samples with the same verdict and n share one.  Any other classifier is
-    called sample by sample.
+    rounds it) and the mask of samples that held are numpy arrays.  All
+    samples are tested in one membership_grid batch and the copies of those
+    that held in another.  The sample records carry membership_with's
+    verdict, n and reason, with sub_verdicts None, and samples with the same
+    verdict and n share one.
     """
     z = complex(z)
     if not q.contains_interior(z):
@@ -363,23 +360,13 @@ def verify_witness(
 
     re, im, in_re, in_im = _boundary_arrays(r, spacing)
     ws = list(map(complex, re.tolist(), im.tolist()))
-    grid = getattr(classifier, "classify_grid", None)
-    if grid is None:
-        records = [membership_with(classifier, base, w) for w in ws]
-        ok = np.array([rec.verdict is AVerdict.NON_MEMBER_CERTIFIED for rec in records], bool)
-    else:
-        codes, records = _memberships(grid, base, re, im)
-        ok = codes == CELL_NON_MEMBER
+    grid = _grid_of(classifier)
+    codes, records = _memberships(grid, base, re, im)
+    ok = codes == CELL_NON_MEMBER
     held = np.flatnonzero(ok)  # only these have their copy tested
     shift_re, shift_im = _real_times(margin, in_re[held], in_im[held])  # margin * inward
     copy_re, copy_im = re[held] + shift_re, im[held] + shift_im
-    if grid is None:
-        ok[held] = [
-            membership_with(classifier, base, w).verdict is AVerdict.NON_MEMBER_CERTIFIED
-            for w in map(complex, copy_re.tolist(), copy_im.tolist())
-        ]
-    else:
-        ok[held] = membership_grid(grid, base, copy_re, copy_im)[0] == CELL_NON_MEMBER
+    ok[held] = membership_grid(grid, base, copy_re, copy_im)[0] == CELL_NON_MEMBER
     offending = [ws[i] for i in np.flatnonzero(~ok).tolist()]
 
     all_certified = interior.verdict is AVerdict.MEMBER and not offending

@@ -21,16 +21,14 @@ from maskit.classify import (
     CELL_INSIDE_PLUS,
     CELL_OUTSIDE,
     REAL_PART_LIMIT,
-    AVerdict,
     ClassifierConfig,
     RealClassifier,
     SyntheticSlice,
     Verdict,
-    a_membership,
+    _grid_of,
     classify_point,
-    membership_with,
 )
-from maskit.raster import Window
+from maskit.raster import AVerdict, Window, a_membership, membership_with
 from oracle import matrix_trace
 
 _SQRT3 = math.sqrt(3.0)
@@ -303,13 +301,33 @@ def test_classify_grid_peak_allocation():
     assert peak < _LANES_PEAK_BYTES
 
 
+class _ClassifyOnly:
+    """A classifier with classify alone, which _grid_of serves a point at a time."""
+
+    def __init__(self, inner):
+        self.classify = inner.classify
+
+
+def _grids(clf):
+    """clf's classify_grid, and _grid_of's per-point stand-in built on its classify."""
+    assert _grid_of(clf) == clf.classify_grid
+    return [clf.classify_grid, _grid_of(_ClassifyOnly(clf))]
+
+
+def _assert_first_bad_point_raises(grid):
+    # row-major order: (nan, 4) comes before (1, inf)
+    with pytest.raises(ValueError, match=r"non-finite point \(nan\+4j\)"):
+        grid(np.array([[0.0, math.nan], [1.0, 2.0]]), np.array([[4.0], [math.inf]]))
+
+
 def test_classify_grid_shapes():
-    clf = RealClassifier()
-    assert clf.classify_grid([], []).shape == (0,)
-    codes = clf.classify_grid(np.array([0.0, 1.0]), np.array([[4.0], [0.5], [-4.0]]))
-    assert codes.shape == (3, 2) and codes.dtype == np.uint8
-    assert codes.tolist() == [[0, 0], [2, 2], [1, 1]]
-    assert clf.classify_grid(0.0, 4.0).shape == ()
+    for grid in _grids(RealClassifier()):
+        assert grid([], []).shape == (0,)
+        codes = grid(np.array([0.0, 1.0]), np.array([[4.0], [0.5], [-4.0]]))
+        assert codes.shape == (3, 2) and codes.dtype == np.uint8
+        assert codes.tolist() == [[0, 0], [2, 2], [1, 1]]
+        assert grid(0.0, 4.0).shape == ()
+        _assert_first_bad_point_raises(grid)
 
 
 def _synthetic_codes(re, im):
@@ -353,12 +371,13 @@ def test_synthetic_classify_grid_rejects_non_finite_points(bad):
 
 
 def test_synthetic_classify_grid_shapes():
-    clf = SyntheticSlice()
-    assert clf.classify_grid([], []).shape == (0,)
-    codes = clf.classify_grid(np.array([0.0, 1.0]), np.array([[4.0], [1.6], [-4.0]]))
-    assert codes.shape == (3, 2) and codes.dtype == np.uint8
-    assert codes.tolist() == [[0, 0], [2, 0], [1, 1]]
-    assert clf.classify_grid(0.0, 4.0).shape == ()
+    for grid in _grids(SyntheticSlice()):
+        assert grid([], []).shape == (0,)
+        codes = grid(np.array([0.0, 1.0]), np.array([[4.0], [1.6], [-4.0]]))
+        assert codes.shape == (3, 2) and codes.dtype == np.uint8
+        assert codes.tolist() == [[0, 0], [2, 0], [1, 1]]
+        assert grid(0.0, 4.0).shape == ()
+        _assert_first_bad_point_raises(grid)
 
 
 def test_rejection_witness_is_sound():

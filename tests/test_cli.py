@@ -463,8 +463,9 @@ def test_a_slice_json_to_stdout(tmp_path, capsys):
     ppm = tmp_path / "a.ppm"
     argv = ["a-slice", "--z", "0", "4", "--res", "2x2", "--out", str(ppm), "--json", "-"]
     assert main(argv) == EXIT_OK
-    out = capsys.readouterr().out
-    assert json.loads(out[: out.rindex("}") + 1])["count"] >= 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["count"] >= 0  # stdout is the document alone
+    assert err.startswith(f"wrote {ppm} and -: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ppm"]
 
 
@@ -546,14 +547,16 @@ def test_witness_synthetic_certifies(tmp_path, capsys):
     assert header.startswith(b"P6\n")
 
 
-def test_witness_unwritable_ppm_writes_no_json(tmp_path, capsys):
-    # A directory where the PPM should go: the JSON is written to its
-    # temporary first, and must not survive the PPM's failed rename.
+def test_witness_unwritable_ppm_exits_2_and_keeps_the_json(tmp_path, capsys):
+    # A directory where the PPM should go: the JSON's rename comes first and
+    # holds, the PPM's fails, and no temporary is left.
     (tmp_path / "w.ppm").mkdir()
+    (tmp_path / "w.json").write_text("old")
     code, prefix = _run_witness(tmp_path, "w", [])
     assert code == EXIT_IO
     assert "cannot write output" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["w.ppm"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.json", "w.ppm"]
+    assert json.loads((tmp_path / "w.json").read_text())["all_certified"] is True
     assert list((tmp_path / "w.ppm").iterdir()) == []
 
 
@@ -724,6 +727,16 @@ def test_write_files_removes_its_temporary_on_any_error(tmp_path):
         _write_files([(target, pieces())])
     assert target.read_text() == "old"
     assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+
+
+def test_write_files_keeps_a_replaced_file_when_a_later_rename_fails(tmp_path):
+    (tmp_path / "w.json").write_text("old")
+    (tmp_path / "w.ppm").mkdir()
+    with pytest.raises(IsADirectoryError):
+        _write_files([(tmp_path / "w.json", "new"), (tmp_path / "w.ppm", b"P6")])
+    assert (tmp_path / "w.json").read_text() == "new"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.json", "w.ppm"]
+    assert list((tmp_path / "w.ppm").iterdir()) == []
 
 
 class _FullDisk:

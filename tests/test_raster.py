@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import maskit.classify
 import maskit.raster
 from maskit import (
     CELL_INSIDE_MINUS,
@@ -27,6 +26,7 @@ from maskit import (
     SyntheticSlice,
     Verdict,
     Window,
+    classify_point,
     components,
     membership_with,
     rasterize_a_slice,
@@ -34,6 +34,7 @@ from maskit import (
     save_ppm,
     to_ppm_bytes,
 )
+from maskit.classify import _VERDICT_CODE
 
 _FAST_CFG = ClassifierConfig(q_max=64, node_budget=5000)
 
@@ -353,22 +354,33 @@ def test_a_slice_worker_count_is_invisible():
 
 
 # ---------------------------------------------------------------------------
-# The classify_grid path against the per-pixel path
+# The batch path against scalar references, pixel by pixel
 # ---------------------------------------------------------------------------
 
 
-class _PerPixel:
-    """Only classify and describe, like the traced proxy of the benchmark:
-    rasters over it take the per-pixel path."""
+def _per_pixel(win, code):
+    """The uint8 cells of win, code(w) at each pixel centre w."""
+    return np.array(
+        [[code(win.pixel_center(i, j)) for j in range(win.cols)] for i in range(win.rows)],
+        np.uint8,
+    )
 
-    def __init__(self, inner):
-        self.inner = inner
 
-    def classify(self, z):
-        return self.inner.classify(z)
+def _slice_cells(win, cfg):
+    """rasterize_maskit's cells pixel by pixel, by classify_point."""
+    return _per_pixel(win, lambda z: _VERDICT_CODE[classify_point(z, cfg).verdict])
 
-    def describe(self):
-        return self.inner.describe()
+
+def _membership_cells(z, win, classifier):
+    """rasterize_a_slice's cells pixel by pixel, by membership_with; Im w < 0
+    is outside the locus, so NonMember."""
+
+    def code(w):
+        if w.imag < 0:
+            return CELL_NON_MEMBER
+        return maskit.raster._AVERDICT_CODE[membership_with(classifier, z, w).verdict]
+
+    return _per_pixel(win, code)
 
 
 _TINY_CFG = ClassifierConfig(q_max=2, node_budget=1)
@@ -386,14 +398,11 @@ _WINDOWS = [
 @pytest.mark.parametrize("bounds", _WINDOWS)
 def test_grid_path_matches_the_per_pixel_path(bounds, cfg):
     win = Window.from_bounds(*bounds)
-    grid, per_pixel = RealClassifier(cfg), _PerPixel(RealClassifier(cfg))
-    assert to_ppm_bytes(rasterize_maskit(win, classifier=grid)) == to_ppm_bytes(
-        rasterize_maskit(win, classifier=per_pixel)
-    )
+    clf = RealClassifier(cfg)
+    assert np.array_equal(rasterize_maskit(win, classifier=clf).cells, _slice_cells(win, cfg))
     for z in (4j, complex(0.7, 4.2)):  # certified under every cfg: one fan trace
         assert np.array_equal(
-            rasterize_a_slice(z, win, classifier=grid).cells,
-            rasterize_a_slice(z, win, classifier=per_pixel).cells,
+            rasterize_a_slice(z, win, classifier=clf).cells, _membership_cells(z, win, clf)
         )
 
 
@@ -414,14 +423,10 @@ def test_grid_path_matches_per_pixel_on_random_windows(
 ):
     re_min += 2.0 * k
     win = Window.from_bounds(re_min, re_min + width, im_min, im_min + height, cols, rows)
-    grid, per_pixel = RealClassifier(cfg), _PerPixel(RealClassifier(cfg))
+    clf = RealClassifier(cfg)
+    assert np.array_equal(rasterize_maskit(win, classifier=clf).cells, _slice_cells(win, cfg))
     assert np.array_equal(
-        rasterize_maskit(win, classifier=grid).cells,
-        rasterize_maskit(win, classifier=per_pixel).cells,
-    )
-    assert np.array_equal(
-        rasterize_a_slice(z, win, classifier=grid).cells,
-        rasterize_a_slice(z, win, classifier=per_pixel).cells,
+        rasterize_a_slice(z, win, classifier=clf).cells, _membership_cells(z, win, clf)
     )
 
 
@@ -503,7 +508,7 @@ def test_membership_grid_classifies_an_upper_point_only_where_the_lower_is_not_o
     codes, _ = maskit.raster.membership_grid(counting_grid, z, w_re, w_im)
     lower, upper = [], []
     for w in map(complex, w_re.ravel().tolist(), w_im.ravel().tolist()):
-        s, n, reason = maskit.classify._membership_shift(z, w.imag)
+        s, n, reason = maskit.raster._membership_shift(z, w.imag)
         if reason is None:
             lower.append(z - s * (n + 1) * w)
             if clf.classify(lower[-1]).verdict is not Verdict.OUTSIDE_CERTIFIED:
@@ -520,7 +525,7 @@ def test_membership_grid_names_the_point_membership_with_names():
     # Im w = 1e-14, Im z / Im w is an exact integer: a reason, no test point.)
     z, w = complex(0.7, 4.2), complex(6.0, 1.1e-14)
     clf = RealClassifier(_FAST_CFG)
-    s, n, _ = maskit.classify._membership_shift(z, w.imag)
+    s, n, _ = maskit.raster._membership_shift(z, w.imag)
     with pytest.raises(ValueError) as lower:
         clf.classify(z - s * (n + 1) * w)
     with pytest.raises(ValueError) as want:
@@ -545,7 +550,7 @@ def test_membership_grid_raises_where_membership_with_does_past_its_pre_conditio
     # be accepted and outside while the upper one, which a batch would skip,
     # is refused.
     clf = RealClassifier(_FAST_CFG)
-    s, n, _ = maskit.classify._membership_shift(z, w.imag)
+    s, n, _ = maskit.raster._membership_shift(z, w.imag)
     assert clf.classify(z - s * (n + 1) * w).verdict is Verdict.OUTSIDE_CERTIFIED
     with pytest.raises(ValueError) as want:
         membership_with(clf, z, w)

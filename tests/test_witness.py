@@ -315,21 +315,33 @@ def _rect_boundary_samples(r: AxisRectangle, spacing: float):
 
 @_CASES
 def test_batched_verify_matches_the_per_sample_path(case):
+    # The reference: membership_with at each sample and at its nudged copy.
     clf, q, z = case()
-    batched = verify_witness(q, z, clf)
-    per_sample = verify_witness(q, z, _BareClassifier(clf))  # no classify_grid
-
-    def records(report):
-        return [(w, rec.verdict, rec.n, rec.reason) for w, rec in report.boundary_samples]
-
-    assert records(batched) == records(per_sample)
-    assert batched.offending_samples == per_sample.offending_samples
-    assert batched.all_certified == per_sample.all_certified
-    assert batched.interior_sample_verdict == per_sample.interior_sample_verdict
-    assert all(rec.sub_verdicts is None for _, rec in batched.boundary_samples)
-    assert all(rec.sub_verdicts is not None for _, rec in per_sample.boundary_samples)
+    base = 3.0 * z
+    report = verify_witness(q, z, clf)
+    samples = _rect_boundary_samples(report.R, report.sample_spacing)
+    wants = [membership_with(clf, base, w) for w, _ in samples]
+    offending = [
+        w
+        for (w, inward), want in zip(samples, wants)
+        if want.verdict is not AVerdict.NON_MEMBER_CERTIFIED
+        or membership_with(clf, base, w + report.inward_margin * inward).verdict
+        is not AVerdict.NON_MEMBER_CERTIFIED
+    ]
+    interior = membership_with(clf, base, 2.0 * z)
+    assert [(w, want.verdict, want.n, want.reason) for (w, _), want in zip(samples, wants)] == [
+        (w, rec.verdict, rec.n, rec.reason) for w, rec in report.boundary_samples
+    ]
+    assert all(rec.sub_verdicts is None for _, rec in report.boundary_samples)
+    assert report.offending_samples == tuple(offending)
+    assert report.interior_sample_verdict == interior
+    assert report.all_certified == (interior.verdict is AVerdict.MEMBER and not offending)
     if case is _oversized_case:
-        assert batched.offending_samples and not batched.all_certified
+        assert report.offending_samples and not report.all_certified
+    # A classifier with classify alone takes the same batch path, a point at a time.
+    bare = verify_witness(q, z, _BareClassifier(clf))
+    assert bare.boundary_samples == report.boundary_samples
+    assert bare.offending_samples == report.offending_samples
 
 
 def test_batched_memberships_carry_membership_withs_reason():
