@@ -4,7 +4,8 @@ Subcommands:
   render-maskit   rasterize the slice over a window -> PPM
   cusps           boundary-cusp table for slopes p/q in (0,1] plus 0/1 -> CSV
   a-slice         rasterize the extension locus for a base point -> PPM + JSON
-  witness         find/verify/count the bounded-component witness -> JSON + PPM
+  witness         find/verify/count the bounded-component witness -> JSON + PPM,
+                  and its boundary samples -> .samples.json
 
 Each subcommand takes only the flags it reads; `maskit CMD --help` lists
 them.  --config FILE reads more of them from a file, split as a shell splits
@@ -14,27 +15,24 @@ outputs; --no-timestamp suppresses the JSON timestamp for golden-file
 comparison.  Exit codes: 0 success, 1 usage (non-finite numbers and
 --workers < 1 included), 2 I/O, 3 precondition violation, 4 witness failure.
 
-Every JSON document is json.dumps(doc, indent=2)'s text.  The witness's
-boundary-sample records are formatted one at a time in that layout and
-streamed to the file.  Each command writes its files to temporary siblings
-and renames them only once all are written, so a write that fails leaves
-no partial file and no temporary, and a rename that fails leaves the files
-already renamed whole; cusps --out - and a-slice --json - print to stdout
-(a-slice then reports on stderr, so stdout is the JSON document alone).
+Every JSON document is the text of one json.dumps call, with indent=2 but
+for the witness's boundary samples, whose columns are written compact.
+Each command writes its files to temporary siblings and renames them only
+once all are written, so a write that fails leaves no partial file and no
+temporary, and a rename that fails leaves the files already renamed whole;
+cusps --out - and a-slice --json - print to stdout (a-slice then reports on
+stderr, so stdout is the JSON document alone).
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import itertools
 import json
-import math
 import os
 import shlex
 import sys
 import time
-from collections.abc import Iterator
 
 from .classify import REAL_PART_LIMIT, ClassifierConfig, RealClassifier, SyntheticSlice
 from .cusps import BoundaryCuspError, cusp_point
@@ -116,57 +114,8 @@ def _maybe_timestamp(meta: dict, args) -> dict:
     return meta
 
 
-# boundary_samples.points stands in the witness document as this string,
-# which no other value holds, while json.dumps writes the rest; the records
-# are then written in its place.
-_POINTS = "\0points"
-_POINTS_TEXT = json.dumps(_POINTS)
-
-# One sample record as json.dumps(doc, indent=2) writes it at its depth in
-# the witness document (doc -> boundary_samples -> points -> record), after
-# the list's "[" or the "," that ends the record before it.
-_RECORD = (
-    '%s\n      {\n        "w": [\n          %s,\n          %s\n        ],'
-    '\n        "verdict": %s,\n        "n": %s\n      }'
-)
-
-
-def _number(x: float) -> str:
-    """x as json.dumps writes a float: its repr, or NaN, Infinity, -Infinity."""
-    return repr(x) if math.isfinite(x) else json.dumps(x)
-
-
-def _record_texts(points) -> Iterator[str]:
-    """The points list's text in json.dumps(doc, indent=2), one record a piece."""
-    if not points:
-        yield "[]"
-        return
-    verdicts: dict[str, str] = {}
-    lead = "["
-    for p in points:
-        re, im = p["w"]
-        v, n = p["verdict"], p["n"]
-        verdict = verdicts.get(v) or verdicts.setdefault(v, json.dumps(v))
-        yield _RECORD % (lead, _number(re), _number(im), verdict, "null" if n is None else n)
-        lead = ","
-    yield "\n    ]"
-
-
-def _witness_json(doc: dict) -> Iterator[str]:
-    """json.dumps(doc, indent=2) + "\n" for a witness document, in pieces.
-
-    The text outside the sample records is formatted here, at the call; the
-    records are formatted one by one as the pieces are consumed, so the
-    whole text is never held at once.
-    """
-    samples = doc["boundary_samples"]
-    outline = {**doc, "boundary_samples": {**samples, "points": _POINTS}}
-    head, tail = json.dumps(outline, indent=2).split(_POINTS_TEXT)
-    return itertools.chain((head,), _record_texts(samples["points"]), (tail, "\n"))
-
-
 def _write_files(files) -> None:
-    """Write each (path, bytes, str or iterable of str) of files, whole.
+    """Write each (path, str or bytes) of files, whole.
 
     Each is written to a temporary sibling first, and the temporaries
     replace their paths, in order, only once every one is written.  On any
@@ -182,7 +131,7 @@ def _write_files(files) -> None:
             text = not isinstance(data, bytes)
             with open(tmp, "x" if text else "xb", encoding="utf-8" if text else None) as fh:
                 staged.append(tmp)
-                fh.writelines((data,) if isinstance(data, (str, bytes)) else data)
+                fh.write(data)
         for path, _ in files:
             os.replace(staged[0], path)
             del staged[0]
@@ -196,9 +145,9 @@ def _write_files(files) -> None:
 
 
 def cmd_render_maskit(args) -> int:
-    cfg = _build_cfg(args)
+    classifier = RealClassifier(_build_cfg(args))
     win = _window(args)
-    grid = rasterize_maskit(win, cfg, workers=args.workers)
+    grid = rasterize_maskit(win, classifier, workers=args.workers)
     try:
         _write_files([(args.out, to_ppm_bytes(grid))])
     except OSError as exc:
@@ -239,7 +188,7 @@ def cmd_cusps(args) -> int:
 
 
 def cmd_a_slice(args) -> int:
-    cfg = _build_cfg(args)
+    classifier = RealClassifier(_build_cfg(args))
     if args.z is None:
         raise _UsageError("a-slice needs --z RE IM")
     z = complex(*args.z)
@@ -249,7 +198,7 @@ def cmd_a_slice(args) -> int:
         raise _UsageError(f"--out and --json name the same file: {args.out}")
     win = _window(args)
     try:
-        grid = rasterize_a_slice(z, win, cfg, workers=args.workers)
+        grid = rasterize_a_slice(z, win, classifier, workers=args.workers)
     except ValueError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -260,7 +209,7 @@ def cmd_a_slice(args) -> int:
         "count": rep.count,
         "components": rep.describe(),
         "cell_counts": grid.counts(),
-        "cfg": RealClassifier(cfg).describe(),
+        "cfg": classifier.describe(),
     }
     _maybe_timestamp(doc, args)
     text = json.dumps(doc, indent=2) + "\n"
@@ -322,9 +271,13 @@ def cmd_witness(args) -> int:
         workers=args.workers,
     )
     doc = _maybe_timestamp(report.to_json_dict(counting, classifier.describe()), args)
-    text = _witness_json(doc)
+    files = [
+        (f"{prefix}.json", json.dumps(doc, indent=2) + "\n"),
+        (f"{prefix}.ppm", to_ppm_bytes(counting.raster)),
+        (f"{prefix}.samples.json", json.dumps(report.samples_json_dict()) + "\n"),
+    ]
     try:
-        _write_files([(f"{prefix}.json", text), (f"{prefix}.ppm", to_ppm_bytes(counting.raster))])
+        _write_files(files)
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -334,7 +287,7 @@ def cmd_witness(args) -> int:
         f"witness {'CERTIFIED' if ok else 'NOT certified'}: "
         f"Q=[{q.re_min:.6f},{q.re_max:.6f}]x[{q.im_min:.6f},{q.im_max:.6f}], "
         f"z={z.real:.6f}{z.imag:+.6f}i, components={counting.components_found} "
-        f"(wanted {k}); outputs {prefix}.json, {prefix}.ppm"
+        f"(wanted {k}); outputs {prefix}.json, {prefix}.ppm, {prefix}.samples.json"
     )
     if not ok:
         if report.offending_samples:

@@ -66,12 +66,6 @@ class AMembership:
 CELL_MEMBER = 4
 CELL_NON_MEMBER = 5
 
-_AVERDICT_CODE = {
-    AVerdict.MEMBER: CELL_MEMBER,
-    AVerdict.NON_MEMBER_CERTIFIED: CELL_NON_MEMBER,
-    AVerdict.UNDETERMINED: CELL_UNDETERMINED,
-}
-
 # PPM palette: inside-plus black, inside-minus dark gray, outside white,
 # undetermined red, member blue, non-member white.
 PALETTE = np.array(
@@ -366,37 +360,20 @@ def _row_chunks(rows: int, workers: int):
     return [(i, min(i + chunk, rows)) for i in range(0, rows, chunk)]
 
 
-def rasterize_maskit(
-    win: Window,
-    cfg: ClassifierConfig | None = None,
-    *,
-    classifier=None,
-    workers: int = 1,
-) -> Raster:
+def rasterize_maskit(win: Window, classifier, *, workers: int = 1) -> Raster:
     """Per-pixel slice classification at pixel centers."""
-    if classifier is None:
-        classifier = RealClassifier(cfg or ClassifierConfig())
     workers = _workers_for(win, workers)
     tasks = [(classifier, win, i0, i1) for i0, i1 in _row_chunks(win.rows, workers)]
     cells = np.concatenate(_run_chunks(_classify_rows, tasks, workers))
     return Raster(window=win, cells=cells)
 
 
-def rasterize_a_slice(
-    z,
-    win: Window,
-    cfg: ClassifierConfig | None = None,
-    *,
-    classifier=None,
-    workers: int = 1,
-) -> Raster:
+def rasterize_a_slice(z, win: Window, classifier, *, workers: int = 1) -> Raster:
     """Per-pixel membership in the extension locus of the base point z.
 
     Pre-condition: z certifies InsidePlus under the classifier (checked once
     here, then assumed for every pixel).
     """
-    if classifier is None:
-        classifier = RealClassifier(cfg or ClassifierConfig())
     z = complex(z)
     check_base_point(classifier, z)
     workers = _workers_for(win, workers)

@@ -33,7 +33,9 @@ Every stage takes the classifier as an argument: any object with
 There is no default.  verify_witness tests its boundary samples in one batch
 (see raster.membership_grid), and the counting raster classifies whole rows:
 through classify_grid, or through classify a point at a time for a
-classifier without one.
+classifier without one.  The report keeps the samples as the arrays the
+batch gives: to_json_dict makes the witness document, which counts them,
+and samples_json_dict the samples themselves, as columns.
 """
 
 from __future__ import annotations
@@ -41,13 +43,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
 from .classify import Verdict, _grid_of
 from .raster import (
-    _AVERDICT_CODE,
+    _CELL_NAMES,
     CELL_MEMBER,
     CELL_NON_MEMBER,
     AMembership,
@@ -56,7 +57,6 @@ from .raster import (
     ComponentReport,
     Raster,
     Window,
-    _membership_shift,
     _real_times,
     check_base_point,
     components,
@@ -245,26 +245,31 @@ def normalized_length(w) -> float:
     return abs(w) / math.sqrt(2.0 * w.imag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # eq=False: == cannot compare the arrays
 class WitnessReport:
     Q: AxisRectangle
     z: complex
     R: AxisRectangle
     interior_sample_verdict: AMembership
-    boundary_samples: list  # [(w, AMembership), ...]
+    # The boundary samples w = sample_re + i*sample_im in _boundary_arrays'
+    # order, and membership_grid's verdict code and n of each: n is NaN
+    # where a reason decides.
+    sample_re: np.ndarray
+    sample_im: np.ndarray
+    sample_codes: np.ndarray
+    sample_n: np.ndarray
     all_certified: bool
     offending_samples: tuple
     sample_spacing: float
     inward_margin: float
 
     def to_json_dict(self, counting: ComponentsNearInfinity, cfg_meta: dict) -> dict:
-        """The witness JSON document: this report plus the translate count."""
-        texts: dict[int, str] = {}  # id of each record: its verdict's text, looked up once
-        points = []
-        for w, rec in self.boundary_samples:
-            text = texts.get(id(rec)) or texts.setdefault(id(rec), rec.verdict.value)
-            points.append({"w": [w.real, w.imag], "verdict": text, "n": rec.n})
-        verdict_counts = dict(Counter(map(itemgetter("verdict"), points)))
+        """The witness JSON document: this report plus the translate count.
+
+        The samples are counted, by verdict in order of first appearance, but
+        not listed: samples_json_dict lists them.
+        """
+        verdict_counts = dict(Counter(map(_CELL_NAMES.__getitem__, self.sample_codes.tolist())))
         return {
             "q": self.Q.describe(),
             "z": [self.z.real, self.z.imag],
@@ -274,12 +279,11 @@ class WitnessReport:
                 "n": self.interior_sample_verdict.n,
             },
             "boundary_samples": {
-                "count": len(self.boundary_samples),
+                "count": self.sample_codes.size,
                 "spacing": self.sample_spacing,
                 "inward_margin": self.inward_margin,
                 "verdicts": verdict_counts,
                 "offending": [[w.real, w.imag] for w in self.offending_samples],
-                "points": points,
             },
             "components": counting.describe(),
             "all_certified": self.all_certified,
@@ -289,6 +293,16 @@ class WitnessReport:
                 "k": len(counting.per_translate),
                 "synthetic": cfg_meta.get("kind") == "synthetic",
             },
+        }
+
+    def samples_json_dict(self) -> dict:
+        """The boundary samples as columns, in _boundary_arrays' order: Re w,
+        Im w, the verdict's name and n, None where a reason decides."""
+        return {
+            "re": self.sample_re.tolist(),
+            "im": self.sample_im.tolist(),
+            "verdict": [_CELL_NAMES[code] for code in self.sample_codes.tolist()],
+            "n": [None if math.isnan(n) else int(n) for n in self.sample_n.tolist()],
         }
 
 
@@ -306,28 +320,6 @@ def _boundary_arrays(r: AxisRectangle, spacing: float):
     return re, im, np.repeat([0.0, 0.0, 1.0, -1.0], sides), np.repeat([-1.0, 1.0, 0.0, 0.0], sides)
 
 
-_CODE_AVERDICT = {code: verdict for verdict, code in _AVERDICT_CODE.items()}
-
-
-def _memberships(classify_grid, base: complex, re: np.ndarray, im: np.ndarray):
-    """membership_grid's codes at the points w = re + i*im, and the record
-    membership_with gives each w: its verdict, n and reason, with
-    sub_verdicts None.  AMembership is frozen, so the points with the same
-    verdict and n share one record."""
-    codes, ns = membership_grid(classify_grid, base, re, im)
-    decided = np.isnan(ns)  # by a reason, with no n: their records are made below
-    n_values, n_at = np.unique(np.where(decided, -1.0, ns), return_inverse=True)
-    keys, at = np.unique(n_at.reshape(-1) * 8 + codes, return_inverse=True)  # codes are below 8
-    shared = [
-        AMembership(_CODE_AVERDICT[key % 8], int(n_values[key // 8]), None) for key in keys.tolist()
-    ]
-    records = list(map(shared.__getitem__, at.reshape(-1).tolist()))
-    for i in np.flatnonzero(decided).tolist():
-        reason = _membership_shift(base, float(im[i]))[2]
-        records[i] = AMembership(AVerdict.NON_MEMBER_CERTIFIED, None, None, reason=reason)
-    return codes, records
-
-
 def verify_witness(
     q: AxisRectangle, z, classifier, *, raster_rows: int = 64
 ) -> WitnessReport:
@@ -342,9 +334,9 @@ def verify_witness(
     The samples, their nudged copies (w + margin*inward, rounded as CPython
     rounds it) and the mask of samples that held are numpy arrays.  All
     samples are tested in one membership_grid batch and the copies of those
-    that held in another.  The sample records carry membership_with's
-    verdict, n and reason, with sub_verdicts None, and samples with the same
-    verdict and n share one.
+    that held in another.  The report keeps the samples and the first
+    batch's codes and n, which are membership_with's verdict and n at each
+    sample.
     """
     z = complex(z)
     if not q.contains_interior(z):
@@ -359,15 +351,14 @@ def verify_witness(
     interior = membership_with(classifier, base, 2.0 * z)
 
     re, im, in_re, in_im = _boundary_arrays(r, spacing)
-    ws = list(map(complex, re.tolist(), im.tolist()))
     grid = _grid_of(classifier)
-    codes, records = _memberships(grid, base, re, im)
+    codes, ns = membership_grid(grid, base, re, im)
     ok = codes == CELL_NON_MEMBER
     held = np.flatnonzero(ok)  # only these have their copy tested
     shift_re, shift_im = _real_times(margin, in_re[held], in_im[held])  # margin * inward
     copy_re, copy_im = re[held] + shift_re, im[held] + shift_im
     ok[held] = membership_grid(grid, base, copy_re, copy_im)[0] == CELL_NON_MEMBER
-    offending = [ws[i] for i in np.flatnonzero(~ok).tolist()]
+    offending = list(map(complex, re[~ok].tolist(), im[~ok].tolist()))
 
     all_certified = interior.verdict is AVerdict.MEMBER and not offending
     return WitnessReport(
@@ -375,7 +366,10 @@ def verify_witness(
         z=z,
         R=r,
         interior_sample_verdict=interior,
-        boundary_samples=list(zip(ws, records)),
+        sample_re=re,
+        sample_im=im,
+        sample_codes=codes,
+        sample_n=ns,
         all_certified=all_certified,
         offending_samples=tuple(offending),
         sample_spacing=spacing,

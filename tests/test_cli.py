@@ -4,21 +4,17 @@ import errno
 import hashlib
 import json
 import time
-import tracemalloc
+from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import maskit.cli
-from maskit import SyntheticSlice, components_near_infinity, find_rectangle, verify_witness
 from maskit.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_USAGE,
     EXIT_WITNESS,
-    _witness_json,
     _write_files,
     main,
 )
@@ -564,7 +560,7 @@ def test_witness_worker_count_byte_identical(tmp_path):
     code1, p1 = _run_witness(tmp_path, "w1", ["--workers", "1"])
     code2, p2 = _run_witness(tmp_path, "w2", ["--workers", "2"])
     assert code1 == code2 == EXIT_OK
-    for ext in (".json", ".ppm"):
+    for ext in (".json", ".ppm", ".samples.json"):
         b1 = (p1.parent / (p1.name + ext)).read_bytes()
         b2 = (p2.parent / (p2.name + ext)).read_bytes()
         assert b1 == b2
@@ -573,10 +569,12 @@ def test_witness_worker_count_byte_identical(tmp_path):
 # sha256 of witness -k 5 --no-timestamp at the default 1024x64: whichever
 # path (batch or per point) classifies, no byte of the artifacts may move.
 WITNESS_K5_SHA256 = {
-    ("honest", ".json"): "88b9566276e02ec8c48961f55ebb691bdd1f4477cb1a731aad23de9b6ce15b77",
+    ("honest", ".json"): "252eede9a5746ab217006bf18b852d993162f9bf3e426d8fef3aa5adcbe0cc54",
     ("honest", ".ppm"): "a680fbfe10bd0254c694ba265ec58d216a2ffacab92e3b25d066c920dc3883ee",
-    ("synthetic", ".json"): "045780671269001e30f16e2af36973cad652697ce1e2bb7ee524a505ae8b6457",
+    ("honest", ".samples.json"): "abed86136bf752fc34aec5c615a483a3097709984b69f473ed26756bbaf92e1a",
+    ("synthetic", ".json"): "59b983a553dd0cd29abd4ae68b72ec7a7b6ef625d7b2d03c981f18da3139c027",
     ("synthetic", ".ppm"): "ba2b6bab8d0d0bdc586a18a79e80b1db0db8cdeb0d520cd965e2fc43daecd001",
+    ("synthetic", ".samples.json"): "c1da2b641441c49f9e2b6fa039ccd6be4f9f385c0ce319239d7a12066854fe10",
 }
 
 
@@ -585,7 +583,7 @@ def test_witness_k5_artifacts_are_pinned(kind, tmp_path):
     prefix = tmp_path / kind
     argv = ["witness", "-k", "5", "--no-timestamp", "--out", str(prefix)]
     assert main(argv + (["--synthetic"] if kind == "synthetic" else [])) == EXIT_OK
-    for ext in (".json", ".ppm"):
+    for ext in (".json", ".ppm", ".samples.json"):
         digest = hashlib.sha256((tmp_path / (kind + ext)).read_bytes()).hexdigest()
         assert digest == WITNESS_K5_SHA256[kind, ext], ext
 
@@ -596,8 +594,9 @@ WITNESS_UNCERTIFIED_STDERR = "  7 boundary sample(s) failed certification\n" + "
     f"  translate {i}: components=(), member_point_ok=False\n" for i in range(5)
 )
 WITNESS_UNCERTIFIED_SHA256 = {
-    ".json": "113a500c4c25564d4923fade77fbe5d1655b6536e29134e6a3a123be201110ad",
+    ".json": "4a830db70b407b2e1ee941750477973593e425ee3c97a97c4e2e2684ab3fe216",
     ".ppm": "e3715a542e73d42979b4a0be0be43b8cec99ad8628569767d14142e285273f62",
+    ".samples.json": "6e7b9d1c1799f6e08cfd3934b8c0c1affcb5af57e944aee720af11971123eaa3",
 }
 
 
@@ -608,9 +607,27 @@ def test_uncertified_witness_exits_4_and_writes_both_files(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out.startswith("witness NOT certified: ")
     assert err == WITNESS_UNCERTIFIED_STDERR
-    for ext in (".json", ".ppm"):
+    for ext in (".json", ".ppm", ".samples.json"):
         digest = hashlib.sha256((tmp_path / ("w" + ext)).read_bytes()).hexdigest()
         assert digest == WITNESS_UNCERTIFIED_SHA256[ext], ext
+
+
+@pytest.mark.parametrize(
+    "extra", [[], ["-k", "5", "--res", "64x3"]], ids=["certified", "uncertified"]
+)
+def test_witness_samples_file_agrees_with_the_document(extra, tmp_path):
+    # The document counts the samples that the samples file lists.
+    code, prefix = _run_witness(tmp_path, "w", extra)
+    assert code == (EXIT_WITNESS if extra else EXIT_OK)
+    summary = json.loads((tmp_path / "w.json").read_text())["boundary_samples"]
+    samples = json.loads((tmp_path / "w.samples.json").read_text())
+    assert list(samples) == ["re", "im", "verdict", "n"]
+    assert all(len(column) == summary["count"] for column in samples.values())
+    # the tally, in order of first appearance
+    assert list(summary["verdicts"].items()) == list(Counter(samples["verdict"]).items())
+    points = set(zip(samples["re"], samples["im"]))
+    assert all(tuple(w) in points for w in summary["offending"])
+    assert bool(summary["offending"]) == bool(extra)
 
 
 def test_witness_timestamp_toggle(tmp_path):
@@ -643,88 +660,13 @@ def test_witness_config_file_drives_run(tmp_path):
 # The file writer
 # ---------------------------------------------------------------------------
 
-_RECORD_FLOATS = st.sampled_from([0.5, -2.45, 3.4341016151374824, -0.0, 0.0, 1e-300]) | st.floats()
-
-
-@given(
-    records=st.lists(
-        st.builds(
-            lambda w, verdict, n: {"w": w, "verdict": verdict, "n": n},  # to_json_dict's order
-            st.lists(_RECORD_FLOATS, min_size=2, max_size=2),
-            st.sampled_from(["Member", "NonMemberCertified", "Undetermined"]),
-            st.none() | st.integers(-3, 3),
-        ),
-        max_size=60,
-    ),
-    shared=st.tuples(st.integers(0, 59), st.integers(0, 58)),
-    x=_RECORD_FLOATS,
-)
-@example(records=[], shared=(0, 0), x=0.5)
-@settings(max_examples=50, deadline=None)
-def test_witness_json_is_json_dumps_indent_2(records, shared, x):
-    # The witness document's shape around its records, whose floats repeat,
-    # with -0.0 beside 0.0, NaN and infinities, and None; one w list is
-    # referenced by two records.
-    if len(records) >= 2:
-        i, step = shared[0] % len(records), 1 + shared[1] % (len(records) - 1)
-        records[(i + step) % len(records)]["w"] = records[i]["w"]
-    doc = {
-        "z": [x, 1.5],
-        "boundary_samples": {
-            "count": len(records),
-            "spacing": x,
-            "verdicts": {"Member": len(records)},
-            "offending": [[x, -0.0]],
-            "points": records,
-        },
-        "all_certified": True,
-        "cfg": {"kind": "synthetic"},
-    }
-    assert "".join(_witness_json(doc)) == json.dumps(doc, indent=2) + "\n"
-
-
-def test_witness_json_formats_the_outline_at_the_call():
-    # a value json.dumps cannot write fails before any file is staged
-    doc = {"boundary_samples": {"points": []}, "cfg": {1j}}
-    with pytest.raises(TypeError):
-        _witness_json(doc)
-
-
-# tracemalloc's peak while the synthetic witness -k 5 document is written,
-# per character of its text (Python 3.11): 0.077 with the records streamed
-# to the file, 2.26 for the writer that built the whole text as one string.
-_WITNESS_WRITE_PEAK_PER_CHAR = 0.25
-
-
-def test_witness_json_write_peak_allocation(tmp_path):
-    clf = SyntheticSlice()
-    q, z = find_rectangle(clf)
-    report = verify_witness(q, z, clf)
-    counting = components_near_infinity(3.0 * z, 5, clf, rectangle=report.R)
-    doc = report.to_json_dict(counting, clf.describe())
-    del report, counting
-    text = json.dumps(doc, indent=2) + "\n"
-    out = tmp_path / "w.json"
-    tracemalloc.start()
-    try:
-        _write_files([(out, _witness_json(doc))])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.read_text() == text
-    assert peak < _WITNESS_WRITE_PEAK_PER_CHAR * len(text)
-
 
 def test_write_files_removes_its_temporary_on_any_error(tmp_path):
     target = tmp_path / "t.json"
     target.write_text("old")
-
-    def pieces():
-        yield "new"
-        raise RuntimeError("formatting failed")
-
-    with pytest.raises(RuntimeError, match="formatting failed"):
-        _write_files([(target, pieces())])
+    # The text file takes str alone: writing a list raises once it is open.
+    with pytest.raises(TypeError):
+        _write_files([(target, ["new"])])
     assert target.read_text() == "old"
     assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
 
@@ -754,10 +696,6 @@ class _FullDisk:
     def write(self, data):
         self.fh.write(data[:3])
         raise OSError(errno.ENOSPC, "No space left on device")
-
-    def writelines(self, pieces):
-        for piece in pieces:
-            self.write(piece)
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from maskit import (
     CELL_NON_MEMBER,
     CELL_OUTSIDE,
     CELL_UNDETERMINED,
+    AVerdict,
     ClassifierConfig,
     Component,
     ComponentReport,
@@ -37,6 +38,13 @@ from maskit import (
 from maskit.classify import _VERDICT_CODE
 
 _FAST_CFG = ClassifierConfig(q_max=64, node_budget=5000)
+
+# membership_with's verdicts as the codes of rasterize_a_slice and membership_grid
+_AVERDICT_CODE = {
+    AVerdict.MEMBER: CELL_MEMBER,
+    AVerdict.NON_MEMBER_CERTIFIED: CELL_NON_MEMBER,
+    AVerdict.UNDETERMINED: CELL_UNDETERMINED,
+}
 
 
 def _raster_of(cells):
@@ -169,7 +177,7 @@ def test_rasterize_all_outside_golden_ppm():
     # A sliver hugging the real axis: every pixel center has |z| < 2, which
     # is certified outside immediately, so the image is pure white.
     win = Window.from_bounds(-0.2, 0.2, 0.05, 0.15, 4, 2)
-    raster = rasterize_maskit(win, _FAST_CFG)
+    raster = rasterize_maskit(win, RealClassifier(_FAST_CFG))
     assert np.all(raster.cells == CELL_OUTSIDE)
     assert to_ppm_bytes(raster) == b"P6\n4 2\n255\n" + b"\xff\xff\xff" * 8
 
@@ -177,15 +185,15 @@ def test_rasterize_all_outside_golden_ppm():
 def test_rasterize_all_inside_golden_ppm():
     # Deep interior around 4i: pure black.
     win = Window.from_bounds(-0.1, 0.1, 3.9, 4.1, 2, 2)
-    raster = rasterize_maskit(win, _FAST_CFG)
+    raster = rasterize_maskit(win, RealClassifier(_FAST_CFG))
     assert np.all(raster.cells == CELL_INSIDE_PLUS)
     assert to_ppm_bytes(raster) == b"P6\n2 2\n255\n" + b"\x00\x00\x00" * 4
 
 
 def test_rasterize_maskit_worker_count_is_invisible():
     win = Window.from_bounds(-3.0, 3.0, 0.0, 3.0, 16, 8)
-    one = rasterize_maskit(win, _FAST_CFG, workers=1)
-    two = rasterize_maskit(win, _FAST_CFG, workers=2)
+    one = rasterize_maskit(win, RealClassifier(_FAST_CFG), workers=1)
+    two = rasterize_maskit(win, RealClassifier(_FAST_CFG), workers=2)
     assert to_ppm_bytes(one) == to_ppm_bytes(two)
 
 
@@ -214,10 +222,11 @@ def test_pool_is_sized_by_the_row_chunks(monkeypatch):
     monkeypatch.setattr(maskit.raster, "_POOL_MIN_PX", 0)
     sizes = _record_pools(monkeypatch)
     win = Window.from_bounds(-0.2, 0.2, 0.05, 0.15, 4, 3)
-    raster = rasterize_maskit(win, _FAST_CFG, workers=64)  # 3 rows: 3 chunks
+    raster = rasterize_maskit(win, RealClassifier(_FAST_CFG), workers=64)  # 3 rows: 3 chunks
     assert sizes == [3]
-    assert to_ppm_bytes(raster) == to_ppm_bytes(rasterize_maskit(win, _FAST_CFG))
-    rasterize_a_slice(4j, Window.from_bounds(-1.0, 1.0, 7.0, 9.0, 2, 2), _FAST_CFG, workers=5)
+    assert to_ppm_bytes(raster) == to_ppm_bytes(rasterize_maskit(win, RealClassifier(_FAST_CFG)))
+    member_win = Window.from_bounds(-1.0, 1.0, 7.0, 9.0, 2, 2)
+    rasterize_a_slice(4j, member_win, RealClassifier(_FAST_CFG), workers=5)
     assert sizes == [3, 2]
 
 
@@ -232,19 +241,20 @@ def test_small_rasters_start_no_pool(monkeypatch):
         return classify_rows(task)
 
     monkeypatch.setattr(maskit.raster, "_classify_rows", recording_rows)
-    one = to_ppm_bytes(rasterize_maskit(win, _FAST_CFG))
+    one = to_ppm_bytes(rasterize_maskit(win, RealClassifier(_FAST_CFG)))
     # One pixel short of the threshold: in process, chunked as for one worker.
     monkeypatch.setattr(maskit.raster, "_POOL_MIN_PX", win.rows * win.cols + 1)
     chunks.clear()
-    assert to_ppm_bytes(rasterize_maskit(win, _FAST_CFG, workers=2)) == one
+    assert to_ppm_bytes(rasterize_maskit(win, RealClassifier(_FAST_CFG), workers=2)) == one
     assert sizes == [] and chunks == maskit.raster._row_chunks(win.rows, 1)
     member_win = Window.from_bounds(-1.0, 1.0, 0.5, 9.0, 4, 4)
-    member = to_ppm_bytes(rasterize_a_slice(4j, member_win, _FAST_CFG))
-    assert to_ppm_bytes(rasterize_a_slice(4j, member_win, _FAST_CFG, workers=2)) == member
+    clf = RealClassifier(_FAST_CFG)
+    member = to_ppm_bytes(rasterize_a_slice(4j, member_win, clf))
+    assert to_ppm_bytes(rasterize_a_slice(4j, member_win, clf, workers=2)) == member
     assert sizes == []
     # At the threshold the pool starts.
     monkeypatch.setattr(maskit.raster, "_POOL_MIN_PX", win.rows * win.cols)
-    assert to_ppm_bytes(rasterize_maskit(win, _FAST_CFG, workers=2)) == one
+    assert to_ppm_bytes(rasterize_maskit(win, RealClassifier(_FAST_CFG), workers=2)) == one
     assert sizes == [2]
 
 
@@ -272,7 +282,7 @@ def test_membership_raster_through_a_real_pool(classifier, monkeypatch):
 
 def test_rasterize_maskit_counts_names():
     win = Window.from_bounds(-3.0, 3.0, 0.0, 3.0, 16, 8)
-    raster = rasterize_maskit(win, _FAST_CFG)
+    raster = rasterize_maskit(win, RealClassifier(_FAST_CFG))
     counts = raster.counts()
     assert sum(counts.values()) == 16 * 8
     assert counts.get("InsidePlus", 0) > 0
@@ -307,7 +317,7 @@ def test_counts_and_ppm_are_the_sorted_unique_tally_and_the_palette_rows(cells):
 
 def test_save_ppm_writes_exact_bytes(tmp_path):
     win = Window.from_bounds(-0.2, 0.2, 0.05, 0.15, 4, 2)
-    raster = rasterize_maskit(win, _FAST_CFG)
+    raster = rasterize_maskit(win, RealClassifier(_FAST_CFG))
     path = tmp_path / "out.ppm"
     save_ppm(raster, path)
     assert path.read_bytes() == to_ppm_bytes(raster)
@@ -321,35 +331,35 @@ def test_save_ppm_writes_exact_bytes(tmp_path):
 def test_a_slice_member_pixel_at_8i():
     # For base point 4i, w = 8i is a certified member (it equals 2 * 4i).
     win = Window.from_bounds(-0.5, 0.5, 7.5, 8.5, 1, 1)
-    raster = rasterize_a_slice(4j, win, _FAST_CFG)
+    raster = rasterize_a_slice(4j, win, RealClassifier(_FAST_CFG))
     assert raster.cells[0, 0] == CELL_MEMBER
 
 
 def test_a_slice_lower_half_plane_is_non_member():
     win = Window.from_bounds(-0.5, 0.5, -1.5, -0.5, 1, 1)
-    raster = rasterize_a_slice(4j, win, _FAST_CFG)
+    raster = rasterize_a_slice(4j, win, RealClassifier(_FAST_CFG))
     assert raster.cells[0, 0] == CELL_NON_MEMBER
 
 
 def test_a_slice_real_axis_row_is_non_member():
     # Pixel centers on Im w = 0 exactly: still outside the locus.
     win = Window.from_bounds(-1.0, 1.0, -0.5, 0.5, 2, 1)
-    raster = rasterize_a_slice(4j, win, _FAST_CFG)
+    raster = rasterize_a_slice(4j, win, RealClassifier(_FAST_CFG))
     assert np.all(raster.cells == CELL_NON_MEMBER)
 
 
 def test_a_slice_requires_certified_base_point():
     win = Window.from_bounds(-1.0, 1.0, 0.0, 2.0, 2, 2)
     with pytest.raises(ValueError, match="base point"):
-        rasterize_a_slice(0.1j, win, _FAST_CFG)
+        rasterize_a_slice(0.1j, win, RealClassifier(_FAST_CFG))
     with pytest.raises(ValueError, match="base point"):
-        rasterize_a_slice(1.0, win, _FAST_CFG)
+        rasterize_a_slice(1.0, win, RealClassifier(_FAST_CFG))
 
 
 def test_a_slice_worker_count_is_invisible():
     win = Window.from_bounds(-2.0, 2.0, 0.0, 10.0, 6, 8)
-    one = rasterize_a_slice(4j, win, _FAST_CFG, workers=1)
-    two = rasterize_a_slice(4j, win, _FAST_CFG, workers=2)
+    one = rasterize_a_slice(4j, win, RealClassifier(_FAST_CFG), workers=1)
+    two = rasterize_a_slice(4j, win, RealClassifier(_FAST_CFG), workers=2)
     assert to_ppm_bytes(one) == to_ppm_bytes(two)
 
 
@@ -378,7 +388,7 @@ def _membership_cells(z, win, classifier):
     def code(w):
         if w.imag < 0:
             return CELL_NON_MEMBER
-        return maskit.raster._AVERDICT_CODE[membership_with(classifier, z, w).verdict]
+        return _AVERDICT_CODE[membership_with(classifier, z, w).verdict]
 
     return _per_pixel(win, code)
 
@@ -483,7 +493,7 @@ def test_membership_grid_matches_membership_with(w, z, clf):
     codes, ns = maskit.raster.membership_grid(clf.classify_grid, z, w_re, w_im)
     assert codes.shape == ns.shape == (len(w),)
     for want, code, n in zip(wants, codes.tolist(), ns.tolist()):
-        assert code == maskit.raster._AVERDICT_CODE[want.verdict]
+        assert code == _AVERDICT_CODE[want.verdict]
         assert (want.n is None and math.isnan(n)) or want.n == n
 
 
@@ -516,7 +526,7 @@ def test_membership_grid_classifies_an_upper_point_only_where_the_lower_is_not_o
     assert calls == [lower, upper]
     assert 0 < len(upper) < len(lower) < w_re.size
     wants = [membership_with(clf, z, complex(x, y)) for x, y in zip(w_re.flat, w_im.flat)]
-    assert codes.ravel().tolist() == [maskit.raster._AVERDICT_CODE[r.verdict] for r in wants]
+    assert codes.ravel().tolist() == [_AVERDICT_CODE[r.verdict] for r in wants]
 
 
 def test_membership_grid_names_the_point_membership_with_names():
@@ -715,7 +725,7 @@ def test_components_match_the_all_pixel_reference(raster):
 
 
 def test_components_of_the_512_render_match_the_reference():
-    raster = rasterize_maskit(Window.from_bounds(-3.0, 3.0, 0.0, 3.0, 512, 512))
+    raster = rasterize_maskit(Window.from_bounds(-3.0, 3.0, 0.0, 3.0, 512, 512), RealClassifier())
     report = components(raster)
     assert report.count >= 1
     assert report == _components_all_pixels(raster)

@@ -2,11 +2,13 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from maskit import (
+    CELL_NON_MEMBER,
     AVerdict,
     AxisRectangle,
     Classification,
@@ -24,7 +26,8 @@ from maskit import (
     verify_witness,
 )
 from maskit.raster import _real_times
-from maskit.witness import _boundary_arrays, _memberships
+from maskit.witness import _boundary_arrays
+from test_raster import _AVERDICT_CODE
 
 SQRT3 = math.sqrt(3.0)
 
@@ -216,9 +219,8 @@ def test_verify_witness_synthetic_certifies():
     assert report.offending_samples == ()
     assert report.Q == q and report.z == z
     _approx_rect(report.R, build_R(q, z))
-    assert len(report.boundary_samples) > 100
-    for _, rec in report.boundary_samples:
-        assert rec.verdict is AVerdict.NON_MEMBER_CERTIFIED
+    assert report.sample_codes.size > 100
+    assert (report.sample_codes == CELL_NON_MEMBER).all()
 
 
 def test_verify_witness_requires_interior_z():
@@ -243,6 +245,10 @@ def test_verify_witness_flags_oversized_rectangle():
     doc = report.to_json_dict(counting, clf.describe())
     assert doc["all_certified"] is False
     assert len(doc["boundary_samples"]["offending"]) == len(report.offending_samples)
+    # two verdicts, tallied in order of first appearance among the samples
+    tally = Counter(report.samples_json_dict()["verdict"])
+    assert list(doc["boundary_samples"]["verdicts"].items()) == list(tally.items())
+    assert set(tally) == {"NonMemberCertified", "Member"}
 
 
 class _BareClassifier:
@@ -279,7 +285,9 @@ def test_a_bare_classifier_drives_the_rasters_and_the_witness_stages():
             3.0 * z, 2, clf, rectangle=report.R, cols=128, rows=16
         )
         assert report.all_certified and counting.ok
-        docs.append(json.dumps(report.to_json_dict(counting, clf.describe())))
+        docs.append(
+            json.dumps([report.to_json_dict(counting, clf.describe()), report.samples_json_dict()])
+        )
     assert docs[0] == docs[1]
 
 
@@ -313,6 +321,15 @@ def _rect_boundary_samples(r: AxisRectangle, spacing: float):
     return pts
 
 
+def _sample_records(report):
+    """(w, verdict code, n) of each boundary sample; n is None where a reason decides."""
+    columns = (report.sample_re, report.sample_im, report.sample_codes, report.sample_n)
+    return [
+        (complex(x, y), code, None if math.isnan(n) else n)
+        for x, y, code, n in zip(*(c.tolist() for c in columns))
+    ]
+
+
 @_CASES
 def test_batched_verify_matches_the_per_sample_path(case):
     # The reference: membership_with at each sample and at its nudged copy.
@@ -329,10 +346,9 @@ def test_batched_verify_matches_the_per_sample_path(case):
         is not AVerdict.NON_MEMBER_CERTIFIED
     ]
     interior = membership_with(clf, base, 2.0 * z)
-    assert [(w, want.verdict, want.n, want.reason) for (w, _), want in zip(samples, wants)] == [
-        (w, rec.verdict, rec.n, rec.reason) for w, rec in report.boundary_samples
-    ]
-    assert all(rec.sub_verdicts is None for _, rec in report.boundary_samples)
+    assert [
+        (w, _AVERDICT_CODE[want.verdict], want.n) for (w, _), want in zip(samples, wants)
+    ] == _sample_records(report)
     assert report.offending_samples == tuple(offending)
     assert report.interior_sample_verdict == interior
     assert report.all_certified == (interior.verdict is AVerdict.MEMBER and not offending)
@@ -340,20 +356,8 @@ def test_batched_verify_matches_the_per_sample_path(case):
         assert report.offending_samples and not report.all_certified
     # A classifier with classify alone takes the same batch path, a point at a time.
     bare = verify_witness(q, z, _BareClassifier(clf))
-    assert bare.boundary_samples == report.boundary_samples
+    assert _sample_records(bare) == _sample_records(report)
     assert bare.offending_samples == report.offending_samples
-
-
-def test_batched_memberships_carry_membership_withs_reason():
-    # Im w = 0 and an exact divisor of Im z are decided by a reason alone.
-    clf, base = SyntheticSlice(), complex(-3.0, 4.5)
-    points = [complex(0.3, 0.0), complex(-1.0, 1.5), complex(0.2, -2.25), complex(-2.0, 3.0)]
-    _, got = _memberships(
-        clf.classify_grid, base, np.array([w.real for w in points]), np.array([w.imag for w in points])
-    )
-    want = [membership_with(clf, base, w) for w in points]
-    assert [(r.verdict, r.n, r.reason) for r in got] == [(r.verdict, r.n, r.reason) for r in want]
-    assert [r.reason is None for r in got] == [False, False, False, True]
 
 
 def test_batched_verify_tests_only_certified_samples_nudged_copies(monkeypatch):
@@ -371,11 +375,11 @@ def test_batched_verify_tests_only_certified_samples_nudged_copies(monkeypatch):
     monkeypatch.setattr(SyntheticSlice, "classify_grid", counting_grid)
     report = verify_witness(q, z, clf)
     samples = _rect_boundary_samples(report.R, report.sample_spacing)
-    assert [w for w, _ in samples] == [w for w, _ in report.boundary_samples]
+    assert [w for w, _ in samples] == [w for w, _, _ in _sample_records(report)]
     copies = [  # of the held samples only
         w + report.inward_margin * inward
-        for (w, inward), (_, rec) in zip(samples, report.boundary_samples)
-        if rec.verdict is AVerdict.NON_MEMBER_CERTIFIED
+        for (w, inward), code in zip(samples, report.sample_codes.tolist())
+        if code == CELL_NON_MEMBER
     ]
     assert 0 < len(copies) < len(samples)
 
@@ -415,6 +419,23 @@ def test_boundary_arrays_are_the_samples_and_their_nudged_copies(case, rows):
     )
 
 
+@_CASES
+def test_samples_json_dict_is_the_report_arrays(case):
+    # One entry a sample, in order: Re w and Im w bit for bit, the verdict's
+    # name, and n as an int, or None where it is NaN.
+    clf, q, z = case()
+    report = verify_witness(q, z, clf)
+    samples = report.samples_json_dict()
+    assert _bits(samples["re"], samples["im"]) == _bits(report.sample_re, report.sample_im)
+    names = {code: verdict.value for verdict, code in _AVERDICT_CODE.items()}
+    assert samples["verdict"] == [names[code] for code in report.sample_codes.tolist()]
+    assert [n is None for n in samples["n"]] == np.isnan(report.sample_n).tolist()
+    assert all(type(n) is int for n in samples["n"] if n is not None)
+    assert [n for n in samples["n"] if n is not None] == report.sample_n[
+        ~np.isnan(report.sample_n)
+    ].tolist()
+
+
 def test_witness_report_json_shape():
     clf = SyntheticSlice()
     q, z = find_rectangle(classifier=clf)
@@ -436,8 +457,15 @@ def test_witness_report_json_shape():
     ]
     assert doc["z"] == [z.real, z.imag]
     assert doc["cfg"]["kind"] == "synthetic"
-    assert doc["boundary_samples"]["count"] == len(report.boundary_samples)
-    assert "points" in doc["boundary_samples"]
+    assert list(doc["boundary_samples"]) == [
+        "count",
+        "spacing",
+        "inward_margin",
+        "verdicts",
+        "offending",
+    ]
+    assert doc["boundary_samples"]["count"] == report.sample_codes.size
+    assert list(report.samples_json_dict()) == ["re", "im", "verdict", "n"]
     assert list(doc["components"]) == [
         "found",
         "window",
@@ -533,4 +561,4 @@ def test_verify_witness_real_regression():
     assert report.interior_sample_verdict.verdict is AVerdict.MEMBER
     assert report.interior_sample_verdict.n == 1
     assert report.offending_samples == ()
-    assert len(report.boundary_samples) == 2726
+    assert report.sample_codes.size == 2726
