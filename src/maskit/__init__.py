@@ -44,7 +44,6 @@ from .raster import (
     AMembership,
     AVerdict,
     Component,
-    ComponentReport,
     Raster,
     Window,
     a_membership,
@@ -52,7 +51,6 @@ from .raster import (
     membership_with,
     rasterize_a_slice,
     rasterize_maskit,
-    save_ppm,
     to_ppm_bytes,
 )
 from .witness import (
@@ -83,7 +81,6 @@ __all__ = [
     "Classification",
     "ClassifierConfig",
     "Component",
-    "ComponentReport",
     "ComponentsNearInfinity",
     "CuspResult",
     "FareySlope",
@@ -110,8 +107,9 @@ __all__ = [
     "poly_roots",
     "rasterize_a_slice",
     "rasterize_maskit",
-    "save_ppm",
     "slope",
     "slopes_up_to",
+    "to_ppm_bytes",
     "trace_polynomial",
+    "verify_witness",
 ]

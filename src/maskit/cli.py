@@ -33,6 +33,7 @@ import os
 import shlex
 import sys
 import time
+from dataclasses import asdict
 
 from .classify import REAL_PART_LIMIT, ClassifierConfig, RealClassifier, SyntheticSlice
 from .cusps import BoundaryCuspError, cusp_point
@@ -202,12 +203,12 @@ def cmd_a_slice(args) -> int:
     except ValueError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    rep = components(grid)
+    comps = components(grid)
     doc = {
         "base_point": [z.real, z.imag],
         "window": win.describe(),
-        "count": rep.count,
-        "components": rep.describe(),
+        "count": len(comps),
+        "components": [asdict(c) for c in comps],
         "cell_counts": grid.counts(),
         "cfg": classifier.describe(),
     }
@@ -225,7 +226,7 @@ def cmd_a_slice(args) -> int:
     if args.json_out == "-":
         sys.stdout.write(text)
         status = sys.stderr  # stdout holds the JSON document alone
-    print(f"wrote {args.out} and {args.json_out}: {rep.count} components", file=status)
+    print(f"wrote {args.out} and {args.json_out}: {len(comps)} components", file=status)
     return EXIT_OK
 
 
@@ -300,7 +301,7 @@ def cmd_witness(args) -> int:
         for t in counting.per_translate:
             if not t.ok:
                 print(
-                    f"  translate {t.index}: components={t.component_labels}, "
+                    f"  translate {t.translate}: components={t.components}, "
                     f"member_point_ok={t.member_point_ok}",
                     file=sys.stderr,
                 )

@@ -2,7 +2,9 @@
 
 Pixels map affinely to the plane, row-major with the top row at maximal
 imaginary part; cell (i, j) is classified at its center.  Grids hold small
-integer verdict codes (uint8), so PPM export is a palette lookup.
+integer verdict codes (uint8), so PPM export (to_ppm_bytes) is a palette
+lookup.  components returns a tuple of frozen Component records, which
+callers serialise with dataclasses.asdict.
 
 Everything is a pure function of (classifier, window, row range), so the
 worker count cannot change any byte of the output: row chunks are mapped
@@ -389,32 +391,12 @@ class Component:
     bbox: tuple[int, int, int, int]  # (i_min, j_min, i_max, j_max), inclusive
     boundary_touching: bool
 
-    def describe(self) -> dict:
-        return {
-            "label": self.label,
-            "cells": self.cells,
-            "bbox": list(self.bbox),
-            "boundary_touching": self.boundary_touching,
-        }
 
-
-@dataclass(frozen=True)
-class ComponentReport:
-    components: tuple[Component, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.components)
-
-    def describe(self) -> list[dict]:
-        return [c.describe() for c in self.components]
-
-
-def components(raster: Raster) -> ComponentReport:
+def components(raster: Raster) -> tuple[Component, ...]:
     """4-connected components of Member/Inside cells (Undetermined excluded).
 
     Labels are assigned in row-major order of each component's first cell,
-    so the report is independent of any traversal implementation detail.
+    so the result is independent of any traversal implementation detail.
     The search visits member cells only, by flat row-major index: its cost
     follows the member cells, not the raster's size.
     """
@@ -441,15 +423,10 @@ def components(raster: Raster) -> ComponentReport:
         comps.append(
             Component(len(comps) + 1, len(queue), (i_min, j_min, i_max, j_max), touching)
         )
-    return ComponentReport(tuple(comps))
+    return tuple(comps)
 
 
 def to_ppm_bytes(raster: Raster) -> bytes:
     rows, cols = raster.cells.shape
     header = f"P6\n{cols} {rows}\n255\n".encode("ascii")
     return header + _PALETTE_PIXELS[raster.cells].tobytes()
-
-
-def save_ppm(raster: Raster, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(to_ppm_bytes(raster))

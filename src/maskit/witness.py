@@ -35,14 +35,16 @@ There is no default.  verify_witness tests its boundary samples in one batch
 through classify_grid, or through classify a point at a time for a
 classifier without one.  The report keeps the samples as the arrays the
 batch gives: to_json_dict makes the witness document, which counts them,
-and samples_json_dict the samples themselves, as columns.
+and samples_json_dict the samples themselves, as columns.  The document's
+rectangles and per-translate rows are dataclasses.asdict of their records,
+so each field name is its JSON key.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,8 +55,6 @@ from .raster import (
     CELL_NON_MEMBER,
     AMembership,
     AVerdict,
-    Component,
-    ComponentReport,
     Raster,
     Window,
     _real_times,
@@ -90,14 +90,6 @@ class AxisRectangle:
         return (
             self.re_min < z.real < self.re_max and self.im_min < z.imag < self.im_max
         )
-
-    def describe(self) -> dict:
-        return {
-            "re_min": self.re_min,
-            "re_max": self.re_max,
-            "im_min": self.im_min,
-            "im_max": self.im_max,
-        }
 
 
 # The search ladder; see the module docstring for the geometry.  Every
@@ -271,9 +263,9 @@ class WitnessReport:
         """
         verdict_counts = dict(Counter(map(_CELL_NAMES.__getitem__, self.sample_codes.tolist())))
         return {
-            "q": self.Q.describe(),
+            "q": asdict(self.Q),
             "z": [self.z.real, self.z.imag],
-            "r": self.R.describe(),
+            "r": asdict(self.R),
             "interior_verdict": {
                 "verdict": self.interior_sample_verdict.verdict.value,
                 "n": self.interior_sample_verdict.n,
@@ -377,33 +369,21 @@ def verify_witness(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TranslateCount:
     """Per-translate component accounting for the counting raster."""
 
-    index: int
+    translate: int
     re_min: float
     re_max: float
-    component_labels: tuple[int, ...]
+    components: tuple[int, ...]
     member_point_ok: bool
     ok: bool
-
-    def describe(self) -> dict:
-        return {
-            "translate": self.index,
-            "re_min": self.re_min,
-            "re_max": self.re_max,
-            "components": list(self.component_labels),
-            "member_point_ok": self.member_point_ok,
-            "ok": self.ok,
-        }
 
 
 @dataclass
 class ComponentsNearInfinity:
-    window: Window
     raster: Raster
-    report: ComponentReport
     per_translate: list[TranslateCount]
     straddlers: tuple[int, ...]
     components_found: int
@@ -412,18 +392,11 @@ class ComponentsNearInfinity:
     def describe(self) -> dict:
         return {
             "found": self.components_found,
-            "window": self.window.describe(),
-            "per_translate": [t.describe() for t in self.per_translate],
+            "window": self.raster.window.describe(),
+            "per_translate": [asdict(t) for t in self.per_translate],
             "straddlers": list(self.straddlers),
             "counting_ok": self.ok,
         }
-
-
-def _bbox_bounds(win: Window, comp: Component):
-    i_min, j_min, i_max, j_max = comp.bbox
-    lo = win.pixel_center(i_max, j_min)
-    hi = win.pixel_center(i_min, j_max)
-    return lo.real, hi.real
 
 
 def components_near_infinity(
@@ -451,13 +424,14 @@ def components_near_infinity(
         r.re_min, r.re_max + 2.0 * (k - 1), r.im_min, r.im_max, cols, rows
     )
     raster = rasterize_a_slice(z, win, classifier=classifier, workers=workers)
-    report = components(raster)
+    comps = components(raster)
 
-    bounds = {c.label: _bbox_bounds(win, c) for c in report.components}
     owner: dict[int, int] = {}
     straddlers = []
-    for c in report.components:
-        lo, hi = bounds[c.label]
+    for c in comps:
+        _, j_min, _, j_max = c.bbox
+        # Re of the centres of the component's leftmost and rightmost pixels
+        lo, hi = (win.pixel_center(0, jj).real for jj in (j_min, j_max))
         for j in range(k):
             if lo >= r.re_min + 2.0 * j and hi <= r.re_max + 2.0 * j:
                 owner[c.label] = j
@@ -480,21 +454,19 @@ def components_near_infinity(
         all_ok = all_ok and ok
         per_translate.append(
             TranslateCount(
-                index=j,
+                translate=j,
                 re_min=r.re_min + 2.0 * j,
                 re_max=r.re_max + 2.0 * j,
-                component_labels=labels,
+                components=labels,
                 member_point_ok=member_ok,
                 ok=ok,
             )
         )
-    ok = all_ok and not straddlers and report.count >= k
+    ok = all_ok and not straddlers and len(comps) >= k
     return ComponentsNearInfinity(
-        window=win,
         raster=raster,
-        report=report,
         per_translate=per_translate,
         straddlers=tuple(straddlers),
-        components_found=report.count,
+        components_found=len(comps),
         ok=ok,
     )

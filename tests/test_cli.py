@@ -401,21 +401,29 @@ def test_a_slice_writes_image_and_component_json(tmp_path):
     assert "generated_at" not in doc
 
 
-# sha256 of a-slice --z -3 5.244615 --window -4 4 0 10 --res 64x64
-# --no-timestamp: the JSON writer and the component labelling may not move a
-# byte of the document.
-A_SLICE_64_SHA256 = {
-    ".json": "c5bec7c171db50d7b46299d1ad71979217f23c983f6a1eca5a9ef1584cbc2374",
-    ".ppm": "86180df62966b748929559ab7e702e5042b71c184305d89c80ff1b1c5feeb092",
+# sha256 of a-slice --z -3 5.244615 --window -4 4 0 10 --no-timestamp at
+# two resolutions: the JSON writer and the component labelling may not move a
+# byte of the document.  At 512x256 the locus has six components, some
+# touching the window's edge and some not; at 64x64 it has one.
+A_SLICE_SHA256 = {
+    "64x64": {
+        ".json": "c5bec7c171db50d7b46299d1ad71979217f23c983f6a1eca5a9ef1584cbc2374",
+        ".ppm": "86180df62966b748929559ab7e702e5042b71c184305d89c80ff1b1c5feeb092",
+    },
+    "512x256": {
+        ".json": "1531104dd725dc31b07b515ed284973f903fc2a104e7cc4192022bfa4d8b755e",
+        ".ppm": "fac5f3ccce15b020372101e2aa22ecfe32855229940d6984eaf8c2ae7a8afc0a",
+    },
 }
 
 
-def test_a_slice_64_artifacts_are_pinned(tmp_path):
+@pytest.mark.parametrize("res", ["64x64", "512x256"])
+def test_a_slice_64_artifacts_are_pinned(tmp_path, res):
     argv = [
         "a-slice",
         "--z", "-3", "5.244615",
         "--window", "-4", "4", "0", "10",
-        "--res", "64x64",
+        "--res", res,
         "--no-timestamp",
         "--out", str(tmp_path / "a.ppm"),
         "--json", str(tmp_path / "a.json"),
@@ -423,7 +431,7 @@ def test_a_slice_64_artifacts_are_pinned(tmp_path):
     assert main(argv) == EXIT_OK
     for ext in (".json", ".ppm"):
         digest = hashlib.sha256((tmp_path / ("a" + ext)).read_bytes()).hexdigest()
-        assert digest == A_SLICE_64_SHA256[ext], ext
+        assert digest == A_SLICE_SHA256[res][ext], ext
 
 
 def test_a_slice_unwritable_json_writes_no_ppm(tmp_path, capsys):

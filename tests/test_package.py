@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import maskit
@@ -17,6 +18,16 @@ _MODULES = sorted(p for p in Path(maskit.__file__).parent.glob("*.py") if p.name
 def test_every_exported_name_resolves():
     missing = [name for name in maskit.__all__ if not hasattr(maskit, name)]
     assert missing == []
+
+
+def test_every_public_name_is_exported():
+    # the submodules are bound by their own import, not re-exported
+    bound = {
+        name
+        for name, value in vars(maskit).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(bound - set(maskit.__all__)) == []
 
 
 def _referenced(tree) -> set[str]:

@@ -1,9 +1,11 @@
 """Tests for pixel grids, rasterization, components, and PPM output."""
 
+import json
 import math
 import multiprocessing
 import types
 from collections import deque
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from maskit import (
     AVerdict,
     ClassifierConfig,
     Component,
-    ComponentReport,
     Raster,
     RealClassifier,
     SyntheticSlice,
@@ -32,7 +33,6 @@ from maskit import (
     membership_with,
     rasterize_a_slice,
     rasterize_maskit,
-    save_ppm,
     to_ppm_bytes,
 )
 from maskit.classify import _VERDICT_CODE
@@ -315,14 +315,6 @@ def test_counts_and_ppm_are_the_sorted_unique_tally_and_the_palette_rows(cells):
     assert to_ppm_bytes(raster) == header + maskit.raster.PALETTE[cells].tobytes()
 
 
-def test_save_ppm_writes_exact_bytes(tmp_path):
-    win = Window.from_bounds(-0.2, 0.2, 0.05, 0.15, 4, 2)
-    raster = rasterize_maskit(win, RealClassifier(_FAST_CFG))
-    path = tmp_path / "out.ppm"
-    save_ppm(raster, path)
-    assert path.read_bytes() == to_ppm_bytes(raster)
-
-
 # ---------------------------------------------------------------------------
 # Extension-locus rasterization
 # ---------------------------------------------------------------------------
@@ -576,12 +568,12 @@ def test_membership_grid_raises_where_membership_with_does_past_its_pre_conditio
 
 def test_components_empty_when_nothing_is_member():
     raster = _raster_of([[CELL_OUTSIDE, CELL_OUTSIDE], [CELL_OUTSIDE, CELL_OUTSIDE]])
-    assert components(raster).count == 0
+    assert len(components(raster)) == 0
 
 
 def test_components_excludes_undetermined():
     raster = _raster_of([[CELL_UNDETERMINED, CELL_UNDETERMINED]])
-    assert components(raster).count == 0
+    assert len(components(raster)) == 0
 
 
 def test_components_single_vertical_bar():
@@ -592,9 +584,7 @@ def test_components_single_vertical_bar():
             [CELL_OUTSIDE, CELL_OUTSIDE, CELL_OUTSIDE],
         ]
     )
-    report = components(raster)
-    assert report.count == 1
-    comp = report.components[0]
+    (comp,) = components(raster)
     assert comp.label == 1
     assert comp.cells == 2
     assert comp.bbox == (0, 1, 1, 1)
@@ -608,9 +598,7 @@ def test_components_two_bars_row_major_labels():
             [CELL_INSIDE_PLUS, CELL_OUTSIDE, CELL_OUTSIDE, CELL_MEMBER],
         ]
     )
-    report = components(raster)
-    assert report.count == 2
-    left, right = report.components
+    left, right = components(raster)
     assert (left.label, right.label) == (1, 2)
     assert left.bbox == (0, 0, 1, 0)
     assert right.bbox == (0, 3, 1, 3)
@@ -625,34 +613,33 @@ def test_components_diagonal_cells_are_separate():
             [CELL_OUTSIDE, CELL_MEMBER],
         ]
     )
-    assert components(raster).count == 2
+    assert len(components(raster)) == 2
 
 
 def test_components_interior_blob_not_boundary_touching():
     cells = np.full((5, 5), CELL_OUTSIDE, dtype=np.uint8)
     cells[2, 2] = CELL_MEMBER
-    report = components(_raster_of(cells))
-    assert report.count == 1
-    assert not report.components[0].boundary_touching
+    (comp,) = components(_raster_of(cells))
+    assert not comp.boundary_touching
 
 
 def test_components_inside_minus_counts_as_member():
     raster = _raster_of([[CELL_INSIDE_MINUS]])
-    report = components(raster)
-    assert report.count == 1
-    assert report.components[0].boundary_touching
+    (comp,) = components(raster)
+    assert comp.boundary_touching
 
 
 def test_components_undetermined_does_not_bridge():
     raster = _raster_of(
         [[CELL_MEMBER, CELL_UNDETERMINED, CELL_MEMBER]]
     )
-    assert components(raster).count == 2
+    assert len(components(raster)) == 2
 
 
 def test_component_report_describe_shape():
     raster = _raster_of([[CELL_MEMBER, CELL_OUTSIDE]])
-    rows = components(raster).describe()
+    # as a-slice writes them: one asdict record per component
+    rows = json.loads(json.dumps([asdict(c) for c in components(raster)]))
     assert rows == [
         {
             "label": 1,
@@ -696,7 +683,7 @@ def _components_all_pixels(raster):
                         seen[ni, nj] = True
                         queue.append((ni, nj))
             comps.append(Component(label, count, (i_min, j_min, i_max, j_max), touching))
-    return ComponentReport(tuple(comps))
+    return tuple(comps)
 
 
 _ALL_CODES = [
@@ -726,6 +713,6 @@ def test_components_match_the_all_pixel_reference(raster):
 
 def test_components_of_the_512_render_match_the_reference():
     raster = rasterize_maskit(Window.from_bounds(-3.0, 3.0, 0.0, 3.0, 512, 512), RealClassifier())
-    report = components(raster)
-    assert report.count >= 1
-    assert report == _components_all_pixels(raster)
+    comps = components(raster)
+    assert len(comps) >= 1
+    assert comps == _components_all_pixels(raster)

@@ -3,6 +3,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from maskit import (
     verify_witness,
 )
 from maskit.raster import _real_times
-from maskit.witness import _boundary_arrays
+from maskit.witness import TranslateCount, _boundary_arrays
 from test_raster import _AVERDICT_CODE
 
 SQRT3 = math.sqrt(3.0)
@@ -64,7 +65,7 @@ def test_rectangle_geometry_accessors():
     q = AxisRectangle(-1.0, 3.0, 2.0, 4.5)
     assert q.width == 4.0
     assert q.height == 2.5
-    assert q.describe() == {
+    assert asdict(q) == {
         "re_min": -1.0,
         "re_max": 3.0,
         "im_min": 2.0,
@@ -474,7 +475,7 @@ def test_witness_report_json_shape():
         "counting_ok",
     ]
     assert doc["components"]["found"] == counting.components_found
-    assert doc["components"]["window"] == counting.window.describe()
+    assert doc["components"]["window"] == counting.raster.window.describe()
     assert len(doc["components"]["per_translate"]) == 2
     assert doc["components"]["counting_ok"] is counting.ok
     assert doc["diagnostics"]["k"] == 2
@@ -499,15 +500,15 @@ def test_components_near_infinity_synthetic_counts_translates():
     assert counting.straddlers == ()
     assert len(counting.per_translate) == 3
     for j, tc in enumerate(counting.per_translate):
-        assert tc.index == j
+        assert tc.translate == j
         assert tc.re_min == pytest.approx(r.re_min + 2.0 * j)
         assert tc.re_max == pytest.approx(r.re_max + 2.0 * j)
         assert tc.member_point_ok
-        assert tc.component_labels
+        assert tc.components
         assert tc.ok
     # The counting window covers exactly the k translates of R.
-    assert counting.window.re_min == pytest.approx(r.re_min)
-    assert counting.window.re_max == pytest.approx(r.re_max + 4.0)
+    assert counting.raster.window.re_min == pytest.approx(r.re_min)
+    assert counting.raster.window.re_max == pytest.approx(r.re_max + 4.0)
 
 
 def test_components_near_infinity_rejects_k_zero():
@@ -521,18 +522,12 @@ def test_components_near_infinity_rejects_k_zero():
 def test_translate_count_describe_shape():
     clf = SyntheticSlice()
     q, z = find_rectangle(classifier=clf)
+    report = verify_witness(q, z, classifier=clf)
     counting = components_near_infinity(
-        3.0 * z, 1, rectangle=build_R(q, z), classifier=clf, cols=128, rows=32
+        3.0 * z, 1, rectangle=report.R, classifier=clf, cols=128, rows=32
     )
-    row = counting.per_translate[0].describe()
-    assert set(row) == {
-        "translate",
-        "re_min",
-        "re_max",
-        "components",
-        "member_point_ok",
-        "ok",
-    }
+    (row,) = report.to_json_dict(counting, clf.describe())["components"]["per_translate"]
+    assert [f.name for f in fields(TranslateCount)] == list(row)
 
 
 # ---------------------------------------------------------------------------
