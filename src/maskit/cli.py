@@ -161,7 +161,6 @@ def cmd_render_maskit(args) -> int:
 
 
 def cmd_cusps(args) -> int:
-    cfg = _build_cfg(args)
     if not (1 <= args.max_q <= 64):
         raise _UsageError("cusp table slope cap must be in 1..64")
     rows = ["p,q,re,im,residual"]
@@ -169,7 +168,7 @@ def cmd_cusps(args) -> int:
     table.sort(key=lambda s: (s.q, s.p))
     for s in table:
         try:
-            res = cusp_point(s, cfg)
+            res = cusp_point(s)
             rows.append(
                 f"{s.p},{s.q},{res.z.real!r},{res.z.imag!r},{res.residual:.3e}"
             )
@@ -317,10 +316,6 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", metavar="FILE",
                        help="read more of these flags from FILE; flags given here override it")
-        p.add_argument("--qmax", type=int, default=512,
-                       help="classifier slope-denominator cap (default %(default)s)")
-        p.add_argument("--budget", type=int, default=20000,
-                       help="classifier node budget (default %(default)s)")
         p.add_argument("--out", default=out, help=f"{out_help} (default %(default)s)")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp from JSON output (render-maskit and cusps "
@@ -328,6 +323,12 @@ def _build_parser() -> _Parser:
         return p
 
     def raster(p, *, res, window=None):
+        # the classifier's settings: every raster command classifies, and
+        # cusps, whose table prints no verdict, takes neither
+        p.add_argument("--qmax", type=int, default=512,
+                       help="classifier slope-denominator cap (default %(default)s)")
+        p.add_argument("--budget", type=int, default=20000,
+                       help="classifier node budget (default %(default)s)")
         if window is not None:
             p.add_argument("--window", nargs=4, type=float, default=window,
                            metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"),

@@ -35,25 +35,21 @@ not certify INSIDE_PLUS at z + i*_PROBE_EPS, a point that Keen-Series puts
 in M+: that is the classifier's shortfall, not the cusp's.
 
 poly_roots, the all-roots solver, stays as an independent check of the
-cusps.  Its coefficients grow like 10^(q/2), so it runs a simultaneous
-Durand-Kerner iteration with Newton polishing, finished in mpmath
-(imported on first use) at a precision scaled to the degree and the
-coefficient size.  The iteration is deterministic: the initial
-configuration is a circle of radius given by the Cauchy bound with a phase
-derived from an explicit integer mix of the seed.  The same sweeps run first
-in complex floats, until the estimates sit at double resolution, and mpmath
-starts from there; where the floats overflow (some slopes from q = 26, every
-slope from q = 41) mpmath starts from the circle itself.
+cusps.  It takes numpy's estimates of every root (np.roots, the
+eigenvalues of the companion matrix) and steps each with the same exact
+Newton step, until a step returns its own input.  A root is that fixed
+point, so it depends on numpy only through which root an estimate lands
+on.  On a root on the real or the imaginary axis, the other component
+comes out 0 or below 1e-30 in size, not always exactly 0: the float
+estimate's rounding leaves a second-order term there.
 
-Repeated roots would stall the iteration: (z^2+z+1)^2 divides
-t_{3/10} - 2, (z^2+3z+3)^2 divides t_{7/10} - 2 and (z+1)^3 divides
-t_{5/12} - 2 and t_{7/12} - 2.  So before it solves, poly_roots computes
-deg gcd(f, f') of f = t_{p/q} -+ 2 modulo one prime; 0 proves that f has
-no repeated root, and f is solved as it stands.  Otherwise (14 of the 2522
-equations with 0 <= p/q <= 1, q <= 64) it solves the square-free part
-f / gcd(f, f'), computed exactly over Q(i), and returns each distinct root
-once.  After the sweeps, the Newton polish stops at the first step that
-moves a root by less than the sweep tolerance; that is usually the first.
+Repeated roots would stall Newton: (z^2+z+1)^2 divides t_{3/10} - 2,
+(z^2+3z+3)^2 divides t_{7/10} - 2 and (z+1)^3 divides t_{5/12} - 2 and
+t_{7/12} - 2.  So before it solves, poly_roots computes deg gcd(f, f') of
+f = t_{p/q} -+ 2 modulo one prime; 0 proves that f has no repeated root,
+and f is solved as it stands.  Otherwise (14 of the 2522 equations with
+0 <= p/q <= 1, q <= 64) it solves the square-free part f / gcd(f, f'),
+computed exactly over Q(i), and returns each distinct root once.
 """
 
 from __future__ import annotations
@@ -61,6 +57,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .classify import ClassifierConfig, Verdict, classify_point
 from .farey import FareySlope, TracePolynomial, _fill, trace_polynomial
@@ -85,13 +83,9 @@ _REAL_TOL = 1e-9
 _CONVERGED = 2.0**-50
 _NEWTON_STEPS = 8
 
-# Durand-Kerner sweeps allowed to each pass, float and mpmath.
-_MAX_SWEEPS = 400
-
-# A float sweep whose largest step is below sqrt(eps) leaves estimates at
-# double resolution (Durand-Kerner converges quadratically at simple roots),
-# so further float sweeps only stall in rounding noise.
-_FLOAT_STALL = 2.0**-26
+# Exact Newton steps allowed to reach a fixed point from each np.roots
+# estimate; from starts 1e-9 off, every root with q <= 16 took at most 22.
+_REFINE_STEPS = 32
 
 # The repeated-root check works in F_P for this prime P.  P = 5 (mod 8), so
 # 2 is not a square mod P and 2^((P-1)/4) is a square root of -1: i maps to
@@ -101,11 +95,7 @@ _I_MOD_P = pow(2, (_P - 1) // 4, _P)
 
 
 class RootSolveError(RuntimeError):
-    """Simultaneous iteration failed to settle; carries the estimates."""
-
-    def __init__(self, message, estimates):
-        super().__init__(message)
-        self.estimates = list(estimates)
+    """poly_roots could not take every estimate to its own root."""
 
 
 class BoundaryCuspError(RuntimeError):
@@ -253,18 +243,16 @@ def _exact_jet(coeffs, z: complex):
     return (a, b), den, (tr, ti), (dr, di)
 
 
-def _exact_newton(coeffs, z: complex) -> complex:
-    """One Newton step for t = +-2 (the sign of Re t at z) from the exact
-    value of z, each component of the result rounded once."""
+def _exact_newton(coeffs, z: complex, target: int) -> complex:
+    """One Newton step for sum(coeffs[k] z^k) = target from the exact value
+    of z, each component of the result rounded once.  Raises
+    ZeroDivisionError where t' vanishes and OverflowError where the result
+    leaves the doubles."""
     (a, b), den, (tr, ti), (dr, di) = _exact_jet(coeffs, z)
     # z - (t - target) / t' = M / (den T1) with M = w T1 - T + target den^n
-    top = den ** (len(coeffs) - 1)
-    target = 2 * top if tr > 0 else -2 * top
-    mr = a * dr - b * di - tr + target
+    mr = a * dr - b * di - tr + target * den ** (len(coeffs) - 1)
     mi = a * di + b * dr - ti
     norm = den * (dr * dr + di * di)
-    if not norm:
-        raise BoundaryCuspError(f"t' vanishes at the ray's end {z!r}")
     return complex((mr * dr + mi * di) / norm, (mi * dr - mr * di) / norm)
 
 
@@ -286,7 +274,13 @@ def cusp_point(s: FareySlope, cfg: ClassifierConfig | None = None) -> CuspResult
         cfg = ClassifierConfig()
     end = pleating_ray(s)[-1]
     coeffs = trace_polynomial(s).coeffs
-    z = _exact_newton(coeffs, end)
+    # t_{p/q} has the leading term (iz)^q, so Re t has the sign of (-1)^q
+    # far up the ray, and keeps it down to the end, as |t| >= 2 throughout
+    target = -2 if s.q % 2 else 2
+    try:
+        z = _exact_newton(coeffs, end, target)
+    except ZeroDivisionError:
+        raise BoundaryCuspError(f"t' vanishes at the ray's end {end!r}") from None
     above = classify_point(complex(z.real, z.imag + _PROBE_EPS), cfg).verdict
     return CuspResult(
         slope=s,
@@ -294,36 +288,6 @@ def cusp_point(s: FareySlope, cfg: ClassifierConfig | None = None) -> CuspResult
         residual=_exact_residual(coeffs, z),
         flagged=above is not Verdict.INSIDE_PLUS,
     )
-
-
-def _horner(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _sweeps(monic, xs, tol) -> bool:
-    """Durand-Kerner sweeps on xs, in place, in whatever arithmetic the
-    arguments carry (complex or mpmath).  True once a sweep moves no
-    estimate by tol or more; False if _MAX_SWEEPS sweeps run out first."""
-    n = len(xs)
-    for _ in range(_MAX_SWEEPS):
-        shift = 0
-        for k in range(n):
-            xk = xs[k]
-            denom = 1
-            for j in range(n):
-                if j != k:
-                    denom *= xk - xs[j]
-            step = _horner(monic, xk) / denom
-            xs[k] = xk - step
-            s = abs(step)
-            if s > shift:
-                shift = s
-        if shift < tol:
-            return True
-    return False
 
 
 def _rem_mod_p(a, b):
@@ -418,58 +382,21 @@ def _exact_gcd(f):
     return [(1, 0)]
 
 
-def _dk_roots(coeffs, target: int, seed: int) -> list[complex]:
-    """Durand-Kerner roots of sum(coeffs[k] z^k) - target, then polished."""
-    import mpmath as mp  # only this solver needs it; importing maskit does not
-
-    n = len(coeffs) - 1
-    coeff_digits = max(len(str(abs(re))) + len(str(abs(im))) for re, im in coeffs)
-    with mp.workdps(max(40, 20 + n + coeff_digits)):
-        coeffs = [mp.mpc(re, im) for re, im in coeffs]
-        coeffs[0] -= target
-        lead = coeffs[-1]
-        monic = [c / lead for c in coeffs]
-        radius = 1 + max(abs(c) for c in monic[:-1])
-        # phase offset keeps the start set off the real axis and off any
-        # root-symmetry axis; mixed from the seed for reproducibility
-        phase = 0.37 + 0.11 * ((seed * 2654435761 + 1) % 997) / 997.0
-        circle = [
-            radius * mp.expjpi(2 * (k + phase) / n) for k in range(n)
-        ]
-        # the float pass walks in from the circle at a fraction of the
-        # mpmath cost; its finite estimates are exact mpmath starts.  A NaN
-        # step never raises the shift, so a pass that overflows ends early.
-        floats = [complex(x) for x in circle]
-        _sweeps([complex(c) for c in monic], floats, _FLOAT_STALL)
-        xs = (
-            [mp.mpc(x) for x in floats]
-            if all(cmath.isfinite(x) for x in floats)
-            else circle
-        )
-        tol = mp.mpf(10) ** (-(mp.mp.dps - 8))
-        if not _sweeps(monic, xs, tol):
-            raise RootSolveError(
-                f"root iteration did not converge within {_MAX_SWEEPS} sweeps",
-                [complex(x) for x in xs],
-            )
-        # Newton polish against the original (non-monic) polynomial, until
-        # a step is below the sweep tolerance (the first one usually is)
-        deriv = [k * coeffs[k] for k in range(1, n + 1)]
-        for k in range(n):
-            x = xs[k]
-            for _ in range(4):
-                d = _horner(deriv, x)
-                if d == 0:
-                    break
-                step = _horner(coeffs, x) / d
-                x = x - step
-                if abs(step) < tol:
-                    break
-            xs[k] = x
-        return [complex(x) for x in xs]
+def _refined(coeffs, z: complex) -> complex:
+    """The fixed point of _exact_newton for sum(coeffs[k] z^k) = 0 reached
+    from z within _REFINE_STEPS steps; RootSolveError otherwise."""
+    for _ in range(_REFINE_STEPS):
+        try:
+            step = _exact_newton(coeffs, z, 0)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise RootSolveError(f"exact Newton step from {z!r} failed: {exc}") from None
+        if step == z:
+            return z
+        z = step
+    raise RootSolveError(f"no fixed point of the exact Newton step near {z!r}")
 
 
-def poly_roots(poly: TracePolynomial, target: int, *, seed: int = 0) -> list[complex]:
+def poly_roots(poly: TracePolynomial, target: int) -> list[complex]:
     """The distinct roots of poly(z) - target, sorted by (Re, Im) rounded to
     9 places.  target must be an integer (an integral float is accepted).
 
@@ -478,16 +405,13 @@ def poly_roots(poly: TracePolynomial, target: int, *, seed: int = 0) -> list[com
     replaced by its square-free part f / gcd(f, f'), computed exactly over
     Q(i), so a root of multiplicity m is returned once.
 
-    Durand-Kerner then runs twice from the seeded circle: in complex floats
-    until a sweep moves no estimate by _FLOAT_STALL (or 400 sweeps),
-    then in mpmath from those estimates -- from the circle itself if the
-    floats overflowed -- until a sweep moves no estimate by
-    tol = 10^-(dps-8), with dps >= 40.  Each estimate then takes Newton
-    steps against the exact polynomial, at most four and none after one
-    that moves it by less than tol, and is rounded to complex.
-    Deterministic for a fixed seed.  Raises RootSolveError (carrying the
-    current estimates) if the mpmath pass does not converge within
-    400 sweeps.
+    Each of np.roots' estimates for f then takes exact Newton steps, each
+    rounded once per component, until a step returns its own input (at
+    most 32 steps).  A root is that fixed point, whichever estimate
+    reached it.  On a root on the real or the imaginary axis, the other
+    component is 0 or below 1e-30 in size.  Raises RootSolveError if an
+    estimate reaches no fixed point, a step divides by zero or leaves the
+    doubles, or two estimates reach the same root.
     """
     if poly.degree < 1:
         raise ValueError("degree >= 1 required")
@@ -497,13 +421,13 @@ def poly_roots(poly: TracePolynomial, target: int, *, seed: int = 0) -> list[com
         raise ValueError(f"target must be an integer, got {target!r}")
     (c0r, c0i), *rest = poly.coeffs
     f = [(c0r - target, c0i), *rest]
-    # without a repeated root, poly and target go to the solver as they are,
-    # so its working precision and every rounding step stay as they were
-    coeffs, shift = poly.coeffs, target
     if _gcd_degree_mod_p(f) != 0:
         g = _exact_gcd(f)
         if len(g) > 1:
-            coeffs, shift = _primitive(_pseudo_divmod(f, g)[0]), 0
-    roots = _dk_roots(coeffs, shift, seed)
+            f = _primitive(_pseudo_divmod(f, g)[0])
+    estimates = np.roots([complex(re, im) for re, im in reversed(f)])
+    roots = [_refined(f, complex(x)) for x in estimates]
+    if len(set(roots)) < len(roots):
+        raise RootSolveError("two estimates reached the same root")
     roots.sort(key=lambda r: (round(r.real, 9), round(r.imag, 9)))
     return roots

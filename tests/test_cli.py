@@ -3,12 +3,15 @@
 import errno
 import hashlib
 import json
+import multiprocessing
 import time
+import types
 from collections import Counter
 
 import pytest
 
 import maskit.cli
+import maskit.raster
 from maskit.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -210,6 +213,8 @@ def test_malformed_config_line_is_usage_error(tmp_path, capsys):
         ["cusps", "--workers", "2"],
         ["cusps", "--window", "-1", "1", "1", "2"],
         ["cusps", "--res", "4x4"],
+        ["cusps", "--qmax", "16"],
+        ["cusps", "--budget", "1000"],
         ["render-maskit", "--seed", "1"],
         ["a-slice", "--z", "0", "4", "--seed", "1"],
         ["witness", "--seed", "1"],
@@ -564,10 +569,21 @@ def test_witness_unwritable_ppm_exits_2_and_keeps_the_json(tmp_path, capsys):
     assert list((tmp_path / "w.ppm").iterdir()) == []
 
 
-def test_witness_worker_count_byte_identical(tmp_path):
+def test_witness_worker_count_byte_identical(tmp_path, monkeypatch):
+    # 256x32 is below _POOL_MIN_PX: lower the threshold so --workers 2
+    # rasterizes in a real two-process pool
+    monkeypatch.setattr(maskit.raster, "_POOL_MIN_PX", 0)
+    sizes = []
+
+    def recording_pool(processes):
+        sizes.append(processes)
+        return multiprocessing.Pool(processes)
+
+    monkeypatch.setattr(maskit.raster, "multiprocessing", types.SimpleNamespace(Pool=recording_pool))
     code1, p1 = _run_witness(tmp_path, "w1", ["--workers", "1"])
     code2, p2 = _run_witness(tmp_path, "w2", ["--workers", "2"])
     assert code1 == code2 == EXIT_OK
+    assert sizes == [2]
     for ext in (".json", ".ppm", ".samples.json"):
         b1 = (p1.parent / (p1.name + ext)).read_bytes()
         b2 = (p2.parent / (p2.name + ext)).read_bytes()

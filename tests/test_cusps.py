@@ -133,10 +133,30 @@ def test_poly_roots_match_mpmath_to_the_last_bit():
     for s in slopes_up_to(10, 0.0, 1.0):
         poly = trace_polynomial(s)
         for target in (2, -2):
+            got = poly_roots(poly, target)
             want = _mpmath_roots(_squarefree_coeffs(s, target))
-            for seed in (0, 99):
-                got = poly_roots(poly, target, seed=seed)
-                _assert_same_roots(got, want, f"{s} at {target:+d}, seed {seed}")
+            _assert_same_roots(got, want, f"{s} at {target:+d}")
+
+
+def test_poly_roots_are_fixed_points_of_the_exact_step():
+    # each root is its own exact Newton step, rounded: the solver returns
+    # the step's fixed point, whichever numpy estimate it started from
+    for s in slopes_up_to(12, 0.0, 1.0):
+        for target in (2, -2):
+            f = _minus(trace_polynomial(s), target)
+            if cusps._gcd_degree_mod_p(f) != 0:
+                continue
+            for r in poly_roots(trace_polynomial(s), target):
+                assert cusps._exact_newton(f, r, 0) == r, (s, target, r)
+
+
+def test_poly_roots_solves_seventeen_eighteenths():
+    # every root lies on Re z = -2, where numpy's estimates are off by up
+    # to 1e-6; each still comes back to the last bit of the 60-digit roots
+    s = FareySlope(17, 18)
+    for target in (2, -2):
+        got = poly_roots(trace_polynomial(s), target)
+        _assert_same_roots(got, _mpmath_roots(_minus(trace_polynomial(s), target)), str(s))
 
 
 def test_repeated_roots_are_solved_once_each():
@@ -249,15 +269,6 @@ def test_poly_roots_rejects_constants():
         poly_roots(TracePolynomial(((2, 0),)), 2.0)
 
 
-def test_poly_roots_seed_determinism():
-    poly = trace_polynomial(FareySlope(2, 5))
-    a = poly_roots(poly, 2.0, seed=0)
-    b = poly_roots(poly, 2.0, seed=0)
-    assert a == b
-    c = poly_roots(poly, 2.0, seed=99)
-    _match_sets(a, c, 1e-9)
-
-
 def test_cusp_fixture_zero_slope():
     res = cusp_point(FareySlope(0, 1))
     assert abs(res.z - 2j) < 1e-9
@@ -342,6 +353,8 @@ def test_pleating_ray_points_have_real_trace_beyond_two():
         for k, z in enumerate(path):
             t = TraceCache(z).trace(s)
             assert abs(t.imag) <= 1e-9 * abs(t), (s, z, t)
+            # cusp_point steps for t = 2 at even q and t = -2 at odd q
+            assert (t.real > 0) == (s.q % 2 == 0), (s, z, t)
             # the last point solves t = +-2 in floats
             floor = 2 - 1e-12 if k == len(path) - 1 else 2
             assert abs(t.real) >= floor, (s, z, t)
@@ -365,8 +378,8 @@ def test_mirror_slopes_mirror_their_cusps():
 
 
 def test_slopes_the_root_solver_misses_resolve():
-    # poly_roots raises RootSolveError on all three: 17/18 has its roots
-    # around -2 but a start circle sized by the Cauchy bound
+    # poly_roots raises RootSolveError at 1/48 and 1/64, where two numpy
+    # estimates reach the same root (it solves 17/18); the ray finds all three
     for p, q in ((17, 18), (1, 48), (1, 64)):
         res = cusp_point(FareySlope(p, q))
         assert 1 < res.z.imag < 2 and res.residual <= 1e-9
