@@ -43,6 +43,7 @@ from .raster import (
     CELL_UNDETERMINED,
     AMembership,
     AVerdict,
+    AxisRectangle,
     Component,
     Raster,
     Window,
@@ -54,7 +55,6 @@ from .raster import (
     to_ppm_bytes,
 )
 from .witness import (
-    AxisRectangle,
     ComponentsNearInfinity,
     WitnessReport,
     WitnessSearchError,

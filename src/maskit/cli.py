@@ -205,7 +205,7 @@ def cmd_a_slice(args) -> int:
     comps = components(grid)
     doc = {
         "base_point": [z.real, z.imag],
-        "window": win.describe(),
+        "window": asdict(win),
         "count": len(comps),
         "components": [asdict(c) for c in comps],
         "cell_counts": grid.counts(),

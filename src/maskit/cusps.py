@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import ClassifierConfig, Verdict, classify_point
+from .classify import Verdict, classify_point
 from .farey import FareySlope, TracePolynomial, _fill, trace_polynomial
 
 # Height above the cusp of the one classifier call behind CuspResult.flagged.
@@ -263,15 +263,13 @@ def _exact_residual(coeffs, z: complex) -> float:
     return math.hypot((tr * tr - ti * ti - 4 * top) / top, 2 * tr * ti / top)
 
 
-def cusp_point(s: FareySlope, cfg: ClassifierConfig | None = None) -> CuspResult:
+def cusp_point(s: FareySlope) -> CuspResult:
     """The p/q boundary cusp of M+: the end of pleating_ray(s), taken one
     exact Newton step further on t_{p/q} = +-2 and rounded once per
-    component.  cfg is the classifier's, for the flag alone.
+    component.  The flag is the default classifier's.
 
     Raises BoundaryCuspError when the continuation fails a guard.
     """
-    if cfg is None:
-        cfg = ClassifierConfig()
     end = pleating_ray(s)[-1]
     coeffs = trace_polynomial(s).coeffs
     # t_{p/q} has the leading term (iz)^q, so Re t has the sign of (-1)^q
@@ -281,7 +279,7 @@ def cusp_point(s: FareySlope, cfg: ClassifierConfig | None = None) -> CuspResult
         z = _exact_newton(coeffs, end, target)
     except ZeroDivisionError:
         raise BoundaryCuspError(f"t' vanishes at the ray's end {end!r}") from None
-    above = classify_point(complex(z.real, z.imag + _PROBE_EPS), cfg).verdict
+    above = classify_point(complex(z.real, z.imag + _PROBE_EPS)).verdict
     return CuspResult(
         slope=s,
         z=z,

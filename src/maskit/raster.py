@@ -1,10 +1,12 @@
 """Verdict rasters over complex windows, the membership test, components, images.
 
-Pixels map affinely to the plane, row-major with the top row at maximal
-imaginary part; cell (i, j) is classified at its center.  Grids hold small
-integer verdict codes (uint8), so PPM export (to_ppm_bytes) is a palette
-lookup.  components returns a tuple of frozen Component records, which
-callers serialise with dataclasses.asdict.
+A Window is an AxisRectangle, the four bounds it was given, with a grid
+of cols x rows pixels.  Pixels map affinely to the plane, row-major with
+the top row at maximal imaginary part; cell (i, j) is classified at its
+center.  Grids hold small integer verdict codes (uint8), so PPM export
+(to_ppm_bytes) is a palette lookup.  components returns a tuple of frozen
+Component records.  Callers serialise windows and components with
+dataclasses.asdict.
 
 Everything is a pure function of (classifier, window, row range), so the
 worker count cannot change any byte of the output: row chunks are mapped
@@ -108,43 +110,52 @@ _POOL_MIN_PX = 2**17
 
 
 @dataclass(frozen=True)
-class Window:
-    center: complex
-    width: float
-    height: float
+class AxisRectangle:
+    re_min: float
+    re_max: float
+    im_min: float
+    im_max: float
+
+    def __post_init__(self):
+        if not (self.re_min < self.re_max and self.im_min < self.im_max):
+            raise ValueError("rectangle bounds must satisfy re_min < re_max, im_min < im_max")
+
+    @property
+    def width(self) -> float:
+        return self.re_max - self.re_min
+
+    @property
+    def height(self) -> float:
+        return self.im_max - self.im_min
+
+    def contains_interior(self, z) -> bool:
+        z = complex(z)
+        return (
+            self.re_min < z.real < self.re_max and self.im_min < z.imag < self.im_max
+        )
+
+
+@dataclass(frozen=True)
+class Window(AxisRectangle):
+    """An AxisRectangle cut into cols x rows pixels; its bounds are the ones given."""
+
     cols: int
     rows: int
 
     def __post_init__(self):
-        if not all(map(cmath.isfinite, (self.center, self.width, self.height))):
+        # NaN, infinite and overflowing bounds all give a width or height that is not finite
+        if not (math.isfinite(self.width) and math.isfinite(self.height)):
             raise ValueError("window bounds must be finite")
         if max(abs(self.re_min), abs(self.re_max)) > REAL_PART_LIMIT:
             raise ValueError(f"window bounds must satisfy |Re| <= {REAL_PART_LIMIT:g}")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("window bounds must satisfy re_min < re_max, im_min < im_max")
+        super().__post_init__()
         if self.cols < 1 or self.rows < 1:
             raise ValueError("window resolution must be >= 1x1")
 
     @classmethod
     def from_bounds(cls, re_min, re_max, im_min, im_max, cols, rows) -> "Window":
-        center = complex((re_min + re_max) / 2.0, (im_min + im_max) / 2.0)
-        return cls(center, re_max - re_min, im_max - im_min, int(cols), int(rows))
-
-    @property
-    def re_min(self) -> float:
-        return self.center.real - self.width / 2.0
-
-    @property
-    def re_max(self) -> float:
-        return self.center.real + self.width / 2.0
-
-    @property
-    def im_min(self) -> float:
-        return self.center.imag - self.height / 2.0
-
-    @property
-    def im_max(self) -> float:
-        return self.center.imag + self.height / 2.0
+        """The window with these bounds as floats and this resolution as ints."""
+        return cls(float(re_min), float(re_max), float(im_min), float(im_max), int(cols), int(rows))
 
     def _re_at(self, j):
         return self.re_min + (j + 0.5) * self.width / self.cols
@@ -164,16 +175,6 @@ class Window:
         j = math.floor((z.real - self.re_min) * self.cols / self.width)
         i = math.floor((self.im_max - z.imag) * self.rows / self.height)
         return i, j
-
-    def describe(self) -> dict:
-        return {
-            "re_min": self.re_min,
-            "re_max": self.re_max,
-            "im_min": self.im_min,
-            "im_max": self.im_max,
-            "cols": self.cols,
-            "rows": self.rows,
-        }
 
 
 @dataclass

@@ -35,9 +35,11 @@ There is no default.  verify_witness tests its boundary samples in one batch
 through classify_grid, or through classify a point at a time for a
 classifier without one.  The report keeps the samples as the arrays the
 batch gives: to_json_dict makes the witness document, which counts them,
-and samples_json_dict the samples themselves, as columns.  The document's
-rectangles and per-translate rows are dataclasses.asdict of their records,
-so each field name is its JSON key.
+and samples_json_dict the samples themselves, as columns.  Q, R and the
+counting window are raster.AxisRectangle records, and _boundary_arrays
+places the samples on the sides of Q and of R alike.  The document's
+rectangles, window and per-translate rows are dataclasses.asdict of their
+records, so each field name is its JSON key.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .raster import (
     CELL_NON_MEMBER,
     AMembership,
     AVerdict,
+    AxisRectangle,
     Raster,
     Window,
     _real_times,
@@ -64,32 +67,6 @@ from .raster import (
     membership_with,
     rasterize_a_slice,
 )
-
-
-@dataclass(frozen=True)
-class AxisRectangle:
-    re_min: float
-    re_max: float
-    im_min: float
-    im_max: float
-
-    def __post_init__(self):
-        if not (self.re_min < self.re_max and self.im_min < self.im_max):
-            raise ValueError("rectangle bounds must satisfy re_min < re_max, im_min < im_max")
-
-    @property
-    def width(self) -> float:
-        return self.re_max - self.re_min
-
-    @property
-    def height(self) -> float:
-        return self.im_max - self.im_min
-
-    def contains_interior(self, z) -> bool:
-        z = complex(z)
-        return (
-            self.re_min < z.real < self.re_max and self.im_min < z.imag < self.im_max
-        )
 
 
 # The search ladder; see the module docstring for the geometry.  Every
@@ -166,15 +143,6 @@ def _boundary_profile(classifier):
     return out
 
 
-def _side_points(q: AxisRectangle, n: int):
-    xs = [q.re_min + q.width * k / (n - 1) for k in range(n)]
-    ys = [q.im_min + q.height * k / (n - 1) for k in range(n)]
-    pts = [complex(x, q.im_min) for x in xs]  # lower side
-    pts += [complex(q.re_min, y) for y in ys]  # left side
-    pts += [complex(q.re_max, y) for y in ys]  # right side
-    return pts
-
-
 def find_rectangle(classifier) -> tuple[AxisRectangle, complex]:
     """Locate (Q, z): sides certified outside, z inside at the 1/3 height.
 
@@ -200,10 +168,10 @@ def find_rectangle(classifier) -> tuple[AxisRectangle, complex]:
             continue
         for u in _HALF_WIDTHS:
             q = AxisRectangle(x_c - u, x_c + u, y0, y1)
-            if all(
-                classifier.classify(p).verdict is Verdict.OUTSIDE_CERTIFIED
-                for p in _side_points(q, _SIDE_SAMPLES)
-            ):
+            re, im, _, _ = _boundary_arrays(q, _SIDE_SAMPLES, _SIDE_SAMPLES)
+            # the lower, left and right sides: all but the top's _SIDE_SAMPLES points
+            sides = map(complex, re[_SIDE_SAMPLES:].tolist(), im[_SIDE_SAMPLES:].tolist())
+            if all(classifier.classify(p).verdict is Verdict.OUTSIDE_CERTIFIED for p in sides):
                 return q, z
     raise WitnessSearchError(
         "no certified rectangle found within the search ladder",
@@ -298,12 +266,11 @@ class WitnessReport:
         }
 
 
-def _boundary_arrays(r: AxisRectangle, spacing: float):
-    """The points along the four sides of r, corners included, at most
-    spacing apart, and their inward unit normals: four float arrays, Re and
-    Im of each point, then Re and Im of its normal."""
-    nx = max(2, math.ceil(r.width / spacing) + 1)
-    ny = max(2, math.ceil(r.height / spacing) + 1)
+def _boundary_arrays(r: AxisRectangle, nx: int, ny: int):
+    """Evenly spaced points on the sides of r, corners included: nx on the
+    top, then nx on the bottom, each from left to right, then ny on the left
+    and ny on the right, each from bottom to top.  Four float arrays: Re and
+    Im of each point, then Re and Im of its inward unit normal."""
     xs = r.re_min + r.width * np.arange(nx) / (nx - 1)
     ys = r.im_min + r.height * np.arange(ny) / (ny - 1)
     sides = [nx, nx, ny, ny]  # top, bottom, left, right
@@ -342,7 +309,10 @@ def verify_witness(
 
     interior = membership_with(classifier, base, 2.0 * z)
 
-    re, im, in_re, in_im = _boundary_arrays(r, spacing)
+    # the fewest points a side that keeps neighbours at most spacing apart
+    nx = max(2, math.ceil(r.width / spacing) + 1)
+    ny = max(2, math.ceil(r.height / spacing) + 1)
+    re, im, in_re, in_im = _boundary_arrays(r, nx, ny)
     grid = _grid_of(classifier)
     codes, ns = membership_grid(grid, base, re, im)
     ok = codes == CELL_NON_MEMBER
@@ -392,7 +362,7 @@ class ComponentsNearInfinity:
     def describe(self) -> dict:
         return {
             "found": self.components_found,
-            "window": self.raster.window.describe(),
+            "window": asdict(self.raster.window),
             "per_translate": [asdict(t) for t in self.per_translate],
             "straddlers": list(self.straddlers),
             "counting_ok": self.ok,

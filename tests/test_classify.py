@@ -20,12 +20,15 @@ from maskit.classify import (
     CELL_INSIDE_MINUS,
     CELL_INSIDE_PLUS,
     CELL_OUTSIDE,
+    GROW_THRESHOLD,
     REAL_PART_LIMIT,
     ClassifierConfig,
     RealClassifier,
     SyntheticSlice,
     Verdict,
     _grid_of,
+    _next_level,
+    _settle_fans,
     classify_point,
 )
 from maskit.raster import AVerdict, Window, a_membership, membership_with
@@ -418,6 +421,102 @@ def test_monotone_refinement():
         fine = classify_point(z, big).verdict
         if coarse is not Verdict.UNDETERMINED:
             assert coarse == fine, f"z={z}: {coarse} -> {fine}"
+
+
+# The prune lemmas, tested through the batch kernel that applies them.  Their
+# proofs use only the recursion t_m = t_l*t_r - t_d, so free complex triples
+# are fair edges.  classify_point's copy of the prunes is checked only
+# through the scalar-versus-batch tests above.
+
+
+def _traces(rng, n, lo, hi):
+    """n complex numbers of modulus uniform in [lo, hi) and uniform argument."""
+    return rng.uniform(lo, hi, n) * np.exp(2j * np.pi * rng.random(n))
+
+
+def _pruned(tl, tr, td):
+    """The edges (l, r; d) that _next_level ends without a hand-off: each
+    edge its own point, both slopes of denominator 1, no budget or q_max."""
+    n = tl.size
+    frontier = np.array(
+        [
+            [1.0] * n, tl.real, tl.imag, np.hypot(tl.real, tl.imag),
+            [1.0] * n, tr.real, tr.imag, np.hypot(tr.real, tr.imag),
+            td.real, td.imag, np.hypot(td.real, td.imag),
+        ]
+    )
+    explored = np.zeros(n, np.intp)
+    spoiled = np.zeros(n, bool)
+    handed = np.zeros(n, bool)
+    cfg = ClassifierConfig(q_max=2**40, node_budget=2**40)
+    store = [np.empty(0)] * 2
+    goes_on, _ = _next_level(np.arange(n), frontier, explored, spoiled, handed, cfg, store)
+    ended = np.ones(n, bool)
+    ended[goes_on] = False
+    return np.flatnonzero(ended & ~handed)
+
+
+def _lowest_below(tl, tr, td, depth=8):
+    """The least |t| of each edge's mediants down to depth levels: the edge
+    (l, r; d) has the mediant m = l*r - d and the children (l, m; r), (m, r; l)."""
+    low = np.full(tl.size, np.inf)
+    tl, tr, td = tl[None], tr[None], td[None]
+    for _ in range(depth):
+        tm = tl * tr - td
+        low = np.minimum(low, np.abs(tm).min(0))
+        tl, tr, td = np.vstack((tl, tm)), np.vstack((tm, tr)), np.vstack((tr, tl))
+    return low
+
+
+def _assert_pruned_subtrees_stay_above_g(tl, tr, td):
+    pruned = _pruned(tl, tr, td)
+    assert pruned.size > tl.size // 3
+    for chunk in np.array_split(pruned, 10):  # 2**7 mediants an edge at depth 8
+        low = _lowest_below(tl[chunk], tr[chunk], td[chunk])
+        assert (low >= GROW_THRESHOLD).all(), tl[chunk][low < GROW_THRESHOLD]
+
+
+def test_pinned_prune_keeps_the_interval_above_g():
+    # Edges pinned at a vertex v with 2 < |t_v| < 3: every trace strictly
+    # inside a pruned interval is at least g.  Half the draws have
+    # |t_d| > |t_x|, which the prune must not take.
+    rng = np.random.default_rng(13)
+    n = 20_000
+    v = _traces(rng, n, 2.0, 3.0)
+    x = _traces(rng, n, 4.0, 6.0)
+    d = _traces(rng, n, 0.0, 2.0) * np.abs(x)
+    left = rng.random(n) < 0.5  # pinned on the left, or on the right
+    _assert_pruned_subtrees_stay_above_g(np.where(left, v, x), np.where(left, x, v), d)
+
+
+def test_two_sided_prune_keeps_the_subtree_above_g():
+    # Edges with both ends in [4, 6]: a pruned subtree stays above (g - 1)g,
+    # so above g.  |t_d| up to 2|t_l||t_r| puts some mediants below both ends.
+    rng = np.random.default_rng(14)
+    n = 20_000
+    a = _traces(rng, n, 4.0, 6.0)
+    b = _traces(rng, n, 4.0, 6.0)
+    d = _traces(rng, n, 0.0, 2.0) * np.abs(a) * np.abs(b)
+    _assert_pruned_subtrees_stay_above_g(a, b, d)
+
+
+def test_settle_fans_window_holds_every_low_integer_trace():
+    # For each point the integer fan leaves searching, every n with
+    # |z + 2n| < g lies in [n0 + hi - sp, n0 + hi], the vertices its fan
+    # edges join (n0 = round(-Re z / 2)), and both ends are at least g, so
+    # the subtrees past them prune: checked by brute force over n.  |z + 2n|
+    # is convex in n, so the n below g are consecutive.
+    rng = np.random.default_rng(15)
+    re = rng.uniform(-8.0, 8.0, 20_000)
+    im = rng.uniform(-4.5, 4.5, 20_000)
+    _, hi, sp, _ = _settle_fans(re, im, ClassifierConfig())
+    searching = np.flatnonzero(sp)
+    assert searching.size > 1000
+    for p, top, edges in zip(searching.tolist(), hi[searching].tolist(), sp[searching].tolist()):
+        z = complex(re[p], im[p])
+        n0 = round(-z.real / 2.0)
+        low = [n for n in range(n0 - 20, n0 + 21) if abs(z + 2.0 * n) < GROW_THRESHOLD]
+        assert (n0 + top - edges, n0 + top) == (min(low) - 1, max(low) + 1), z
 
 
 @given(

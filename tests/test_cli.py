@@ -478,6 +478,15 @@ def test_a_slice_json_to_stdout(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ppm"]
 
 
+def test_a_slice_json_echoes_the_window(tmp_path, capsys):
+    argv = ["a-slice", "--z", "0", "4", "--window", "0.1", "0.7", "1.6", "1.75", "--res", "4x2"]
+    assert main(argv + ["--out", str(tmp_path / "a.ppm"), "--json", "-"]) == EXIT_OK
+    window = json.loads(capsys.readouterr().out)["window"]
+    assert window == {
+        "re_min": 0.1, "re_max": 0.7, "im_min": 1.6, "im_max": 1.75, "cols": 4, "rows": 2
+    }
+
+
 @pytest.mark.parametrize(
     "out, json_out", [("same.x", "same.x"), ("./same.x", "same.x"), ("same.x", "./same.x")]
 )
@@ -596,7 +605,7 @@ WITNESS_K5_SHA256 = {
     ("honest", ".json"): "252eede9a5746ab217006bf18b852d993162f9bf3e426d8fef3aa5adcbe0cc54",
     ("honest", ".ppm"): "a680fbfe10bd0254c694ba265ec58d216a2ffacab92e3b25d066c920dc3883ee",
     ("honest", ".samples.json"): "abed86136bf752fc34aec5c615a483a3097709984b69f473ed26756bbaf92e1a",
-    ("synthetic", ".json"): "59b983a553dd0cd29abd4ae68b72ec7a7b6ef625d7b2d03c981f18da3139c027",
+    ("synthetic", ".json"): "d948de19cf8971389e0105e209761dbe4287fbfe5caa31c3382560b52e0744c4",
     ("synthetic", ".ppm"): "ba2b6bab8d0d0bdc586a18a79e80b1db0db8cdeb0d520cd965e2fc43daecd001",
     ("synthetic", ".samples.json"): "c1da2b641441c49f9e2b6fa039ccd6be4f9f385c0ce319239d7a12066854fe10",
 }
@@ -618,7 +627,7 @@ WITNESS_UNCERTIFIED_STDERR = "  7 boundary sample(s) failed certification\n" + "
     f"  translate {i}: components=(), member_point_ok=False\n" for i in range(5)
 )
 WITNESS_UNCERTIFIED_SHA256 = {
-    ".json": "4a830db70b407b2e1ee941750477973593e425ee3c97a97c4e2e2684ab3fe216",
+    ".json": "48c820dd3b542da9ebad8d0529ed924397d02df40a488ec7e564c088869b9aa5",
     ".ppm": "e3715a542e73d42979b4a0be0be43b8cec99ad8628569767d14142e285273f62",
     ".samples.json": "6e7b9d1c1799f6e08cfd3934b8c0c1affcb5af57e944aee720af11971123eaa3",
 }

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maskit.cusps as cusps
-from maskit.classify import ClassifierConfig, Verdict
+from maskit.classify import Verdict
 from maskit.cusps import (
     BoundaryCuspError,
     CuspResult,
@@ -246,8 +246,8 @@ def test_flag_is_one_classification_above_the_cusp(monkeypatch):
     calls = []
     classify = cusps.classify_point
 
-    def recording_classify(z, cfg):
-        out = classify(z, cfg)
+    def recording_classify(z):  # the default classifier's: no cfg
+        out = classify(z)
         calls.append((z, out.verdict))
         return out
 
@@ -393,7 +393,7 @@ def test_a_failed_guard_raises_with_its_reason(monkeypatch):
 
 
 def test_result_shape():
-    res = cusp_point(FareySlope(1, 2), ClassifierConfig(q_max=128))
+    res = cusp_point(FareySlope(1, 2))
     assert isinstance(res, CuspResult)
     assert res.slope == FareySlope(1, 2)
     poly = trace_polynomial(res.slope)

@@ -9,7 +9,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import maskit.raster
@@ -35,7 +35,7 @@ from maskit import (
     rasterize_maskit,
     to_ppm_bytes,
 )
-from maskit.classify import _VERDICT_CODE
+from maskit.classify import _VERDICT_CODE, REAL_PART_LIMIT
 
 _FAST_CFG = ClassifierConfig(q_max=64, node_budget=5000)
 
@@ -67,7 +67,7 @@ def test_window_from_bounds_basic():
     assert win.im_max == 3.0
     assert win.cols == 512
     assert win.rows == 256
-    assert win.center == complex(0.0, 1.5)
+    assert (win.width, win.height) == (6.0, 3.0)
 
 
 def test_window_rejects_degenerate_bounds():
@@ -159,13 +159,34 @@ def test_pixel_of_center_stays_within_half_cell(x, y):
     assert abs(c.imag - y) <= win.height / win.rows / 2 + 1e-12
 
 
-def test_window_describe_roundtrip():
-    win = Window.from_bounds(-3.0, 3.0, 0.0, 3.0, 40, 20)
-    d = win.describe()
-    again = Window.from_bounds(
-        d["re_min"], d["re_max"], d["im_min"], d["im_max"], d["cols"], d["rows"]
+_BOUNDS = st.floats(min_value=-REAL_PART_LIMIT, max_value=REAL_PART_LIMIT)
+
+
+@given(
+    re=st.tuples(_BOUNDS, _BOUNDS).map(sorted),
+    im=st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)).map(sorted),
+    cols=st.integers(min_value=1, max_value=4096),
+    rows=st.integers(min_value=1, max_value=4096),
+)
+@example(re=[0.1, 0.7], im=[1.6, 1.75], cols=16, rows=8)
+def test_window_keeps_its_bounds(re, im, cols, rows):
+    # A window's JSON record is the bounds and resolution it was given, and
+    # builds the same window again.
+    try:
+        win = Window.from_bounds(*re, *im, cols, rows)
+    except ValueError:
+        reject()
+    want = dict(re_min=re[0], re_max=re[1], im_min=im[0], im_max=im[1], cols=cols, rows=rows)
+    assert asdict(win) == want
+    assert all(type(v) is float for v in (win.re_min, win.re_max, win.im_min, win.im_max))
+    assert Window.from_bounds(**asdict(win)) == win
+
+
+def test_window_from_bounds_takes_floats_and_ints():
+    win = Window.from_bounds(-4, 4, 0, 10, 8.0, 2.0)
+    assert json.dumps(asdict(win)) == (
+        '{"re_min": -4.0, "re_max": 4.0, "im_min": 0.0, "im_max": 10.0, "cols": 8, "rows": 2}'
     )
-    assert again == win
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,15 @@ def _approx_rect(got: AxisRectangle, want: AxisRectangle, tol: float = 1e-12):
 # ---------------------------------------------------------------------------
 
 
+def test_one_rectangle_record():
+    # The witness's rectangles and the raster windows share one record.
+    import maskit.raster
+    import maskit.witness
+
+    assert maskit.witness.AxisRectangle is maskit.raster.AxisRectangle is AxisRectangle
+    assert issubclass(Window, AxisRectangle)
+
+
 def test_rectangle_validates_bounds():
     with pytest.raises(ValueError):
         AxisRectangle(0.0, 0.0, 0.0, 1.0)
@@ -153,6 +162,26 @@ def test_find_rectangle_synthetic_lands_on_first_rung():
     _approx_rect(q, AxisRectangle(-1.45, -0.55, 1.485, 1.575), tol=1e-9)
     # The construction splits the heights 1:2 around z exactly.
     assert (q.im_max - z.imag) == pytest.approx(2.0 * (z.imag - q.im_min))
+
+
+def test_find_rectangle_tests_the_lower_and_side_samples_of_q():
+    # The last rung classifies Q's lower, left and right sides, 33 points
+    # each, evenly spaced from the corner, and nothing after them.
+    seen = []
+    synth = SyntheticSlice()
+
+    class Recording:
+        def classify(self, z):
+            seen.append(z)
+            return synth.classify(z)
+
+    q, _ = find_rectangle(Recording())
+    n = 33
+    xs = [q.re_min + q.width * k / (n - 1) for k in range(n)]
+    ys = [q.im_min + q.height * k / (n - 1) for k in range(n)]
+    sides = [complex(x, q.im_min) for x in xs]
+    sides += [complex(q.re_min, y) for y in ys] + [complex(q.re_max, y) for y in ys]
+    assert seen[-len(sides) :] == sides
 
 
 class _CountingClassifier:
@@ -308,11 +337,16 @@ _CASES = pytest.mark.parametrize(
 )
 
 
+def _side_counts(r: AxisRectangle, spacing: float):
+    """The points on r's horizontal and on its vertical sides at most
+    spacing apart, as verify_witness counts them."""
+    return max(2, math.ceil(r.width / spacing) + 1), max(2, math.ceil(r.height / spacing) + 1)
+
+
 def _rect_boundary_samples(r: AxisRectangle, spacing: float):
     """(point, inward unit normal) pairs along the four sides, corners
     included: the reference for witness._boundary_arrays, in Python floats."""
-    nx = max(2, math.ceil(r.width / spacing) + 1)
-    ny = max(2, math.ceil(r.height / spacing) + 1)
+    nx, ny = _side_counts(r, spacing)
     xs = [r.re_min + r.width * k / (nx - 1) for k in range(nx)]
     ys = [r.im_min + r.height * k / (ny - 1) for k in range(ny)]
     pts = [(complex(x, r.im_max), complex(0.0, -1.0)) for x in xs]  # top
@@ -410,7 +444,7 @@ def test_boundary_arrays_are_the_samples_and_their_nudged_copies(case, rows):
     spacing = r.height / rows / 2.0
     margin = 4.0 * spacing
     samples = _rect_boundary_samples(r, spacing)
-    re, im, in_re, in_im = _boundary_arrays(r, spacing)
+    re, im, in_re, in_im = _boundary_arrays(r, *_side_counts(r, spacing))
     assert _bits(re, im) == _bits([w.real for w, _ in samples], [w.imag for w, _ in samples])
     assert _bits(in_re, in_im) == _bits([u.real for _, u in samples], [u.imag for _, u in samples])
     copies = [w + margin * inward for w, inward in samples]
@@ -475,7 +509,7 @@ def test_witness_report_json_shape():
         "counting_ok",
     ]
     assert doc["components"]["found"] == counting.components_found
-    assert doc["components"]["window"] == counting.raster.window.describe()
+    assert doc["components"]["window"] == asdict(counting.raster.window)
     assert len(doc["components"]["per_translate"]) == 2
     assert doc["components"]["counting_ok"] is counting.ok
     assert doc["diagnostics"]["k"] == 2
@@ -509,6 +543,28 @@ def test_components_near_infinity_synthetic_counts_translates():
     # The counting window covers exactly the k translates of R.
     assert counting.raster.window.re_min == pytest.approx(r.re_min)
     assert counting.raster.window.re_max == pytest.approx(r.re_max + 4.0)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (SyntheticSlice(), *find_rectangle(SyntheticSlice())),
+        lambda: (RealClassifier(), REAL_Q, REAL_Z),  # find_rectangle's, as pinned below
+    ],
+    ids=["synthetic", "honest"],
+)
+def test_witness_document_window_is_r_over_k_translates(case):
+    # The counting window is R with re_max moved 2(k - 1) right: the
+    # document gives R's own bounds, not ones worked out again.
+    clf, q, z = case()
+    k, cols, rows = 5, 128, 16
+    report = verify_witness(q, z, clf, raster_rows=rows)
+    counting = components_near_infinity(
+        3.0 * z, k, clf, rectangle=report.R, cols=cols, rows=rows
+    )
+    window = report.to_json_dict(counting, clf.describe())["components"]["window"]
+    r = asdict(report.R)
+    assert window == {**r, "re_max": r["re_max"] + 2.0 * (k - 1), "cols": cols, "rows": rows}
 
 
 def test_components_near_infinity_rejects_k_zero():
