@@ -37,7 +37,7 @@ from dataclasses import asdict
 
 from .classify import REAL_PART_LIMIT, ClassifierConfig, RealClassifier, SyntheticSlice
 from .cusps import BoundaryCuspError, cusp_point
-from .farey import slopes_up_to
+from .farey import FareySlope, slopes_up_to
 from .raster import (
     Window,
     components,
@@ -165,10 +165,10 @@ def cmd_cusps(args) -> int:
         raise _UsageError("cusp table slope cap must be in 1..64")
     rows = ["p,q,re,im,residual"]
     table = slopes_up_to(args.max_q, 0.0, 1.0)  # 0/1 plus every p/q in (0, 1]
-    table.sort(key=lambda s: (s.q, s.p))
+    done = {}  # each p/q > 1/2 reflects the cusp of (q-p)/q, earlier in (q, p) order
     for s in table:
         try:
-            res = cusp_point(s)
+            res = done[s] = cusp_point(s, done.get(FareySlope(s.q - s.p, s.q)))
             rows.append(
                 f"{s.p},{s.q},{res.z.real!r},{res.z.imag!r},{res.residual:.3e}"
             )

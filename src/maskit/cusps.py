@@ -15,24 +15,27 @@ recorded once per call), with
 
 It starts at z = -2p/q + i(2 + q/2), Newton-projects onto t = Re t, and
 then asks for t = +-(2 + u) as u shrinks, down to t = +-2.  Each point is a
-Newton solve of log t(z) = log c from the point before: the log makes the
-Newton step scale-free where t ~ z^q is large.  A step is accepted only if
-Newton converges, each of its steps at most half the one before, and the
-chord turns from the curve's tangent at both ends (-t/t', the direction of
-falling |t|) by less than _MAX_TURN; otherwise the step in log u is halved.
-Guards: t is real to _REAL_TOL at every accepted point, the step does not
-stall, and the end lies above Im z = 1.  A failed guard raises
-BoundaryCuspError with its reason.
+Newton solve of log t(z) = log c from the point before, whose jet it
+reuses: the log makes the Newton step scale-free where t ~ z^q is large.
+A step is accepted only if Newton converges, each of its steps at most
+half the one before, and the chord turns from the curve's tangent at both
+ends (-t/t', the direction of falling |t|) by less than _MAX_TURN;
+otherwise the step in log u is halved.  Guards: t is real to _REAL_TOL at
+every accepted point, the step does not stall, and the end lies above
+Im z = 1.  A failed guard raises BoundaryCuspError with its reason.
 
 cusp_point takes the end of the ray one Newton step further, in exact
 rational arithmetic with trace_polynomial's Gaussian-integer coefficients
 at the float end's exact value, and rounds each component once.  The step
-leaves an error of order the square of the float end's, so the cusp comes
-out correctly rounded (the tests check this against 60-digit roots for
-q <= 16).  The residual |t^2 - 4| is computed exactly at the
-rounded cusp, then rounded.  A result is flagged when the classifier does
-not certify INSIDE_PLUS at z + i*_PROBE_EPS, a point that Keen-Series puts
-in M+: that is the classifier's shortfall, not the cusp's.
+leaves an error of order the square of the float end's.  Correct rounding
+is checked against 60-digit roots for q <= 16, and every row with q <= 64
+is pinned byte for byte; above q = 16 it rests on that quadratic
+convergence.  Given the cusp of (q-p)/q, cusp_point steps from its mirror
+image instead of a ray's end, and those rows rest on the same argument and
+pin.  The residual |t^2 - 4| is computed exactly at the rounded cusp, then
+rounded.  A result is flagged when the classifier does not certify
+INSIDE_PLUS at z + i*_PROBE_EPS, a point that Keen-Series puts in M+: that
+is the classifier's shortfall, not the cusp's.
 
 poly_roots, the all-roots solver, stays as an independent check of the
 cusps.  It takes numpy's estimates of every root (np.roots, the
@@ -147,12 +150,15 @@ def _jet(schedule, z: complex) -> tuple[complex, complex]:
     return t[out], dt[out]
 
 
-def _solve(schedule, z: complex, c: float):
-    """Newton for log t(z) = log c from z: (z, t, t') at the solution, or
-    None if Newton does not contract from z or leaves the finite numbers."""
+def _solve(schedule, start, c: float):
+    """Newton for log t(z) = log c from start = (z, t(z), t'(z)): (z, t, t')
+    at the solution, or None if Newton does not contract from z or leaves
+    the finite numbers.  The jet is evaluated only at new iterates."""
+    z, t, dt = start
     prev = math.inf
-    for _ in range(_NEWTON_STEPS):
-        t, dt = _jet(schedule, z)
+    for k in range(_NEWTON_STEPS):
+        if k:
+            t, dt = _jet(schedule, z)
         if not (t and dt and cmath.isfinite(t) and cmath.isfinite(dt)):
             return None
         step = cmath.log(t / c) * t / dt
@@ -176,19 +182,20 @@ def pleating_ray(s: FareySlope) -> list[complex]:
     t_{p/q} = +-2 (the last point, in floats); see the module docstring.
 
     Every point has t_{p/q} real (to _REAL_TOL relative) with |t| >= 2,
-    the last one to rounding.
+    the last one to rounding.  Each Newton solve starts from the jet of
+    the point accepted before it, so no jet is evaluated twice.
     Raises BoundaryCuspError, with the reason, when a guard fails.
     """
     if s.q < 1:
         raise ValueError("slope 1/0 is parabolic for every z; no cusp to locate")
     schedule = _schedule(s)
     z = complex(-2 * s.p / s.q, 2 + s.q / 2)
-    t, _ = _jet(schedule, z)
+    t, dt = _jet(schedule, z)
     if not (cmath.isfinite(t) and abs(t.real) > 2):
         raise BoundaryCuspError(f"{s}: trace {t!r} at the start {z!r} has |Re t| <= 2")
     sign = math.copysign(1.0, t.real)
     u = abs(t.real) - 2
-    hit = _solve(schedule, z, t.real)
+    hit = _solve(schedule, (z, t, dt), t.real)
     if hit is None:
         raise BoundaryCuspError(f"{s}: no Newton projection from {z!r} onto t = {t.real!r}")
     path = []
@@ -203,7 +210,7 @@ def pleating_ray(s: FareySlope) -> list[complex]:
         tangent = -t / dt
         while True:
             target = u * shrink if u * shrink >= _U_END else 0.0
-            hit = _solve(schedule, z, sign * (2 + target))
+            hit = _solve(schedule, (z, t, dt), sign * (2 + target))
             if hit is not None and _along(hit[0] - z, tangent) and _along(
                 hit[0] - z, -hit[1] / hit[2]
             ):
@@ -263,14 +270,26 @@ def _exact_residual(coeffs, z: complex) -> float:
     return math.hypot((tr * tr - ti * ti - 4 * top) / top, 2 * tr * ti / top)
 
 
-def cusp_point(s: FareySlope) -> CuspResult:
+def cusp_point(s: FareySlope, mirror: CuspResult | None = None) -> CuspResult:
     """The p/q boundary cusp of M+: the end of pleating_ray(s), taken one
     exact Newton step further on t_{p/q} = +-2 and rounded once per
     component.  The flag is the default classifier's.
 
+    The reflection z -> -conj(z) - 2 carries the p/q ray onto the (q-p)/q
+    ray: t_{(q-p)/q}(-conj(z) - 2) = conj(t_{p/q}(z)), exactly, for the
+    trace polynomials.  Given mirror, the result for (q-p)/q, the exact
+    step starts from the reflection of mirror.z and no ray is followed;
+    the residual and the flag are still this slope's own.  A mirror of any
+    other slope raises ValueError.
+
     Raises BoundaryCuspError when the continuation fails a guard.
     """
-    end = pleating_ray(s)[-1]
+    if mirror is None:
+        end = pleating_ray(s)[-1]
+    elif mirror.slope == FareySlope(s.q - s.p, s.q):
+        end = complex(-mirror.z.real - 2.0, mirror.z.imag)
+    else:
+        raise ValueError(f"{s}: {mirror.slope} is not its mirror slope")
     coeffs = trace_polynomial(s).coeffs
     # t_{p/q} has the leading term (iz)^q, so Re t has the sign of (-1)^q
     # far up the ray, and keeps it down to the end, as |t| >= 2 throughout
@@ -278,7 +297,7 @@ def cusp_point(s: FareySlope) -> CuspResult:
     try:
         z = _exact_newton(coeffs, end, target)
     except ZeroDivisionError:
-        raise BoundaryCuspError(f"t' vanishes at the ray's end {end!r}") from None
+        raise BoundaryCuspError(f"{s}: t' vanishes at the ray's end {end!r}") from None
     above = classify_point(complex(z.real, z.imag + _PROBE_EPS)).verdict
     return CuspResult(
         slope=s,

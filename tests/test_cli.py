@@ -4,6 +4,7 @@ import errno
 import hashlib
 import json
 import multiprocessing
+import pathlib
 import time
 import types
 from collections import Counter
@@ -11,6 +12,7 @@ from collections import Counter
 import pytest
 
 import maskit.cli
+import maskit.cusps
 import maskit.raster
 from maskit.cli import (
     EXIT_IO,
@@ -22,6 +24,9 @@ from maskit.cli import (
     main,
 )
 from maskit.farey import slopes_up_to
+
+# sha256sum's format: the digest of cusps --max-q 64 and the file name
+CUSPS_Q64_SHA256 = pathlib.Path(__file__).with_name("cusps_q64.sha256")
 
 GOLDEN_CUSPS_Q2 = (
     "p,q,re,im,residual\n"
@@ -302,6 +307,28 @@ def test_every_cusp_through_q64_resolves(tmp_path):
     assert [row for row in rows if row[4].startswith("failed")] == []
     assert max(float(row[4]) for row in rows) <= 1e-9
     assert time.monotonic() - start < 10.0
+    # --max-q is capped at 64 and every smaller table is a prefix of this
+    # one, so this digest pins every table the command can print
+    digest, name = CUSPS_Q64_SHA256.read_text().split()
+    assert name == out.name
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_cusp_table_runs_one_ray_per_mirror_pair(monkeypatch, capsys):
+    # of the 33 slopes with q <= 10, the 17 with p/q <= 1/2 run a ray;
+    # each p/q > 1/2 reflects the cusp of (q-p)/q
+    rays = []
+    ray = maskit.cusps.pleating_ray
+
+    def counting_ray(s):
+        rays.append(s)
+        return ray(s)
+
+    monkeypatch.setattr(maskit.cusps, "pleating_ray", counting_ray)
+    assert main(["cusps", "--max-q", "10"]) == EXIT_OK
+    assert len(rays) == 17
+    assert all(2 * s.p <= s.q for s in rays)
+    assert capsys.readouterr().out == GOLDEN_CUSPS_Q12[: GOLDEN_CUSPS_Q12.index("1,11,")]
 
 
 def test_cusps_stdout_default(capsys):

@@ -377,10 +377,60 @@ def test_mirror_slopes_mirror_their_cusps():
         assert _ulps_apart(z.imag, want.imag) <= 1, (s, z, want)
 
 
+def _reflected(coeffs):
+    # the coefficients of sum(conj(c_k) (-z - 2)^k), by Horner in Z[i][z]
+    out = []
+    for cr, ci in reversed(coeffs):
+        # out * (-z - 2) + conj(c)
+        shifted = [(0, 0)] + [(-r, -i) for r, i in out]
+        scaled = [(-2 * r, -2 * i) for r, i in out] + [(0, 0)]
+        out = [(a + c, b + d) for (a, b), (c, d) in zip(shifted, scaled)]
+        out[0] = (out[0][0] + cr, out[0][1] - ci)
+    return out
+
+
+def test_reflection_carries_each_trace_polynomial_onto_its_mirror():
+    # t_{(q-p)/q}(-conj(z) - 2) = conj(t_{p/q}(z)), coefficient for
+    # coefficient: the identity cusp_point's mirror argument rests on
+    for s in slopes_up_to(64, 0.0, 1.0):
+        mirror = trace_polynomial(FareySlope(s.q - s.p, s.q)).coeffs
+        assert list(mirror) == _reflected(trace_polynomial(s).coeffs), s
+
+
+def test_a_mirror_gives_the_slopes_own_cusp():
+    for s in slopes_up_to(24, 0.0, 1.0):
+        m = FareySlope(s.q - s.p, s.q)
+        assert cusp_point(s, mirror=cusp_point(m)) == cusp_point(s), s
+
+
+def test_a_mirror_of_another_slope_is_refused():
+    for s, m in (((1, 3), (1, 3)), ((1, 3), (1, 4)), ((0, 1), (0, 1)), ((2, 5), (2, 5))):
+        with pytest.raises(ValueError, match="is not its mirror slope"):
+            cusp_point(FareySlope(*s), mirror=cusp_point(FareySlope(*m)))
+
+
+def test_a_ray_evaluates_each_jet_once(monkeypatch):
+    # each Newton solve starts from the jet its caller already holds
+    seen = []
+    jet = cusps._jet
+
+    def recording_jet(schedule, z):
+        seen.append(z)
+        return jet(schedule, z)
+
+    monkeypatch.setattr(cusps, "_jet", recording_jet)
+    for s in slopes_up_to(12, 0.0, 1.0):
+        seen.clear()
+        pleating_ray(s)
+        assert len(set(seen)) == len(seen), s
+
+
 def test_slopes_the_root_solver_misses_resolve():
-    # poly_roots raises RootSolveError at 1/48 and 1/64, where two numpy
-    # estimates reach the same root (it solves 17/18); the ray finds all three
-    for p, q in ((17, 18), (1, 48), (1, 64)):
+    # poly_roots raises RootSolveError on 34 of the 80 equations
+    # t_{1/q} = +-2 with 25 <= q <= 64, the first at 1/47 (both targets),
+    # where two numpy estimates reach the same root; it solves 17/18 and
+    # 1/46.  The ray finds every one of these cusps
+    for p, q in ((17, 18), (1, 47), (1, 48), (1, 64)):
         res = cusp_point(FareySlope(p, q))
         assert 1 < res.z.imag < 2 and res.residual <= 1e-9
 

@@ -278,6 +278,18 @@ def test_slopes_up_to_enumeration():
     ]
 
 
+def test_slopes_up_to_puts_each_mirror_first():
+    # the cusp table relies on (q, p) order, and on (q-p)/q preceding every
+    # p/q > 1/2, to hand each row the cusp of its mirror slope
+    got = slopes_up_to(64, 0.0, 1.0)
+    assert got == sorted(got, key=lambda s: (s.q, s.p))
+    assert len(set(got)) == len(got)
+    index = {s: k for k, s in enumerate(got)}
+    for k, s in enumerate(got):
+        if 2 * s.p > s.q:
+            assert index[FareySlope(s.q - s.p, s.q)] < k, s
+
+
 def test_symmetry_identities():
     # reindexings that preserve |t|: translation, negation, conjugation, and
     # the composed reflection
