@@ -37,7 +37,7 @@ from dataclasses import asdict
 
 from .classify import REAL_PART_LIMIT, ClassifierConfig, RealClassifier, SyntheticSlice
 from .cusps import BoundaryCuspError, cusp_point
-from .farey import FareySlope, slopes_up_to
+from .farey import SYMBOLIC_Q_CAP, FareySlope, slopes_up_to
 from .raster import (
     Window,
     components,
@@ -115,14 +115,15 @@ def _maybe_timestamp(meta: dict, args) -> dict:
     return meta
 
 
-def _write_files(files) -> None:
-    """Write each (path, str or bytes) of files, whole.
+def _write_files(files) -> int:
+    """Write each (path, str or bytes) of files, whole; return the exit code.
 
     Each is written to a temporary sibling first, and the temporaries
-    replace their paths, in order, only once every one is written.  On any
-    exception the temporaries not yet renamed are removed before the
-    exception propagates: a path is never left partial, and one already
-    replaced keeps its new contents.
+    replace their paths, in order, only once every one is written.  An
+    OSError prints "cannot write PATH: ERROR", naming the path that failed,
+    and gives EXIT_IO; any other exception propagates.  Either way the
+    temporaries not yet renamed are removed: a path is never left partial,
+    and one already replaced keeps its new contents.
     """
     staged = []
     try:
@@ -136,24 +137,24 @@ def _write_files(files) -> None:
         for path, _ in files:
             os.replace(staged[0], path)
             del staged[0]
-    except BaseException:
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    finally:
         for leftover in staged:
             try:
                 os.remove(leftover)
             except OSError:
                 pass
-        raise
+    return EXIT_OK
 
 
 def cmd_render_maskit(args) -> int:
     classifier = RealClassifier(_build_cfg(args))
     win = _window(args)
     grid = rasterize_maskit(win, classifier, workers=args.workers)
-    try:
-        _write_files([(args.out, to_ppm_bytes(grid))])
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if rc := _write_files([(args.out, to_ppm_bytes(grid))]):
+        return rc
     counts = grid.counts()
     stats = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     print(f"wrote {args.out} ({win.cols}x{win.rows}): {stats}")
@@ -161,8 +162,8 @@ def cmd_render_maskit(args) -> int:
 
 
 def cmd_cusps(args) -> int:
-    if not (1 <= args.max_q <= 64):
-        raise _UsageError("cusp table slope cap must be in 1..64")
+    if not (1 <= args.max_q <= SYMBOLIC_Q_CAP):
+        raise _UsageError(f"cusp table slope cap must be in 1..{SYMBOLIC_Q_CAP}")
     rows = ["p,q,re,im,residual"]
     table = slopes_up_to(args.max_q, 0.0, 1.0)  # 0/1 plus every p/q in (0, 1]
     done = {}  # each p/q > 1/2 reflects the cusp of (q-p)/q, earlier in (q, p) order
@@ -178,11 +179,8 @@ def cmd_cusps(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
         return EXIT_OK
-    try:
-        _write_files([(args.out, text)])
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if rc := _write_files([(args.out, text)]):
+        return rc
     print(f"wrote {args.out} ({len(table)} slopes)")
     return EXIT_OK
 
@@ -216,11 +214,8 @@ def cmd_a_slice(args) -> int:
     files = [(args.out, to_ppm_bytes(grid))]
     if args.json_out != "-":
         files.append((args.json_out, text))
-    try:
-        _write_files(files)
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if rc := _write_files(files):
+        return rc
     status = sys.stdout
     if args.json_out == "-":
         sys.stdout.write(text)
@@ -261,26 +256,15 @@ def cmd_witness(args) -> int:
         print(f"precondition: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 
-    counting = components_near_infinity(
-        3.0 * z,
-        k,
-        classifier,
-        rectangle=report.R,
-        cols=cols,
-        rows=rows,
-        workers=args.workers,
-    )
+    counting = components_near_infinity(report, k, classifier, cols=cols, workers=args.workers)
     doc = _maybe_timestamp(report.to_json_dict(counting, classifier.describe()), args)
     files = [
         (f"{prefix}.json", json.dumps(doc, indent=2) + "\n"),
         (f"{prefix}.ppm", to_ppm_bytes(counting.raster)),
         (f"{prefix}.samples.json", json.dumps(report.samples_json_dict()) + "\n"),
     ]
-    try:
-        _write_files(files)
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if rc := _write_files(files):
+        return rc
 
     ok = report.all_certified and counting.ok
     print(
@@ -344,7 +328,8 @@ def _build_parser() -> _Parser:
     p = command("cusps", "boundary-cusp table as CSV",
                 out="-", out_help="output CSV path or - for stdout")
     p.add_argument("--max-q", dest="max_q", type=int, default=8,
-                   help="largest slope denominator, at most 64 (default %(default)s)")
+                   help=f"largest slope denominator, at most {SYMBOLIC_Q_CAP} "
+                   "(default %(default)s)")
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for compatibility; has no effect (no seeded solver runs)")
 

@@ -21,25 +21,28 @@ as many pairwise-disconnected components as the window shows.
 
 The search is anchored on the vertical line through the midpoint of the
 strip (-2, 0): the valley between the two cusp peaks adjacent to the
-imaginary axis.  Boundary heights are located by bisection -- lowest
-certified-inside and highest certified-outside points on the anchor
-vertical -- which keeps the search agnostic to whether the classifier is
-the honest one (valley floor sqrt(3)) or the synthetic harness (valley
-floor 1.5).  A ladder of inside-margins and half-widths is
+imaginary axis.  Boundary heights are located by one bisection, run twice
+-- lowest certified-inside and highest certified-outside points on the
+anchor vertical -- which keeps the search agnostic to whether the
+classifier is the honest one (valley floor sqrt(3)) or the synthetic
+harness (valley floor 1.5).  A ladder of inside-margins and half-widths is
 then tried until every side sample certifies outside.
 
 Every stage takes the classifier as an argument: any object with
 .classify(z) and .describe(), such as RealClassifier or SyntheticSlice.
-There is no default.  verify_witness tests its boundary samples in one batch
-(see raster.membership_grid), and the counting raster classifies whole rows:
-through classify_grid, or through classify a point at a time for a
-classifier without one.  The report keeps the samples as the arrays the
-batch gives: to_json_dict makes the witness document, which counts them,
-and samples_json_dict the samples themselves, as columns.  Q, R and the
-counting window are raster.AxisRectangle records, and _boundary_arrays
-places the samples on the sides of Q and of R alike.  The document's
-rectangles, window and per-translate rows are dataclasses.asdict of their
-records, so each field name is its JSON key.
+There is no default.  One record passes from stage to stage: find_rectangle
+gives (Q, z), verify_witness the WitnessReport, which holds R and the raster
+rows its samples are spaced for, and components_near_infinity counts from
+that report alone.  verify_witness tests its boundary samples and their
+nudged copies in one batch (see raster.membership_grid), and the counting
+raster classifies whole rows: through classify_grid, or through classify a
+point at a time for a classifier without one.  The report keeps the samples
+as the arrays the batch gives: to_json_dict makes the witness document,
+which counts them, and samples_json_dict the samples themselves, as
+columns.  Q, R and the counting window are raster.AxisRectangle records,
+and _boundary_arrays places the samples on the sides of Q and of R alike.
+The document's rectangles, window and per-translate rows are
+dataclasses.asdict of their records, so each field name is its JSON key.
 """
 
 from __future__ import annotations
@@ -90,40 +93,35 @@ class WitnessSearchError(RuntimeError):
         self.profile = list(profile)
 
 
+def _bisect(clf, x: float, top: float, steps: int, above) -> tuple[float, float]:
+    """[lo, hi] after halving [0, top] steps times on the vertical through x,
+    keeping the half where above(verdict) turns from False to True."""
+    lo, hi = 0.0, top  # the real axis is always outside
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if above(clf.classify(complex(x, mid)).verdict):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _inside(verdict) -> bool:
+    return verdict is Verdict.INSIDE_PLUS
+
+
+def _not_outside(verdict) -> bool:
+    return verdict is not Verdict.OUTSIDE_CERTIFIED
+
+
 def _lowest_inside(clf, x: float, top: float, steps: int) -> float:
-    """Smallest height on the vertical through x known to certify InsidePlus."""
-    hi = top
+    """Smallest height on the vertical through x known to certify InsidePlus:
+    NaN when none of 8 probes, from top up by a factor 1.6 each, certifies."""
     for _ in range(8):
-        if clf.classify(complex(x, hi)).verdict is Verdict.INSIDE_PLUS:
-            break
-        hi *= 1.6
-    else:
-        raise _ProbeFailed(f"no certified-inside point found above x = {x}")
-    lo = 0.0  # the real axis is always outside
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if clf.classify(complex(x, mid)).verdict is Verdict.INSIDE_PLUS:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _highest_outside(clf, x: float, top: float, steps: int) -> float:
-    """Largest height below `top` on the vertical known to certify outside."""
-    lo = 0.0
-    hi = top
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if clf.classify(complex(x, mid)).verdict is Verdict.OUTSIDE_CERTIFIED:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-class _ProbeFailed(Exception):
-    pass
+        if _inside(clf.classify(complex(x, top)).verdict):
+            return _bisect(clf, x, top, steps, _inside)[1]
+        top *= 1.6
+    return math.nan
 
 
 def _boundary_profile(classifier):
@@ -133,12 +131,9 @@ def _boundary_profile(classifier):
     out = []
     for k in range(n):
         x = lo + (hi - lo) * k / (n - 1)
-        try:
-            inside = _lowest_inside(classifier, x, _PROBE_TOP, _PROFILE_STEPS)
-        except _ProbeFailed:
-            inside = float("nan")
-        top = inside if inside == inside else _PROBE_TOP
-        outside = _highest_outside(classifier, x, top, _PROFILE_STEPS)
+        inside = _lowest_inside(classifier, x, _PROBE_TOP, _PROFILE_STEPS)
+        top = _PROBE_TOP if math.isnan(inside) else inside
+        outside = _bisect(classifier, x, top, _PROFILE_STEPS, _not_outside)[0]
         out.append({"x": x, "outside_floor": outside, "inside_floor": inside})
     return out
 
@@ -147,15 +142,18 @@ def find_rectangle(classifier) -> tuple[AxisRectangle, complex]:
     """Locate (Q, z): sides certified outside, z inside at the 1/3 height.
 
     Raises WitnessSearchError (with a boundary-height profile of the strip)
-    if no rung of the ladder certifies.  The ladder is finite: at most
-    8 + 2 * 42 + 5 * (1 + 5 * 3 * 33) = 2,572 classifier calls.
+    if no point is certified inside, or no rung of the ladder certifies.  The
+    search is finite: at most 8 + 2 * 42 + 5 * (1 + 5 * 3 * 33) = 2,572
+    classifier calls, and a failed search then builds the profile, at most
+    9 * (8 + 24 + 24) = 504 more, so 3,076 in all.
     """
     x_c = 0.5 * (_STRIP[0] + _STRIP[1])
-    try:
-        floor_in = _lowest_inside(classifier, x_c, _PROBE_TOP, _BISECT_STEPS)
-    except _ProbeFailed as exc:
-        raise WitnessSearchError(str(exc), _boundary_profile(classifier)) from None
-    floor_out = _highest_outside(classifier, x_c, floor_in, _BISECT_STEPS)
+    floor_in = _lowest_inside(classifier, x_c, _PROBE_TOP, _BISECT_STEPS)
+    if math.isnan(floor_in):
+        raise WitnessSearchError(
+            f"no certified-inside point found above x = {x_c}", _boundary_profile(classifier)
+        )
+    floor_out = _bisect(classifier, x_c, floor_in, _BISECT_STEPS, _not_outside)[0]
     for m in _INSIDE_MARGINS:
         zy = floor_in + m
         z = complex(x_c, zy)
@@ -210,6 +208,7 @@ class WitnessReport:
     Q: AxisRectangle
     z: complex
     R: AxisRectangle
+    raster_rows: int  # R.height / raster_rows is the samples' pitch; the count's rows
     interior_sample_verdict: AMembership
     # The boundary samples w = sample_re + i*sample_im in _boundary_arrays'
     # order, and membership_grid's verdict code and n of each: n is NaN
@@ -290,19 +289,18 @@ def verify_witness(
     raster_rows, and samples lie half a pitch apart.
     all_certified reports the conjunction; failures are listed, not raised.
 
-    The samples, their nudged copies (w + margin*inward, rounded as CPython
-    rounds it) and the mask of samples that held are numpy arrays.  All
-    samples are tested in one membership_grid batch and the copies of those
-    that held in another.  The report keeps the samples and the first
-    batch's codes and n, which are membership_with's verdict and n at each
-    sample.
+    The samples and their nudged copies (w + margin*inward, rounded as
+    CPython rounds it) are numpy arrays, tested together in one
+    membership_grid batch; classify_grid gives each point its own verdict,
+    so a copy's verdict is the one it has alone.  The report keeps the
+    samples and their codes and n, which are membership_with's verdict and n
+    at each sample, and raster_rows, the rows components_near_infinity
+    counts at.
     """
     z = complex(z)
-    if not q.contains_interior(z):
-        raise ValueError("z must be interior to Q")
+    r = build_R(q, z)
     base = 3.0 * z
     check_base_point(classifier, base)
-    r = build_R(q, z)
     pitch = r.height / raster_rows
     spacing = pitch / 2.0
     margin = 2.0 * pitch
@@ -313,13 +311,11 @@ def verify_witness(
     nx = max(2, math.ceil(r.width / spacing) + 1)
     ny = max(2, math.ceil(r.height / spacing) + 1)
     re, im, in_re, in_im = _boundary_arrays(r, nx, ny)
-    grid = _grid_of(classifier)
-    codes, ns = membership_grid(grid, base, re, im)
-    ok = codes == CELL_NON_MEMBER
-    held = np.flatnonzero(ok)  # only these have their copy tested
-    shift_re, shift_im = _real_times(margin, in_re[held], in_im[held])  # margin * inward
-    copy_re, copy_im = re[held] + shift_re, im[held] + shift_im
-    ok[held] = membership_grid(grid, base, copy_re, copy_im)[0] == CELL_NON_MEMBER
+    shift_re, shift_im = _real_times(margin, in_re, in_im)  # margin * inward
+    # row 0 the samples, row 1 their copies
+    pair_re, pair_im = np.stack([re, re + shift_re]), np.stack([im, im + shift_im])
+    codes, ns = membership_grid(_grid_of(classifier), base, pair_re, pair_im)
+    ok = (codes == CELL_NON_MEMBER).all(axis=0)
     offending = list(map(complex, re[~ok].tolist(), im[~ok].tolist()))
 
     all_certified = interior.verdict is AVerdict.MEMBER and not offending
@@ -327,11 +323,12 @@ def verify_witness(
         Q=q,
         z=z,
         R=r,
+        raster_rows=raster_rows,
         interior_sample_verdict=interior,
         sample_re=re,
         sample_im=im,
-        sample_codes=codes,
-        sample_n=ns,
+        sample_codes=codes[0].copy(),  # copies: no view keeps the copies' row alive
+        sample_n=ns[0].copy(),
         all_certified=all_certified,
         offending_samples=tuple(offending),
         sample_spacing=spacing,
@@ -370,30 +367,24 @@ class ComponentsNearInfinity:
 
 
 def components_near_infinity(
-    z,
-    k: int,
-    classifier,
-    *,
-    rectangle: AxisRectangle,
-    cols: int = 1024,
-    rows: int = 64,
-    workers: int = 1,
+    report: WitnessReport, k: int, classifier, *, cols: int = 1024, workers: int = 1
 ) -> ComponentsNearInfinity:
     """Count locus components over k horizontal translates R + 2j.
 
-    Pre-condition: (Q, z0) passed verify_witness and z = 3*z0, rectangle = R.
-    ok is True when each translate contains its own component (holding the
-    translated member point 2z/3 + 2j), no component straddles translates,
-    and at least k components are found.
+    The raster is the locus at the report's base point 3z over R widened by
+    2(k - 1), at cols x report.raster_rows pixels.  ok is True when each
+    translate contains its own component (holding the translated member
+    point 2z + 2j), no component straddles translates, and at least k
+    components are found.
     """
     if k < 1:
         raise ValueError("need k >= 1 translates")
-    z = complex(z)
-    r = rectangle
+    base = 3.0 * report.z
+    r = report.R
     win = Window.from_bounds(
-        r.re_min, r.re_max + 2.0 * (k - 1), r.im_min, r.im_max, cols, rows
+        r.re_min, r.re_max + 2.0 * (k - 1), r.im_min, r.im_max, cols, report.raster_rows
     )
-    raster = rasterize_a_slice(z, win, classifier=classifier, workers=workers)
+    raster = rasterize_a_slice(base, win, classifier=classifier, workers=workers)
     comps = components(raster)
 
     owner: dict[int, int] = {}
@@ -413,7 +404,7 @@ def components_near_infinity(
     all_ok = True
     for j in range(k):
         labels = tuple(sorted(lbl for lbl, o in owner.items() if o == j))
-        member_pt = (2.0 / 3.0) * z + 2.0 * j
+        member_pt = (2.0 / 3.0) * base + 2.0 * j
         i, jj = win.pixel_of(member_pt)
         member_ok = bool(
             0 <= i < win.rows

@@ -197,7 +197,8 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
         ]
     )
     assert code == EXIT_IO
-    assert "cannot write" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {tmp_path / 'no-such-dir' / 'x.ppm'}: ")
 
 
 def test_missing_config_file_is_io_error(capsys):
@@ -476,7 +477,8 @@ def test_a_slice_unwritable_json_writes_no_ppm(tmp_path, capsys):
         "--json", str(tmp_path / "no-such-dir" / "e.json"),
     ]
     assert main(argv) == EXIT_IO
-    assert "cannot write output" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {tmp_path / 'no-such-dir' / 'e.json'}: ")
     assert not ppm.exists()
     assert list(tmp_path.iterdir()) == []  # no temporary left behind
 
@@ -491,7 +493,8 @@ def test_a_slice_unwritable_ppm_writes_no_json(tmp_path, capsys):
         "--json", str(doc_path),
     ]
     assert main(argv) == EXIT_IO
-    assert "cannot write output" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {tmp_path / 'no-such-dir' / 'a.ppm'}: ")
     assert list(tmp_path.iterdir()) == []  # no e.json and no temporary
 
 
@@ -599,7 +602,7 @@ def test_witness_unwritable_ppm_exits_2_and_keeps_the_json(tmp_path, capsys):
     (tmp_path / "w.json").write_text("old")
     code, prefix = _run_witness(tmp_path, "w", [])
     assert code == EXIT_IO
-    assert "cannot write output" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"cannot write {prefix}.ppm: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["w.json", "w.ppm"]
     assert json.loads((tmp_path / "w.json").read_text())["all_certified"] is True
     assert list((tmp_path / "w.ppm").iterdir()) == []
@@ -731,11 +734,11 @@ def test_write_files_removes_its_temporary_on_any_error(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
 
 
-def test_write_files_keeps_a_replaced_file_when_a_later_rename_fails(tmp_path):
+def test_write_files_keeps_a_replaced_file_when_a_later_rename_fails(tmp_path, capsys):
     (tmp_path / "w.json").write_text("old")
     (tmp_path / "w.ppm").mkdir()
-    with pytest.raises(IsADirectoryError):
-        _write_files([(tmp_path / "w.json", "new"), (tmp_path / "w.ppm", b"P6")])
+    assert _write_files([(tmp_path / "w.json", "new"), (tmp_path / "w.ppm", b"P6")]) == EXIT_IO
+    assert capsys.readouterr().err.startswith(f"cannot write {tmp_path / 'w.ppm'}: [Errno 21] ")
     assert (tmp_path / "w.json").read_text() == "new"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["w.json", "w.ppm"]
     assert list((tmp_path / "w.ppm").iterdir()) == []
@@ -770,6 +773,6 @@ def test_failed_write_keeps_the_old_file(argv, tmp_path, monkeypatch, capsys):
     out.write_bytes(b"the old bytes")
     monkeypatch.setattr(maskit.cli, "open", lambda *a, **k: _FullDisk(open(*a, **k)), raising=False)
     assert main(argv + ["--out", str(out)]) == EXIT_IO
-    assert "No space left on device" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"cannot write {out}: [Errno 28] No space left on device\n"
     assert out.read_bytes() == b"the old bytes"
     assert [p.name for p in tmp_path.iterdir()] == ["out"]

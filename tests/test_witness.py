@@ -269,9 +269,7 @@ def test_verify_witness_flags_oversized_rectangle():
     assert not report.all_certified
     assert len(report.offending_samples) > 0
     assert report.interior_sample_verdict.verdict is AVerdict.MEMBER
-    counting = components_near_infinity(
-        3.0 * z, 1, rectangle=report.R, classifier=clf, cols=64, rows=16
-    )
+    counting = components_near_infinity(report, 1, clf, cols=64)
     doc = report.to_json_dict(counting, clf.describe())
     assert doc["all_certified"] is False
     assert len(doc["boundary_samples"]["offending"]) == len(report.offending_samples)
@@ -311,9 +309,7 @@ def test_a_bare_classifier_drives_the_rasters_and_the_witness_stages():
     for clf in (synth, bare):
         q, z = find_rectangle(clf)
         report = verify_witness(q, z, clf, raster_rows=16)
-        counting = components_near_infinity(
-            3.0 * z, 2, clf, rectangle=report.R, cols=128, rows=16
-        )
+        counting = components_near_infinity(report, 2, clf, cols=128)
         assert report.all_certified and counting.ok
         docs.append(
             json.dumps([report.to_json_dict(counting, clf.describe()), report.samples_json_dict()])
@@ -395,10 +391,11 @@ def test_batched_verify_matches_the_per_sample_path(case):
     assert bare.offending_samples == report.offending_samples
 
 
-def test_batched_verify_tests_only_certified_samples_nudged_copies(monkeypatch):
-    # As sample by sample: a sample that fails is offending without its copy.
-    # Each batch is two classify_grid calls: every lower test point, then the
-    # upper points whose lower point is not outside.
+def test_batched_verify_tests_each_sample_and_its_copy_in_one_batch(monkeypatch):
+    # One membership_grid batch of the samples and then their copies, each
+    # copy tested whether its sample held or not: two classify_grid calls,
+    # every lower test point, then the upper points whose lower point is not
+    # outside.
     clf, q, z = _oversized_case()
     batches = []
     grid = clf.classify_grid
@@ -411,24 +408,16 @@ def test_batched_verify_tests_only_certified_samples_nudged_copies(monkeypatch):
     report = verify_witness(q, z, clf)
     samples = _rect_boundary_samples(report.R, report.sample_spacing)
     assert [w for w, _ in samples] == [w for w, _, _ in _sample_records(report)]
-    copies = [  # of the held samples only
-        w + report.inward_margin * inward
-        for (w, inward), code in zip(samples, report.sample_codes.tolist())
-        if code == CELL_NON_MEMBER
-    ]
-    assert 0 < len(copies) < len(samples)
+    copies = [w + report.inward_margin * inward for w, inward in samples]
+    held = sum(code == CELL_NON_MEMBER for code in report.sample_codes.tolist())
+    assert 0 < held < len(samples)  # some samples fail, and their copies are tested too
 
     def lower_not_outside(points):
         subs = [membership_with(clf, 3.0 * z, w).sub_verdicts for w in points]
         return sum(lower.verdict is not Verdict.OUTSIDE_CERTIFIED for _, lower in subs)
 
-    assert batches == [
-        len(samples),
-        lower_not_outside(w for w, _ in samples),
-        len(copies),
-        lower_not_outside(copies),
-    ]
-    assert 0 < batches[1] < batches[0] and 0 < batches[3] < batches[2]
+    assert batches == [2 * len(samples), lower_not_outside([w for w, _ in samples] + copies)]
+    assert 0 < batches[1] < batches[0]
 
 
 def _bits(re, im):
@@ -475,9 +464,7 @@ def test_witness_report_json_shape():
     clf = SyntheticSlice()
     q, z = find_rectangle(classifier=clf)
     report = verify_witness(q, z, classifier=clf)
-    counting = components_near_infinity(
-        3.0 * z, 2, rectangle=report.R, classifier=clf, cols=128, rows=32
-    )
+    counting = components_near_infinity(report, 2, clf, cols=128)
     doc = report.to_json_dict(counting, clf.describe())
     assert list(doc) == [
         "q",
@@ -524,11 +511,9 @@ def test_witness_report_json_shape():
 def test_components_near_infinity_synthetic_counts_translates():
     clf = SyntheticSlice()
     q, z = find_rectangle(classifier=clf)
-    r = build_R(q, z)
-    base = 3.0 * z
-    counting = components_near_infinity(
-        base, 3, rectangle=r, classifier=clf, cols=256, rows=32
-    )
+    report = verify_witness(q, z, clf, raster_rows=32)
+    r = report.R
+    counting = components_near_infinity(report, 3, clf, cols=256)
     assert counting.ok
     assert counting.components_found >= 3
     assert counting.straddlers == ()
@@ -559,29 +544,43 @@ def test_witness_document_window_is_r_over_k_translates(case):
     clf, q, z = case()
     k, cols, rows = 5, 128, 16
     report = verify_witness(q, z, clf, raster_rows=rows)
-    counting = components_near_infinity(
-        3.0 * z, k, clf, rectangle=report.R, cols=cols, rows=rows
-    )
+    counting = components_near_infinity(report, k, clf, cols=cols)
     window = report.to_json_dict(counting, clf.describe())["components"]["window"]
     r = asdict(report.R)
     assert window == {**r, "re_max": r["re_max"] + 2.0 * (k - 1), "cols": cols, "rows": rows}
 
 
 def test_components_near_infinity_rejects_k_zero():
-    r = AxisRectangle(-2.45, -1.55, 2.97, 3.06)
+    # the synthetic first rung: R = [-2.45, -1.55] x [2.97, 3.06], base -3 + 4.545i
+    q = AxisRectangle(-1.45, -0.55, 1.485, 1.575)
+    report = verify_witness(q, complex(-1.0, 1.515), SyntheticSlice())
     with pytest.raises(ValueError, match="k >= 1"):
-        components_near_infinity(
-            complex(-3.0, 4.545), 0, rectangle=r, classifier=SyntheticSlice()
-        )
+        components_near_infinity(report, 0, SyntheticSlice())
+
+
+@pytest.mark.parametrize("rows", [3, 16])
+def test_counting_raster_is_r_over_k_translates_at_the_verified_rows(rows):
+    # The count takes R, the base point 3z and the rows from the report: its
+    # raster is rasterize_a_slice at 3z over R widened by 2(k - 1), with the
+    # rows the samples were spaced for.
+    clf = SyntheticSlice()
+    q, z = find_rectangle(clf)
+    report = verify_witness(q, z, clf, raster_rows=rows)
+    assert report.raster_rows == rows
+    k, cols = 3, 96
+    counting = components_near_infinity(report, k, clf, cols=cols)
+    r = report.R
+    want = Window.from_bounds(r.re_min, r.re_max + 2.0 * (k - 1), r.im_min, r.im_max, cols, rows)
+    assert counting.raster.cells.shape == (rows, cols)
+    assert asdict(counting.raster.window) == asdict(want)
+    assert np.array_equal(counting.raster.cells, rasterize_a_slice(3.0 * z, want, clf).cells)
 
 
 def test_translate_count_describe_shape():
     clf = SyntheticSlice()
     q, z = find_rectangle(classifier=clf)
     report = verify_witness(q, z, classifier=clf)
-    counting = components_near_infinity(
-        3.0 * z, 1, rectangle=report.R, classifier=clf, cols=128, rows=32
-    )
+    counting = components_near_infinity(report, 1, clf, cols=128)
     (row,) = report.to_json_dict(counting, clf.describe())["components"]["per_translate"]
     assert [f.name for f in fields(TranslateCount)] == list(row)
 
