@@ -9,21 +9,20 @@ Component records.  Callers serialise windows and components with
 dataclasses.asdict.
 
 Everything is a pure function of (classifier, window, row range), so the
-worker count cannot change any byte of the output: row chunks are mapped
-and concatenated in order.  Each chunk of the slice raster is one call of
-the classifier's batch function (see classify._grid_of).  A raster of fewer
-than _POOL_MIN_PX pixels runs in process whatever the worker count, as for
-one worker.
+worker count cannot change any byte of the output: one driver maps row
+chunks, in process or on a pool, and concatenates them in order.  Each
+chunk of the slice raster is one call of the classifier's batch function
+(see classify._grid_of).  A raster of fewer than _POOL_MIN_PX pixels runs
+in process whatever the worker count, as for one worker.
 
 The membership test is here as well.  w belongs to the locus of the
 extended representation at base z exactly when some integer n puts z - snw
 in the upper component and z - s(n+1)w in the lower one (s = sign Im w);
 the verdict is assembled from the two sub-classifications, conservatively
-when either is Undetermined.  membership_with tests one w.  membership_grid
-forms the same test points for any batch of w, and both the membership
-raster and verify_witness's boundary samples go through it: one batch call
-for every lower test point, a second for the upper ones whose lower point
-is not OutsideCertified.
+when either is Undetermined.  membership_grid is its one implementation:
+one batch call for every lower test point, a second for the upper ones
+whose lower point is not OutsideCertified.  The membership raster, the
+witness's samples and membership_with, the test at one w, all go through it.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .classify import (
     CELL_OUTSIDE,
     CELL_UNDETERMINED,
     REAL_PART_LIMIT,
-    Classification,
     ClassifierConfig,
     RealClassifier,
     Verdict,
@@ -63,7 +61,6 @@ class AVerdict(Enum):
 class AMembership:
     verdict: AVerdict
     n: int | None
-    sub_verdicts: tuple[Classification, Classification] | None
     reason: str | None = None
 
 
@@ -190,12 +187,6 @@ class Raster:
         return {name: int(n) for name, n in tally.items() if n}
 
 
-def _classify_rows(task):
-    classifier, win, i0, i1 = task
-    xs, ys = win.centers()
-    return _grid_of(classifier)(xs, ys[i0:i1, None])
-
-
 def check_base_point(classifier, z) -> None:
     """Raise ValueError unless the classifier certifies the base point z InsidePlus."""
     if classifier.classify(z).verdict is not Verdict.INSIDE_PLUS:
@@ -220,36 +211,25 @@ def _membership_shift(z: complex, w_imag: float) -> tuple[float, int, str | None
     return s, n, None
 
 
+def _membership_record(z, w: complex, code, n) -> AMembership:
+    """The AMembership of membership_grid's code and n at the point w, base
+    z: where n is NaN, _membership_shift gives the reason."""
+    verdict = AVerdict(_CELL_NAMES[int(code)])
+    if math.isnan(n):
+        return AMembership(verdict, None, _membership_shift(complex(z), w.imag)[2])
+    return AMembership(verdict, int(n))
+
+
 def membership_with(classifier, z, w) -> AMembership:
-    """Two-point membership test against an arbitrary classifier.
+    """membership_grid at the one point w, as an AMembership record.
 
     Pre-condition: the base point z is already certified InsidePlus (see
     check_base_point; callers doing pixel sweeps check once, not per pixel).
-    Raises ValueError for a non-finite z or w.  Both test points are
-    classified, upper first, even where one verdict already decides: the
-    record's sub_verdicts carry both.  (membership_grid, which keeps no
-    sub_verdicts, skips the upper point where the lower one is outside.)
+    Raises ValueError for a non-finite z or w.
     """
-    z = complex(z)
     w = complex(w)
-    if not (cmath.isfinite(z) and cmath.isfinite(w)):
-        raise ValueError(f"cannot test membership at the non-finite pair z={z}, w={w}")
-    s, n, reason = _membership_shift(z, w.imag)
-    if reason is not None:
-        return AMembership(AVerdict.NON_MEMBER_CERTIFIED, None, None, reason=reason)
-    upper = classifier.classify(z - s * n * w)
-    lower = classifier.classify(z - s * (n + 1) * w)
-    if (
-        upper.verdict is Verdict.INSIDE_PLUS
-        and lower.verdict is Verdict.INSIDE_MINUS
-    ):
-        return AMembership(AVerdict.MEMBER, n, (upper, lower))
-    if (
-        upper.verdict is Verdict.OUTSIDE_CERTIFIED
-        or lower.verdict is Verdict.OUTSIDE_CERTIFIED
-    ):
-        return AMembership(AVerdict.NON_MEMBER_CERTIFIED, n, (upper, lower))
-    return AMembership(AVerdict.UNDETERMINED, n, (upper, lower))
+    codes, ns = membership_grid(classifier, z, [w.real], [w.imag])
+    return _membership_record(z, w, codes[0], ns[0])
 
 
 def a_membership(z, w, cfg: ClassifierConfig | None = None) -> AMembership:
@@ -270,28 +250,23 @@ def _real_times(x, re, im):
     return x * re - 0.0 * im, x * im + 0.0 * re
 
 
-def membership_grid(classify_grid, z, w_re, w_im) -> tuple[np.ndarray, np.ndarray]:
-    """membership_with's verdicts at the points w = w_re + i*w_im, at once.
+def membership_grid(classifier, z, w_re, w_im) -> tuple[np.ndarray, np.ndarray]:
+    """The two-point membership test at the points w = w_re + i*w_im, at once.
 
     w_re and w_im are float arrays that broadcast to one shape.  Returns the
     verdict codes (CELL_MEMBER, CELL_NON_MEMBER, CELL_UNDETERMINED) and n of
-    each point, as floats; n is NaN where membership_with has none and a
-    reason decides (see _membership_shift).  s and n come from
-    _membership_shift once per distinct Im w; the test points z - s*n*w
-    (upper) and z - s*(n+1)*w (lower) are formed as CPython forms them.
-    classify_grid takes the lower points of every tested w first, then the
-    upper points only where the lower verdict is not CELL_OUTSIDE: one
-    OutsideCertified verdict already makes w a NonMember, and classify_grid
-    gives each point its own verdict whatever else the batch holds.
-
-    ValueError as membership_with's, naming the same point: membership_with
-    classifies the upper point first, so when the lower points raise, every
-    upper point is classified before the error propagates.  So is every
-    upper point where one that would be skipped is not finite or has
-    |Re| > REAL_PART_LIMIT, which only a z outside membership_with's
-    pre-condition (certified InsidePlus) allows: classify_grid can then
-    refuse it, as membership_with's classifier does.
+    each point, as floats; n is NaN where a reason decides (see
+    _membership_shift).  s and n come from _membership_shift once per
+    distinct Im w; the test points z - s*n*w (upper) and z - s*(n+1)*w
+    (lower) are formed as CPython forms them.  The classifier's batch
+    function (classify._grid_of) takes the lower points of every tested w
+    first, then the upper points only where the lower verdict is not
+    CELL_OUTSIDE: one OutsideCertified verdict already makes w a NonMember,
+    and classify_grid gives each point its own verdict whatever else the
+    batch holds.  Raises ValueError for a non-finite z or w, and where
+    classify_grid refuses a test point it classifies.
     """
+    classify_grid = _grid_of(classifier)
     z = complex(z)
     w_re = np.asarray(w_re, np.float64)
     w_im = np.asarray(w_im, np.float64)
@@ -312,16 +287,8 @@ def membership_grid(classify_grid, z, w_re, w_im) -> tuple[np.ndarray, np.ndarra
         x_re, x_im = _real_times(x, re, im)
         return z.real - x_re, z.imag - x_im
 
-    try:
-        lower = classify_grid(*test_points(s_t * (n_t + 1.0), re, im))
-    except ValueError:
-        classify_grid(*test_points(s_t * n_t, re, im))  # a bad upper point is named first
-        raise
-    skip = lower == CELL_OUTSIDE  # there w is a NonMember already
-    x, y = test_points(s_t[skip] * n_t[skip], re[skip], im[skip])
-    if not ((np.abs(x) <= REAL_PART_LIMIT) & np.isfinite(y)).all():
-        skip[:] = False  # classify_grid may refuse a skipped point: classify them all
-    rest = np.flatnonzero(~skip)
+    lower = classify_grid(*test_points(s_t * (n_t + 1.0), re, im))
+    rest = np.flatnonzero(lower != CELL_OUTSIDE)  # elsewhere w is a NonMember already
     upper = np.full(lower.shape, CELL_OUTSIDE, dtype=np.uint8)
     upper[rest] = classify_grid(*test_points(s_t[rest] * n_t[rest], re[rest], im[rest]))
     codes[tested] = np.where(
@@ -336,39 +303,40 @@ def membership_grid(classify_grid, z, w_re, w_im) -> tuple[np.ndarray, np.ndarra
     return codes, np.array(n)
 
 
-def _membership_rows(task):
-    classifier, z, win, i0, i1 = task
-    xs, ys = win.centers()
-    ys = ys[i0:i1]
-    out = np.full((i1 - i0, win.cols), CELL_NON_MEMBER, dtype=np.uint8)
+def _slice_rows(classifier, xs, ys):
+    return _grid_of(classifier)(xs, ys[:, None])
+
+
+def _membership_rows(classifier, z, xs, ys):
+    out = np.full((ys.size, xs.size), CELL_NON_MEMBER, dtype=np.uint8)
     upper = ys >= 0  # the locus is defined in Im w >= 0
-    out[upper] = membership_grid(_grid_of(classifier), z, xs, ys[upper, None])[0]
+    out[upper] = membership_grid(classifier, z, xs, ys[upper, None])[0]
     return out
 
 
-def _workers_for(win: Window, workers: int) -> int:
-    """The worker count a raster of win runs on: 1 below _POOL_MIN_PX pixels."""
-    return workers if win.rows * win.cols >= _POOL_MIN_PX else 1
+def _rows(task):
+    cells_of, args, win, i0, i1 = task
+    xs, ys = win.centers()
+    return cells_of(*args, xs, ys[i0:i1])
 
 
-def _run_chunks(fn, tasks, workers: int):
+def _rasterize(win: Window, workers: int, cells_of, *args) -> Raster:
+    """The raster of cells_of(*args, xs, ys) over win's rows, in row chunks:
+    one worker below _POOL_MIN_PX pixels, else a pool of at most workers."""
+    workers = workers if win.rows * win.cols >= _POOL_MIN_PX else 1
+    chunk = max(1, math.ceil(win.rows / max(1, workers * 8)))
+    tasks = [(cells_of, args, win, i, min(i + chunk, win.rows)) for i in range(0, win.rows, chunk)]
     if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
-        return pool.map(fn, tasks)
-
-
-def _row_chunks(rows: int, workers: int):
-    chunk = max(1, math.ceil(rows / max(1, workers * 8)))
-    return [(i, min(i + chunk, rows)) for i in range(0, rows, chunk)]
+        chunks = [_rows(t) for t in tasks]
+    else:
+        with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
+            chunks = pool.map(_rows, tasks)
+    return Raster(window=win, cells=np.concatenate(chunks))
 
 
 def rasterize_maskit(win: Window, classifier, *, workers: int = 1) -> Raster:
     """Per-pixel slice classification at pixel centers."""
-    workers = _workers_for(win, workers)
-    tasks = [(classifier, win, i0, i1) for i0, i1 in _row_chunks(win.rows, workers)]
-    cells = np.concatenate(_run_chunks(_classify_rows, tasks, workers))
-    return Raster(window=win, cells=cells)
+    return _rasterize(win, workers, _slice_rows, classifier)
 
 
 def rasterize_a_slice(z, win: Window, classifier, *, workers: int = 1) -> Raster:
@@ -379,10 +347,7 @@ def rasterize_a_slice(z, win: Window, classifier, *, workers: int = 1) -> Raster
     """
     z = complex(z)
     check_base_point(classifier, z)
-    workers = _workers_for(win, workers)
-    tasks = [(classifier, z, win, i0, i1) for i0, i1 in _row_chunks(win.rows, workers)]
-    cells = np.concatenate(_run_chunks(_membership_rows, tasks, workers))
-    return Raster(window=win, cells=cells)
+    return _rasterize(win, workers, _membership_rows, classifier, z)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ axis-parallel Q in the upper half-plane, of width < 2, whose two vertical
 sides and lower side are certified outside the upper slice component, and a
 point z interior to Q, certified inside, positioned so its distance to the
 top of Q is exactly twice its distance to the bottom.  Reflect Q through
-the point 3z/2... precisely: R = {w : 3z - w in Q}.  Then for the extension
-locus at base point 3z:
+the point 3z/2: R = {w : 3z - w in Q}.  Then for the extension locus at
+base point 3z:
 
   * 2z lies interior to R and is a Member (the n = 1 test points are z
     itself and -z, inside the upper/lower components respectively);
@@ -33,15 +33,15 @@ Every stage takes the classifier as an argument: any object with
 There is no default.  One record passes from stage to stage: find_rectangle
 gives (Q, z), verify_witness the WitnessReport, which holds R and the raster
 rows its samples are spaced for, and components_near_infinity counts from
-that report alone.  verify_witness tests its boundary samples and their
-nudged copies in one batch (see raster.membership_grid), and the counting
-raster classifies whole rows: through classify_grid, or through classify a
-point at a time for a classifier without one.  The report keeps the samples
-as the arrays the batch gives: to_json_dict makes the witness document,
-which counts them, and samples_json_dict the samples themselves, as
-columns.  Q, R and the counting window are raster.AxisRectangle records,
-and _boundary_arrays places the samples on the sides of Q and of R alike.
-The document's rectangles, window and per-translate rows are
+that report alone.  verify_witness tests its boundary samples, their
+nudged copies and 2z in one batch (see raster.membership_grid), and the
+counting raster classifies whole rows: through classify_grid, or through
+classify a point at a time for a classifier without one.  The report keeps
+the samples as the arrays the batch gives: to_json_dict makes the witness
+document, which counts them, and samples_json_dict the samples themselves,
+as columns.  Q, R and the counting window are raster.AxisRectangle
+records, and _boundary_arrays places the samples on the sides of Q and of
+R alike.  The document's rectangles, window and per-translate rows are
 dataclasses.asdict of their records, so each field name is its JSON key.
 """
 
@@ -53,7 +53,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .classify import Verdict, _grid_of
+from .classify import Verdict
 from .raster import (
     _CELL_NAMES,
     CELL_MEMBER,
@@ -63,11 +63,11 @@ from .raster import (
     AxisRectangle,
     Raster,
     Window,
+    _membership_record,
     _real_times,
     check_base_point,
     components,
     membership_grid,
-    membership_with,
     rasterize_a_slice,
 )
 
@@ -127,10 +127,9 @@ def _lowest_inside(clf, x: float, top: float, steps: int) -> float:
 def _boundary_profile(classifier):
     """Coarse certified floor/ceiling heights across the strip (diagnostics)."""
     lo, hi = _STRIP
-    n = _PROFILE_POINTS
     out = []
-    for k in range(n):
-        x = lo + (hi - lo) * k / (n - 1)
+    for k in range(_PROFILE_POINTS):
+        x = lo + (hi - lo) * k / (_PROFILE_POINTS - 1)
         inside = _lowest_inside(classifier, x, _PROBE_TOP, _PROFILE_STEPS)
         top = _PROBE_TOP if math.isnan(inside) else inside
         outside = _bisect(classifier, x, top, _PROFILE_STEPS, _not_outside)[0]
@@ -157,12 +156,10 @@ def find_rectangle(classifier) -> tuple[AxisRectangle, complex]:
     for m in _INSIDE_MARGINS:
         zy = floor_in + m
         z = complex(x_c, zy)
-        if classifier.classify(z).verdict is not Verdict.INSIDE_PLUS:
-            continue
         d = (zy - floor_out) + m
         y0 = zy - d  # certified-outside band, margin m below floor_out
         y1 = zy + 2.0 * d  # the 2:1 height split, exact by construction
-        if y0 <= 0.0:
+        if not _inside(classifier.classify(z).verdict) or y0 <= 0.0:
             continue
         for u in _HALF_WIDTHS:
             q = AxisRectangle(x_c - u, x_c + u, y0, y1)
@@ -273,8 +270,8 @@ def _boundary_arrays(r: AxisRectangle, nx: int, ny: int):
     xs = r.re_min + r.width * np.arange(nx) / (nx - 1)
     ys = r.im_min + r.height * np.arange(ny) / (ny - 1)
     sides = [nx, nx, ny, ny]  # top, bottom, left, right
-    re = np.concatenate([xs, xs, np.repeat([r.re_min, r.re_max], ny)])
-    im = np.concatenate([np.repeat([r.im_max, r.im_min], nx), ys, ys])
+    re = np.r_[xs, xs, np.repeat([r.re_min, r.re_max], ny)]
+    im = np.r_[np.repeat([r.im_max, r.im_min], nx), ys, ys]
     return re, im, np.repeat([0.0, 0.0, 1.0, -1.0], sides), np.repeat([-1.0, 1.0, 0.0, 0.0], sides)
 
 
@@ -289,13 +286,12 @@ def verify_witness(
     raster_rows, and samples lie half a pitch apart.
     all_certified reports the conjunction; failures are listed, not raised.
 
-    The samples and their nudged copies (w + margin*inward, rounded as
-    CPython rounds it) are numpy arrays, tested together in one
+    The samples, their nudged copies (w + margin*inward, rounded as CPython
+    rounds it) and 2z are numpy arrays, tested together in one
     membership_grid batch; classify_grid gives each point its own verdict,
-    so a copy's verdict is the one it has alone.  The report keeps the
-    samples and their codes and n, which are membership_with's verdict and n
-    at each sample, and raster_rows, the rows components_near_infinity
-    counts at.
+    so each verdict is the one the point has alone.  The report keeps the
+    samples and their codes and n, and raster_rows, the rows
+    components_near_infinity counts at.
     """
     z = complex(z)
     r = build_R(q, z)
@@ -305,20 +301,21 @@ def verify_witness(
     spacing = pitch / 2.0
     margin = 2.0 * pitch
 
-    interior = membership_with(classifier, base, 2.0 * z)
-
     # the fewest points a side that keeps neighbours at most spacing apart
     nx = max(2, math.ceil(r.width / spacing) + 1)
     ny = max(2, math.ceil(r.height / spacing) + 1)
     re, im, in_re, in_im = _boundary_arrays(r, nx, ny)
     shift_re, shift_im = _real_times(margin, in_re, in_im)  # margin * inward
-    # row 0 the samples, row 1 their copies
-    pair_re, pair_im = np.stack([re, re + shift_re]), np.stack([im, im + shift_im])
-    codes, ns = membership_grid(_grid_of(classifier), base, pair_re, pair_im)
-    ok = (codes == CELL_NON_MEMBER).all(axis=0)
-    offending = list(map(complex, re[~ok].tolist(), im[~ok].tolist()))
-
-    all_certified = interior.verdict is AVerdict.MEMBER and not offending
+    w = 2.0 * z
+    # the samples, then their copies, then 2z
+    codes, ns = membership_grid(
+        classifier, base, np.r_[re, re + shift_re, w.real], np.r_[im, im + shift_im, w.imag]
+    )
+    interior = _membership_record(base, w, codes[-1], ns[-1])
+    m = re.size
+    bad = codes != CELL_NON_MEMBER
+    bad = bad[:m] | bad[m:-1]  # the sample or its copy
+    offending = tuple(map(complex, re[bad].tolist(), im[bad].tolist()))
     return WitnessReport(
         Q=q,
         z=z,
@@ -327,10 +324,10 @@ def verify_witness(
         interior_sample_verdict=interior,
         sample_re=re,
         sample_im=im,
-        sample_codes=codes[0].copy(),  # copies: no view keeps the copies' row alive
-        sample_n=ns[0].copy(),
-        all_certified=all_certified,
-        offending_samples=tuple(offending),
+        sample_codes=codes[:m].copy(),  # copies: no view keeps the whole batch alive
+        sample_n=ns[:m].copy(),
+        all_certified=interior.verdict is AVerdict.MEMBER and not offending,
+        offending_samples=offending,
         sample_spacing=spacing,
         inward_margin=margin,
     )
@@ -404,8 +401,7 @@ def components_near_infinity(
     all_ok = True
     for j in range(k):
         labels = tuple(sorted(lbl for lbl, o in owner.items() if o == j))
-        member_pt = (2.0 / 3.0) * base + 2.0 * j
-        i, jj = win.pixel_of(member_pt)
+        i, jj = win.pixel_of((2.0 / 3.0) * base + 2.0 * j)
         member_ok = bool(
             0 <= i < win.rows
             and 0 <= jj < win.cols

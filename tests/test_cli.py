@@ -3,6 +3,7 @@
 import errno
 import hashlib
 import json
+import math
 import multiprocessing
 import pathlib
 import time
@@ -20,6 +21,7 @@ from maskit.cli import (
     EXIT_PRECONDITION,
     EXIT_USAGE,
     EXIT_WITNESS,
+    _json_columns,
     _write_files,
     main,
 )
@@ -691,6 +693,18 @@ def test_witness_samples_file_agrees_with_the_document(extra, tmp_path):
     points = set(zip(samples["re"], samples["im"]))
     assert all(tuple(w) in points for w in summary["offending"])
     assert bool(summary["offending"]) == bool(extra)
+
+
+def test_json_columns_is_json_dumps_of_the_whole_dict():
+    columns = {
+        "re": [0.1, -0.0, 1e-300, math.nan, math.inf],
+        "verdict": ["Member", "NonMemberCertified"],
+        "n": [None, 3, -1],
+        "\u00e9": [],
+        "nested": [[1.5, "\u2192"], {"k": None}],
+    }
+    assert _json_columns(columns) == json.dumps(columns) + "\n"
+    assert _json_columns({}) == "{}\n"
 
 
 def test_witness_timestamp_toggle(tmp_path):

@@ -2,6 +2,7 @@
 
 import ast
 import doctest
+import importlib
 import os
 import re
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 import maskit
 
 _README = Path(__file__).resolve().parent.parent / "README.md"
+_BENCH_CHILD = Path(__file__).resolve().parent.parent / "bench" / "child.py"
 _MODULES = sorted(p for p in Path(maskit.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
 
@@ -75,6 +77,30 @@ def test_no_unused_import_or_private_name():
                 if d.startswith("_") and not d.startswith("__") and d not in used | imported:
                     unused.append(f"{name}: {d}")
     assert unused == []
+
+
+def test_every_package_name_the_benchmark_reads_exists():
+    # bench/child.py wraps package functions in timing spans by rebinding them
+    # on their modules (import maskit.cli as cli; cli.f = wrap(cli.f)).  Each
+    # name it reads there must still exist, or the traced runs break.
+    tree = ast.parse(_BENCH_CHILD.read_text(encoding="utf-8"))
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.asname
+    }
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owner = ast.unparse(node.value)
+            module = aliases.get(owner, owner)
+            if module.startswith("maskit."):
+                read.add((module, node.attr))
+    assert {m for m, _ in read} >= {f"maskit.{m}" for m in ("cli", "raster", "witness", "cusps")}
+    missing = [f"{m}.{a}" for m, a in sorted(read) if not hasattr(importlib.import_module(m), a)]
+    assert missing == []
 
 
 def test_maskit_runs_without_mpmath():

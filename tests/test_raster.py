@@ -20,6 +20,7 @@ from maskit import (
     CELL_NON_MEMBER,
     CELL_OUTSIDE,
     CELL_UNDETERMINED,
+    AMembership,
     AVerdict,
     ClassifierConfig,
     Component,
@@ -39,12 +40,28 @@ from maskit.classify import _VERDICT_CODE, REAL_PART_LIMIT
 
 _FAST_CFG = ClassifierConfig(q_max=64, node_budget=5000)
 
-# membership_with's verdicts as the codes of rasterize_a_slice and membership_grid
+# AMembership's verdicts as the codes of rasterize_a_slice and membership_grid
 _AVERDICT_CODE = {
     AVerdict.MEMBER: CELL_MEMBER,
     AVerdict.NON_MEMBER_CERTIFIED: CELL_NON_MEMBER,
     AVerdict.UNDETERMINED: CELL_UNDETERMINED,
 }
+
+
+def scalar_membership(classifier, z, w) -> AMembership:
+    """The scalar reference for membership_grid: the two-point test at one
+    w, upper point first, each through classifier.classify."""
+    z, w = complex(z), complex(w)
+    s, n, reason = maskit.raster._membership_shift(z, w.imag)
+    if reason is not None:
+        return AMembership(AVerdict.NON_MEMBER_CERTIFIED, None, reason)
+    upper = classifier.classify(z - s * n * w).verdict
+    lower = classifier.classify(z - s * (n + 1) * w).verdict
+    if upper is Verdict.INSIDE_PLUS and lower is Verdict.INSIDE_MINUS:
+        return AMembership(AVerdict.MEMBER, n)
+    if Verdict.OUTSIDE_CERTIFIED in (upper, lower):
+        return AMembership(AVerdict.NON_MEMBER_CERTIFIED, n)
+    return AMembership(AVerdict.UNDETERMINED, n)
 
 
 def _raster_of(cells):
@@ -255,19 +272,20 @@ def test_small_rasters_start_no_pool(monkeypatch):
     win = Window.from_bounds(-3.0, 3.0, 0.0, 3.0, 16, 8)
     sizes = _record_pools(monkeypatch)
     chunks = []
-    classify_rows = maskit.raster._classify_rows
+    rows = maskit.raster._rows
 
     def recording_rows(task):
-        chunks.append(task[2:])
-        return classify_rows(task)
+        chunks.append(task[3:])
+        return rows(task)
 
-    monkeypatch.setattr(maskit.raster, "_classify_rows", recording_rows)
+    monkeypatch.setattr(maskit.raster, "_rows", recording_rows)
     one = to_ppm_bytes(rasterize_maskit(win, RealClassifier(_FAST_CFG)))
     # One pixel short of the threshold: in process, chunked as for one worker.
     monkeypatch.setattr(maskit.raster, "_POOL_MIN_PX", win.rows * win.cols + 1)
     chunks.clear()
     assert to_ppm_bytes(rasterize_maskit(win, RealClassifier(_FAST_CFG), workers=2)) == one
-    assert sizes == [] and chunks == maskit.raster._row_chunks(win.rows, 1)
+    # ceil(rows / (1 worker * 8)) = 1 row a chunk
+    assert sizes == [] and chunks == [(i, i + 1) for i in range(win.rows)]
     member_win = Window.from_bounds(-1.0, 1.0, 0.5, 9.0, 4, 4)
     clf = RealClassifier(_FAST_CFG)
     member = to_ppm_bytes(rasterize_a_slice(4j, member_win, clf))
@@ -395,13 +413,13 @@ def _slice_cells(win, cfg):
 
 
 def _membership_cells(z, win, classifier):
-    """rasterize_a_slice's cells pixel by pixel, by membership_with; Im w < 0
+    """rasterize_a_slice's cells pixel by pixel, by scalar_membership; Im w < 0
     is outside the locus, so NonMember."""
 
     def code(w):
         if w.imag < 0:
             return CELL_NON_MEMBER
-        return _AVERDICT_CODE[membership_with(classifier, z, w).verdict]
+        return _AVERDICT_CODE[scalar_membership(classifier, z, w).verdict]
 
     return _per_pixel(win, code)
 
@@ -459,9 +477,10 @@ def test_real_classifier_rasters_use_the_grid_path(monkeypatch):
 
     win = Window.from_bounds(-3.0, 3.0, -1.0, 3.0, 8, 8)
     clf = RealClassifier(_FAST_CFG)
-    monkeypatch.setattr(maskit.raster, "membership_with", per_pixel_call)
-    rasterize_a_slice(4j, win, classifier=clf)  # classifies only the base point one by one
+    # the base point is the one point classified one by one
+    monkeypatch.setattr(maskit.raster, "check_base_point", lambda classifier, z: None)
     monkeypatch.setattr(RealClassifier, "classify", per_pixel_call)
+    rasterize_a_slice(4j, win, classifier=clf)
     rasterize_maskit(win, classifier=clf)
 
 
@@ -471,9 +490,10 @@ def test_synthetic_rasters_use_the_grid_path(monkeypatch):
 
     win = Window.from_bounds(-3.0, 3.0, -1.0, 3.0, 8, 8)
     clf = SyntheticSlice()
-    monkeypatch.setattr(maskit.raster, "membership_with", per_pixel_call)
-    rasterize_a_slice(4j, win, classifier=clf)
+    # the base point is the one point classified one by one
+    monkeypatch.setattr(maskit.raster, "check_base_point", lambda classifier, z: None)
     monkeypatch.setattr(SyntheticSlice, "classify", per_pixel_call)
+    rasterize_a_slice(4j, win, classifier=clf)
     rasterize_maskit(win, classifier=clf)
 
 
@@ -492,27 +512,29 @@ def test_synthetic_rasters_use_the_grid_path(monkeypatch):
     clf=st.sampled_from([RealClassifier(_FAST_CFG), RealClassifier(_TINY_CFG), SyntheticSlice()]),
 )
 @settings(max_examples=80, deadline=None)
-def test_membership_grid_matches_membership_with(w, z, clf):
+def test_membership_grid_matches_the_scalar_reference(w, z, clf):
     w_re = np.array([x for x, _ in w])
     w_im = np.array([y for _, y in w])
     try:
-        wants = [membership_with(clf, z, complex(x, y)) for x, y in w]
+        wants = [scalar_membership(clf, z, complex(x, y)) for x, y in w]
     except ValueError:
         # A test point past |Re z| <= 2^50, or Im z / |Im w| overflowing: the
-        # batch raises too, though not always the first point's error.
+        # batch raises too, though not always the first point's error.  (At a
+        # certified z, a lower test point lies past 2^50 where its upper does.)
         with pytest.raises(ValueError):
-            maskit.raster.membership_grid(clf.classify_grid, z, w_re, w_im)
+            maskit.raster.membership_grid(clf, z, w_re, w_im)
         return
-    codes, ns = maskit.raster.membership_grid(clf.classify_grid, z, w_re, w_im)
+    codes, ns = maskit.raster.membership_grid(clf, z, w_re, w_im)
     assert codes.shape == ns.shape == (len(w),)
     for want, code, n in zip(wants, codes.tolist(), ns.tolist()):
         assert code == _AVERDICT_CODE[want.verdict]
         assert (want.n is None and math.isnan(n)) or want.n == n
+    assert [membership_with(clf, z, complex(x, y)) for x, y in w] == wants
 
 
 def test_membership_grid_rejects_non_finite_points():
     with pytest.raises(ValueError, match="non-finite"):
-        maskit.raster.membership_grid(SyntheticSlice().classify_grid, 4j, [0.0, math.inf], 1.0)
+        maskit.raster.membership_grid(SyntheticSlice(), 4j, [0.0, math.inf], 1.0)
 
 
 @pytest.mark.parametrize(
@@ -521,14 +543,15 @@ def test_membership_grid_rejects_non_finite_points():
 def test_membership_grid_classifies_an_upper_point_only_where_the_lower_is_not_outside(clf):
     calls = []
 
-    def counting_grid(re, im):
-        calls.append([complex(x, y) for x, y in zip(re.ravel().tolist(), im.ravel().tolist())])
-        return clf.classify_grid(re, im)
+    class Counting:
+        def classify_grid(self, re, im):
+            calls.append([complex(x, y) for x, y in zip(re.ravel().tolist(), im.ravel().tolist())])
+            return clf.classify_grid(re, im)
 
     z = complex(0.7, 4.2)
     # Im w = 0 and 2.1 (an exact divisor of Im z) decide by a reason alone
     w_re, w_im = np.meshgrid(np.linspace(-4.0, 4.0, 17), [0.0, 0.3, 0.9, 1.7, 2.1, 3.3, 5.0])
-    codes, _ = maskit.raster.membership_grid(counting_grid, z, w_re, w_im)
+    codes, _ = maskit.raster.membership_grid(Counting(), z, w_re, w_im)
     lower, upper = [], []
     for w in map(complex, w_re.ravel().tolist(), w_im.ravel().tolist()):
         s, n, reason = maskit.raster._membership_shift(z, w.imag)
@@ -538,25 +561,24 @@ def test_membership_grid_classifies_an_upper_point_only_where_the_lower_is_not_o
                 upper.append(z - s * n * w)
     assert calls == [lower, upper]
     assert 0 < len(upper) < len(lower) < w_re.size
-    wants = [membership_with(clf, z, complex(x, y)) for x, y in zip(w_re.flat, w_im.flat)]
+    wants = [scalar_membership(clf, z, complex(x, y)) for x, y in zip(w_re.flat, w_im.flat)]
     assert codes.ravel().tolist() == [_AVERDICT_CODE[r.verdict] for r in wants]
 
 
-def test_membership_grid_names_the_point_membership_with_names():
-    # Both test points of w lie past |Re| = 2^50.  membership_with refuses the
-    # upper one, which it classifies first; the batch must name it too.  (At
-    # Im w = 1e-14, Im z / Im w is an exact integer: a reason, no test point.)
+def test_membership_grid_raises_where_it_classifies_a_refused_point():
+    # Both test points of w lie past |Re| = 2^50: the lower one, classified
+    # first, is refused.  (At Im w = 1e-14, Im z / Im w is an exact integer:
+    # a reason, no test point.)
     z, w = complex(0.7, 4.2), complex(6.0, 1.1e-14)
     clf = RealClassifier(_FAST_CFG)
     s, n, _ = maskit.raster._membership_shift(z, w.imag)
     with pytest.raises(ValueError) as lower:
         clf.classify(z - s * (n + 1) * w)
-    with pytest.raises(ValueError) as want:
-        membership_with(clf, z, w)
-    assert str(want.value) != str(lower.value)
     with pytest.raises(ValueError) as got:
-        maskit.raster.membership_grid(clf.classify_grid, z, [0.5, w.real, 7.0], [1.0, w.imag, w.imag])
-    assert str(got.value) == str(want.value)
+        maskit.raster.membership_grid(clf, z, [0.5, w.real, 7.0], [1.0, w.imag, w.imag])
+    assert str(got.value) == str(lower.value)
+    with pytest.raises(ValueError, match="exceeds"):
+        membership_with(clf, z, w)
 
 
 @pytest.mark.parametrize(
@@ -568,18 +590,18 @@ def test_membership_grid_names_the_point_membership_with_names():
         (complex(2**50 - 5.5, -5.5), complex(1.0, 1.0)),
     ],
 )
-def test_membership_grid_raises_where_membership_with_does_past_its_pre_condition(z, w):
+def test_membership_grid_skips_a_refused_upper_point_past_the_pre_condition(z, w):
     # Outside the pre-condition (z certified InsidePlus) the lower point can
-    # be accepted and outside while the upper one, which a batch would skip,
-    # is refused.
+    # be accepted and outside while the upper one is refused.  The lower
+    # verdict decides: the upper point is never classified.
     clf = RealClassifier(_FAST_CFG)
     s, n, _ = maskit.raster._membership_shift(z, w.imag)
     assert clf.classify(z - s * (n + 1) * w).verdict is Verdict.OUTSIDE_CERTIFIED
-    with pytest.raises(ValueError) as want:
-        membership_with(clf, z, w)
-    with pytest.raises(ValueError) as got:
-        maskit.raster.membership_grid(clf.classify_grid, z, [w.real], [w.imag])
-    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError):
+        clf.classify(z - s * n * w)
+    codes, ns = maskit.raster.membership_grid(clf, z, [w.real], [w.imag])
+    assert (codes.tolist(), ns.tolist()) == ([CELL_NON_MEMBER], [n])
+    assert membership_with(clf, z, w) == AMembership(AVerdict.NON_MEMBER_CERTIFIED, n)
 
 
 # ---------------------------------------------------------------------------

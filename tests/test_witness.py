@@ -21,14 +21,13 @@ from maskit import (
     build_R,
     components_near_infinity,
     find_rectangle,
-    membership_with,
     rasterize_a_slice,
     rasterize_maskit,
     verify_witness,
 )
-from maskit.raster import _real_times
+from maskit.raster import _membership_shift, _real_times
 from maskit.witness import TranslateCount, _boundary_arrays
-from test_raster import _AVERDICT_CODE
+from test_raster import _AVERDICT_CODE, scalar_membership
 
 SQRT3 = math.sqrt(3.0)
 
@@ -363,20 +362,21 @@ def _sample_records(report):
 
 @_CASES
 def test_batched_verify_matches_the_per_sample_path(case):
-    # The reference: membership_with at each sample and at its nudged copy.
+    # The reference: scalar_membership at each sample, at its nudged copy
+    # and at 2z.
     clf, q, z = case()
     base = 3.0 * z
     report = verify_witness(q, z, clf)
     samples = _rect_boundary_samples(report.R, report.sample_spacing)
-    wants = [membership_with(clf, base, w) for w, _ in samples]
+    wants = [scalar_membership(clf, base, w) for w, _ in samples]
     offending = [
         w
         for (w, inward), want in zip(samples, wants)
         if want.verdict is not AVerdict.NON_MEMBER_CERTIFIED
-        or membership_with(clf, base, w + report.inward_margin * inward).verdict
+        or scalar_membership(clf, base, w + report.inward_margin * inward).verdict
         is not AVerdict.NON_MEMBER_CERTIFIED
     ]
-    interior = membership_with(clf, base, 2.0 * z)
+    interior = scalar_membership(clf, base, 2.0 * z)
     assert [
         (w, _AVERDICT_CODE[want.verdict], want.n) for (w, _), want in zip(samples, wants)
     ] == _sample_records(report)
@@ -392,10 +392,10 @@ def test_batched_verify_matches_the_per_sample_path(case):
 
 
 def test_batched_verify_tests_each_sample_and_its_copy_in_one_batch(monkeypatch):
-    # One membership_grid batch of the samples and then their copies, each
-    # copy tested whether its sample held or not: two classify_grid calls,
-    # every lower test point, then the upper points whose lower point is not
-    # outside.
+    # One membership_grid batch of the samples, then their copies, then 2z,
+    # each copy tested whether its sample held or not: two classify_grid
+    # calls, every lower test point, then the upper points whose lower point
+    # is not outside.
     clf, q, z = _oversized_case()
     batches = []
     grid = clf.classify_grid
@@ -413,10 +413,14 @@ def test_batched_verify_tests_each_sample_and_its_copy_in_one_batch(monkeypatch)
     assert 0 < held < len(samples)  # some samples fail, and their copies are tested too
 
     def lower_not_outside(points):
-        subs = [membership_with(clf, 3.0 * z, w).sub_verdicts for w in points]
-        return sum(lower.verdict is not Verdict.OUTSIDE_CERTIFIED for _, lower in subs)
+        # the lower test point of each w, as scalar_membership forms it
+        base = 3.0 * z
+        shifts = [(w, *_membership_shift(base, w.imag)) for w in points]
+        lowers = [base - s * (n + 1) * w for w, s, n, reason in shifts if reason is None]
+        return sum(clf.classify(p).verdict is not Verdict.OUTSIDE_CERTIFIED for p in lowers)
 
-    assert batches == [2 * len(samples), lower_not_outside([w for w, _ in samples] + copies)]
+    points = [w for w, _ in samples] + copies + [2.0 * z]
+    assert batches == [2 * len(samples) + 1, lower_not_outside(points)]
     assert 0 < batches[1] < batches[0]
 
 
