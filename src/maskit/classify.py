@@ -50,8 +50,14 @@ RealClassifier.classify_grid gives classify_point's verdicts for whole
 arrays of points at once, as uint8 codes: the integer fan is settled in
 bulk, then the points it leaves are searched in blocks, a tree level a round,
 with CPython's complex arithmetic written out on float arrays, so each trace
-is the scalar one bit for bit.  The few points whose verdict could depend on
-the search order go to classify_point.
+is the scalar one bit for bit.  An edge the pinned fan prune would end is
+closed where it is born, from the moduli of its ends and difference alone:
+its mediant, of modulus at least (|t_v|-1)|t_x| > g, is counted but never
+formed, since it can neither reject nor spoil the point, and the edge is
+never stored.  Only an edge with |t_l||t_r| < 2^1000, whose float mediant
+is finite too, is closed; one past that bound is stored and searched like
+any other.  The few points whose verdict could depend on the search order go
+to classify_point.
 SyntheticSlice.classify_grid does the same for the stand-in slice.  The
 rasters and the witness take a classifier's batch function from _grid_of,
 which for a classifier with only classify calls it a point at a time under
@@ -108,11 +114,14 @@ _VERDICT_CODE = {
 
 # classify_grid settles the integer fan _FAN_BLOCK points at a time (its cost
 # is mostly per call) and searches the points it leaves _GRID_BLOCK at a
-# time.  A search round takes up to some 400 bytes an edge; at 512 points a
-# block's frontier stays within 3,072 edges on the 512² render, and
-# _GRID_EDGES keeps any round below about 7 MB.
+# time.  A search round takes up to some 400 bytes an edge; at 960 points a
+# block's frontier stays within 2,880 edges on the 512² render, as the edges
+# _closes takes are never stored, and _GRID_EDGES keeps any round below
+# about 7 MB.  960 is the largest multiple of 64 at which classify_grid's
+# traced peak on the render's largest chunk stays below that of the
+# lock-step lanes this search replaced (tests/test_classify.py).
 _FAN_BLOCK = 4096
-_GRID_BLOCK = 512
+_GRID_BLOCK = 960
 _GRID_EDGES = 2**14
 # The integer fan lies within this many translates of the nearest one:
 # |Re z + 2n0| <= 1, so |z + 2(n0 +- k)| >= 2k - 1 >= GROW_THRESHOLD there.
@@ -272,9 +281,12 @@ def _classify_blocks(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig) -> n
     The points _settle_fans leaves searching are queued, and searched
     _GRID_BLOCK points at a time, level by level: each round replaces the
     block's frontier, all its live edges, by the children of the edges that
-    go on.  A point whose frontier empties with explored <= node_budget has
-    met classify_point's whole tree, so its verdict (inside, or Undetermined
-    if spoiled) does not depend on the search order.  classify_point decides
+    go on, and counts in explored, without storing, the fan edges and
+    children _closes takes.  As those are counted a round early, the budget
+    is checked once more after a block's last round.  A point whose frontier
+    empties with explored <= node_budget has met classify_point's whole
+    tree, so its verdict (inside, or Undetermined if spoiled) does not
+    depend on the search order.  classify_point decides
     the rest: a tree past node_budget, a trace below REJECT_THRESHOLD (which
     one the scalar search meets first depends on the order), an infinite
     modulus, and the live points of a frontier that would pass _GRID_EDGES.
@@ -289,12 +301,13 @@ def _classify_blocks(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig) -> n
         explored = sp + 1
         spoiled = first_spoiled[p]
         handed = np.zeros(p.size, bool)
-        owner, frontier = _fan_edges(re.flat[p], im.flat[p], first_hi[p], sp, store)
+        owner, frontier = _fan_edges(re.flat[p], im.flat[p], first_hi[p], sp, explored, store)
         while owner.size:
             if owner.size > _GRID_EDGES:
                 handed[owner] = True
                 break
             owner, frontier = _next_level(owner, frontier, explored, spoiled, handed, cfg, store)
+        handed |= explored > cfg.node_budget  # the edges closed in the last round
         out[p[spoiled]] = CELL_UNDETERMINED
         handoff.extend(p[handed].tolist())
     for p in handoff:
@@ -359,12 +372,30 @@ def _settle_fans(re: np.ndarray, im: np.ndarray, cfg: ClassifierConfig):
     return out, first_hi, first_sp, first_spoiled
 
 
-def _fan_edges(x, y, hi, sp, store):
+def _pinned(al, ar, ad):
+    """Which edges of endpoint moduli al, ar and difference modulus ad the
+    pinned fan prune ends, pinned on the left or on the right."""
+    g = GROW_THRESHOLD
+    return ((al > 2.0) & (ar >= g) & (ad <= ar)) | ((ar > 2.0) & (al >= g) & (ad <= al))
+
+
+def _closes(al, ar, ad):
+    """Which of those edges the search closes where they are born.
+
+    Such an edge's mediant is at least (|t_v| - 1)|t_x| > g (see the module
+    docstring), so it can neither reject nor spoil its point: only its node
+    is counted.  al*ar < 2**1000 keeps the written-out float mediant finite;
+    an edge past it is stored, and its mediant formed, as any other."""
+    return _pinned(al, ar, ad) & (al * ar < 2.0**1000)
+
+
+def _fan_edges(x, y, hi, sp, explored, store):
     """The first frontier of the queued points x + i*y, in store[0], and the
     point each edge belongs to.  A frontier has a column per edge and 11
     rows: the left vertex (q, Re t, Im t, |t|), the right vertex, and the
     difference (Re t, Im t, |t|).  Point i's fan edges (n, n + 1), of
-    difference 1/0 and trace 2, join its fan vertices n0 + hi - sp to n0 + hi.
+    difference 1/0 and trace 2, join its fan vertices n0 + hi - sp to n0 + hi;
+    those _closes takes are counted in explored and left out.
     """
     owner = np.repeat(np.arange(x.size), sp + 1)
     last = np.cumsum(sp + 1) - 1
@@ -373,6 +404,9 @@ def _fan_edges(x, y, hi, sp, store):
     is_left = np.ones(owner.size, bool)
     is_left[last] = False
     left = np.flatnonzero(is_left)
+    closed = _closes(vertex[2, left], vertex[2, left + 1], 2.0)
+    explored += np.bincount(owner[left[closed]], minlength=explored.size)
+    left = left[~closed]
     frontier = _reused(store, 0, (11, left.size))
     frontier[0] = frontier[4] = 1.0
     frontier[1:4] = vertex.take(left, axis=1)
@@ -396,11 +430,8 @@ def _next_level(owner, frontier, explored, spoiled, handed, cfg: ClassifierConfi
     np.subtract(tlr * tri + tli * trr, tdi, out=tmi)
     np.hypot(tmr, tmi, out=m)
     explored += np.bincount(owner, minlength=explored.size)
-    big_l = al >= g
-    big_r = ar >= g
-    ends = big_l & big_r & (m >= np.maximum(al, ar))
-    ends |= (al > 2.0) & big_r & (ad <= ar)
-    ends |= (ar > 2.0) & big_l & (ad <= al)
+    ends = (al >= g) & (ar >= g) & (m >= np.maximum(al, ar))
+    ends |= _pinned(al, ar, ad)  # only edges past _closes' bound are left to it
     # Rare, so dealt with only where they occur: a trace below the bar or
     # REJECT_THRESHOLD, an infinite modulus (abs() raises OverflowError where
     # np.hypot gives inf from finite parts), a q_max cap, a handed point.
@@ -415,18 +446,22 @@ def _next_level(owner, frontier, explored, spoiled, handed, cfg: ClassifierConfi
     handed |= explored > cfg.node_budget
     if handed.any():
         ends |= handed[owner]
-    goes = np.flatnonzero(~ends)
-    s = goes.size
-    left, right = frontier[0:4].take(goes, axis=1), frontier[4:8].take(goes, axis=1)
-    mediant = mediant.take(goes, axis=1)
-    # The edge (l, r; d) goes on as (l, m; r) and (m, r; l).  The children
-    # go to the buffer the frontier is not in, which becomes store[0].
-    children = _reused(store, 1, (11, 2 * s))
+    # The edge (l, r; d) goes on as (l, m; r) and (m, r; l): each child
+    # _closes takes is counted, the others go to the buffer the frontier is
+    # not in, which becomes store[0].
+    ends_l = ends | _closes(al, m, ar)
+    ends_r = ends | _closes(m, ar, al)
+    closed = np.concatenate((owner[ends_l & ~ends], owner[ends_r & ~ends]))
+    explored += np.bincount(closed, minlength=explored.size)
+    a, b = np.flatnonzero(~ends_l), np.flatnonzero(~ends_r)
+    s = a.size
+    children = _reused(store, 1, (11, s + b.size))
     store[0], store[1] = store[1], store[0]
-    children[0:4, :s], children[4:8, :s], children[8:11, :s] = left, mediant, right[1:]
-    children[0:4, s:], children[4:8, s:], children[8:11, s:] = mediant, right, left[1:]
-    owner = owner.take(goes)
-    return np.concatenate((owner, owner)), children
+    children[0:4, :s], children[4:8, :s] = frontier[0:4].take(a, axis=1), mediant.take(a, axis=1)
+    children[8:11, :s] = frontier[5:8].take(a, axis=1)
+    children[0:4, s:], children[4:8, s:] = mediant.take(b, axis=1), frontier[4:8].take(b, axis=1)
+    children[8:11, s:] = frontier[1:4].take(b, axis=1)
+    return np.concatenate((owner.take(a), owner.take(b))), children
 
 
 @dataclass(frozen=True)

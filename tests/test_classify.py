@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import maskit.classify
@@ -21,11 +21,13 @@ from maskit.classify import (
     CELL_INSIDE_PLUS,
     CELL_OUTSIDE,
     GROW_THRESHOLD,
+    INSIDE_MARGIN,
     REAL_PART_LIMIT,
     ClassifierConfig,
     RealClassifier,
     SyntheticSlice,
     Verdict,
+    _closes,
     _grid_of,
     _next_level,
     _settle_fans,
@@ -286,8 +288,9 @@ def test_classify_grid_hands_off_only_order_dependent_points(monkeypatch):
 
 
 # tracemalloc's peak for classify_grid on _render_chunk() with the lock-step
-# lanes this search replaced (numpy 2.4.6).  The frontiers, 512 queued points
-# to a block, stay below it.
+# lanes this search replaced (numpy 2.4.6).  The frontiers, 960 queued points
+# to a block with the edges closed where they are born never stored, stay
+# below it (1,452,476 bytes); at 1,024 points a block they would not.
 _LANES_PEAK_BYTES = 1_568_625
 
 
@@ -435,8 +438,9 @@ def _traces(rng, n, lo, hi):
 
 
 def _pruned(tl, tr, td):
-    """The edges (l, r; d) that _next_level ends without a hand-off: each
-    edge its own point, both slopes of denominator 1, no budget or q_max."""
+    """The edges (l, r; d) that _next_level ends, or both of whose children
+    it closes, without a hand-off: each edge its own point, both slopes of
+    denominator 1, no budget or q_max."""
     n = tl.size
     frontier = np.array(
         [
@@ -498,6 +502,54 @@ def test_two_sided_prune_keeps_the_subtree_above_g():
     b = _traces(rng, n, 4.0, 6.0)
     d = _traces(rng, n, 0.0, 2.0) * np.abs(a) * np.abs(b)
     _assert_pruned_subtrees_stay_above_g(a, b, d)
+
+
+# Parts at the thresholds' scale, and up to past 2**500, where the product
+# of two moduli passes _closes' finiteness guard.
+_PARTS = st.floats(min_value=-8.0, max_value=8.0) | st.floats(min_value=-(2.0**520), max_value=2.0**520)
+_TRACES = st.builds(complex, _PARTS, _PARTS)
+
+
+@given(v=_TRACES, x=_TRACES, d=_TRACES, left=st.booleans(), cancel=st.integers(0, 3))
+# Edges just past the closing test: |t_d| = 1.5|t_x| with |t_v| just above
+# 2 gives a mediant just above 2, and |t_v||t_x| = 2**1040 an infinite one.
+@example(v=complex(2.0 + 2.0**-40, 0.0), x=4 + 0j, d=6 + 0j, left=True, cancel=1)
+@example(v=complex(2.0**520, 0.0), x=complex(2.0**520, 0.0), d=0j, left=False, cancel=1)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_a_closed_edge_has_a_finite_mediant_above_the_bar(v, x, d, left, cancel):
+    # The search counts the mediant of an edge _closes takes without forming
+    # it.  Formed as _next_level forms it, that mediant is finite and at
+    # least 2 + INSIDE_MARGIN, so it could neither reject nor spoil the
+    # point.  The edge is (v, x; d) or its mirror (x, v; d); with cancel = 0
+    # its difference nearly cancels t_v*t_x, an edge that only the
+    # |t_d| <= |t_x| clause keeps out, so most such draws are filtered.
+    if cancel == 0:
+        d = v * x - d
+    tl, tr = (v, x) if left else (x, v)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in classify_grid
+        al, ar, ad = (np.hypot(t.real, t.imag) for t in (tl, tr, d))
+        assume(_closes(al, ar, ad))
+        tmr = (tl.real * tr.real - tl.imag * tr.imag) - d.real
+        tmi = (tl.real * tr.imag + tl.imag * tr.real) - d.imag
+        m = np.hypot(tmr, tmi)
+    assert math.isfinite(m) and m >= 2.0 + INSIDE_MARGIN, (tl, tr, d, m)
+
+
+def test_no_stored_edge_is_one_the_search_closes(monkeypatch):
+    # Every frontier _next_level receives on the render chunk: no edge in
+    # it passes _closes, which would have closed it where it was born.
+    sizes = []
+
+    def checking(owner, frontier, *args):
+        sizes.append(owner.size)
+        assert not _closes(frontier[3], frontier[7], frontier[10]).any()
+        return _next_level(owner, frontier, *args)
+
+    monkeypatch.setattr(maskit.classify, "_next_level", checking)
+    re, im = _render_chunk()
+    codes = RealClassifier().classify_grid(re, im)
+    assert len(sizes) > 10 and sum(sizes) > 10_000
+    assert codes.ravel().tolist() == _scalar_codes(re.ravel(), im.ravel(), ClassifierConfig())
 
 
 def test_settle_fans_window_holds_every_low_integer_trace():
