@@ -12,7 +12,6 @@ recursion is checked against.
 
 from .classify import (
     Classification,
-    ClassifierConfig,
     RealClassifier,
     SyntheticSlice,
     Verdict,
@@ -79,7 +78,6 @@ __all__ = [
     "CELL_OUTSIDE",
     "CELL_UNDETERMINED",
     "Classification",
-    "ClassifierConfig",
     "Component",
     "ComponentsNearInfinity",
     "CuspResult",

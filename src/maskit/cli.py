@@ -35,7 +35,7 @@ import sys
 import time
 from dataclasses import asdict
 
-from .classify import REAL_PART_LIMIT, ClassifierConfig, RealClassifier, SyntheticSlice
+from .classify import REAL_PART_LIMIT, RealClassifier, SyntheticSlice
 from .cusps import BoundaryCuspError, cusp_point
 from .farey import SYMBOLIC_Q_CAP, FareySlope, slopes_up_to
 from .raster import (
@@ -102,13 +102,6 @@ def _window(args) -> Window:
         raise _UsageError(f"--window: {exc}") from None
 
 
-def _build_cfg(args) -> ClassifierConfig:
-    try:
-        return ClassifierConfig(q_max=args.qmax, node_budget=args.budget)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
 def _maybe_timestamp(meta: dict, args) -> dict:
     if not args.no_timestamp:
         meta["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -150,7 +143,7 @@ def _write_files(files) -> int:
 
 
 def cmd_render_maskit(args) -> int:
-    classifier = RealClassifier(_build_cfg(args))
+    classifier = RealClassifier()
     win = _window(args)
     grid = rasterize_maskit(win, classifier, workers=args.workers)
     if rc := _write_files([(args.out, to_ppm_bytes(grid))]):
@@ -186,7 +179,7 @@ def cmd_cusps(args) -> int:
 
 
 def cmd_a_slice(args) -> int:
-    classifier = RealClassifier(_build_cfg(args))
+    classifier = RealClassifier()
     if args.z is None:
         raise _UsageError("a-slice needs --z RE IM")
     z = complex(*args.z)
@@ -233,7 +226,6 @@ def _json_columns(columns: dict) -> str:
 
 
 def cmd_witness(args) -> int:
-    cfg = _build_cfg(args)
     k = args.k
     if k < 1:
         raise _UsageError("need k >= 1 translates")
@@ -244,7 +236,7 @@ def cmd_witness(args) -> int:
         )
     cols, rows = args.res
     prefix = args.out
-    classifier = SyntheticSlice() if args.synthetic else RealClassifier(cfg)
+    classifier = SyntheticSlice() if args.synthetic else RealClassifier()
 
     try:
         q, z = find_rectangle(classifier)
@@ -315,12 +307,6 @@ def _build_parser() -> _Parser:
         return p
 
     def raster(p, *, res, window=None):
-        # the classifier's settings: every raster command classifies, and
-        # cusps, whose table prints no verdict, takes neither
-        p.add_argument("--qmax", type=int, default=512,
-                       help="classifier slope-denominator cap (default %(default)s)")
-        p.add_argument("--budget", type=int, default=20000,
-                       help="classifier node budget (default %(default)s)")
         if window is not None:
             p.add_argument("--window", nargs=4, type=float, default=window,
                            metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"),

@@ -26,12 +26,7 @@ The recursion lives in one place: _edge_pq gives the parents and the
 normalised difference vertex of an edge, and _fill applies the identity
 above over a memo table.  TraceCache runs it on complex numbers for one z,
 trace_polynomial on exact polynomials, and cusps.py on the slots of its
-continuation schedule.  classify.py carries two more copies of the step,
-because they are the hot loops: classify_point's depth-first search, with
-the traces on its stack, and RealClassifier's classify_grid, which searches
-blocks of points a tree level a round with every live edge of a block in
-flat float arrays, and which the tests hold equal to classify_point verdict
-for verdict.
+continuation schedule.  classify.py needs only the seeds t_{n/1}.
 
 A TraceCache holds one z and grows as its trace method fills it; confine
 each cache to one worker at a time.  The polynomial table is shared and only

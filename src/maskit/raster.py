@@ -41,7 +41,6 @@ from .classify import (
     CELL_OUTSIDE,
     CELL_UNDETERMINED,
     REAL_PART_LIMIT,
-    ClassifierConfig,
     RealClassifier,
     Verdict,
     _grid_of,
@@ -232,13 +231,13 @@ def membership_with(classifier, z, w) -> AMembership:
     return _membership_record(z, w, codes[0], ns[0])
 
 
-def a_membership(z, w, cfg: ClassifierConfig | None = None) -> AMembership:
+def a_membership(z, w) -> AMembership:
     """Does w belong to the locus of the extended representation at base z?
 
     Raises ValueError("base point not certified in M+") unless classify_point
     certifies z InsidePlus.
     """
-    classifier = RealClassifier(cfg or ClassifierConfig())
+    classifier = RealClassifier()
     check_base_point(classifier, z)
     return membership_with(classifier, z, w)
 

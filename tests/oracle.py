@@ -80,3 +80,77 @@ def poly_value(poly, z) -> complex:
     for re, im in reversed(poly.coeffs):
         acc = acc * z + complex(re, im)
     return acc
+
+
+# The Farey-tree search that classified points before the verdicts were
+# found to follow from the integer fan alone.  The tests hold the fan rule
+# to it.  A trace below REJECT rejects, one below BAR spoils an inside
+# verdict, and GROW is the bar of the two growth prunes.
+REJECT = 2.0
+BAR = 2.0 + 1e-3
+GROW = 4.0
+
+
+def prunes(tl, tr, td, tm) -> bool:
+    """Whether the search skips the subtree below the edge (l, r) of
+    difference d and mediant m = l*r - d.
+
+    Two-sided growth: if |t_l|, |t_r| >= GROW and |t_m| >= both, each child's
+    mediant t' has |t'| >= (GROW - 1)|t_m|, so the hypothesis holds one level
+    down.  Pinned fan: for an end v with |t_v| > 2 and the other end x with
+    |t_x| >= GROW and |t_d| <= |t_x|, the traces x_k of v's fan obey
+    x_{k+1} = t_v*x_k - x_{k-1} and gain at least |t_v| - 1 a step.  Either
+    way every trace of the subtree is at least GROW.
+    """
+    al, ar, ad = abs(tl), abs(tr), abs(td)
+    if al >= GROW and ar >= GROW and abs(tm) >= max(al, ar):
+        return True
+    return (al > 2.0 and ar >= GROW and ad <= ar) or (ar > 2.0 and al >= GROW and ad <= al)
+
+
+def search(z, q_max=512, node_budget=20000):
+    """The search's verdict at z: (verdict name, (p, q) of the rejecting
+    slope, or None).
+
+    It forms the integer fan, every n/1 with |z + 2n| < GROW and one more at
+    each end, then searches the Farey tree between neighbouring fan slopes
+    depth first, left to right.  The first trace below REJECT rejects.  The
+    verdict is Undetermined once node_budget traces are formed, if an edge
+    is left unsplit at denominator q_max, or if a trace lies below BAR.
+    """
+    z = complex(z)
+    if z.imag == 0.0:
+        return "OutsideCertified", None
+    lo = hi = round(-z.real / 2.0)
+    while abs(z + 2.0 * lo) < GROW:
+        lo -= 1
+    while abs(z + 2.0 * hi) < GROW:
+        hi += 1
+    spoiled = capped = False
+    fan = {}
+    for n in range(lo, hi + 1):
+        fan[n] = 1j * (z + 2.0 * n)
+        if abs(fan[n]) < REJECT:
+            return "OutsideCertified", (n, 1)
+        spoiled |= abs(fan[n]) < BAR
+    explored = len(fan)
+    stack = [(n, 1, fan[n], n + 1, 1, fan[n + 1], 2 + 0j) for n in range(hi - 1, lo - 1, -1)]
+    while stack:
+        if explored >= node_budget:
+            return "Undetermined", None
+        lp, lq, tl, rp, rq, tr, td = stack.pop()
+        mp, mq, tm = lp + rp, lq + rq, tl * tr - td
+        explored += 1
+        if abs(tm) < REJECT:
+            return "OutsideCertified", (mp, mq)
+        spoiled |= abs(tm) < BAR
+        if prunes(tl, tr, td, tm):
+            continue
+        if mq >= q_max:
+            capped = True
+            continue
+        stack.append((mp, mq, tm, rp, rq, tr, tl))
+        stack.append((lp, lq, tl, mp, mq, tm, tr))
+    if spoiled or capped:
+        return "Undetermined", None
+    return ("InsidePlus" if z.imag > 0 else "InsideMinus"), None

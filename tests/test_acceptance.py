@@ -15,7 +15,6 @@ import pytest
 from maskit import (
     AVerdict,
     AxisRectangle,
-    ClassifierConfig,
     RealClassifier,
     TraceCache,
     Verdict,
@@ -128,7 +127,6 @@ def test_criterion_4_symmetry_suite():
 
     # Verdict equality under z -> z+2 and z -> -conj(z) on a 64^2 grid,
     # compared wherever both verdicts are determined.
-    cfg = ClassifierConfig(q_max=64, node_budget=4000)
     determined = 0
     total = 0
     for i in range(64):
@@ -136,10 +134,10 @@ def test_criterion_4_symmetry_suite():
         for j in range(64):
             x = -2.96875 + 0.0625 * j
             z = complex(x, y)
-            v = classify_point(z, cfg).verdict
+            v = classify_point(z).verdict
             for image in (z + 2.0, -z.conjugate()):
                 total += 1
-                v2 = classify_point(image, cfg).verdict
+                v2 = classify_point(image).verdict
                 if Verdict.UNDETERMINED in (v, v2):
                     continue
                 determined += 1
@@ -153,10 +151,9 @@ def test_criterion_5_membership_fixtures_and_periodicity():
     assert rec.n == 0
 
     rng = random.Random(602214)
-    cfg = ClassifierConfig()
-    clf = RealClassifier(cfg)
+    clf = RealClassifier()
     for zbase in (4j, complex(-1.0, 1.75)):
-        assert classify_point(zbase, cfg).verdict is Verdict.INSIDE_PLUS
+        assert classify_point(zbase).verdict is Verdict.INSIDE_PLUS
         for _ in range(10):
             w = complex(rng.uniform(-6.0, 6.0), 0.0)
             got = membership_with(clf, zbase, w)
@@ -237,8 +234,6 @@ def test_criterion_8_worker_count_determinism(tmp_path):
                     "render-maskit",
                     "--window", "-3", "3", "0", "3",
                     "--res", "64x16",
-                    "--qmax", "64",
-                    "--budget", "4000",
                     "--workers", workers,
                     "--out", str(render_ppm),
                 ]

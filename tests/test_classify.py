@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maskit.classify
@@ -20,30 +20,20 @@ from maskit.classify import (
     CELL_INSIDE_MINUS,
     CELL_INSIDE_PLUS,
     CELL_OUTSIDE,
-    GROW_THRESHOLD,
+    CELL_UNDETERMINED,
     INSIDE_MARGIN,
     REAL_PART_LIMIT,
-    ClassifierConfig,
     RealClassifier,
     SyntheticSlice,
     Verdict,
-    _closes,
     _grid_of,
-    _next_level,
     _settle_fans,
     classify_point,
 )
 from maskit.raster import AVerdict, Window, a_membership, membership_with
-from oracle import matrix_trace
+from oracle import GROW, matrix_trace, prunes, search
 
 _SQRT3 = math.sqrt(3.0)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ClassifierConfig(q_max=1)
-    with pytest.raises(ValueError):
-        ClassifierConfig(node_budget=0)
 
 
 def test_real_axis_is_outside():
@@ -94,8 +84,9 @@ def test_real_part_past_the_limit_is_rejected():
 
 
 def test_huge_real_part_raises_instead_of_looping():
-    # Near |Re z| = 1e300 the fan's z + 2.0*n no longer changes with n, so an
-    # unguarded search never ends; run it where a hang cannot stall the suite.
+    # Near |Re z| = 1e300 the fan's z + 2.0*n no longer changes with n, and
+    # the search the fan replaced never ended there; run it where a hang
+    # cannot stall the suite.
     code = textwrap.dedent(
         """
         from maskit.classify import RealClassifier, classify_point
@@ -138,160 +129,171 @@ def test_boundary_margin_is_undetermined():
 
 
 def test_undetermined_reason_names_the_limit():
-    # precedence: the budget, then q_max, then the margin
+    # the margin is the one limit left: the fan is always formed whole
     assert classify_point(3j).reason is None
     assert classify_point(2.0001j).reason == "margin"
-    assert classify_point(3j, ClassifierConfig(q_max=2)).reason == "q_max"
-    assert classify_point(2.0001j, ClassifierConfig(q_max=2)).reason == "q_max"
-    assert classify_point(3j, ClassifierConfig(node_budget=5)).reason == "budget"
-    assert classify_point(2.0001j, ClassifierConfig(q_max=2, node_budget=6)).reason == "budget"
-    # here an edge was capped at q_max before the budget ran out
-    assert classify_point(3j, ClassifierConfig(q_max=2, node_budget=8)).reason == "budget"
+    assert classify_point(complex(4.0, -2.0005)).reason == "margin"
+    assert classify_point(complex(-1.0, 1.75)).reason is None
 
 
-def _scalar_codes(re, im, cfg):
-    return [_VERDICT_CODE[classify_point(complex(x, y), cfg).verdict] for x, y in zip(re, im)]
+def _scalar_codes(re, im):
+    return [_VERDICT_CODE[classify_point(complex(x, y)).verdict] for x, y in zip(re, im)]
 
 
-_CFGS = [
-    ClassifierConfig(),
-    ClassifierConfig(q_max=2, node_budget=1),
-    ClassifierConfig(q_max=2),
-    ClassifierConfig(q_max=5),
-    ClassifierConfig(q_max=16, node_budget=5),
-    ClassifierConfig(q_max=64, node_budget=200),
-]
+def _near_a_circle(n, radius, angle):
+    """The point at radius and angle from the fan circle's centre -2n."""
+    return complex(-2.0 * n + radius * math.cos(angle), radius * math.sin(angle))
+
+
+# Moduli at and around the two thresholds, to the last few ulps, and free ones.
+_RADII = (
+    st.floats(min_value=2.0 - 1e-14, max_value=2.0 + 1e-14)
+    | st.floats(min_value=2.001 - 1e-14, max_value=2.001 + 1e-14)
+    | st.floats(min_value=0.0, max_value=4.5)
+)
 
 
 @given(
     points=st.lists(
-        st.tuples(
-            st.floats(min_value=-7.0, max_value=7.0),
-            st.floats(min_value=-4.5, max_value=4.5) | st.sampled_from([0.0, 2.0, 1.75, -2.0]),
+        st.builds(
+            _near_a_circle,
+            st.integers(min_value=-3, max_value=3),
+            _RADII,
+            st.floats(min_value=-math.pi, max_value=math.pi) | st.sampled_from([0.0, math.pi / 2]),
         ),
         min_size=1,
         max_size=40,
     ),
-    k=st.integers(min_value=-3, max_value=3),
-    cfg=st.sampled_from(_CFGS),
+    # far translates round Re z coarser, and so unpack the points
+    k=st.integers(min_value=-3, max_value=3) | st.integers(min_value=-(2**20), max_value=2**20),
 )
 @settings(max_examples=150, deadline=None)
-def test_classify_grid_matches_classify_point(points, k, cfg):
-    re = np.array([x + 2.0 * k for x, _ in points])  # 2k translates
-    im = np.array([y for _, y in points])
-    assert RealClassifier(cfg).classify_grid(re, im).tolist() == _scalar_codes(re, im, cfg)
+def test_classify_grid_matches_classify_point(points, k):
+    # Points packed around |z + 2n| = 2 and 2 + INSIDE_MARGIN, and their 2k
+    # translates: np.hypot decides each of them as abs() does.
+    re = np.array([z.real + 2.0 * k for z in points])
+    im = np.array([z.imag for z in points])
+    assert RealClassifier().classify_grid(re, im).tolist() == _scalar_codes(re, im)
+
+
+# The classifier's configuration is its module constants: the thresholds,
+# against which the batch and scalar paths must decide alike, and the block
+# in which classify_grid settles the fan.  The bar 2 + INSIDE_MARGIN stays
+# at most 3, where the three nearest translates hold every trace below it.
+_CFGS = [
+    {},
+    {"INSIDE_MARGIN": 0.5},  # a wide Undetermined band
+    {"REJECT_THRESHOLD": 1.5},
+    {"REJECT_THRESHOLD": 1.5, "INSIDE_MARGIN": 1.0},  # the bar at 3
+    {"REJECT_THRESHOLD": 0.5},  # the real axis is rejected by its own rule
+    {"REJECT_THRESHOLD": 2.0 + INSIDE_MARGIN},  # no Undetermined band
+]
 
 
 @pytest.mark.parametrize(
     "constants",
     [
         {},
-        {"_FAN_BLOCK": 7, "_GRID_BLOCK": 7},  # fan and search blocks end inside the grid
-        # every searched point has at least two fan edges, so every block's
-        # first frontier passes the cap: all go to classify_point
-        {"_GRID_EDGES": 1},
-        {"_GRID_BLOCK": 10**9},  # one block searches the whole queue
-        # a small cap: some blocks pass it mid-search, others finish
-        {"_GRID_BLOCK": 7, "_GRID_EDGES": 30},
-        # Below 2 the search rejects past the fan too, and runs deep; below
-        # 1 some traces overflow, and abs() raises OverflowError.
-        {"REJECT_THRESHOLD": 1.5},
-        {"REJECT_THRESHOLD": 1.5, "_GRID_BLOCK": 7, "_GRID_EDGES": 30},
-        {"REJECT_THRESHOLD": 0.5},
-        # one or three points to a fan block and to a search block
-        {"_FAN_BLOCK": 1, "_GRID_BLOCK": 1},
-        {"_FAN_BLOCK": 3, "_GRID_BLOCK": 3},
+        # one, two or three points to a block, and blocks that end inside
+        # the 1,271-point grid
+        {"_FAN_BLOCK": 1},
+        {"_FAN_BLOCK": 2},
+        {"_FAN_BLOCK": 3},
+        {"_FAN_BLOCK": 7},
+        {"_FAN_BLOCK": 64},
+        {"_FAN_BLOCK": 1270},  # a last block of one point
+        {"_FAN_BLOCK": 1271},  # one block, the grid exactly
+        {"_FAN_BLOCK": 1272},
+        {"_FAN_BLOCK": 10**9},
     ],
 )
 @pytest.mark.parametrize("cfg", _CFGS)
 def test_classify_grid_pinned_cases(monkeypatch, constants, cfg):
-    for name, value in constants.items():
+    for name, value in {**cfg, **constants}.items():
         monkeypatch.setattr(maskit.classify, name, value)
     re, im = np.meshgrid(np.linspace(-3.0, 3.0, 41), np.linspace(-3.0, 3.0, 31))
     re, im = re.ravel(), im.ravel()  # includes the row Im z = 0
-    try:
-        want = _scalar_codes(re, im, cfg)
-    except OverflowError:
-        with pytest.raises(OverflowError):
-            RealClassifier(cfg).classify_grid(re, im)
-        return
-    assert RealClassifier(cfg).classify_grid(re, im).tolist() == want
-
-
-@pytest.mark.parametrize("block", [1024, 16])
-def test_classify_grid_searches_a_sparse_queue(monkeypatch, block):
-    # 16,384 points the fan settles (inside at Im z = 6, outside at 0.5),
-    # with 40 points that need a search scattered among them: the queue
-    # gathers those into search blocks.  A budget of 16 nodes cuts off about
-    # half of their searches.
-    monkeypatch.setattr(maskit.classify, "_GRID_BLOCK", block)
-    rng = np.random.default_rng(7)
-    re = rng.uniform(-3.0, 3.0, 16 * 1024)
-    im = np.where(rng.random(re.size) < 0.5, 6.0, 0.5)
-    searched = rng.choice(re.size, 40, replace=False)
-    im[searched] = rng.uniform(1.7, 2.6, searched.size)
-    explored = [classify_point(complex(re[p], im[p])).explored for p in searched]
-    assert sum(n > 16 for n in explored) >= 10 and sum(7 < n <= 16 for n in explored) >= 10
-    for cfg in (ClassifierConfig(), ClassifierConfig(node_budget=16)):
-        assert RealClassifier(cfg).classify_grid(re, im).tolist() == _scalar_codes(re, im, cfg)
-
-
-def _count_handoffs(monkeypatch) -> list:
-    """The points classify_grid hands to classify_point from now on."""
-    calls = []
-    scalar = maskit.classify.classify_point
-
-    def counting(z, cfg=None):
-        calls.append(z)
-        return scalar(z, cfg)
-
-    monkeypatch.setattr(maskit.classify, "classify_point", counting)
-    return calls
+    assert RealClassifier().classify_grid(re, im).tolist() == _scalar_codes(re, im)
 
 
 def _render_chunk():
-    """Rows 128 to 191 of the 512² render window: the 64×512 chunk whose
-    search frontiers are the largest."""
+    """Rows 128 to 191 of the 512² render window, one of the 64×512 chunks
+    rasterize_maskit classifies in one call."""
     xs, ys = Window.from_bounds(-3.0, 3.0, 0.0, 3.0, 512, 512).centers()
     return np.broadcast_arrays(xs, ys[128:192, None])
 
 
+def _search_budget(z) -> int:
+    """The least node_budget at which the search reaches a verdict at z:
+    the number of nodes of z's whole tree, for a point it calls inside."""
+    lo, hi = 1, 20000
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if search(z, node_budget=mid)[0] == "Undetermined":
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 @pytest.mark.parametrize("z", [-1 + 1.8j, -0.95 + 1.8j, -1 + 1.9j, -1 + 2.5j, -0.85 - 2.5j])
-def test_classify_grid_is_exact_at_the_budget(monkeypatch, z):
-    # The whole tree of z has n nodes.  At node_budget = n the search
-    # finishes it and gives the inside verdict itself; at n - 1 the tree
-    # passes the budget, and classify_point decides (Undetermined).
-    n = classify_point(z).explored
-    assert classify_point(z).verdict in (Verdict.INSIDE_PLUS, Verdict.INSIDE_MINUS)
-    calls = _count_handoffs(monkeypatch)
-    for budget, handed in ((n, 0), (n - 1, 1)):
-        cfg = ClassifierConfig(node_budget=budget)
-        want = _scalar_codes([z.real], [z.imag], cfg)
-        calls.clear()
-        assert RealClassifier(cfg).classify_grid(z.real, z.imag).tolist() == want[0]
-        assert len(calls) == handed
-    assert want == [_VERDICT_CODE[Verdict.UNDETERMINED]]
+def test_classify_grid_is_exact_at_the_budget(z):
+    # The search needs the whole tree of z, n nodes, to call it inside: at
+    # node_budget = n it gives classify_grid's verdict, at n - 1 it stops
+    # Undetermined.  The fan decides at once what the search decides last.
+    n = _search_budget(z)
+    verdict, _ = search(z, node_budget=n)
+    assert verdict in ("InsidePlus", "InsideMinus") and n > 3
+    assert search(z, node_budget=n - 1) == ("Undetermined", None)
+    assert RealClassifier().classify_grid(z.real, z.imag) == _VERDICT_CODE[Verdict(verdict)]
 
 
-def test_classify_grid_hands_off_only_order_dependent_points(monkeypatch):
-    re, im = _render_chunk()
-    calls = _count_handoffs(monkeypatch)
-    RealClassifier().classify_grid(re, im)
-    assert calls == []
-    # Rejections past the fan, and trees past a small budget, are decided
-    # by classify_point.
-    monkeypatch.setattr(maskit.classify, "REJECT_THRESHOLD", 1.5)
-    cfg = ClassifierConfig(node_budget=9)
-    codes = RealClassifier(cfg).classify_grid(re, im)
-    assert len(calls) > 0
-    assert codes.ravel().tolist() == _scalar_codes(re.ravel(), im.ravel(), cfg)
+# The sets of points on which the fan rule must give the search's verdicts
+# at its old defaults (q_max 512, node_budget 20,000).
+def _oracle_points() -> dict[str, list[complex]]:
+    xs, ys = Window.from_bounds(-3.0, 3.0, 0.0, 3.0, 512, 512).centers()
+    rng = np.random.default_rng(2601)
+
+    def near_circles(size, lo, hi):
+        n, angle = rng.integers(-3, 4, size), rng.uniform(-math.pi, math.pi, size)
+        return list(map(_near_a_circle, n.tolist(), rng.uniform(lo, hi, size), angle.tolist()))
+
+    cusp = complex(-0.5812, 1.6939)  # the 1/3 cusp
+    band = near_circles(1000, 2.0, 2.001)
+    return {
+        "render": [complex(x, y) for y in ys[4::16].tolist() for x in xs[4::8].tolist()],
+        "cusp": [cusp + 1j * dy for dy in (0.0, 0.001, 0.07, 0.3)],
+        "ring": near_circles(200, 2.0, 2.05),
+        "band": [z for z in band if 2.0 <= min(abs(z + 2.0 * k) for k in range(-6, 7)) < 2.001],
+    }
 
 
-# tracemalloc's peak for classify_grid on _render_chunk() with the lock-step
-# lanes this search replaced (numpy 2.4.6).  The frontiers, 960 queued points
-# to a block with the edges closed where they are born never stored, stay
-# below it (1,452,476 bytes); at 1,024 points a block they would not.
-_LANES_PEAK_BYTES = 1_568_625
+def test_fan_rule_agrees_with_the_search_oracle():
+    # The deletion of the search changed no verdict: classify_point and
+    # classify_grid give the search's verdict, and classify_point its
+    # rejecting slope, on the render window's 64×32 subgrid, the 1/3 cusp
+    # and points above it, points just outside a fan disk, and the margin
+    # band 2 <= min |z + 2n| < 2.001.
+    points = _oracle_points()
+    assert len(points["render"]) == 2048 and len(points["band"]) >= 100
+    seen = set()
+    for name, zs in points.items():
+        codes = RealClassifier().classify_grid([z.real for z in zs], [z.imag for z in zs])
+        for z, code in zip(zs, codes.tolist()):
+            verdict, slope = search(z)
+            got = classify_point(z)
+            witness = got.witness and (got.witness.p, got.witness.q)
+            assert (got.verdict.value, witness) == (verdict, slope), (name, z)
+            assert code == _VERDICT_CODE[got.verdict], (name, z)
+            seen.add((name, verdict))
+    assert {("band", "Undetermined"), ("ring", "InsidePlus"), ("cusp", "InsidePlus")} <= seen
+    assert ("cusp", "OutsideCertified") in seen
+
+
+# A bound on tracemalloc's peak for classify_grid on _render_chunk(): the
+# output and the fan of one _FAN_BLOCK of points took 370,720 bytes with
+# numpy 2.4.6, and the whole chunk's fan at once 1,935,664.
+_FAN_PEAK_BYTES = 512 * 1024
 
 
 def test_classify_grid_peak_allocation():
@@ -304,7 +306,7 @@ def test_classify_grid_peak_allocation():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < _LANES_PEAK_BYTES
+    assert peak < _FAN_PEAK_BYTES
 
 
 class _ClassifyOnly:
@@ -413,23 +415,21 @@ def test_verdict_translation_periodicity():
 
 
 def test_monotone_refinement():
-    # growing q_max / node_budget may resolve Undetermined but never flips a
-    # determined verdict
-    small = ClassifierConfig(q_max=16, node_budget=400)
-    big = ClassifierConfig(q_max=512, node_budget=40000)
+    # growing the search's q_max / node_budget may resolve Undetermined but
+    # never flips a determined verdict, and the fan rule is where it ends
     rng = random.Random(41)
     for _ in range(200):
         z = complex(rng.uniform(-2, 2), rng.uniform(0.0, 3.0))
-        coarse = classify_point(z, small).verdict
-        fine = classify_point(z, big).verdict
-        if coarse is not Verdict.UNDETERMINED:
+        coarse, _ = search(z, q_max=16, node_budget=400)
+        fine, _ = search(z, q_max=512, node_budget=40000)
+        if coarse != "Undetermined":
             assert coarse == fine, f"z={z}: {coarse} -> {fine}"
+        assert fine == classify_point(z).verdict.value, f"z={z}"
 
 
-# The prune lemmas, tested through the batch kernel that applies them.  Their
-# proofs use only the recursion t_m = t_l*t_r - t_d, so free complex triples
-# are fair edges.  classify_point's copy of the prunes is checked only
-# through the scalar-versus-batch tests above.
+# The prune lemmas of the search the fan rule replaced, tested through the
+# oracle's copy of its prunes.  Their proofs use only the recursion
+# t_m = t_l*t_r - t_d, so free complex triples are fair edges.
 
 
 def _traces(rng, n, lo, hi):
@@ -438,26 +438,9 @@ def _traces(rng, n, lo, hi):
 
 
 def _pruned(tl, tr, td):
-    """The edges (l, r; d) that _next_level ends, or both of whose children
-    it closes, without a hand-off: each edge its own point, both slopes of
-    denominator 1, no budget or q_max."""
-    n = tl.size
-    frontier = np.array(
-        [
-            [1.0] * n, tl.real, tl.imag, np.hypot(tl.real, tl.imag),
-            [1.0] * n, tr.real, tr.imag, np.hypot(tr.real, tr.imag),
-            td.real, td.imag, np.hypot(td.real, td.imag),
-        ]
-    )
-    explored = np.zeros(n, np.intp)
-    spoiled = np.zeros(n, bool)
-    handed = np.zeros(n, bool)
-    cfg = ClassifierConfig(q_max=2**40, node_budget=2**40)
-    store = [np.empty(0)] * 2
-    goes_on, _ = _next_level(np.arange(n), frontier, explored, spoiled, handed, cfg, store)
-    ended = np.ones(n, bool)
-    ended[goes_on] = False
-    return np.flatnonzero(ended & ~handed)
+    """The edges (l, r; d) whose subtree the search skips."""
+    edges = zip(tl.tolist(), tr.tolist(), td.tolist())
+    return np.array([i for i, (l, r, d) in enumerate(edges) if prunes(l, r, d, l * r - d)])
 
 
 def _lowest_below(tl, tr, td, depth=8):
@@ -477,7 +460,7 @@ def _assert_pruned_subtrees_stay_above_g(tl, tr, td):
     assert pruned.size > tl.size // 3
     for chunk in np.array_split(pruned, 10):  # 2**7 mediants an edge at depth 8
         low = _lowest_below(tl[chunk], tr[chunk], td[chunk])
-        assert (low >= GROW_THRESHOLD).all(), tl[chunk][low < GROW_THRESHOLD]
+        assert (low >= GROW).all(), tl[chunk][low < GROW]
 
 
 def test_pinned_prune_keeps_the_interval_above_g():
@@ -504,71 +487,27 @@ def test_two_sided_prune_keeps_the_subtree_above_g():
     _assert_pruned_subtrees_stay_above_g(a, b, d)
 
 
-# Parts at the thresholds' scale, and up to past 2**500, where the product
-# of two moduli passes _closes' finiteness guard.
-_PARTS = st.floats(min_value=-8.0, max_value=8.0) | st.floats(min_value=-(2.0**520), max_value=2.0**520)
-_TRACES = st.builds(complex, _PARTS, _PARTS)
-
-
-@given(v=_TRACES, x=_TRACES, d=_TRACES, left=st.booleans(), cancel=st.integers(0, 3))
-# Edges just past the closing test: |t_d| = 1.5|t_x| with |t_v| just above
-# 2 gives a mediant just above 2, and |t_v||t_x| = 2**1040 an infinite one.
-@example(v=complex(2.0 + 2.0**-40, 0.0), x=4 + 0j, d=6 + 0j, left=True, cancel=1)
-@example(v=complex(2.0**520, 0.0), x=complex(2.0**520, 0.0), d=0j, left=False, cancel=1)
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-def test_a_closed_edge_has_a_finite_mediant_above_the_bar(v, x, d, left, cancel):
-    # The search counts the mediant of an edge _closes takes without forming
-    # it.  Formed as _next_level forms it, that mediant is finite and at
-    # least 2 + INSIDE_MARGIN, so it could neither reject nor spoil the
-    # point.  The edge is (v, x; d) or its mirror (x, v; d); with cancel = 0
-    # its difference nearly cancels t_v*t_x, an edge that only the
-    # |t_d| <= |t_x| clause keeps out, so most such draws are filtered.
-    if cancel == 0:
-        d = v * x - d
-    tl, tr = (v, x) if left else (x, v)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in classify_grid
-        al, ar, ad = (np.hypot(t.real, t.imag) for t in (tl, tr, d))
-        assume(_closes(al, ar, ad))
-        tmr = (tl.real * tr.real - tl.imag * tr.imag) - d.real
-        tmi = (tl.real * tr.imag + tl.imag * tr.real) - d.imag
-        m = np.hypot(tmr, tmi)
-    assert math.isfinite(m) and m >= 2.0 + INSIDE_MARGIN, (tl, tr, d, m)
-
-
-def test_no_stored_edge_is_one_the_search_closes(monkeypatch):
-    # Every frontier _next_level receives on the render chunk: no edge in
-    # it passes _closes, which would have closed it where it was born.
-    sizes = []
-
-    def checking(owner, frontier, *args):
-        sizes.append(owner.size)
-        assert not _closes(frontier[3], frontier[7], frontier[10]).any()
-        return _next_level(owner, frontier, *args)
-
-    monkeypatch.setattr(maskit.classify, "_next_level", checking)
-    re, im = _render_chunk()
-    codes = RealClassifier().classify_grid(re, im)
-    assert len(sizes) > 10 and sum(sizes) > 10_000
-    assert codes.ravel().tolist() == _scalar_codes(re.ravel(), im.ravel(), ClassifierConfig())
-
-
 def test_settle_fans_window_holds_every_low_integer_trace():
-    # For each point the integer fan leaves searching, every n with
-    # |z + 2n| < g lies in [n0 + hi - sp, n0 + hi], the vertices its fan
-    # edges join (n0 = round(-Re z / 2)), and both ends are at least g, so
-    # the subtrees past them prune: checked by brute force over n.  |z + 2n|
-    # is convex in n, so the n below g are consecutive.
+    # Every n with |z + 2n| below the bar 2 + INSIDE_MARGIN is one of the
+    # three nearest translates n0 - 1, n0, n0 + 1 (n0 = round(-Re z / 2)), so
+    # _settle_fans' codes are those of the least modulus over all n: checked
+    # by brute force over n.
     rng = np.random.default_rng(15)
     re = rng.uniform(-8.0, 8.0, 20_000)
     im = rng.uniform(-4.5, 4.5, 20_000)
-    _, hi, sp, _ = _settle_fans(re, im, ClassifierConfig())
-    searching = np.flatnonzero(sp)
-    assert searching.size > 1000
-    for p, top, edges in zip(searching.tolist(), hi[searching].tolist(), sp[searching].tolist()):
-        z = complex(re[p], im[p])
-        n0 = round(-z.real / 2.0)
-        low = [n for n in range(n0 - 20, n0 + 21) if abs(z + 2.0 * n) < GROW_THRESHOLD]
-        assert (n0 + top - edges, n0 + top) == (min(low) - 1, max(low) + 1), z
+    codes = _settle_fans(re, im)
+    low = 0
+    for x, y, code in zip(re.tolist(), im.tolist(), codes.tolist()):
+        z = complex(x, y)
+        n0 = round(-x / 2.0)
+        moduli = {n: abs(z + 2.0 * n) for n in range(n0 - 20, n0 + 21)}
+        below = [n for n, m in moduli.items() if m < 2.0 + INSIDE_MARGIN]
+        assert set(below) <= {n0 - 1, n0, n0 + 1}, z
+        m = min(moduli.values())
+        side = CELL_INSIDE_PLUS if y > 0 else CELL_INSIDE_MINUS
+        assert code == (CELL_OUTSIDE if m < 2.0 else CELL_UNDETERMINED if m < 2.001 else side), z
+        low += len(below) > 1
+    assert low > 1000  # points below the bar at two translates
 
 
 @given(
@@ -579,6 +518,17 @@ def test_settle_fans_window_holds_every_low_integer_trace():
 def test_high_points_certify_inside(x, y):
     # everything comfortably above the boundary band certifies quickly
     assert classify_point(complex(x, y)).verdict is Verdict.INSIDE_PLUS
+
+
+def test_explored_counts_the_fan_traces_formed():
+    # The fan is n0 - 1, n0, n0 + 1 (n0 = round(-Re z / 2)), formed in that
+    # order up to the first rejection, whose slope is the witness.
+    c = classify_point(complex(1.0, 0.1))  # n0 = 0; |z - 2| < 2 already
+    assert (c.witness.p, c.witness.q, c.explored) == (-1, 1, 1)
+    c = classify_point(complex(-1.0, 0.1))  # |z + 2| < 2 too, but |z| comes first
+    assert (c.witness.p, c.witness.q, c.explored) == (0, 1, 2)
+    assert classify_point(4j).explored == classify_point(2.0001j).explored == 3
+    assert classify_point(5.0).explored == 0
 
 
 def test_explored_counts_are_deterministic():
@@ -652,17 +602,11 @@ def test_membership_with_synthetic():
 
 
 def test_real_classifier_wrapper():
-    rc = RealClassifier(ClassifierConfig(q_max=64))
+    rc = RealClassifier()
     assert rc.classify(4j).verdict is Verdict.INSIDE_PLUS
-    d = rc.describe()
-    assert d["kind"] == "real"
-    assert d["q_max"] == 64
-    default = RealClassifier(ClassifierConfig()).describe()
-    assert list(default.items()) == [
+    assert rc == RealClassifier()  # no settings: every instance is the same
+    assert list(rc.describe().items()) == [
         ("kind", "real"),
-        ("q_max", 512),
-        ("grow_threshold", 4.0),
         ("reject_threshold", 2.0),
         ("inside_margin", 0.001),
-        ("node_budget", 20000),
     ]

@@ -167,7 +167,7 @@ def test_a_slice_requires_z():
 
 
 def test_a_slice_uncertified_base_is_precondition_error(capsys):
-    code = main(["a-slice", "--z", "0", "1", "--res", "2x2", "--qmax", "16", "--budget", "1000"])
+    code = main(["a-slice", "--z", "0", "1", "--res", "2x2"])
     assert code == EXIT_PRECONDITION
     assert "precondition" in capsys.readouterr().err
 
@@ -193,8 +193,6 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
             "render-maskit",
             "--window", "-0.2", "0.2", "0.05", "0.15",
             "--res", "4x2",
-            "--qmax", "16",
-            "--budget", "1000",
             "--out", str(tmp_path / "no-such-dir" / "x.ppm"),
         ]
     )
@@ -227,6 +225,13 @@ def test_malformed_config_line_is_usage_error(tmp_path, capsys):
         ["a-slice", "--z", "0", "4", "--seed", "1"],
         ["witness", "--seed", "1"],
         ["witness", "--window", "-1", "1", "1", "2"],
+        # the classifier has no settings: its search cap and budget are gone
+        ["render-maskit", "--qmax", "512"],
+        ["render-maskit", "--budget", "20000"],
+        ["a-slice", "--z", "0", "4", "--qmax", "512"],
+        ["a-slice", "--z", "0", "4", "--budget", "20000"],
+        ["witness", "--qmax", "512"],
+        ["witness", "--budget", "20000"],
     ],
 )
 def test_subcommand_rejects_flags_it_does_not_read(argv, capsys):
@@ -395,8 +400,6 @@ def test_render_maskit_golden_white_sliver(tmp_path, capsys):
             "render-maskit",
             "--window", "-0.2", "0.2", "0.05", "0.15",
             "--res", "4x2",
-            "--qmax", "16",
-            "--budget", "1000",
             "--out", str(out),
         ]
     )
@@ -419,8 +422,6 @@ def test_a_slice_writes_image_and_component_json(tmp_path):
             "--z", "0", "4",
             "--window", "-0.5", "0.5", "7.5", "8.5",
             "--res", "2x1",
-            "--qmax", "64",
-            "--budget", "5000",
             "--out", str(ppm),
             "--json", str(doc_path),
             "--no-timestamp",
@@ -432,7 +433,7 @@ def test_a_slice_writes_image_and_component_json(tmp_path):
     assert doc["base_point"] == [0.0, 4.0]
     assert doc["count"] == 1
     assert doc["cell_counts"] == {"Member": 2}
-    assert doc["cfg"]["q_max"] == 64
+    assert doc["cfg"] == {"kind": "real", "reject_threshold": 2.0, "inside_margin": 0.001}
     assert "generated_at" not in doc
 
 
@@ -442,11 +443,11 @@ def test_a_slice_writes_image_and_component_json(tmp_path):
 # touching the window's edge and some not; at 64x64 it has one.
 A_SLICE_SHA256 = {
     "64x64": {
-        ".json": "c5bec7c171db50d7b46299d1ad71979217f23c983f6a1eca5a9ef1584cbc2374",
+        ".json": "2fb86a5d14c337ee3f00714ef11066abe78ef604bb81854ab5bceaf99a7e8532",
         ".ppm": "86180df62966b748929559ab7e702e5042b71c184305d89c80ff1b1c5feeb092",
     },
     "512x256": {
-        ".json": "1531104dd725dc31b07b515ed284973f903fc2a104e7cc4192022bfa4d8b755e",
+        ".json": "955a524423858a083f4ffc1b1015d80f5e428915708e76f3bc252a7e4993ee9a",
         ".ppm": "fac5f3ccce15b020372101e2aa22ecfe32855229940d6984eaf8c2ae7a8afc0a",
     },
 }
@@ -634,7 +635,7 @@ def test_witness_worker_count_byte_identical(tmp_path, monkeypatch):
 # sha256 of witness -k 5 --no-timestamp at the default 1024x64: whichever
 # path (batch or per point) classifies, no byte of the artifacts may move.
 WITNESS_K5_SHA256 = {
-    ("honest", ".json"): "252eede9a5746ab217006bf18b852d993162f9bf3e426d8fef3aa5adcbe0cc54",
+    ("honest", ".json"): "abe774e75611b2412f336555accf886faddb983aafc5f698bb27ca9f5f381970",
     ("honest", ".ppm"): "a680fbfe10bd0254c694ba265ec58d216a2ffacab92e3b25d066c920dc3883ee",
     ("honest", ".samples.json"): "abed86136bf752fc34aec5c615a483a3097709984b69f473ed26756bbaf92e1a",
     ("synthetic", ".json"): "d948de19cf8971389e0105e209761dbe4287fbfe5caa31c3382560b52e0744c4",

@@ -1,17 +1,20 @@
 """Tests for pixel grids, rasterization, components, and PPM output."""
 
+import contextlib
 import json
 import math
 import multiprocessing
 import types
 from collections import deque
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+import maskit.classify
 import maskit.raster
 from maskit import (
     CELL_INSIDE_MINUS,
@@ -22,7 +25,6 @@ from maskit import (
     CELL_UNDETERMINED,
     AMembership,
     AVerdict,
-    ClassifierConfig,
     Component,
     Raster,
     RealClassifier,
@@ -37,8 +39,6 @@ from maskit import (
     to_ppm_bytes,
 )
 from maskit.classify import _VERDICT_CODE, REAL_PART_LIMIT
-
-_FAST_CFG = ClassifierConfig(q_max=64, node_budget=5000)
 
 # AMembership's verdicts as the codes of rasterize_a_slice and membership_grid
 _AVERDICT_CODE = {
@@ -215,7 +215,7 @@ def test_rasterize_all_outside_golden_ppm():
     # A sliver hugging the real axis: every pixel center has |z| < 2, which
     # is certified outside immediately, so the image is pure white.
     win = Window.from_bounds(-0.2, 0.2, 0.05, 0.15, 4, 2)
-    raster = rasterize_maskit(win, RealClassifier(_FAST_CFG))
+    raster = rasterize_maskit(win, RealClassifier())
     assert np.all(raster.cells == CELL_OUTSIDE)
     assert to_ppm_bytes(raster) == b"P6\n4 2\n255\n" + b"\xff\xff\xff" * 8
 
@@ -223,15 +223,15 @@ def test_rasterize_all_outside_golden_ppm():
 def test_rasterize_all_inside_golden_ppm():
     # Deep interior around 4i: pure black.
     win = Window.from_bounds(-0.1, 0.1, 3.9, 4.1, 2, 2)
-    raster = rasterize_maskit(win, RealClassifier(_FAST_CFG))
+    raster = rasterize_maskit(win, RealClassifier())
     assert np.all(raster.cells == CELL_INSIDE_PLUS)
     assert to_ppm_bytes(raster) == b"P6\n2 2\n255\n" + b"\x00\x00\x00" * 4
 
 
 def test_rasterize_maskit_worker_count_is_invisible():
     win = Window.from_bounds(-3.0, 3.0, 0.0, 3.0, 16, 8)
-    one = rasterize_maskit(win, RealClassifier(_FAST_CFG), workers=1)
-    two = rasterize_maskit(win, RealClassifier(_FAST_CFG), workers=2)
+    one = rasterize_maskit(win, RealClassifier(), workers=1)
+    two = rasterize_maskit(win, RealClassifier(), workers=2)
     assert to_ppm_bytes(one) == to_ppm_bytes(two)
 
 
@@ -260,11 +260,11 @@ def test_pool_is_sized_by_the_row_chunks(monkeypatch):
     monkeypatch.setattr(maskit.raster, "_POOL_MIN_PX", 0)
     sizes = _record_pools(monkeypatch)
     win = Window.from_bounds(-0.2, 0.2, 0.05, 0.15, 4, 3)
-    raster = rasterize_maskit(win, RealClassifier(_FAST_CFG), workers=64)  # 3 rows: 3 chunks
+    raster = rasterize_maskit(win, RealClassifier(), workers=64)  # 3 rows: 3 chunks
     assert sizes == [3]
-    assert to_ppm_bytes(raster) == to_ppm_bytes(rasterize_maskit(win, RealClassifier(_FAST_CFG)))
+    assert to_ppm_bytes(raster) == to_ppm_bytes(rasterize_maskit(win, RealClassifier()))
     member_win = Window.from_bounds(-1.0, 1.0, 7.0, 9.0, 2, 2)
-    rasterize_a_slice(4j, member_win, RealClassifier(_FAST_CFG), workers=5)
+    rasterize_a_slice(4j, member_win, RealClassifier(), workers=5)
     assert sizes == [3, 2]
 
 
@@ -279,26 +279,26 @@ def test_small_rasters_start_no_pool(monkeypatch):
         return rows(task)
 
     monkeypatch.setattr(maskit.raster, "_rows", recording_rows)
-    one = to_ppm_bytes(rasterize_maskit(win, RealClassifier(_FAST_CFG)))
+    one = to_ppm_bytes(rasterize_maskit(win, RealClassifier()))
     # One pixel short of the threshold: in process, chunked as for one worker.
     monkeypatch.setattr(maskit.raster, "_POOL_MIN_PX", win.rows * win.cols + 1)
     chunks.clear()
-    assert to_ppm_bytes(rasterize_maskit(win, RealClassifier(_FAST_CFG), workers=2)) == one
+    assert to_ppm_bytes(rasterize_maskit(win, RealClassifier(), workers=2)) == one
     # ceil(rows / (1 worker * 8)) = 1 row a chunk
     assert sizes == [] and chunks == [(i, i + 1) for i in range(win.rows)]
     member_win = Window.from_bounds(-1.0, 1.0, 0.5, 9.0, 4, 4)
-    clf = RealClassifier(_FAST_CFG)
+    clf = RealClassifier()
     member = to_ppm_bytes(rasterize_a_slice(4j, member_win, clf))
     assert to_ppm_bytes(rasterize_a_slice(4j, member_win, clf, workers=2)) == member
     assert sizes == []
     # At the threshold the pool starts.
     monkeypatch.setattr(maskit.raster, "_POOL_MIN_PX", win.rows * win.cols)
-    assert to_ppm_bytes(rasterize_maskit(win, RealClassifier(_FAST_CFG), workers=2)) == one
+    assert to_ppm_bytes(rasterize_maskit(win, RealClassifier(), workers=2)) == one
     assert sizes == [2]
 
 
 @pytest.mark.parametrize(
-    "classifier", [RealClassifier(_FAST_CFG), SyntheticSlice()], ids=["real", "synthetic"]
+    "classifier", [RealClassifier(), SyntheticSlice()], ids=["real", "synthetic"]
 )
 def test_membership_raster_through_a_real_pool(classifier, monkeypatch):
     # Rasters below _POOL_MIN_PX stay in process, and _record_pools maps in
@@ -321,7 +321,7 @@ def test_membership_raster_through_a_real_pool(classifier, monkeypatch):
 
 def test_rasterize_maskit_counts_names():
     win = Window.from_bounds(-3.0, 3.0, 0.0, 3.0, 16, 8)
-    raster = rasterize_maskit(win, RealClassifier(_FAST_CFG))
+    raster = rasterize_maskit(win, RealClassifier())
     counts = raster.counts()
     assert sum(counts.values()) == 16 * 8
     assert counts.get("InsidePlus", 0) > 0
@@ -362,35 +362,35 @@ def test_counts_and_ppm_are_the_sorted_unique_tally_and_the_palette_rows(cells):
 def test_a_slice_member_pixel_at_8i():
     # For base point 4i, w = 8i is a certified member (it equals 2 * 4i).
     win = Window.from_bounds(-0.5, 0.5, 7.5, 8.5, 1, 1)
-    raster = rasterize_a_slice(4j, win, RealClassifier(_FAST_CFG))
+    raster = rasterize_a_slice(4j, win, RealClassifier())
     assert raster.cells[0, 0] == CELL_MEMBER
 
 
 def test_a_slice_lower_half_plane_is_non_member():
     win = Window.from_bounds(-0.5, 0.5, -1.5, -0.5, 1, 1)
-    raster = rasterize_a_slice(4j, win, RealClassifier(_FAST_CFG))
+    raster = rasterize_a_slice(4j, win, RealClassifier())
     assert raster.cells[0, 0] == CELL_NON_MEMBER
 
 
 def test_a_slice_real_axis_row_is_non_member():
     # Pixel centers on Im w = 0 exactly: still outside the locus.
     win = Window.from_bounds(-1.0, 1.0, -0.5, 0.5, 2, 1)
-    raster = rasterize_a_slice(4j, win, RealClassifier(_FAST_CFG))
+    raster = rasterize_a_slice(4j, win, RealClassifier())
     assert np.all(raster.cells == CELL_NON_MEMBER)
 
 
 def test_a_slice_requires_certified_base_point():
     win = Window.from_bounds(-1.0, 1.0, 0.0, 2.0, 2, 2)
     with pytest.raises(ValueError, match="base point"):
-        rasterize_a_slice(0.1j, win, RealClassifier(_FAST_CFG))
+        rasterize_a_slice(0.1j, win, RealClassifier())
     with pytest.raises(ValueError, match="base point"):
-        rasterize_a_slice(1.0, win, RealClassifier(_FAST_CFG))
+        rasterize_a_slice(1.0, win, RealClassifier())
 
 
 def test_a_slice_worker_count_is_invisible():
     win = Window.from_bounds(-2.0, 2.0, 0.0, 10.0, 6, 8)
-    one = rasterize_a_slice(4j, win, RealClassifier(_FAST_CFG), workers=1)
-    two = rasterize_a_slice(4j, win, RealClassifier(_FAST_CFG), workers=2)
+    one = rasterize_a_slice(4j, win, RealClassifier(), workers=1)
+    two = rasterize_a_slice(4j, win, RealClassifier(), workers=2)
     assert to_ppm_bytes(one) == to_ppm_bytes(two)
 
 
@@ -407,9 +407,9 @@ def _per_pixel(win, code):
     )
 
 
-def _slice_cells(win, cfg):
+def _slice_cells(win):
     """rasterize_maskit's cells pixel by pixel, by classify_point."""
-    return _per_pixel(win, lambda z: _VERDICT_CODE[classify_point(z, cfg).verdict])
+    return _per_pixel(win, lambda z: _VERDICT_CODE[classify_point(z).verdict])
 
 
 def _membership_cells(z, win, classifier):
@@ -424,7 +424,15 @@ def _membership_cells(z, win, classifier):
     return _per_pixel(win, code)
 
 
-_TINY_CFG = ClassifierConfig(q_max=2, node_budget=1)
+# Settings of the classifier's module constants: the defaults, fan blocks
+# that end inside a row, and a margin so wide that Undetermined verdicts are
+# common, at test points of the membership test too.
+_CFGS = [{}, {"_FAN_BLOCK": 7}, {"INSIDE_MARGIN": 0.5}]
+
+
+def _constants(cfg):
+    """A context with maskit.classify's module constants set as cfg says."""
+    return mock.patch.multiple(maskit.classify, **cfg) if cfg else contextlib.nullcontext()
 
 _WINDOWS = [
     (-3.0, 3.0, 0.0, 3.0, 24, 12),  # the render window
@@ -435,16 +443,17 @@ _WINDOWS = [
 ]
 
 
-@pytest.mark.parametrize("cfg", [ClassifierConfig(), _FAST_CFG, _TINY_CFG])
+@pytest.mark.parametrize("cfg", _CFGS)
 @pytest.mark.parametrize("bounds", _WINDOWS)
 def test_grid_path_matches_the_per_pixel_path(bounds, cfg):
     win = Window.from_bounds(*bounds)
-    clf = RealClassifier(cfg)
-    assert np.array_equal(rasterize_maskit(win, classifier=clf).cells, _slice_cells(win, cfg))
-    for z in (4j, complex(0.7, 4.2)):  # certified under every cfg: one fan trace
-        assert np.array_equal(
-            rasterize_a_slice(z, win, classifier=clf).cells, _membership_cells(z, win, clf)
-        )
+    clf = RealClassifier()
+    with _constants(cfg):
+        assert np.array_equal(rasterize_maskit(win, classifier=clf).cells, _slice_cells(win))
+        for z in (4j, complex(0.7, 4.2)):  # certified under every cfg
+            assert np.array_equal(
+                rasterize_a_slice(z, win, classifier=clf).cells, _membership_cells(z, win, clf)
+            )
 
 
 @given(
@@ -455,7 +464,7 @@ def test_grid_path_matches_the_per_pixel_path(bounds, cfg):
     cols=st.integers(min_value=1, max_value=7),
     rows=st.integers(min_value=1, max_value=7),
     k=st.integers(min_value=-4, max_value=4),
-    cfg=st.sampled_from([ClassifierConfig(), _FAST_CFG, _TINY_CFG, ClassifierConfig(3, 9)]),
+    cfg=st.sampled_from([*_CFGS, {"REJECT_THRESHOLD": 1.5, "INSIDE_MARGIN": 1.0}]),
     z=st.sampled_from([4j, complex(0.7, 4.2), complex(-1.3, 5.0)]),
 )
 @settings(max_examples=60, deadline=None)
@@ -464,11 +473,12 @@ def test_grid_path_matches_per_pixel_on_random_windows(
 ):
     re_min += 2.0 * k
     win = Window.from_bounds(re_min, re_min + width, im_min, im_min + height, cols, rows)
-    clf = RealClassifier(cfg)
-    assert np.array_equal(rasterize_maskit(win, classifier=clf).cells, _slice_cells(win, cfg))
-    assert np.array_equal(
-        rasterize_a_slice(z, win, classifier=clf).cells, _membership_cells(z, win, clf)
-    )
+    clf = RealClassifier()
+    with _constants(cfg):
+        assert np.array_equal(rasterize_maskit(win, classifier=clf).cells, _slice_cells(win))
+        assert np.array_equal(
+            rasterize_a_slice(z, win, classifier=clf).cells, _membership_cells(z, win, clf)
+        )
 
 
 def test_real_classifier_rasters_use_the_grid_path(monkeypatch):
@@ -476,7 +486,7 @@ def test_real_classifier_rasters_use_the_grid_path(monkeypatch):
         raise AssertionError("per-pixel call on the grid path")
 
     win = Window.from_bounds(-3.0, 3.0, -1.0, 3.0, 8, 8)
-    clf = RealClassifier(_FAST_CFG)
+    clf = RealClassifier()
     # the base point is the one point classified one by one
     monkeypatch.setattr(maskit.raster, "check_base_point", lambda classifier, z: None)
     monkeypatch.setattr(RealClassifier, "classify", per_pixel_call)
@@ -509,10 +519,16 @@ def test_synthetic_rasters_use_the_grid_path(monkeypatch):
         max_size=30,
     ),
     z=st.sampled_from([complex(0.7, 4.2), complex(-1.3, 4.2)]),
-    clf=st.sampled_from([RealClassifier(_FAST_CFG), RealClassifier(_TINY_CFG), SyntheticSlice()]),
+    clf=st.sampled_from([RealClassifier(), SyntheticSlice()]),
+    cfg=st.sampled_from(_CFGS),
 )
 @settings(max_examples=80, deadline=None)
-def test_membership_grid_matches_the_scalar_reference(w, z, clf):
+def test_membership_grid_matches_the_scalar_reference(w, z, clf, cfg):
+    with _constants(cfg):
+        _assert_membership_grid_matches_the_scalar_reference(w, z, clf)
+
+
+def _assert_membership_grid_matches_the_scalar_reference(w, z, clf):
     w_re = np.array([x for x, _ in w])
     w_im = np.array([y for _, y in w])
     try:
@@ -538,7 +554,7 @@ def test_membership_grid_rejects_non_finite_points():
 
 
 @pytest.mark.parametrize(
-    "clf", [RealClassifier(_FAST_CFG), SyntheticSlice()], ids=["real", "synthetic"]
+    "clf", [RealClassifier(), SyntheticSlice()], ids=["real", "synthetic"]
 )
 def test_membership_grid_classifies_an_upper_point_only_where_the_lower_is_not_outside(clf):
     calls = []
@@ -570,7 +586,7 @@ def test_membership_grid_raises_where_it_classifies_a_refused_point():
     # first, is refused.  (At Im w = 1e-14, Im z / Im w is an exact integer:
     # a reason, no test point.)
     z, w = complex(0.7, 4.2), complex(6.0, 1.1e-14)
-    clf = RealClassifier(_FAST_CFG)
+    clf = RealClassifier()
     s, n, _ = maskit.raster._membership_shift(z, w.imag)
     with pytest.raises(ValueError) as lower:
         clf.classify(z - s * (n + 1) * w)
@@ -594,7 +610,7 @@ def test_membership_grid_skips_a_refused_upper_point_past_the_pre_condition(z, w
     # Outside the pre-condition (z certified InsidePlus) the lower point can
     # be accepted and outside while the upper one is refused.  The lower
     # verdict decides: the upper point is never classified.
-    clf = RealClassifier(_FAST_CFG)
+    clf = RealClassifier()
     s, n, _ = maskit.raster._membership_shift(z, w.imag)
     assert clf.classify(z - s * (n + 1) * w).verdict is Verdict.OUTSIDE_CERTIFIED
     with pytest.raises(ValueError):
