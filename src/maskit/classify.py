@@ -170,7 +170,7 @@ def _settle_fans(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RealClassifier:
-    """The honest classifier, packaged as a picklable value for workers."""
+    """The honest classifier, as the value the rasters and witness stages take."""
 
     def classify(self, z) -> Classification:
         return classify_point(z)
@@ -200,8 +200,8 @@ class SyntheticSlice:
     Inside-plus is {Im z > h(Re z)} with h(x) = peak - depth*(1 - cos(pi x)),
     peak 2 and depth 1/4: same 2-periodicity, evenness, and peak/valley
     layout as the real slice (peaks at even integers, valleys at odd), but
-    with exact verdicts and no Undetermined region, so geometry bugs
-    separate from search bugs.
+    with exact verdicts and no Undetermined region, so a geometry bug
+    shows apart from the honest classifier's Undetermined margin.
     """
 
     def boundary_height(self, x: float) -> float:

@@ -145,7 +145,7 @@ def _write_files(files) -> int:
 def cmd_render_maskit(args) -> int:
     classifier = RealClassifier()
     win = _window(args)
-    grid = rasterize_maskit(win, classifier, workers=args.workers)
+    grid = rasterize_maskit(win, classifier)
     if rc := _write_files([(args.out, to_ppm_bytes(grid))]):
         return rc
     counts = grid.counts()
@@ -189,7 +189,7 @@ def cmd_a_slice(args) -> int:
         raise _UsageError(f"--out and --json name the same file: {args.out}")
     win = _window(args)
     try:
-        grid = rasterize_a_slice(z, win, classifier, workers=args.workers)
+        grid = rasterize_a_slice(z, win, classifier)
     except ValueError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -256,7 +256,7 @@ def cmd_witness(args) -> int:
         print(f"precondition: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 
-    counting = components_near_infinity(report, k, classifier, cols=cols, workers=args.workers)
+    counting = components_near_infinity(report, k, classifier, cols=cols)
     doc = _maybe_timestamp(report.to_json_dict(counting, classifier.describe()), args)
     files = [
         (f"{prefix}.json", json.dumps(doc, indent=2) + "\n"),
@@ -313,7 +313,7 @@ def _build_parser() -> _Parser:
                            help="plane window, finite and increasing (default %(default)s)")
         p.add_argument("--res", type=_res, default=res, help="resolution WxH (default %(default)s)")
         p.add_argument("--workers", type=positive_int, default=1,
-                       help="worker processes, at least 1 (default %(default)s)")
+                       help="accepted for compatibility; has no effect (rasters run in process)")
 
     p = command("render-maskit", "rasterize the slice to a PPM image",
                 out="maskit.ppm", out_help="output PPM path")

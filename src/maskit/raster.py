@@ -8,12 +8,10 @@ center.  Grids hold small integer verdict codes (uint8), so PPM export
 Component records.  Callers serialise windows and components with
 dataclasses.asdict.
 
-Everything is a pure function of (classifier, window, row range), so the
-worker count cannot change any byte of the output: one driver maps row
-chunks, in process or on a pool, and concatenates them in order.  Each
-chunk of the slice raster is one call of the classifier's batch function
-(see classify._grid_of).  A raster of fewer than _POOL_MIN_PX pixels runs
-in process whatever the worker count, as for one worker.
+Everything is a pure function of (classifier, window, row range): one
+driver classifies in process, whole row chunks, and concatenates them in
+order.  Each chunk of the slice raster is one call of the classifier's
+batch function (see classify._grid_of).
 
 The membership test is here as well.  w belongs to the locus of the
 extended representation at base z exactly when some integer n puts z - snw
@@ -29,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import multiprocessing
 from dataclasses import dataclass
 from enum import Enum
 
@@ -96,14 +93,6 @@ _CELL_NAMES = {
 }
 
 _MEMBER_CODES = frozenset({CELL_INSIDE_PLUS, CELL_INSIDE_MINUS, CELL_MEMBER})
-
-# A raster of fewer pixels runs in process at any worker count.  On a 2-vCPU
-# Xeon a two-worker pool took 16 ms to start.  At 65,536 px it made the
-# witness counting raster slower (honest 85 -> 123 ms, synthetic 22 -> 33 ms)
-# and a render 12% faster; at 131,072 px it made the honest rasters 22-26%
-# faster and the synthetic one no slower.
-_POOL_MIN_PX = 2**17
-
 
 @dataclass(frozen=True)
 class AxisRectangle:
@@ -313,32 +302,21 @@ def _membership_rows(classifier, z, xs, ys):
     return out
 
 
-def _rows(task):
-    cells_of, args, win, i0, i1 = task
+def _rasterize(win: Window, cells_of, *args) -> Raster:
+    """The raster of cells_of(*args, xs, ys) over win, in process, whole row
+    chunks: one call per ceil(rows / 8) rows, top to bottom."""
     xs, ys = win.centers()
-    return cells_of(*args, xs, ys[i0:i1])
-
-
-def _rasterize(win: Window, workers: int, cells_of, *args) -> Raster:
-    """The raster of cells_of(*args, xs, ys) over win's rows, in row chunks:
-    one worker below _POOL_MIN_PX pixels, else a pool of at most workers."""
-    workers = workers if win.rows * win.cols >= _POOL_MIN_PX else 1
-    chunk = max(1, math.ceil(win.rows / max(1, workers * 8)))
-    tasks = [(cells_of, args, win, i, min(i + chunk, win.rows)) for i in range(0, win.rows, chunk)]
-    if workers <= 1 or len(tasks) <= 1:
-        chunks = [_rows(t) for t in tasks]
-    else:
-        with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
-            chunks = pool.map(_rows, tasks)
+    chunk = math.ceil(win.rows / 8)
+    chunks = [cells_of(*args, xs, ys[i : i + chunk]) for i in range(0, win.rows, chunk)]
     return Raster(window=win, cells=np.concatenate(chunks))
 
 
-def rasterize_maskit(win: Window, classifier, *, workers: int = 1) -> Raster:
+def rasterize_maskit(win: Window, classifier) -> Raster:
     """Per-pixel slice classification at pixel centers."""
-    return _rasterize(win, workers, _slice_rows, classifier)
+    return _rasterize(win, _slice_rows, classifier)
 
 
-def rasterize_a_slice(z, win: Window, classifier, *, workers: int = 1) -> Raster:
+def rasterize_a_slice(z, win: Window, classifier) -> Raster:
     """Per-pixel membership in the extension locus of the base point z.
 
     Pre-condition: z certifies InsidePlus under the classifier (checked once
@@ -346,7 +324,7 @@ def rasterize_a_slice(z, win: Window, classifier, *, workers: int = 1) -> Raster
     """
     z = complex(z)
     check_base_point(classifier, z)
-    return _rasterize(win, workers, _membership_rows, classifier, z)
+    return _rasterize(win, _membership_rows, classifier, z)
 
 
 @dataclass(frozen=True)

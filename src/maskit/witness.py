@@ -364,7 +364,7 @@ class ComponentsNearInfinity:
 
 
 def components_near_infinity(
-    report: WitnessReport, k: int, classifier, *, cols: int = 1024, workers: int = 1
+    report: WitnessReport, k: int, classifier, *, cols: int = 1024
 ) -> ComponentsNearInfinity:
     """Count locus components over k horizontal translates R + 2j.
 
@@ -381,7 +381,7 @@ def components_near_infinity(
     win = Window.from_bounds(
         r.re_min, r.re_max + 2.0 * (k - 1), r.im_min, r.im_max, cols, report.raster_rows
     )
-    raster = rasterize_a_slice(base, win, classifier=classifier, workers=workers)
+    raster = rasterize_a_slice(base, win, classifier=classifier)
     comps = components(raster)
 
     owner: dict[int, int] = {}

@@ -4,17 +4,14 @@ import errno
 import hashlib
 import json
 import math
-import multiprocessing
 import pathlib
 import time
-import types
 from collections import Counter
 
 import pytest
 
 import maskit.cli
 import maskit.cusps
-import maskit.raster
 from maskit.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -539,8 +536,8 @@ def test_a_slice_same_path_for_both_outputs_is_usage_error(
     assert list(tmp_path.iterdir()) == []
 
 
-# sha256 of render-maskit --window -3 3 0 3 --res 512x512: the batch
-# kernel and the pool may not move a byte of the render.
+# sha256 of render-maskit --window -3 3 0 3 --res 512x512: neither the batch
+# kernel nor --workers may move a byte of the render.
 RENDER_512_SHA256 = "6d5aa4240eddafa9a44db75dabaf9b35303306c0a769b5003840ed14bfcbd88b"
 
 
@@ -611,21 +608,10 @@ def test_witness_unwritable_ppm_exits_2_and_keeps_the_json(tmp_path, capsys):
     assert list((tmp_path / "w.ppm").iterdir()) == []
 
 
-def test_witness_worker_count_byte_identical(tmp_path, monkeypatch):
-    # 256x32 is below _POOL_MIN_PX: lower the threshold so --workers 2
-    # rasterizes in a real two-process pool
-    monkeypatch.setattr(maskit.raster, "_POOL_MIN_PX", 0)
-    sizes = []
-
-    def recording_pool(processes):
-        sizes.append(processes)
-        return multiprocessing.Pool(processes)
-
-    monkeypatch.setattr(maskit.raster, "multiprocessing", types.SimpleNamespace(Pool=recording_pool))
+def test_witness_worker_count_byte_identical(tmp_path):
     code1, p1 = _run_witness(tmp_path, "w1", ["--workers", "1"])
     code2, p2 = _run_witness(tmp_path, "w2", ["--workers", "2"])
     assert code1 == code2 == EXIT_OK
-    assert sizes == [2]
     for ext in (".json", ".ppm", ".samples.json"):
         b1 = (p1.parent / (p1.name + ext)).read_bytes()
         b2 = (p2.parent / (p2.name + ext)).read_bytes()

@@ -80,6 +80,59 @@ def test_long_word_products_survive_entry_growth():
     assert abs(_det(m) - 1.0) < 1e-12 * (abs(a) * abs(d) + abs(b) * abs(c))
 
 
+# The two-circle picture of classify.py's docstring, in exact arithmetic: at
+# dyadic z every entry and product below is a float computed without
+# rounding.  A point w is the vector (w, 1), or (u, c) for w = u / c, and m
+# maps w to t when m (w, 1) is proportional to (t, 1).
+_DYADIC_Z = [4j, 0.5 + 2.25j, -1.25 + 3.5j, 2.5 + 0.75j, -0.75 - 1.5j]
+
+
+def _apply(m, u, c=1):
+    a, b, cc, d = m
+    return a * u + b * c, cc * u + d * c
+
+
+def _maps(m, w, t):
+    p, q = _apply(m, w)
+    return q != 0 and p == t * q
+
+
+def _abs2(x):
+    return x.real**2 + x.imag**2
+
+
+@pytest.mark.parametrize("z", _DYADIC_Z)
+def test_vertex_cycle_of_plus_and_minus_one_is_parabolic(z):
+    A, B = generators(z)
+    steps = [(A, 1, z + 1), (inv(B), z + 1, z - 1), (inv(A), z - 1, -1), (B, -1, 1)]
+    assert all(_maps(m, w, t) for m, w, t in steps)
+    cycle = mul(mul(B, inv(A)), mul(inv(B), A))
+    assert _maps(cycle, 1, 1)
+    assert tr(cycle) == -2
+
+
+@pytest.mark.parametrize("z", _DYADIC_Z)
+def test_a_maps_the_unit_circle_onto_the_circle_about_z(z):
+    A, _ = generators(z)
+    # u / c on the unit circle: |u|^2 = c^2, with u a Gaussian integer
+    on_circle = [
+        (sx * a + sy * b * 1j, c)
+        for a, b, c in [(1, 0, 1), (0, 1, 1), (3, 4, 5), (5, 12, 13), (8, 15, 17)]
+        for sx in (1, -1)
+        for sy in (1, -1)
+    ]
+    for u, c in on_circle:
+        assert _abs2(u) == c * c
+        p, q = _apply(A, u, c)  # A(u / c) = p / q, at distance 1 from z
+        assert _abs2(p - z * q) == _abs2(q) != 0
+        p, q = _apply(inv(A), z * c + u, c)  # A^-1 back onto |w| = 1
+        assert _abs2(p) == _abs2(q) != 0
+    # the exterior of |w| = 1 goes into the disk |w - z| < 1
+    for u in (2, -3j, 2 + 2j):
+        p, q = _apply(A, u)
+        assert _abs2(p - z * q) < _abs2(q)
+
+
 def test_normalized_length_fixtures():
     assert abs(normalized_length(2j) - 1.0) < 1e-12
     assert abs(normalized_length(2 + 2j) - math.sqrt(2.0)) < 1e-12

@@ -117,6 +117,24 @@ def test_maskit_runs_without_mpmath():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+def test_rasters_load_no_multiprocessing(tmp_path):
+    # Every raster runs in process: a render and an a-slice, at --workers 2,
+    # import no multiprocessing module
+    src = str(Path(maskit.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys\n"
+        "import maskit.cli\n"
+        "common = ['--res', '4x3', '--workers', '2', '--no-timestamp']\n"
+        "assert maskit.cli.main(['render-maskit', '--out', 'r.ppm', *common]) == 0\n"
+        "assert maskit.cli.main(['a-slice', '--z', '0', '4', '--out', 'a.ppm', '--json', 'a.json',"
+        " *common]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing')\n"
+        "assert loaded == [], loaded\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, check=True, timeout=60)
+
+
 def test_readme_examples_run():
     # The >>> lines of README's python fences, run without the closing fence,
     # which `python -m doctest README.md` would read as expected output.

@@ -3,8 +3,6 @@
 import contextlib
 import json
 import math
-import multiprocessing
-import types
 from collections import deque
 from dataclasses import asdict
 from unittest import mock
@@ -228,95 +226,31 @@ def test_rasterize_all_inside_golden_ppm():
     assert to_ppm_bytes(raster) == b"P6\n2 2\n255\n" + b"\x00\x00\x00" * 4
 
 
-def test_rasterize_maskit_worker_count_is_invisible():
-    win = Window.from_bounds(-3.0, 3.0, 0.0, 3.0, 16, 8)
-    one = rasterize_maskit(win, RealClassifier(), workers=1)
-    two = rasterize_maskit(win, RealClassifier(), workers=2)
-    assert to_ppm_bytes(one) == to_ppm_bytes(two)
-
-
-def _record_pools(monkeypatch) -> list:
-    """Stand multiprocessing.Pool in with an in-process map; returns the sizes asked for."""
+def test_rasters_classify_row_chunks_of_ceil_rows_over_8(monkeypatch):
+    # One batch call per ceil(rows / 8) whole rows, top to bottom; the chunks
+    # give the cells of one call over every row.
     sizes = []
+    for name in ("_slice_rows", "_membership_rows"):
 
-    class RecordingPool:
-        def __init__(self, processes):
-            sizes.append(processes)
+        def recording(*args, _cells_of=getattr(maskit.raster, name)):
+            sizes.append(args[-1].size)
+            return _cells_of(*args)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
-
-    monkeypatch.setattr(maskit.raster, "multiprocessing", types.SimpleNamespace(Pool=RecordingPool))
-    return sizes
-
-
-def test_pool_is_sized_by_the_row_chunks(monkeypatch):
-    monkeypatch.setattr(maskit.raster, "_POOL_MIN_PX", 0)
-    sizes = _record_pools(monkeypatch)
-    win = Window.from_bounds(-0.2, 0.2, 0.05, 0.15, 4, 3)
-    raster = rasterize_maskit(win, RealClassifier(), workers=64)  # 3 rows: 3 chunks
-    assert sizes == [3]
-    assert to_ppm_bytes(raster) == to_ppm_bytes(rasterize_maskit(win, RealClassifier()))
-    member_win = Window.from_bounds(-1.0, 1.0, 7.0, 9.0, 2, 2)
-    rasterize_a_slice(4j, member_win, RealClassifier(), workers=5)
-    assert sizes == [3, 2]
-
-
-def test_small_rasters_start_no_pool(monkeypatch):
-    win = Window.from_bounds(-3.0, 3.0, 0.0, 3.0, 16, 8)
-    sizes = _record_pools(monkeypatch)
-    chunks = []
-    rows = maskit.raster._rows
-
-    def recording_rows(task):
-        chunks.append(task[3:])
-        return rows(task)
-
-    monkeypatch.setattr(maskit.raster, "_rows", recording_rows)
-    one = to_ppm_bytes(rasterize_maskit(win, RealClassifier()))
-    # One pixel short of the threshold: in process, chunked as for one worker.
-    monkeypatch.setattr(maskit.raster, "_POOL_MIN_PX", win.rows * win.cols + 1)
-    chunks.clear()
-    assert to_ppm_bytes(rasterize_maskit(win, RealClassifier(), workers=2)) == one
-    # ceil(rows / (1 worker * 8)) = 1 row a chunk
-    assert sizes == [] and chunks == [(i, i + 1) for i in range(win.rows)]
-    member_win = Window.from_bounds(-1.0, 1.0, 0.5, 9.0, 4, 4)
+        monkeypatch.setattr(maskit.raster, name, recording)
     clf = RealClassifier()
-    member = to_ppm_bytes(rasterize_a_slice(4j, member_win, clf))
-    assert to_ppm_bytes(rasterize_a_slice(4j, member_win, clf, workers=2)) == member
-    assert sizes == []
-    # At the threshold the pool starts.
-    monkeypatch.setattr(maskit.raster, "_POOL_MIN_PX", win.rows * win.cols)
-    assert to_ppm_bytes(rasterize_maskit(win, RealClassifier(), workers=2)) == one
-    assert sizes == [2]
-
-
-@pytest.mark.parametrize(
-    "classifier", [RealClassifier(), SyntheticSlice()], ids=["real", "synthetic"]
-)
-def test_membership_raster_through_a_real_pool(classifier, monkeypatch):
-    # Rasters below _POOL_MIN_PX stay in process, and _record_pools maps in
-    # process too: only here do pickled tasks reach worker processes.
-    monkeypatch.setattr(maskit.raster, "_POOL_MIN_PX", 0)
-    sizes = []
-
-    def recording_pool(processes):
-        sizes.append(processes)
-        return multiprocessing.Pool(processes)
-
-    monkeypatch.setattr(maskit.raster, "multiprocessing", types.SimpleNamespace(Pool=recording_pool))
-    z, win = complex(-3.0, 5.244615), Window.from_bounds(-4.0, 4.0, 0.0, 10.0, 16, 12)
-    one = rasterize_a_slice(z, win, classifier=classifier, workers=1)
-    two = rasterize_a_slice(z, win, classifier=classifier, workers=2)
-    assert sizes == [2]
-    assert {CELL_MEMBER, CELL_NON_MEMBER} <= set(np.unique(one.cells).tolist())
-    assert to_ppm_bytes(two) == to_ppm_bytes(one)
+    for rows, chunks in ((8, [1] * 8), (3, [1] * 3), (20, [3] * 6 + [2])):
+        win = Window.from_bounds(-3.0, 3.0, 0.0, 3.0, 16, rows)
+        sizes.clear()
+        raster = rasterize_maskit(win, clf)
+        assert sizes == chunks
+        xs, ys = win.centers()
+        assert np.array_equal(raster.cells, clf.classify_grid(xs, ys[:, None]))
+    win = Window.from_bounds(-1.0, 1.0, 0.5, 9.0, 4, 17)
+    sizes.clear()
+    raster = rasterize_a_slice(4j, win, clf)
+    assert sizes == [3] * 5 + [2]
+    xs, ys = win.centers()
+    assert np.array_equal(raster.cells, maskit.raster.membership_grid(clf, 4j, xs, ys[:, None])[0])
 
 
 def test_rasterize_maskit_counts_names():
@@ -385,13 +319,6 @@ def test_a_slice_requires_certified_base_point():
         rasterize_a_slice(0.1j, win, RealClassifier())
     with pytest.raises(ValueError, match="base point"):
         rasterize_a_slice(1.0, win, RealClassifier())
-
-
-def test_a_slice_worker_count_is_invisible():
-    win = Window.from_bounds(-2.0, 2.0, 0.0, 10.0, 6, 8)
-    one = rasterize_a_slice(4j, win, RealClassifier(), workers=1)
-    two = rasterize_a_slice(4j, win, RealClassifier(), workers=2)
-    assert to_ppm_bytes(one) == to_ppm_bytes(two)
 
 
 # ---------------------------------------------------------------------------
