@@ -17,15 +17,72 @@ traces of n0 - 1, n0 and n0 + 1; classify_point forms them in that order,
 Classification.explored counts those it formed, and the witness of an
 Outside verdict is the first n/1 below the threshold, the least such n.
 
-Neither verdict is graded as a proof.  OutsideCertified is the trace rule:
-a simple-curve trace of modulus below 2 is read as an elliptic element.
-That holds where the trace is real (Re z = -2n, t = -Im z), and is unproved
-off those lines, where a trace of modulus below 2 may be loxodromic.  The
-inside verdict is the classical two-circle picture of the slice: the
-isometric circles of A and its inverse over 2Z and z + 2Z are disjoint
-when m > 2.  Its proof through Poincare's polyhedron theorem is not written
-out here, and the margin INSIDE_MARGIN keeps an Undetermined band above
-the disks |z + 2n| = 2.
+Neither verdict is labelled as a proof.  OutsideCertified is the trace
+rule: a simple-curve trace of modulus below 2 is read as an elliptic
+element.  That holds where the trace is real (Re z = -2n, t = -Im z), and
+is unproved off those lines, where a trace of modulus below 2 may be
+loxodromic.  The inside verdict rests on the two-circle Ford domain below.
+The float m is within a few ulps of the exact modulus, and the margin
+INSIDE_MARGIN, which keeps an Undetermined band above the disks
+|z + 2n| = 2, is far wider, so every inside verdict has exact m > 2.
+
+Theorem.  If m > 2 (which forces |Im z| > sqrt(3)), G = <A, B> is
+discrete, free on A and B and geometrically finite, and its only
+parabolic classes are those of B and [A, B]: the Maskit type.  So z lies
+in the interior of the slice, and {Im z > 0, m > 2} lies in M+.
+
+Proof.  A(w) = z + 1/w, B(w) = w + 2, and A^-1(w) = 1/(w - z).  Write S_c
+for the hemisphere of H^3 over the unit circle about c.  The isometric
+circle of A is |w| = 1 and that of A^-1 is |w - z| = 1; as
+|A(w) - z| = 1/|w|, A maps S_0 onto S_z and the outside of S_0 into the
+inside of S_z.  The group at z + 2 is <BA, B>, the same group, and
+conjugation by the reflection w -> -conj(w) takes A to A at -conj(z) and
+B to B^-1, with |-conj(z) + 2n| = |z - 2n|; so take 0 <= Re z <= 1.
+
+  * The region F.  F is the part of H^3 over the strip |Re w| <= 1 that
+    lies outside every S_{2k} and every S_{z+2k}.  m > 2 says that the
+    closed unit disks about 2Z and about z + 2Z are disjoint, so the two
+    rows of hemispheres are disjoint; within a row, neighbours touch only
+    at an ideal point, an odd integer or z plus an odd integer.  So the
+    faces of F are the planes Re w = -1 and Re w = 1 outside S_{z-2} and
+    S_z, the whole of S_0, and the z row's part in the strip, S_z with
+    Re w <= 1 and S_{z-2} with Re w >= -1.  No other hemisphere meets the
+    strip but at an ideal point.
+  * The side pairings.  B maps the plane Re w = -1 onto Re w = 1, and the
+    piece of S_{z-2} onto the part of S_z with Re w >= 1.  So A^-1 and
+    A^-1 B map the two pieces of the z row onto two faces that tile S_0,
+    and A and B^-1 A pair each of those with its piece.  Each pairing
+    carries F to the far side of the face.
+  * The edge cycle.  Where Re z > 0, the plane Re w = 1 cuts S_z along an
+    edge e1.  B maps e2, where the plane Re w = -1 cuts S_{z-2}, onto e1,
+    and A^-1 maps e1 onto e3, the edge on S_0 between its two faces.  The
+    angles of F are alpha at e1, pi - alpha at e2 (B carries F there to
+    the other side of the plane) and pi at e3, a subdivided face: the sum
+    is 2 pi.  The cycle transformation B (B^-1 A) A^-1 is the identity, so
+    the relation only names the third pairing B^-1 A.
+  * The ideal vertices.  At infinity the cycle transformation is B.  The
+    vertices 1, z - 1 and -1 form one cycle, 1 -> z - 1 -> -1 -> 1 under
+    B^-1 A, A^-1 and B (at Re z = 0, B^-1 A passes through the vertex
+    z + 1: 1 -> z + 1 -> z - 1 under A and B^-1).  Its transformation
+    B A^-1 B^-1 A = A^-1 [A, B] A fixes 1 and has trace -2: parabolic.
+  * Poincare's polyhedron theorem (Maskit, Kleinian Groups (1988), IV.H;
+    for the parabolic condition at ideal vertices, Epstein-Petronio,
+    Enseign. Math. 40 (1994)) then makes G discrete with F a fundamental
+    polyhedron.  G is presented on the pairings by the edge relation:
+    free on A and B.  F has finitely many faces, so G is geometrically
+    finite, and each parabolic is conjugate into the stabiliser of an
+    ideal vertex: a power of B or of [A, B].
+  * The hypothesis m > 2 is open, so it holds near z and z is interior to
+    the slice.  {Im z > 0, m > 2} is connected: moving z up increases
+    every |z + 2n|, and every z with Im z > 2 is in the set.  It contains
+    4i, so it lies in M+.
+
+This is the standard Ford-domain argument, written out step by step; the
+two rows of circles are the usual picture of its corollary that the slice
+holds {|Im z| > 2} (Mumford-Series-Wright, Indra's Pearls (2002), ch. 9;
+Keen-Series, Topology 32 (1993)).  tests/test_moebius.py checks two of its
+steps in exact arithmetic: the vertex cycle of 1 and its trace, and that A
+maps the unit circle onto |w - z| = 1.
 
 Points with Im z = 0 are rejected outright (the slice misses the real axis),
 with witness None and an explanatory reason.  Points with

@@ -30,6 +30,7 @@ import argparse
 import cmath
 import json
 import os
+import re
 import shlex
 import sys
 import time
@@ -68,6 +69,14 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern (^-\d+$|^-\d*\.\d+$ through Python 3.13.0)
+        # reads -1e-3 as a flag.  No flag here starts with a digit, so a
+        # leading - then a digit or .digit is a number.  add_subparsers
+        # builds the subcommand parsers with this class too.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # argparse default exits with code 2; we use 1
         raise _UsageError(message)
 

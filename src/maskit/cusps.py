@@ -48,11 +48,11 @@ estimate's rounding leaves a second-order term there.
 
 Repeated roots would stall Newton: (z^2+z+1)^2 divides t_{3/10} - 2,
 (z^2+3z+3)^2 divides t_{7/10} - 2 and (z+1)^3 divides t_{5/12} - 2 and
-t_{7/12} - 2.  So before it solves, poly_roots computes deg gcd(f, f') of
-f = t_{p/q} -+ 2 modulo one prime; 0 proves that f has no repeated root,
-and f is solved as it stands.  Otherwise (14 of the 2522 equations with
-0 <= p/q <= 1, q <= 64) it solves the square-free part f / gcd(f, f'),
-computed exactly over Q(i), and returns each distinct root once.
+t_{7/12} - 2.  So before it solves, poly_roots computes gcd(f, f') of
+f = t_{p/q} -+ 2 exactly over Q(i).  Where it has degree 0, f has no
+repeated root and is solved as it stands; otherwise (14 of the 2522
+equations with 0 <= p/q <= 1, q <= 64) poly_roots solves the square-free
+part f / gcd(f, f') and returns each distinct root once.
 """
 
 from __future__ import annotations
@@ -89,12 +89,6 @@ _NEWTON_STEPS = 8
 # Exact Newton steps allowed to reach a fixed point from each np.roots
 # estimate; from starts 1e-9 off, every root with q <= 16 took at most 22.
 _REFINE_STEPS = 32
-
-# The repeated-root check works in F_P for this prime P.  P = 5 (mod 8), so
-# 2 is not a square mod P and 2^((P-1)/4) is a square root of -1: i maps to
-# it and Z[i] maps onto F_P.
-_P = 2**64 - 59
-_I_MOD_P = pow(2, (_P - 1) // 4, _P)
 
 
 class RootSolveError(RuntimeError):
@@ -307,41 +301,6 @@ def cusp_point(s: FareySlope, mirror: CuspResult | None = None) -> CuspResult:
     )
 
 
-def _rem_mod_p(a, b):
-    """Remainder of a by b in F_P[z]: coefficient lists, constant term
-    first, b[-1] != 0.  Trailing zeros are stripped (zero is [])."""
-    a = list(a)
-    m = len(b) - 1
-    inv = pow(b[-1], -1, _P)
-    for k in range(len(a) - 1, m - 1, -1):
-        c = a[k] * inv % _P
-        if c:
-            for j in range(m):
-                a[k - m + j] = (a[k - m + j] - c * b[j]) % _P
-    del a[m:]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _gcd_degree_mod_p(f) -> int | None:
-    """deg gcd(f, f') in F_P[z] for Gaussian-integer coefficients f
-    (constant term first), or None if P divides the leading coefficient.
-
-    0 proves that f has no repeated complex root: the resultant of f and f'
-    is a Gaussian integer, and its image under the ring map i -> _I_MOD_P
-    is the resultant of the images, which is non-zero when they are coprime
-    and f keeps its degree (f' does too, since deg f < P).
-    """
-    a = [(re + im * _I_MOD_P) % _P for re, im in f]
-    if a[-1] == 0:
-        return None
-    b = [k * c % _P for k, c in enumerate(a)][1:]
-    while b:
-        a, b = b, _rem_mod_p(a, b)
-    return len(a) - 1
-
-
 def _gmul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
@@ -417,10 +376,10 @@ def poly_roots(poly: TracePolynomial, target: int) -> list[complex]:
     """The distinct roots of poly(z) - target, sorted by (Re, Im) rounded to
     9 places.  target must be an integer (an integral float is accepted).
 
-    f = poly - target is first checked for a repeated root: deg gcd(f, f')
-    over F_P, P = 2^64 - 59, is 0 for almost every f.  Otherwise f is
-    replaced by its square-free part f / gcd(f, f'), computed exactly over
-    Q(i), so a root of multiplicity m is returned once.
+    f = poly - target is first checked for a repeated root: gcd(f, f') is
+    computed exactly over Q(i), and where its degree is at least 1, f is
+    replaced by its square-free part f / gcd(f, f'), so a root of
+    multiplicity m is returned once.
 
     Each of np.roots' estimates for f then takes exact Newton steps, each
     rounded once per component, until a step returns its own input (at
@@ -441,10 +400,9 @@ def poly_roots(poly: TracePolynomial, target: int) -> list[complex]:
         raise ValueError(f"target must be an integer, got {target!r}")
     (c0r, c0i), *rest = poly.coeffs
     f = [(c0r - target, c0i), *rest]
-    if _gcd_degree_mod_p(f) != 0:
-        g = _exact_gcd(f)
-        if len(g) > 1:
-            f = _primitive(_pseudo_divmod(f, g)[0])
+    g = _exact_gcd(f)
+    if len(g) > 1:
+        f = _primitive(_pseudo_divmod(f, g)[0])
     estimates = np.roots([complex(re, im) for re, im in reversed(f)])
     roots = [_refined(f, complex(x)) for x in estimates]
     if len(set(roots)) < len(roots):

@@ -28,8 +28,8 @@ above over a memo table.  TraceCache runs it on complex numbers for one z,
 trace_polynomial on exact polynomials, and cusps.py on the slots of its
 continuation schedule.  classify.py needs only the seeds t_{n/1}.
 
-A TraceCache holds one z and grows as its trace method fills it; confine
-each cache to one worker at a time.  The polynomial table is shared and only
+A TraceCache holds one z and grows as its trace method fills it, so it is
+not safe to share between threads.  The polynomial table is shared and only
 ever grows.
 """
 

@@ -231,13 +231,6 @@ def a_membership(z, w) -> AMembership:
     return membership_with(classifier, z, w)
 
 
-def _real_times(x, re, im):
-    """Re and Im of x*w for a float x and w = re + i*im, rounded as CPython
-    rounds a float times a complex, signed zeros included: x becomes
-    x + 0.0i, so x*w = (x*Re w - 0.0*Im w, x*Im w + 0.0*Re w)."""
-    return x * re - 0.0 * im, x * im + 0.0 * re
-
-
 def membership_grid(classifier, z, w_re, w_im) -> tuple[np.ndarray, np.ndarray]:
     """The two-point membership test at the points w = w_re + i*w_im, at once.
 
@@ -246,13 +239,17 @@ def membership_grid(classifier, z, w_re, w_im) -> tuple[np.ndarray, np.ndarray]:
     each point, as floats; n is NaN where a reason decides (see
     _membership_shift).  s and n come from _membership_shift once per
     distinct Im w; the test points z - s*n*w (upper) and z - s*(n+1)*w
-    (lower) are formed as CPython forms them.  The classifier's batch
-    function (classify._grid_of) takes the lower points of every tested w
-    first, then the upper points only where the lower verdict is not
-    CELL_OUTSIDE: one OutsideCertified verdict already makes w a NonMember,
-    and classify_grid gives each point its own verdict whatever else the
-    batch holds.  Raises ValueError for a non-finite z or w, and where
-    classify_grid refuses a test point it classifies.
+    (lower) are formed a component at a time, Re z - x*Re w and
+    Im z - x*Im w with x = s*n or s*(n+1).  That is CPython's complex
+    arithmetic but for the sign of a zero coordinate, and only where Re z
+    or Im z is -0.0; both shipped classifiers give either sign of zero the
+    same verdict.  The classifier's batch function (classify._grid_of)
+    takes the lower points of every tested w first, then the upper points
+    only where the lower verdict is not CELL_OUTSIDE: one OutsideCertified
+    verdict already makes w a NonMember, and classify_grid gives each point
+    its own verdict whatever else the batch holds.  Raises ValueError for a
+    non-finite z or w, and where classify_grid refuses a test point it
+    classifies.
     """
     classify_grid = _grid_of(classifier)
     z = complex(z)
@@ -272,8 +269,7 @@ def membership_grid(classifier, z, w_re, w_im) -> tuple[np.ndarray, np.ndarray]:
 
     def test_points(x, re, im):
         # |n| < 2^52 here, so x is exact, as with ints.
-        x_re, x_im = _real_times(x, re, im)
-        return z.real - x_re, z.imag - x_im
+        return z.real - x * re, z.imag - x * im
 
     lower = classify_grid(*test_points(s_t * (n_t + 1.0), re, im))
     rest = np.flatnonzero(lower != CELL_OUTSIDE)  # elsewhere w is a NonMember already

@@ -64,7 +64,6 @@ from .raster import (
     Raster,
     Window,
     _membership_record,
-    _real_times,
     check_base_point,
     components,
     membership_grid,
@@ -286,13 +285,17 @@ def verify_witness(
     raster_rows, and samples lie half a pitch apart.
     all_certified reports the conjunction; failures are listed, not raised.
 
-    The samples, their nudged copies (w + margin*inward, rounded as CPython
-    rounds it) and 2z are numpy arrays, tested together in one
-    membership_grid batch; classify_grid gives each point its own verdict,
-    so each verdict is the one the point has alone.  The report keeps the
-    samples and their codes and n, and raster_rows, the rows
-    components_near_infinity counts at.
+    The samples, their nudged copies and 2z are numpy arrays, tested
+    together in one membership_grid batch.  A copy is w + margin*inward
+    formed a component at a time; as margin > 0 and each component of the
+    inward normal is 0 or +-1, that is CPython's complex result bit for
+    bit.  classify_grid gives each point its own verdict, so each verdict
+    is the one the point has alone.  The report keeps the samples and their
+    codes and n, and raster_rows, the rows components_near_infinity counts
+    at.  Raises ValueError unless raster_rows is an integer of at least 1.
     """
+    if not isinstance(raster_rows, int) or raster_rows < 1:
+        raise ValueError(f"raster_rows must be an integer >= 1, got {raster_rows!r}")
     z = complex(z)
     r = build_R(q, z)
     base = 3.0 * z
@@ -305,11 +308,13 @@ def verify_witness(
     nx = max(2, math.ceil(r.width / spacing) + 1)
     ny = max(2, math.ceil(r.height / spacing) + 1)
     re, im, in_re, in_im = _boundary_arrays(r, nx, ny)
-    shift_re, shift_im = _real_times(margin, in_re, in_im)  # margin * inward
     w = 2.0 * z
     # the samples, then their copies, then 2z
     codes, ns = membership_grid(
-        classifier, base, np.r_[re, re + shift_re, w.real], np.r_[im, im + shift_im, w.imag]
+        classifier,
+        base,
+        np.r_[re, re + margin * in_re, w.real],
+        np.r_[im, im + margin * in_im, w.imag],
     )
     interior = _membership_record(base, w, codes[-1], ns[-1])
     m = re.size

@@ -338,6 +338,29 @@ def test_classify_grid_shapes():
         _assert_first_bad_point_raises(grid)
 
 
+# Partners of a zero coordinate: the fan thresholds on Re z = 0 (Im z = 2
+# and 2.001), the synthetic curve's peak and valley heights (2 and 1.5),
+# odd integers, where two fan translates tie, and free values.
+_ZERO_PARTNERS = (0.0, 0.5, 1.0, 1.5, 2.0, 2.0005, 2.001, 3.0, 4.0, 5.5)
+
+
+@pytest.mark.parametrize("clf", [RealClassifier(), SyntheticSlice()], ids=["real", "synthetic"])
+def test_a_zero_coordinate_has_one_verdict_whatever_its_sign(clf):
+    # membership_grid forms its test points a component at a time, and so
+    # can give a zero coordinate the other sign than CPython's complex
+    # arithmetic would: no verdict may depend on that sign
+    zeros = np.array([0.0, -0.0])
+    for other in (*_ZERO_PARTNERS, *(-v for v in _ZERO_PARTNERS)):
+        for re, im in ((zeros, other), (other, zeros)):
+            re, im = np.broadcast_arrays(np.asarray(re, np.float64), np.asarray(im, np.float64))
+            codes = clf.classify_grid(re, im).tolist()
+            scalar = [
+                _VERDICT_CODE[clf.classify(complex(x, y)).verdict]
+                for x, y in zip(re.tolist(), im.tolist())
+            ]
+            assert codes == scalar == [codes[0], codes[0]], (other, re.tolist(), im.tolist())
+
+
 def _synthetic_codes(re, im):
     clf = SyntheticSlice()
     return [_VERDICT_CODE[clf.classify(complex(x, y)).verdict] for x, y in zip(re, im)]

@@ -280,6 +280,39 @@ def test_non_finite_input_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def _render_bytes(tmp_path, name, argv):
+    out = tmp_path / name
+    assert main(["render-maskit", "--res", "16x8", "--out", str(out), *argv]) == EXIT_OK
+    return out.read_bytes()
+
+
+def test_negative_numbers_in_exponent_form_are_values(tmp_path):
+    # argparse's own pattern reads -3e0 as a flag ("expected 4 arguments")
+    want = _render_bytes(tmp_path, "plain.ppm", ["--window", "-3", "3", "0", "3"])
+    assert _render_bytes(tmp_path, "exp.ppm", ["--window", "-3e0", "3e0", "0", "3e0"]) == want
+    assert _render_bytes(tmp_path, "dot.ppm", ["--window", "-.3e1", "3", "0", "3"]) == want
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text("--window -3e0 3 0 3\n")
+    assert _render_bytes(tmp_path, "cfg.ppm", ["--config", str(cfg)]) == want
+
+
+def test_a_slice_reads_a_base_point_in_exponent_form(tmp_path):
+    docs = []
+    for re_z in ("-3", "-3e0"):
+        ppm, doc = tmp_path / f"a{re_z}.ppm", tmp_path / f"a{re_z}.json"
+        argv = ["a-slice", "--z", re_z, "5.244615", "--res", "16x8", "--no-timestamp"]
+        assert main([*argv, "--out", str(ppm), "--json", str(doc)]) == EXIT_OK
+        docs.append((ppm.read_bytes(), doc.read_bytes()))
+    assert docs[0] == docs[1]
+
+
+def test_negative_infinity_is_still_read_as_a_flag(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["render-maskit", "--window", "-inf", "3", "0", "3", "--res", "2x2"]) == EXIT_USAGE
+    assert "expected 4 arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # Cusp table
 # ---------------------------------------------------------------------------

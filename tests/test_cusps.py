@@ -144,8 +144,8 @@ def test_poly_roots_are_fixed_points_of_the_exact_step():
     for s in slopes_up_to(12, 0.0, 1.0):
         for target in (2, -2):
             f = _minus(trace_polynomial(s), target)
-            if cusps._gcd_degree_mod_p(f) != 0:
-                continue
+            if len(cusps._exact_gcd(f)) > 1:
+                continue  # poly_roots solves the square-free part instead
             for r in poly_roots(trace_polynomial(s), target):
                 assert cusps._exact_newton(f, r, 0) == r, (s, target, r)
 
@@ -183,20 +183,13 @@ def test_repeated_roots_are_solved_once_each():
             assert [r for r in got if abs(r + 1) < 1e-9][0].real == -1.0
 
 
-def _gcd_is_trivial_both_ways(f):
-    # the modular check and the exact gcd over Q(i) agree on deg gcd(f, f')
-    modular = cusps._gcd_degree_mod_p(f)
-    exact = len(cusps._exact_gcd(f)) - 1
-    assert modular == exact, (f, modular, exact)
-    return exact == 0
-
-
-def test_modular_check_agrees_with_the_exact_gcd():
+def test_exact_gcd_finds_the_repeated_roots_up_to_q_24():
+    # the equations with q <= 24 where gcd(f, f') over Q(i) is not constant
     repeated = {
         (s.p, s.q, target)
         for s in slopes_up_to(24, 0.0, 1.0)
         for target in (2, -2)
-        if not _gcd_is_trivial_both_ways(_minus(trace_polynomial(s), target))
+        if len(cusps._exact_gcd(_minus(trace_polynomial(s), target))) > 1
     }
     assert repeated == {
         (3, 10, 2), (7, 10, 2), (5, 12, 2), (7, 12, 2), (11, 24, 2), (13, 24, 2)
@@ -214,11 +207,10 @@ _FACTOR = st.lists(_GAUSSIAN, min_size=1, max_size=2).flatmap(
 
 @settings(max_examples=60, deadline=None)
 @given(factors=st.lists(_FACTOR, max_size=3), twice=_FACTOR)
-def test_modular_check_sees_a_squared_factor(factors, twice):
+def test_exact_gcd_sees_a_squared_factor(factors, twice):
     f = twice * twice
     for g in factors:
         f = f * g
-    assert not _gcd_is_trivial_both_ways(list(f.coeffs))
     # the squared factor divides gcd(f, f') ...
     gcd = cusps._exact_gcd(list(f.coeffs))
     assert len(gcd) > twice.degree

@@ -475,6 +475,21 @@ def _assert_membership_grid_matches_the_scalar_reference(w, z, clf):
     assert [membership_with(clf, z, complex(x, y)) for x, y in w] == wants
 
 
+@pytest.mark.parametrize(
+    "clf", [RealClassifier(), SyntheticSlice()], ids=["real", "synthetic"]
+)
+def test_membership_grid_ignores_the_sign_of_a_zero_base_coordinate(clf):
+    # At Re z = -0.0 a test point's Re z - x*Re w is -0.0 or 0.0 by the sign
+    # of x*Re w, where CPython's z - x*w can give the other zero; the column
+    # Re w = 0 holds such points, and the verdicts at 4j are those at -0+4j
+    w_re, w_im = np.meshgrid(np.linspace(-4.0, 4.0, 33), np.linspace(-9.0, 9.0, 37))
+    codes, ns = maskit.raster.membership_grid(clf, complex(-0.0, 4.0), w_re, w_im)
+    want_codes, want_ns = maskit.raster.membership_grid(clf, 4j, w_re, w_im)
+    assert np.array_equal(codes, want_codes)
+    assert np.array_equal(ns, want_ns, equal_nan=True)
+    assert {CELL_MEMBER, CELL_NON_MEMBER} <= set(codes.ravel().tolist())
+
+
 def test_membership_grid_rejects_non_finite_points():
     with pytest.raises(ValueError, match="non-finite"):
         maskit.raster.membership_grid(SyntheticSlice(), 4j, [0.0, math.inf], 1.0)

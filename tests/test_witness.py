@@ -25,7 +25,7 @@ from maskit import (
     rasterize_maskit,
     verify_witness,
 )
-from maskit.raster import _membership_shift, _real_times
+from maskit.raster import _membership_shift
 from maskit.witness import TranslateCount, _boundary_arrays
 from test_raster import _AVERDICT_CODE, scalar_membership
 
@@ -258,6 +258,16 @@ def test_verify_witness_requires_interior_z():
         verify_witness(q, complex(-1.0, 3.0), classifier=SyntheticSlice())
 
 
+@pytest.mark.parametrize("rows", [0, -3, 2.5])
+def test_verify_witness_rejects_raster_rows_that_are_not_a_positive_int(rows):
+    # 0 would divide by zero, -3 would space the samples by a negative
+    # pitch, and 2.5 rows cannot be counted at
+    clf = SyntheticSlice()
+    q, z = find_rectangle(classifier=clf)
+    with pytest.raises(ValueError, match="raster_rows"):
+        verify_witness(q, z, clf, raster_rows=rows)
+
+
 def test_verify_witness_flags_oversized_rectangle():
     # Shrink Q's top towards z so R's bottom edge crosses the locus blob:
     # the verifier must report the offending samples instead of certifying.
@@ -440,9 +450,10 @@ def test_boundary_arrays_are_the_samples_and_their_nudged_copies(case, rows):
     re, im, in_re, in_im = _boundary_arrays(r, *_side_counts(r, spacing))
     assert _bits(re, im) == _bits([w.real for w, _ in samples], [w.imag for w, _ in samples])
     assert _bits(in_re, in_im) == _bits([u.real for _, u in samples], [u.imag for _, u in samples])
+    # verify_witness forms each copy a component at a time; CPython's
+    # complex product and sum give the same bits, signed zeros included
     copies = [w + margin * inward for w, inward in samples]
-    shift_re, shift_im = _real_times(margin, in_re, in_im)
-    assert _bits(re + shift_re, im + shift_im) == _bits(
+    assert _bits(re + margin * in_re, im + margin * in_im) == _bits(
         [c.real for c in copies], [c.imag for c in copies]
     )
 
