@@ -21,7 +21,8 @@ Each command writes its files to temporary siblings and renames them only
 once all are written, so a write that fails leaves no partial file and no
 temporary, and a rename that fails leaves the files already renamed whole;
 cusps --out - and a-slice --json - print to stdout (a-slice then reports on
-stderr, so stdout is the JSON document alone).
+stderr, so stdout is the JSON document alone); a PPM goes to a file only, so
+render-maskit and a-slice refuse --out - as a usage error.
 """
 
 from __future__ import annotations
@@ -151,7 +152,13 @@ def _write_files(files) -> int:
     return EXIT_OK
 
 
+def _no_stdout_image(args) -> None:
+    if args.out == "-":
+        raise _UsageError("--out - is not supported: the PPM image is written to a file only")
+
+
 def cmd_render_maskit(args) -> int:
+    _no_stdout_image(args)
     classifier = RealClassifier()
     win = _window(args)
     grid = rasterize_maskit(win, classifier)
@@ -191,6 +198,7 @@ def cmd_a_slice(args) -> int:
     classifier = RealClassifier()
     if args.z is None:
         raise _UsageError("a-slice needs --z RE IM")
+    _no_stdout_image(args)
     z = complex(*args.z)
     if not cmath.isfinite(z):
         raise _UsageError(f"--z must be finite, got {z}")
@@ -244,6 +252,12 @@ def cmd_witness(args) -> int:
             f"satisfies |Re| <= {REAL_PART_LIMIT:g}"
         )
     cols, rows = args.res
+    if k > cols:
+        # R is narrower than the period 2, so a translate owns a component
+        # only through columns that no other translate owns
+        raise _UsageError(
+            f"-k must be at most the --res width, {cols}: each translate needs columns of its own"
+        )
     prefix = args.out
     classifier = SyntheticSlice() if args.synthetic else RealClassifier()
 

@@ -388,9 +388,10 @@ def poly_roots(poly: TracePolynomial, target: int) -> list[complex]:
     component is 0 or below 1e-30 in size.  Raises RootSolveError if an
     estimate reaches no fixed point, a step divides by zero or leaves the
     doubles, or two estimates reach the same root.  Measured: it raises on
-    34 of the 80 equations t_{1/q} = +-2 with 25 <= q <= 64, the first at
-    1/47 for both targets, where two estimates reach the same root; every
-    one with q <= 46 solves.  cusp_point follows pleating rays instead.
+    1,740 of the 2,522 equations t_{p/q} = +-2 with 0 <= p/q <= 1 and
+    q <= 64, the first at q = 26 (21/26, target -2): 1,243 reach no fixed
+    point and 497 reach the same root twice.  Every one with q <= 24
+    solves.  cusp_point follows pleating rays instead.
     """
     if poly.degree < 1:
         raise ValueError("degree >= 1 required")

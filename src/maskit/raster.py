@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -120,6 +121,11 @@ class AxisRectangle:
         )
 
 
+def _whole(n) -> bool:
+    """n is an integer, or a float with an integral value (not NaN or infinite)."""
+    return isinstance(n, numbers.Integral) or (isinstance(n, float) and n.is_integer())
+
+
 @dataclass(frozen=True)
 class Window(AxisRectangle):
     """An AxisRectangle cut into cols x rows pixels; its bounds are the ones given."""
@@ -134,13 +140,20 @@ class Window(AxisRectangle):
         if max(abs(self.re_min), abs(self.re_max)) > REAL_PART_LIMIT:
             raise ValueError(f"window bounds must satisfy |Re| <= {REAL_PART_LIMIT:g}")
         super().__post_init__()
+        if not (_whole(self.cols) and _whole(self.rows)):
+            raise ValueError(
+                f"window resolution must be whole numbers, got {self.cols!r}x{self.rows!r}"
+            )
         if self.cols < 1 or self.rows < 1:
             raise ValueError("window resolution must be >= 1x1")
 
     @classmethod
     def from_bounds(cls, re_min, re_max, im_min, im_max, cols, rows) -> "Window":
-        """The window with these bounds as floats and this resolution as ints."""
-        return cls(float(re_min), float(re_max), float(im_min), float(im_max), int(cols), int(rows))
+        """The window with these bounds as floats and this resolution as ints.
+        A resolution that is not a whole number reaches __post_init__ as
+        given, which rejects it."""
+        cols, rows = (int(n) if _whole(n) else n for n in (cols, rows))
+        return cls(float(re_min), float(re_max), float(im_min), float(im_max), cols, rows)
 
     def _re_at(self, j):
         return self.re_min + (j + 0.5) * self.width / self.cols

@@ -1,4 +1,4 @@
-"""Bounded-component witness: rectangle search, verification, and counting.
+"""Bounded-component witness: rectangle construction, verification, and counting.
 
 The non-local-connectivity witness is a rectangle construction.  Find an
 axis-parallel Q in the upper half-plane, of width < 2, whose two vertical
@@ -19,14 +19,16 @@ A certified Member region surrounded by a certified NonMember curve is a
 bounded component; horizontal period-2 translates R + 2j repeat it, giving
 as many pairwise-disconnected components as the window shows.
 
-The search is anchored on the vertical line through the midpoint of the
-strip (-2, 0): the valley between the two cusp peaks adjacent to the
-imaginary axis.  Boundary heights are located by one bisection, run twice
--- lowest certified-inside and highest certified-outside points on the
-anchor vertical -- which keeps the search agnostic to whether the
-classifier is the honest one (valley floor sqrt(3)) or the synthetic
-harness (valley floor 1.5).  A ladder of inside-margins and half-widths is
-then tried until every side sample certifies outside.
+find_rectangle constructs (Q, z) on the vertical line through the midpoint
+of the strip (-2, 0): the valley between the two cusp peaks adjacent to the
+imaginary axis.  One bisection, run twice, locates the lowest
+certified-inside and highest certified-outside points on that vertical,
+which keeps the construction agnostic to whether the classifier is the
+honest one (valley floor sqrt(3)) or the synthetic harness (valley floor
+1.5).  z lies a fixed margin above the first, Q's lower side the same
+margin below the second, and Q has a fixed half-width.  find_rectangle
+certifies nothing: verify_witness tests every predicate above, on samples
+of R's boundary, and is the witness's one certificate.
 
 Every stage takes the classifier as an argument: any object with
 .classify(z) and .describe(), such as RealClassifier or SyntheticSlice.
@@ -40,8 +42,8 @@ classify a point at a time for a classifier without one.  The report keeps
 the samples as the arrays the batch gives: to_json_dict makes the witness
 document, which counts them, and samples_json_dict the samples themselves,
 as columns.  Q, R and the counting window are raster.AxisRectangle
-records, and _boundary_arrays places the samples on the sides of Q and of
-R alike.  The document's rectangles, window and per-translate rows are
+records, and _boundary_arrays places the samples on the sides of R.  The
+document's rectangles, window and per-translate rows are
 dataclasses.asdict of their records, so each field name is its JSON key.
 """
 
@@ -71,12 +73,11 @@ from .raster import (
 )
 
 
-# The search ladder; see the module docstring for the geometry.  Every
-# half-width is below 1, so Q is always narrower than the period 2.
+# The construction; see the module docstring for the geometry.  The
+# half-width is below 1, so Q is narrower than the period 2.
 _STRIP = (-2.0, 0.0)
-_INSIDE_MARGINS = (0.015, 0.025, 0.04, 0.065, 0.1)
-_HALF_WIDTHS = (0.45, 0.38, 0.32, 0.27, 0.22)
-_SIDE_SAMPLES = 33
+_INSIDE_MARGIN = 0.015
+_HALF_WIDTH = 0.45
 _PROBE_TOP = 2.5
 _BISECT_STEPS = 42
 # The diagnostic profile: verticals across the strip, bisection steps on each.
@@ -85,7 +86,7 @@ _PROFILE_STEPS = 24
 
 
 class WitnessSearchError(RuntimeError):
-    """Search exhausted; carries a boundary-height profile across the strip."""
+    """The construction failed; carries a boundary-height profile across the strip."""
 
     def __init__(self, message, profile):
         super().__init__(message)
@@ -113,14 +114,12 @@ def _not_outside(verdict) -> bool:
     return verdict is not Verdict.OUTSIDE_CERTIFIED
 
 
-def _lowest_inside(clf, x: float, top: float, steps: int) -> float:
+def _lowest_inside(clf, x: float, steps: int) -> float:
     """Smallest height on the vertical through x known to certify InsidePlus:
-    NaN when none of 8 probes, from top up by a factor 1.6 each, certifies."""
-    for _ in range(8):
-        if _inside(clf.classify(complex(x, top)).verdict):
-            return _bisect(clf, x, top, steps, _inside)[1]
-        top *= 1.6
-    return math.nan
+    NaN when the probe at _PROBE_TOP does not certify."""
+    if not _inside(clf.classify(complex(x, _PROBE_TOP)).verdict):
+        return math.nan
+    return _bisect(clf, x, _PROBE_TOP, steps, _inside)[1]
 
 
 def _boundary_profile(classifier):
@@ -129,7 +128,7 @@ def _boundary_profile(classifier):
     out = []
     for k in range(_PROFILE_POINTS):
         x = lo + (hi - lo) * k / (_PROFILE_POINTS - 1)
-        inside = _lowest_inside(classifier, x, _PROBE_TOP, _PROFILE_STEPS)
+        inside = _lowest_inside(classifier, x, _PROFILE_STEPS)
         top = _PROBE_TOP if math.isnan(inside) else inside
         outside = _bisect(classifier, x, top, _PROFILE_STEPS, _not_outside)[0]
         out.append({"x": x, "outside_floor": outside, "inside_floor": inside})
@@ -137,40 +136,28 @@ def _boundary_profile(classifier):
 
 
 def find_rectangle(classifier) -> tuple[AxisRectangle, complex]:
-    """Locate (Q, z): sides certified outside, z inside at the 1/3 height.
+    """Construct (Q, z), z at the 1/3 height; verify_witness certifies them.
 
     Raises WitnessSearchError (with a boundary-height profile of the strip)
-    if no point is certified inside, or no rung of the ladder certifies.  The
-    search is finite: at most 8 + 2 * 42 + 5 * (1 + 5 * 3 * 33) = 2,572
-    classifier calls, and a failed search then builds the profile, at most
-    9 * (8 + 24 + 24) = 504 more, so 3,076 in all.
+    if the probe is not certified inside, or Q's lower side is not above the
+    real axis.  The construction makes 1 + 2 * 42 = 85 classifier calls, and
+    a failed one then builds the profile, at most 9 * 49 = 441 more.
     """
     x_c = 0.5 * (_STRIP[0] + _STRIP[1])
-    floor_in = _lowest_inside(classifier, x_c, _PROBE_TOP, _BISECT_STEPS)
+    floor_in = _lowest_inside(classifier, x_c, _BISECT_STEPS)
     if math.isnan(floor_in):
         raise WitnessSearchError(
             f"no certified-inside point found above x = {x_c}", _boundary_profile(classifier)
         )
     floor_out = _bisect(classifier, x_c, floor_in, _BISECT_STEPS, _not_outside)[0]
-    for m in _INSIDE_MARGINS:
-        zy = floor_in + m
-        z = complex(x_c, zy)
-        d = (zy - floor_out) + m
-        y0 = zy - d  # certified-outside band, margin m below floor_out
-        y1 = zy + 2.0 * d  # the 2:1 height split, exact by construction
-        if not _inside(classifier.classify(z).verdict) or y0 <= 0.0:
-            continue
-        for u in _HALF_WIDTHS:
-            q = AxisRectangle(x_c - u, x_c + u, y0, y1)
-            re, im, _, _ = _boundary_arrays(q, _SIDE_SAMPLES, _SIDE_SAMPLES)
-            # the lower, left and right sides: all but the top's _SIDE_SAMPLES points
-            sides = map(complex, re[_SIDE_SAMPLES:].tolist(), im[_SIDE_SAMPLES:].tolist())
-            if all(classifier.classify(p).verdict is Verdict.OUTSIDE_CERTIFIED for p in sides):
-                return q, z
-    raise WitnessSearchError(
-        "no certified rectangle found within the search ladder",
-        _boundary_profile(classifier),
-    )
+    zy = floor_in + _INSIDE_MARGIN
+    d = (zy - floor_out) + _INSIDE_MARGIN
+    y0 = zy - d  # _INSIDE_MARGIN below floor_out
+    if y0 <= 0.0:
+        raise WitnessSearchError(
+            f"Q's lower side Im = {y0!r} is not above the real axis", _boundary_profile(classifier)
+        )
+    return AxisRectangle(x_c - _HALF_WIDTH, x_c + _HALF_WIDTH, y0, zy + 2.0 * d), complex(x_c, zy)
 
 
 def build_R(q: AxisRectangle, z) -> AxisRectangle:
@@ -274,6 +261,12 @@ def _boundary_arrays(r: AxisRectangle, nx: int, ny: int):
     return re, im, np.repeat([0.0, 0.0, 1.0, -1.0], sides), np.repeat([-1.0, 1.0, 0.0, 0.0], sides)
 
 
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless value is an int, not a bool, of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"need an integer {name} >= 1, got {value!r}")
+
+
 def verify_witness(
     q: AxisRectangle, z, classifier, *, raster_rows: int = 64
 ) -> WitnessReport:
@@ -294,8 +287,7 @@ def verify_witness(
     codes and n, and raster_rows, the rows components_near_infinity counts
     at.  Raises ValueError unless raster_rows is an integer of at least 1.
     """
-    if not isinstance(raster_rows, int) or raster_rows < 1:
-        raise ValueError(f"raster_rows must be an integer >= 1, got {raster_rows!r}")
+    _check_count("raster_rows", raster_rows)
     z = complex(z)
     r = build_R(q, z)
     base = 3.0 * z
@@ -377,10 +369,10 @@ def components_near_infinity(
     2(k - 1), at cols x report.raster_rows pixels.  ok is True when each
     translate contains its own component (holding the translated member
     point 2z + 2j), no component straddles translates, and at least k
-    components are found.
+    components are found.  Raises ValueError unless k is an integer of at
+    least 1.
     """
-    if k < 1:
-        raise ValueError("need k >= 1 translates")
+    _check_count("k", k)
     base = 3.0 * report.z
     r = report.R
     win = Window.from_bounds(

@@ -154,6 +154,36 @@ def test_witness_oversized_k_is_usage_error(k, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_witness_k_above_the_width_is_usage_error(tmp_path, monkeypatch, capsys):
+    # A translate owns a component only through columns of its own, so
+    # k > cols can never certify.
+    monkeypatch.setattr(maskit.cli, "find_rectangle", lambda clf: pytest.fail("search ran"))
+    argv = ["witness", "-k", "129", "--synthetic", "--res", "128x16", "--out", str(tmp_path / "w")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: -k must be at most the --res width, 128")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["render-maskit", "--res", "4x3", "--out", "-"],
+        ["a-slice", "--z", "-3", "5.244615", "--res", "4x3", "--out", "-", "--json", "-"],
+        ["a-slice", "--z", "-3", "5.244615", "--res", "4x3", "--out", "-", "--json", "a.json"],
+    ],
+    ids=["render-maskit", "a-slice-json-stdout", "a-slice-json-file"],
+)
+def test_ppm_to_stdout_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # cusps --out - and a-slice --json - mean stdout, but a PPM goes to a
+    # file only: never to one named "-"
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: --out - is not supported")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cusps_cap_is_enforced():
     assert main(["cusps", "--max-q", "0"]) == EXIT_USAGE
     assert main(["cusps", "--max-q", "65"]) == EXIT_USAGE

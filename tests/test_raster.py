@@ -142,6 +142,16 @@ def test_window_rejects_empty_resolution():
         Window.from_bounds(0.0, 1.0, 0.0, 1.0, 8, 0)
 
 
+@pytest.mark.parametrize("n", [2.7, 1.9, math.inf, -math.inf, math.nan, "3"])
+def test_window_rejects_a_resolution_that_is_not_a_whole_number(n):
+    # a pixel count is whole: neither truncated (2.7 to 2) nor kept as given
+    for res in ((n, 3), (3, n)):
+        with pytest.raises(ValueError, match="whole numbers"):
+            Window.from_bounds(0.0, 1.0, 0.0, 1.0, *res)
+        with pytest.raises(ValueError, match="whole numbers"):
+            Window(0.0, 1.0, 0.0, 1.0, *res)
+
+
 def test_pixel_center_corners():
     # 2x2 grid on the unit square: centers sit at the quarter points,
     # with row 0 at the TOP (image convention).

@@ -1,4 +1,4 @@
-"""Tests for the rectangle witness: search, reflection, verification, counting."""
+"""Tests for the rectangle witness: construction, reflection, verification, counting."""
 
 import json
 import math
@@ -31,9 +31,9 @@ from test_raster import _AVERDICT_CODE, scalar_membership
 
 SQRT3 = math.sqrt(3.0)
 
-# Regression fixtures for the default (honest-classifier) search.  These are
-# pinned outputs of a deterministic computation: the search strip is
-# [-2, 0], the first margin rung is 0.015, and the first half-width is 0.45.
+# Regression fixtures for the default (honest-classifier) construction.
+# These are pinned outputs of a deterministic computation: the strip is
+# [-2, 0], the inside margin is 0.015, and the half-width is 0.45.
 REAL_Q = AxisRectangle(-1.45, -0.55, 1.7170508075687412, 1.8105146207017615)
 REAL_Z = complex(-1.0, 1.7482054119464145)
 REAL_R = AxisRectangle(-2.45, -1.55, 3.4341016151374824, 3.5275654282705027)
@@ -151,9 +151,9 @@ def test_build_r_involution():
 # ---------------------------------------------------------------------------
 
 
-def test_find_rectangle_synthetic_lands_on_first_rung():
+def test_find_rectangle_synthetic_fixture():
     # Synthetic valley floor at odd integers is exactly peak - 2*depth = 1.5:
-    # the first margin (0.015) and first half-width (0.45) must succeed, so
+    # the margin (0.015) and half-width (0.45) give
     # Q = [-1.45, -0.55] x [1.485, 1.575] and z = -1 + 1.515i.
     q, z = find_rectangle(classifier=SyntheticSlice())
     assert z.real == pytest.approx(-1.0)
@@ -163,24 +163,25 @@ def test_find_rectangle_synthetic_lands_on_first_rung():
     assert (q.im_max - z.imag) == pytest.approx(2.0 * (z.imag - q.im_min))
 
 
-def test_find_rectangle_tests_the_lower_and_side_samples_of_q():
-    # The last rung classifies Q's lower, left and right sides, 33 points
-    # each, evenly spaced from the corner, and nothing after them.
+@pytest.mark.parametrize("make", [RealClassifier, SyntheticSlice], ids=["real", "synthetic"])
+def test_find_rectangle_classifies_85_points_on_the_anchor_vertical(make):
+    # One probe and two 42-step bisections, all on Re z = -1, one point at a
+    # time: Q's sides are left to verify_witness.
     seen = []
-    synth = SyntheticSlice()
+    inner = make()
 
     class Recording:
         def classify(self, z):
             seen.append(z)
-            return synth.classify(z)
+            return inner.classify(z)
 
-    q, _ = find_rectangle(Recording())
-    n = 33
-    xs = [q.re_min + q.width * k / (n - 1) for k in range(n)]
-    ys = [q.im_min + q.height * k / (n - 1) for k in range(n)]
-    sides = [complex(x, q.im_min) for x in xs]
-    sides += [complex(q.re_min, y) for y in ys] + [complex(q.re_max, y) for y in ys]
-    assert seen[-len(sides) :] == sides
+        def classify_grid(self, re, im):
+            pytest.fail("find_rectangle called classify_grid")
+
+    q, z = find_rectangle(Recording())
+    assert len(seen) == 1 + 2 * 42
+    assert all(p.real == -1.0 for p in seen)
+    assert (q, z) == find_rectangle(make())
 
 
 class _CountingClassifier:
@@ -204,15 +205,15 @@ def _assert_profile_shape(profile):
         assert set(row) == {"x", "outside_floor", "inside_floor"}
 
 
-def test_find_rectangle_impossible_ladder_exhausts():
+def test_find_rectangle_raises_when_q_would_reach_the_real_axis():
     # Nothing below Im z = 1.5 is ever certified outside, so the outside
-    # floor is 0 and every margin puts Q's lower side below the real axis.
+    # floor is 0 and the margin puts Q's lower side below the real axis.
     clf = _CountingClassifier(1.5, Verdict.UNDETERMINED)
-    with pytest.raises(WitnessSearchError, match="ladder") as exc:
+    with pytest.raises(WitnessSearchError, match="not above the real axis") as exc:
         find_rectangle(classifier=clf)
-    # probe 1 + two bisections 2 * 42 + 5 margins, then the 9-row profile
-    # at 1 + 24 + 24 calls a row.
-    assert clf.calls == 90 + 9 * 49
+    # probe 1 + two bisections 2 * 42, then the 9-row profile at
+    # 1 + 24 + 24 calls a row.
+    assert clf.calls == 85 + 9 * 49
     profile = exc.value.profile
     _assert_profile_shape(profile)
     for row in profile:
@@ -221,8 +222,36 @@ def test_find_rectangle_impossible_ladder_exhausts():
         assert row["outside_floor"] == 0.0
 
 
+def test_a_side_sample_of_q_not_outside_is_left_to_verify_witness():
+    # The synthetic slice, but Undetermined at the midpoint of Q's lower
+    # side.  find_rectangle tests no side of Q, so it returns the synthetic
+    # (Q, z); verify_witness finds the one sample of R whose upper test
+    # point 3z - w is there: the midpoint of R's top side.
+    synth = SyntheticSlice()
+    q, z = find_rectangle(synth)
+    spot = complex(-1.0, q.im_min)
+
+    class Double:
+        def classify(self, p):
+            if abs(p - spot) < 1e-9:
+                return Classification(Verdict.UNDETERMINED, None, 1)
+            return synth.classify(p)
+
+        def describe(self):
+            return synth.describe()
+
+    clf = Double()
+    assert find_rectangle(clf) == (q, z)
+    report = verify_witness(q, z, clf)
+    assert not report.all_certified
+    (w,) = report.offending_samples
+    assert w.imag == report.R.im_max
+    assert 3.0 * z - w == pytest.approx(spot, abs=1e-9)
+    assert report.interior_sample_verdict.verdict is AVerdict.MEMBER
+
+
 def test_find_rectangle_probe_failure_reports_profile():
-    # No point is ever certified inside: the upward probe gives up.
+    # No point is ever certified inside: the probe at Im z = 2.5 fails.
     clf = _CountingClassifier(math.inf, Verdict.OUTSIDE_CERTIFIED)
     with pytest.raises(WitnessSearchError, match="no certified-inside point") as exc:
         find_rectangle(classifier=clf)
@@ -258,10 +287,10 @@ def test_verify_witness_requires_interior_z():
         verify_witness(q, complex(-1.0, 3.0), classifier=SyntheticSlice())
 
 
-@pytest.mark.parametrize("rows", [0, -3, 2.5])
+@pytest.mark.parametrize("rows", [0, -3, 2.5, True])
 def test_verify_witness_rejects_raster_rows_that_are_not_a_positive_int(rows):
     # 0 would divide by zero, -3 would space the samples by a negative
-    # pitch, and 2.5 rows cannot be counted at
+    # pitch, 2.5 rows cannot be counted at, and a bool is not a count
     clf = SyntheticSlice()
     q, z = find_rectangle(classifier=clf)
     with pytest.raises(ValueError, match="raster_rows"):
@@ -566,11 +595,20 @@ def test_witness_document_window_is_r_over_k_translates(case):
 
 
 def test_components_near_infinity_rejects_k_zero():
-    # the synthetic first rung: R = [-2.45, -1.55] x [2.97, 3.06], base -3 + 4.545i
+    # the synthetic construction: R = [-2.45, -1.55] x [2.97, 3.06], base -3 + 4.545i
     q = AxisRectangle(-1.45, -0.55, 1.485, 1.575)
     report = verify_witness(q, complex(-1.0, 1.515), SyntheticSlice())
     with pytest.raises(ValueError, match="k >= 1"):
         components_near_infinity(report, 0, SyntheticSlice())
+
+
+@pytest.mark.parametrize("k", [2.5, True, "2"])
+def test_components_near_infinity_rejects_k_that_is_not_a_positive_int(k):
+    # the check verify_witness applies to raster_rows: a bool is not a count
+    clf = SyntheticSlice()
+    report = verify_witness(*find_rectangle(clf), clf, raster_rows=4)
+    with pytest.raises(ValueError, match="k >= 1"):
+        components_near_infinity(report, k, clf, cols=8)
 
 
 @pytest.mark.parametrize("rows", [3, 16])
@@ -613,8 +651,8 @@ def test_find_rectangle_real_regression():
     assert z.real == REAL_Z.real
     assert z.imag == pytest.approx(REAL_Z.imag, abs=1e-12)
     _approx_rect(build_R(q, z), REAL_R)
-    # The search bottoms out on the valley floor at sqrt(3): subtracting the
-    # ladder margin (0.015) from the outside band recovers it.
+    # The construction bottoms out on the valley floor at sqrt(3): subtracting
+    # the inside margin (0.015) from the outside band recovers it.
     d = z.imag - q.im_min
     floor_out = z.imag - (d - 0.015)
     assert floor_out == pytest.approx(SQRT3, abs=1e-9)
