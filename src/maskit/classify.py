@@ -89,13 +89,36 @@ with witness None and an explanatory reason.  Points with
 |Re z| > REAL_PART_LIMIT raise ValueError, as non-finite ones do.
 
 RealClassifier.classify_grid gives classify_point's verdicts for whole
-arrays of points at once, as uint8 codes, _FAN_BLOCK points at a time.  It
-forms the same three moduli by the same float operations: the real part
-x + 2.0*n and np.hypot, which is libm's hypot, as abs(complex) is, so each
-comparison is classify_point's bit for bit.
-SyntheticSlice.classify_grid does the same for the stand-in slice.  The
-rasters and the witness take a classifier's batch function from _grid_of,
-which for a classifier with only classify calls it a point at a time under
+arrays of points at once, as uint8 codes, _FAN_BLOCK points at a time.  For
+z = x + iy it forms only the nearest translate's real part,
+a = x + 2.0*rint(-x/2), and s = a*a + y*y, and compares s with T*T for the
+two thresholds T = REJECT_THRESHOLD and T = 2 + INSIDE_MARGIN.  Lemma: where
+s is outside the band T*T*(1 - 2^-40) <= s <= T*T*(1 + 2^-40) (_GUARD) of
+both thresholds, those comparisons give classify_point's code, bit for bit;
+inside either band, classify_grid calls classify_point itself.
+
+  1. In floats, |a_0| <= 1 <= |a_-1|, |a_1|, where a_k is the real part
+     fl(x + 2.0*(n0 + k)) that classify_point forms for n0 + k, and a_0 = a.
+     The exact |x + 2 n0| is at most 1, as n0 is an integer nearest to -x/2,
+     and the exact x + 2(n0 -+ 1) lies beyond -+1.  2.0*n is exact, each sum
+     rounds once, rounding is monotone and 1 is a float, so the bounds hold
+     for the rounded sums.  So the least exact modulus |a_k + iy| is the
+     nearest translate's, and classify_point's code is decided by whether
+     min_k hypot(a_k, y) < T for each T.
+  2. s is a*a + y*y to a relative error below 2^-51: two products and a sum,
+     each rounded once (an underflow adds less than 2^-1000, nothing beside
+     T*T).  Where s < T*T*(1 - 2^-40), the exact |a + iy| is below
+     T*(1 - 2^-42), so any hypot with relative error below 2^-43 puts it
+     below T.  Where s > T*T*(1 + 2^-40), every exact |a_k + iy| is above
+     T*(1 + 2^-42), so every such hypot puts all three at or above T.  The
+     rounding of the band's ends moves them by 2^-52 of T*T, inside that
+     slack.  CPython's abs(complex) is libm's hypot, within an ulp.
+
+So the batch path forms no hypot, and its codes are classify_point's on
+any platform whose hypot is within 2^-43.  SyntheticSlice.classify_grid
+gives classify's verdicts for the stand-in slice.  The rasters and the
+witness take a classifier's batch function from _grid_of, which for a
+classifier with only classify calls it a point at a time under
 the same contract.  The membership test built on these verdicts is in
 maskit.raster.
 """
@@ -150,8 +173,10 @@ _VERDICT_CODE = {
 # classify_grid settles the fan _FAN_BLOCK points at a time, which keeps its
 # temporaries small whatever the size of the input.
 _FAN_BLOCK = 4096
-# 2.0*(n - n0) for the fan's three translates, as a column.
-_FAN_OFFSETS = np.array([[-2.0], [0.0], [2.0]])
+# The relative half-width of the band about each threshold's square within
+# which classify_grid leaves a point to classify_point: wide enough for s's
+# error of 2^-51 and a hypot's of 2^-43 (the lemma in the module docstring).
+_GUARD = 2.0**-40
 
 # SyntheticSlice's boundary curve: peak height and valley depth.
 _SYNTHETIC_PEAK = 2.0
@@ -203,10 +228,15 @@ def classify_point(z) -> Classification:
 def _settle_fans(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """classify_point's verdict codes for the points re.flat + i*im.flat.
 
-    Row k of the fan is |z + 2.0*(n0 + k - 1)|: the real part is x + 2.0*n
-    with 2.0*n formed exactly, as in classify_point, and the imaginary part
-    is Im z, whose sign np.hypot ignores as abs() does.
+    s, the nearest translate's squared modulus, decides every point outside
+    the bands about the thresholds' squares, and classify_point every point
+    inside one (the lemma in the module docstring).
     """
+    reject_lo, reject_hi, inside_lo, inside_hi = (
+        t * t * f
+        for t in (REJECT_THRESHOLD, 2.0 + INSIDE_MARGIN)
+        for f in (1.0 - _GUARD, 1.0 + _GUARD)
+    )
     out = np.empty(re.size, np.uint8)
     for b in range(0, re.size, _FAN_BLOCK):
         x = re.flat[b : b + _FAN_BLOCK]
@@ -215,12 +245,16 @@ def _settle_fans(re: np.ndarray, im: np.ndarray) -> np.ndarray:
         if not ok.all():
             i = int(np.argmin(ok))
             _check_point(complex(float(x[i]), float(y[i])))
-        fan = 2.0 * np.rint(-x / 2.0) + _FAN_OFFSETS
-        fan += x
-        lowest = np.hypot(fan, y, out=fan).min(0)
+        s = 2.0 * np.rint(-x / 2.0)
+        s += x
+        s *= s
+        s += y * y
         codes = np.where(y > 0, CELL_INSIDE_PLUS, CELL_INSIDE_MINUS).astype(np.uint8)
-        codes[lowest < 2.0 + INSIDE_MARGIN] = CELL_UNDETERMINED
-        codes[(lowest < REJECT_THRESHOLD) | (y == 0.0)] = CELL_OUTSIDE
+        codes[s < inside_lo] = CELL_UNDETERMINED
+        codes[(s < reject_lo) | (y == 0.0)] = CELL_OUTSIDE
+        band = ((reject_lo <= s) & (s <= reject_hi)) | ((inside_lo <= s) & (s <= inside_hi))
+        for i in np.flatnonzero(band).tolist():
+            codes[i] = _VERDICT_CODE[classify_point(complex(x[i], y[i])).verdict]
         out[b : b + _FAN_BLOCK] = codes
     return out
 

@@ -95,6 +95,7 @@ _CELL_NAMES = {
 
 _MEMBER_CODES = frozenset({CELL_INSIDE_PLUS, CELL_INSIDE_MINUS, CELL_MEMBER})
 
+
 @dataclass(frozen=True)
 class AxisRectangle:
     re_min: float
@@ -146,13 +147,14 @@ class Window(AxisRectangle):
             )
         if self.cols < 1 or self.rows < 1:
             raise ValueError("window resolution must be >= 1x1")
+        # an integral float such as 8.0 is kept as the int 8, which asdict writes as 8
+        object.__setattr__(self, "cols", int(self.cols))
+        object.__setattr__(self, "rows", int(self.rows))
 
     @classmethod
     def from_bounds(cls, re_min, re_max, im_min, im_max, cols, rows) -> "Window":
-        """The window with these bounds as floats and this resolution as ints.
-        A resolution that is not a whole number reaches __post_init__ as
-        given, which rejects it."""
-        cols, rows = (int(n) if _whole(n) else n for n in (cols, rows))
+        """The window with these bounds as floats; __post_init__ checks the
+        resolution and keeps it as ints."""
         return cls(float(re_min), float(re_max), float(im_min), float(im_max), cols, rows)
 
     def _re_at(self, j):

@@ -23,6 +23,7 @@ from maskit.classify import (
     CELL_UNDETERMINED,
     INSIDE_MARGIN,
     REAL_PART_LIMIT,
+    REJECT_THRESHOLD,
     RealClassifier,
     SyntheticSlice,
     Verdict,
@@ -170,7 +171,7 @@ _RADII = (
 @settings(max_examples=150, deadline=None)
 def test_classify_grid_matches_classify_point(points, k):
     # Points packed around |z + 2n| = 2 and 2 + INSIDE_MARGIN, and their 2k
-    # translates: np.hypot decides each of them as abs() does.
+    # translates: classify_grid decides each of them as classify_point does.
     re = np.array([z.real + 2.0 * k for z in points])
     im = np.array([z.imag for z in points])
     assert RealClassifier().classify_grid(re, im).tolist() == _scalar_codes(re, im)
@@ -291,8 +292,8 @@ def test_fan_rule_agrees_with_the_search_oracle():
 
 
 # A bound on tracemalloc's peak for classify_grid on _render_chunk(): the
-# output and the fan of one _FAN_BLOCK of points took 370,720 bytes with
-# numpy 2.4.6, and the whole chunk's fan at once 1,935,664.
+# output and the temporaries of one _FAN_BLOCK of points took 210,008 bytes
+# with numpy 2.4.6, and those of the whole chunk at once 1,149,136.
 _FAN_PEAK_BYTES = 512 * 1024
 
 
@@ -510,6 +511,15 @@ def test_two_sided_prune_keeps_the_subtree_above_g():
     _assert_pruned_subtrees_stay_above_g(a, b, d)
 
 
+def _ulps_around(x, k):
+    """x and the k floats on either side of it."""
+    out, lo, hi = [x], x, x
+    for _ in range(k):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
 def test_settle_fans_window_holds_every_low_integer_trace():
     # Every n with |z + 2n| below the bar 2 + INSIDE_MARGIN is one of the
     # three nearest translates n0 - 1, n0, n0 + 1 (n0 = round(-Re z / 2)), so
@@ -531,6 +541,43 @@ def test_settle_fans_window_holds_every_low_integer_trace():
         assert code == (CELL_OUTSIDE if m < 2.0 else CELL_UNDETERMINED if m < 2.001 else side), z
         low += len(below) > 1
     assert low > 1000  # points below the bar at two translates
+    # Step 1 of the lemma in classify's docstring: in floats the nearest
+    # translate's real part is the least, |a_0| <= 1 <= |a_-1|, |a_1|, at the
+    # odd integers, where -x/2 is half-way and rint rounds half to even, a few
+    # ulps either side of them, at zero, and next to +-2^50.
+    xs = [5e-324, 0.0, -0.0]
+    for c in [2.0 * k + 1.0 for k in range(-6, 6)] + [2.0**50, 2.0**50 - 1.0, 2.0**50 - 3.0]:
+        xs += _ulps_around(c, 3) + _ulps_around(-c, 3)
+    for x in xs:
+        if abs(x) > REAL_PART_LIMIT:
+            continue
+        n0 = round(-x / 2.0)
+        assert np.rint(-x / 2.0) == n0, x
+        assert abs(x + 2.0 * n0) <= 1.0 <= min(abs(x + 2.0 * (n0 - 1)), abs(x + 2.0 * (n0 + 1))), x
+
+
+# x*x + y*y < 4 here, yet |z| >= 2 and classify_point says Undetermined: the
+# squared modulus alone would put z outside.
+_GUARD_BAND_POINT = 0.3219006875022218 + 1.9739250105780606j
+
+
+def test_classify_grid_leaves_the_guard_bands_to_classify_point():
+    z = _GUARD_BAND_POINT
+    assert z.real * z.real + z.imag * z.imag < 4.0 and abs(z) >= 2.0
+    assert classify_point(z).verdict is Verdict.UNDETERMINED
+    assert RealClassifier().classify_grid(z.real, z.imag) == CELL_UNDETERMINED
+    # At x = 2k + 1 the translates n0 and n0 - 1 tie, |a| = 1: points a few
+    # ulps either side of both circles |z + 2n| = T, above and below the axis.
+    re, im = [], []
+    for k in (-3, 0, 1, 2**20):
+        for x in _ulps_around(2.0 * k + 1.0, 2):
+            for t in (REJECT_THRESHOLD, 2.0 + INSIDE_MARGIN):
+                for y in _ulps_around(math.sqrt(t * t - 1.0), 4):
+                    re += [x, x]
+                    im += [y, -y]
+    codes = RealClassifier().classify_grid(re, im).tolist()
+    assert codes == _scalar_codes(re, im)
+    assert set(codes) == {CELL_OUTSIDE, CELL_UNDETERMINED, CELL_INSIDE_PLUS, CELL_INSIDE_MINUS}
 
 
 @given(

@@ -207,6 +207,13 @@ def test_window_keeps_its_bounds(re, im, cols, rows):
     assert Window.from_bounds(**asdict(win)) == win
 
 
+def test_window_keeps_an_integral_float_resolution_as_an_int():
+    # 2.7 and inf still raise: test_window_rejects_a_resolution_that_is_not_a_whole_number
+    win = Window(0.0, 1.0, 0.0, 1.0, 8.0, 3.0)
+    assert (type(win.cols), type(win.rows)) == (int, int)
+    assert json.dumps(asdict(win)).endswith('"cols": 8, "rows": 3}')
+
+
 def test_window_from_bounds_takes_floats_and_ints():
     win = Window.from_bounds(-4, 4, 0, 10, 8.0, 2.0)
     assert json.dumps(asdict(win)) == (
