@@ -8,106 +8,75 @@ rasterizes slices, and certifies a rectangle witnessing infinitely many
 bounded components in an extension locus.  It works with traces only; the
 matrices themselves live beside the tests, as the oracle that the
 recursion is checked against.
+
+`import maskit` loads no submodule: each public name is imported from its
+home module on first access (PEP 562).  numpy is imported only by the
+batch paths (classify_grid, the rasters, the witness and poly_roots), so a
+caller that uses only the Farey recursion, classify_point, the CELL_*
+codes or cusp_point never loads it.
 """
 
-from .classify import (
-    Classification,
-    RealClassifier,
-    SyntheticSlice,
-    Verdict,
-    classify_point,
-)
-from .cusps import (
-    BoundaryCuspError,
-    CuspResult,
-    RootSolveError,
-    cusp_point,
-    pleating_ray,
-    poly_roots,
-)
-from .farey import (
-    FareySlope,
-    TraceCache,
-    TracePolynomial,
-    slope,
-    slopes_up_to,
-    trace_polynomial,
-)
-from .raster import (
-    CELL_INSIDE_MINUS,
-    CELL_INSIDE_PLUS,
-    CELL_MEMBER,
-    CELL_NON_MEMBER,
-    CELL_OUTSIDE,
-    CELL_UNDETERMINED,
-    AMembership,
-    AVerdict,
-    AxisRectangle,
-    Component,
-    Raster,
-    Window,
-    a_membership,
-    components,
-    membership_with,
-    rasterize_a_slice,
-    rasterize_maskit,
-    to_ppm_bytes,
-)
-from .witness import (
-    ComponentsNearInfinity,
-    WitnessReport,
-    WitnessSearchError,
-    build_R,
-    components_near_infinity,
-    find_rectangle,
-    normalized_length,
-    verify_witness,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AMembership",
-    "AVerdict",
-    "AxisRectangle",
-    "BoundaryCuspError",
-    "CELL_INSIDE_MINUS",
-    "CELL_INSIDE_PLUS",
-    "CELL_MEMBER",
-    "CELL_NON_MEMBER",
-    "CELL_OUTSIDE",
-    "CELL_UNDETERMINED",
-    "Classification",
-    "Component",
-    "ComponentsNearInfinity",
-    "CuspResult",
-    "FareySlope",
-    "Raster",
-    "RealClassifier",
-    "RootSolveError",
-    "SyntheticSlice",
-    "TraceCache",
-    "TracePolynomial",
-    "Verdict",
-    "Window",
-    "WitnessReport",
-    "WitnessSearchError",
-    "a_membership",
-    "build_R",
-    "classify_point",
-    "components",
-    "components_near_infinity",
-    "cusp_point",
-    "find_rectangle",
-    "membership_with",
-    "normalized_length",
-    "pleating_ray",
-    "poly_roots",
-    "rasterize_a_slice",
-    "rasterize_maskit",
-    "slope",
-    "slopes_up_to",
-    "to_ppm_bytes",
-    "trace_polynomial",
-    "verify_witness",
-]
+# Each public name and the submodule that defines it.
+_HOME = {
+    "CELL_INSIDE_MINUS": "classify",
+    "CELL_INSIDE_PLUS": "classify",
+    "CELL_OUTSIDE": "classify",
+    "CELL_UNDETERMINED": "classify",
+    "Classification": "classify",
+    "RealClassifier": "classify",
+    "SyntheticSlice": "classify",
+    "Verdict": "classify",
+    "classify_point": "classify",
+    "BoundaryCuspError": "cusps",
+    "CuspResult": "cusps",
+    "RootSolveError": "cusps",
+    "cusp_point": "cusps",
+    "pleating_ray": "cusps",
+    "poly_roots": "cusps",
+    "FareySlope": "farey",
+    "TraceCache": "farey",
+    "TracePolynomial": "farey",
+    "slope": "farey",
+    "slopes_up_to": "farey",
+    "trace_polynomial": "farey",
+    "CELL_MEMBER": "raster",
+    "CELL_NON_MEMBER": "raster",
+    "AMembership": "raster",
+    "AVerdict": "raster",
+    "AxisRectangle": "raster",
+    "Component": "raster",
+    "Raster": "raster",
+    "Window": "raster",
+    "a_membership": "raster",
+    "components": "raster",
+    "membership_with": "raster",
+    "rasterize_a_slice": "raster",
+    "rasterize_maskit": "raster",
+    "to_ppm_bytes": "raster",
+    "ComponentsNearInfinity": "witness",
+    "WitnessReport": "witness",
+    "WitnessSearchError": "witness",
+    "build_R": "witness",
+    "components_near_infinity": "witness",
+    "find_rectangle": "witness",
+    "normalized_length": "witness",
+    "verify_witness": "witness",
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

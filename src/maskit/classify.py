@@ -129,10 +129,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .farey import FareySlope
+
+if TYPE_CHECKING:  # imported where a batch runs, so classify_point loads no numpy
+    import numpy as np
 
 
 class Verdict(Enum):
@@ -232,6 +234,8 @@ def _settle_fans(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     the bands about the thresholds' squares, and classify_point every point
     inside one (the lemma in the module docstring).
     """
+    import numpy as np
+
     reject_lo, reject_hi, inside_lo, inside_hi = (
         t * t * f
         for t in (REJECT_THRESHOLD, 2.0 + INSIDE_MARGIN)
@@ -273,6 +277,8 @@ class RealClassifier:
         result has that shape and equals classify_point's verdicts point by
         point, bit for bit.  Raises ValueError where classify_point would.
         """
+        import numpy as np
+
         re, im = np.broadcast_arrays(np.asarray(re, np.float64), np.asarray(im, np.float64))
         return _settle_fans(re, im).reshape(re.shape)
 
@@ -318,6 +324,8 @@ class SyntheticSlice:
         math.cos, as in boundary_height, not numpy's own loop; the other
         operations round the same in numpy, so every code is classify's.
         """
+        import numpy as np
+
         re, im = np.broadcast_arrays(np.asarray(re, np.float64), np.asarray(im, np.float64))
         bad = ~(np.isfinite(re) & np.isfinite(im))
         if bad.any():
@@ -343,6 +351,8 @@ def _grid_of(classifier):
         return grid
 
     def classify_grid(re, im):
+        import numpy as np
+
         re, im = np.broadcast_arrays(np.asarray(re, np.float64), np.asarray(im, np.float64))
         points = map(complex, re.ravel().tolist(), im.ravel().tolist())
         codes = (_VERDICT_CODE[classifier.classify(z).verdict] for z in points)

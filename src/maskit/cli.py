@@ -40,19 +40,37 @@ from dataclasses import asdict
 from .classify import REAL_PART_LIMIT, RealClassifier, SyntheticSlice
 from .cusps import BoundaryCuspError, cusp_point
 from .farey import SYMBOLIC_Q_CAP, FareySlope, slopes_up_to
-from .raster import (
-    Window,
-    components,
-    rasterize_a_slice,
-    rasterize_maskit,
-    to_ppm_bytes,
+
+# The names the image commands take from raster and witness, which import
+# numpy; cusps and --help load neither.  Each is bound on first use, from the
+# package, which knows its home: when read as an attribute of this module
+# (PEP 562), and before any command but cusps runs.  A name bound already,
+# as a test or a tracer rebinds it, keeps that binding.
+_LAZY = (
+    "Window",
+    "components",
+    "rasterize_a_slice",
+    "rasterize_maskit",
+    "to_ppm_bytes",
+    "WitnessSearchError",
+    "components_near_infinity",
+    "find_rectangle",
+    "verify_witness",
 )
-from .witness import (
-    WitnessSearchError,
-    components_near_infinity,
-    find_rectangle,
-    verify_witness,
-)
+
+
+def _bind_lazy() -> None:
+    package = sys.modules[__package__]
+    for name in _LAZY:
+        globals().setdefault(name, getattr(package, name))
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_lazy()
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -400,6 +418,8 @@ def main(argv=None) -> int:
                 raise _UsageError(f"config {args.config}: --config cannot be nested")
             # The file's flags go first, so the command line's win.
             args = parser.parse_args([args.command, *file_flags, *argv[1:]])
+        if args.command != "cusps":
+            _bind_lazy()
         return _DISPATCH[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -39,12 +39,13 @@ is the classifier's shortfall, not the cusp's.
 
 poly_roots, the all-roots solver, stays as an independent check of the
 cusps.  It takes numpy's estimates of every root (np.roots, the
-eigenvalues of the companion matrix) and steps each with the same exact
-Newton step, until a step returns its own input.  A root is that fixed
-point, so it depends on numpy only through which root an estimate lands
-on.  On a root on the real or the imaginary axis, the other component
-comes out 0 or below 1e-30 in size, not always exactly 0: the float
-estimate's rounding leaves a second-order term there.
+eigenvalues of the companion matrix; numpy is imported there, so the cusp
+table loads none) and steps each with the same exact Newton step, until a
+step returns its own input.  A root is that fixed point, so it depends on
+numpy only through which root an estimate lands on.  On a root on the
+real or the imaginary axis, the other component comes out 0 or below 1e-30
+in size, not always exactly 0: the float estimate's rounding leaves a
+second-order term there.
 
 Repeated roots would stall Newton: (z^2+z+1)^2 divides t_{3/10} - 2,
 (z^2+3z+3)^2 divides t_{7/10} - 2 and (z+1)^3 divides t_{5/12} - 2 and
@@ -60,8 +61,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .classify import Verdict, classify_point
 from .farey import FareySlope, TracePolynomial, _fill, trace_polynomial
@@ -393,6 +392,8 @@ def poly_roots(poly: TracePolynomial, target: int) -> list[complex]:
     point and 497 reach the same root twice.  Every one with q <= 24
     solves.  cusp_point follows pleating rays instead.
     """
+    import numpy as np
+
     if poly.degree < 1:
         raise ValueError("degree >= 1 required")
     if isinstance(target, float) and target.is_integer():
