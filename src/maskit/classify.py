@@ -89,8 +89,8 @@ with witness None and an explanatory reason.  Points with
 |Re z| > REAL_PART_LIMIT raise ValueError, as non-finite ones do.
 
 RealClassifier.classify_grid gives classify_point's verdicts for whole
-arrays of points at once, as uint8 codes, _FAN_BLOCK points at a time.  For
-z = x + iy it forms only the nearest translate's real part,
+arrays of points at once, as uint8 codes, in one array pass over them
+all.  For z = x + iy it forms only the nearest translate's real part,
 a = x + 2.0*rint(-x/2), and s = a*a + y*y, and compares s with T*T for the
 two thresholds T = REJECT_THRESHOLD and T = 2 + INSIDE_MARGIN.  Lemma: where
 s is outside the band T*T*(1 - 2^-40) <= s <= T*T*(1 + 2^-40) (_GUARD) of
@@ -172,9 +172,6 @@ _VERDICT_CODE = {
     Verdict.UNDETERMINED: CELL_UNDETERMINED,
 }
 
-# classify_grid settles the fan _FAN_BLOCK points at a time, which keeps its
-# temporaries small whatever the size of the input.
-_FAN_BLOCK = 4096
 # The relative half-width of the band about each threshold's square within
 # which classify_grid leaves a point to classify_point: wide enough for s's
 # error of 2^-51 and a hypot's of 2^-43 (the lemma in the module docstring).
@@ -227,42 +224,6 @@ def classify_point(z) -> Classification:
     return Classification(side, None, 3)
 
 
-def _settle_fans(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """classify_point's verdict codes for the points re.flat + i*im.flat.
-
-    s, the nearest translate's squared modulus, decides every point outside
-    the bands about the thresholds' squares, and classify_point every point
-    inside one (the lemma in the module docstring).
-    """
-    import numpy as np
-
-    reject_lo, reject_hi, inside_lo, inside_hi = (
-        t * t * f
-        for t in (REJECT_THRESHOLD, 2.0 + INSIDE_MARGIN)
-        for f in (1.0 - _GUARD, 1.0 + _GUARD)
-    )
-    out = np.empty(re.size, np.uint8)
-    for b in range(0, re.size, _FAN_BLOCK):
-        x = re.flat[b : b + _FAN_BLOCK]
-        y = im.flat[b : b + _FAN_BLOCK]
-        ok = (np.abs(x) <= REAL_PART_LIMIT) & np.isfinite(y)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            _check_point(complex(float(x[i]), float(y[i])))
-        s = 2.0 * np.rint(-x / 2.0)
-        s += x
-        s *= s
-        s += y * y
-        codes = np.where(y > 0, CELL_INSIDE_PLUS, CELL_INSIDE_MINUS).astype(np.uint8)
-        codes[s < inside_lo] = CELL_UNDETERMINED
-        codes[(s < reject_lo) | (y == 0.0)] = CELL_OUTSIDE
-        band = ((reject_lo <= s) & (s <= reject_hi)) | ((inside_lo <= s) & (s <= inside_hi))
-        for i in np.flatnonzero(band).tolist():
-            codes[i] = _VERDICT_CODE[classify_point(complex(x[i], y[i])).verdict]
-        out[b : b + _FAN_BLOCK] = codes
-    return out
-
-
 @dataclass(frozen=True)
 class RealClassifier:
     """The honest classifier, as the value the rasters and witness stages take."""
@@ -275,12 +236,39 @@ class RealClassifier:
 
         re and im are float arrays that broadcast to one shape; the uint8
         result has that shape and equals classify_point's verdicts point by
-        point, bit for bit.  Raises ValueError where classify_point would.
+        point, bit for bit.  Raises ValueError where classify_point would,
+        at the first such point in row-major order.
+
+        s, the nearest translate's squared modulus, decides every point
+        outside the bands about the thresholds' squares, and classify_point
+        every point inside one (the lemma in the module docstring).  The
+        temporaries are a few arrays of the input's broadcast size: callers
+        that bound memory pass batches (see raster._rasterize).
         """
         import numpy as np
 
-        re, im = np.broadcast_arrays(np.asarray(re, np.float64), np.asarray(im, np.float64))
-        return _settle_fans(re, im).reshape(re.shape)
+        x, y = np.broadcast_arrays(np.asarray(re, np.float64), np.asarray(im, np.float64))
+        ok = (np.abs(x) <= REAL_PART_LIMIT) & np.isfinite(y)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            _check_point(complex(float(x.flat[i]), float(y.flat[i])))
+        reject_lo, reject_hi, inside_lo, inside_hi = (
+            t * t * f
+            for t in (REJECT_THRESHOLD, 2.0 + INSIDE_MARGIN)
+            for f in (1.0 - _GUARD, 1.0 + _GUARD)
+        )
+        s = 2.0 * np.rint(-x / 2.0)
+        s += x
+        s *= s
+        s += y * y
+        codes = np.where(y > 0, CELL_INSIDE_PLUS, CELL_INSIDE_MINUS).astype(np.uint8)
+        codes[s < inside_lo] = CELL_UNDETERMINED
+        codes[(s < reject_lo) | (y == 0.0)] = CELL_OUTSIDE
+        band = ((reject_lo <= s) & (s <= reject_hi)) | ((inside_lo <= s) & (s <= inside_hi))
+        for i in np.flatnonzero(band).tolist():
+            z = complex(x.flat[i], y.flat[i])
+            codes.flat[i] = _VERDICT_CODE[classify_point(z).verdict]
+        return codes
 
     def describe(self) -> dict:
         return {

@@ -395,11 +395,10 @@ _DISPATCH = {
 
 
 def _config_flags(path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        return shlex.split(text, comments=True)
-    except ValueError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            return shlex.split(fh.read(), comments=True)
+    except ValueError as exc:  # a shlex error, or a byte that is not UTF-8
         raise _UsageError(f"config {path}: {exc}") from None
 
 

@@ -9,9 +9,11 @@ Component records.  Callers serialise windows and components with
 dataclasses.asdict.
 
 Everything is a pure function of (classifier, window, row range): one
-driver classifies in process, whole row chunks, and concatenates them in
-order.  Each chunk of the slice raster is one call of the classifier's
-batch function (see classify._grid_of).
+driver, _rasterize, classifies in process, in batches of whole rows of
+about _BATCH_POINTS pixels, written in order into one array.  That is the
+rasters' one batch boundary, and what bounds their memory beside the
+output: each batch of the slice raster is one call of the classifier's
+batch function (see classify._grid_of), whose temporaries grow with it.
 
 The membership test is here as well.  w belongs to the locus of the
 extended representation at base z exactly when some integer n puts z - snw
@@ -94,6 +96,10 @@ _CELL_NAMES = {
 }
 
 _MEMBER_CODES = frozenset({CELL_INSIDE_PLUS, CELL_INSIDE_MINUS, CELL_MEMBER})
+
+# The pixels _rasterize classifies in one batch call (but never less than a
+# row): it keeps the batch's temporaries small whatever the resolution.
+_BATCH_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -314,12 +320,15 @@ def _membership_rows(classifier, z, xs, ys):
 
 
 def _rasterize(win: Window, cells_of, *args) -> Raster:
-    """The raster of cells_of(*args, xs, ys) over win, in process, whole row
-    chunks: one call per ceil(rows / 8) rows, top to bottom."""
+    """The raster of cells_of(*args, xs, ys) over win, in process: one call
+    per max(1, _BATCH_POINTS // cols) whole rows, top to bottom, each written
+    into its rows of the output."""
     xs, ys = win.centers()
-    chunk = math.ceil(win.rows / 8)
-    chunks = [cells_of(*args, xs, ys[i : i + chunk]) for i in range(0, win.rows, chunk)]
-    return Raster(window=win, cells=np.concatenate(chunks))
+    cells = np.empty((win.rows, win.cols), np.uint8)
+    step = max(1, _BATCH_POINTS // win.cols)
+    for i in range(0, win.rows, step):
+        cells[i : i + step] = cells_of(*args, xs, ys[i : i + step])
+    return Raster(window=win, cells=cells)
 
 
 def rasterize_maskit(win: Window, classifier) -> Raster:

@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 import textwrap
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,6 @@ from maskit.classify import (
     SyntheticSlice,
     Verdict,
     _grid_of,
-    _settle_fans,
     classify_point,
 )
 from maskit.raster import AVerdict, Window, a_membership, membership_with
@@ -178,9 +176,9 @@ def test_classify_grid_matches_classify_point(points, k):
 
 
 # The classifier's configuration is its module constants: the thresholds,
-# against which the batch and scalar paths must decide alike, and the block
-# in which classify_grid settles the fan.  The bar 2 + INSIDE_MARGIN stays
-# at most 3, where the three nearest translates hold every trace below it.
+# against which the batch and scalar paths must decide alike.  The bar
+# 2 + INSIDE_MARGIN stays at most 3, where the three nearest translates hold
+# every trace below it.
 _CFGS = [
     {},
     {"INSIDE_MARGIN": 0.5},  # a wide Undetermined band
@@ -195,33 +193,32 @@ _CFGS = [
     "constants",
     [
         {},
-        # one, two or three points to a block, and blocks that end inside
-        # the 1,271-point grid
-        {"_FAN_BLOCK": 1},
-        {"_FAN_BLOCK": 2},
-        {"_FAN_BLOCK": 3},
-        {"_FAN_BLOCK": 7},
-        {"_FAN_BLOCK": 64},
-        {"_FAN_BLOCK": 1270},  # a last block of one point
-        {"_FAN_BLOCK": 1271},  # one block, the grid exactly
-        {"_FAN_BLOCK": 1272},
-        {"_FAN_BLOCK": 10**9},
+        # Every guard band at least 2^-40 wide gives the same codes (the
+        # lemma in classify's docstring): the wider ones leave more points
+        # to classify_point, up to all of them at 10, and classify_grid
+        # writes its codes back in place.
+        {"_GUARD": 2.0**-30},
+        {"_GUARD": 2.0**-20},
+        {"_GUARD": 2.0**-10},
+        {"_GUARD": 1e-3},
+        {"_GUARD": 0.01},
+        {"_GUARD": 0.1},
+        {"_GUARD": 0.5},
+        {"_GUARD": 0.99},
+        {"_GUARD": 10.0},
     ],
 )
 @pytest.mark.parametrize("cfg", _CFGS)
 def test_classify_grid_pinned_cases(monkeypatch, constants, cfg):
     for name, value in {**cfg, **constants}.items():
         monkeypatch.setattr(maskit.classify, name, value)
-    re, im = np.meshgrid(np.linspace(-3.0, 3.0, 41), np.linspace(-3.0, 3.0, 31))
-    re, im = re.ravel(), im.ravel()  # includes the row Im z = 0
-    assert RealClassifier().classify_grid(re, im).tolist() == _scalar_codes(re, im)
-
-
-def _render_chunk():
-    """Rows 128 to 191 of the 512² render window, one of the 64×512 chunks
-    rasterize_maskit classifies in one call."""
-    xs, ys = Window.from_bounds(-3.0, 3.0, 0.0, 3.0, 512, 512).centers()
-    return np.broadcast_arrays(xs, ys[128:192, None])
+    xs, ys = np.linspace(-3.0, 3.0, 41), np.linspace(-3.0, 3.0, 31)  # includes Im z = 0
+    re, im = np.meshgrid(xs, ys)
+    want = _scalar_codes(re.ravel(), im.ravel())
+    clf = RealClassifier()
+    assert clf.classify_grid(re.ravel(), im.ravel()).tolist() == want
+    # the same points as a row broadcast against a column, as rasters pass them
+    assert clf.classify_grid(xs, ys[:, None]).ravel().tolist() == want
 
 
 def _search_budget(z) -> int:
@@ -289,25 +286,6 @@ def test_fan_rule_agrees_with_the_search_oracle():
             seen.add((name, verdict))
     assert {("band", "Undetermined"), ("ring", "InsidePlus"), ("cusp", "InsidePlus")} <= seen
     assert ("cusp", "OutsideCertified") in seen
-
-
-# A bound on tracemalloc's peak for classify_grid on _render_chunk(): the
-# output and the temporaries of one _FAN_BLOCK of points took 210,008 bytes
-# with numpy 2.4.6, and those of the whole chunk at once 1,149,136.
-_FAN_PEAK_BYTES = 512 * 1024
-
-
-def test_classify_grid_peak_allocation():
-    re, im = _render_chunk()
-    clf = RealClassifier()
-    clf.classify_grid(re, im)  # numpy's one-time allocations
-    tracemalloc.start()
-    try:
-        clf.classify_grid(re, im)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < _FAN_PEAK_BYTES
 
 
 class _ClassifyOnly:
@@ -520,15 +498,15 @@ def _ulps_around(x, k):
     return out
 
 
-def test_settle_fans_window_holds_every_low_integer_trace():
+def test_classify_grid_window_holds_every_low_integer_trace():
     # Every n with |z + 2n| below the bar 2 + INSIDE_MARGIN is one of the
     # three nearest translates n0 - 1, n0, n0 + 1 (n0 = round(-Re z / 2)), so
-    # _settle_fans' codes are those of the least modulus over all n: checked
-    # by brute force over n.
+    # classify_grid's codes are those of the least modulus over all n:
+    # checked by brute force over n.
     rng = np.random.default_rng(15)
     re = rng.uniform(-8.0, 8.0, 20_000)
     im = rng.uniform(-4.5, 4.5, 20_000)
-    codes = _settle_fans(re, im)
+    codes = RealClassifier().classify_grid(re, im)
     low = 0
     for x, y, code in zip(re.tolist(), im.tolist(), codes.tolist()):
         z = complex(x, y)

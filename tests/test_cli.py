@@ -287,6 +287,14 @@ def test_config_unclosed_quote_is_usage_error(tmp_path, capsys):
     assert "closing quotation" in capsys.readouterr().err
 
 
+def test_non_utf8_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xffx")
+    assert main(["render-maskit", "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: config {cfg}: ") and "utf-8" in err
+
+
 @pytest.mark.parametrize("workers", ["0", "-3", "two"])
 def test_workers_below_one_is_usage_error(workers, capsys):
     assert main(["render-maskit", "--res", "2x2", "--workers", workers]) == EXIT_USAGE

@@ -3,6 +3,7 @@
 import contextlib
 import json
 import math
+import tracemalloc
 from collections import deque
 from dataclasses import asdict
 from unittest import mock
@@ -243,31 +244,60 @@ def test_rasterize_all_inside_golden_ppm():
     assert to_ppm_bytes(raster) == b"P6\n2 2\n255\n" + b"\x00\x00\x00" * 4
 
 
-def test_rasters_classify_row_chunks_of_ceil_rows_over_8(monkeypatch):
-    # One batch call per ceil(rows / 8) whole rows, top to bottom; the chunks
-    # give the cells of one call over every row.
-    sizes = []
+def test_rasters_classify_batches_of_whole_rows(monkeypatch):
+    # One batch call per max(1, 4096 // cols) whole rows, top to bottom; the
+    # batches give the cells of one call over every row.
+    rows = []
     for name in ("_slice_rows", "_membership_rows"):
 
         def recording(*args, _cells_of=getattr(maskit.raster, name)):
-            sizes.append(args[-1].size)
+            xs, ys = args[-2:]
+            assert xs.size == win.cols  # whole rows
+            rows.append(ys.size)
             return _cells_of(*args)
 
         monkeypatch.setattr(maskit.raster, name, recording)
     clf = RealClassifier()
-    for rows, chunks in ((8, [1] * 8), (3, [1] * 3), (20, [3] * 6 + [2])):
-        win = Window.from_bounds(-3.0, 3.0, 0.0, 3.0, 16, rows)
-        sizes.clear()
+    for cols, batches in ((16, [5]), (1500, [2, 2, 1]), (5000, [1] * 5)):
+        win = Window.from_bounds(-3.0, 3.0, -1.0, 3.0, cols, 5)
+        rows.clear()
         raster = rasterize_maskit(win, clf)
-        assert sizes == chunks
+        assert rows == batches
         xs, ys = win.centers()
         assert np.array_equal(raster.cells, clf.classify_grid(xs, ys[:, None]))
-    win = Window.from_bounds(-1.0, 1.0, 0.5, 9.0, 4, 17)
-    sizes.clear()
-    raster = rasterize_a_slice(4j, win, clf)
-    assert sizes == [3] * 5 + [2]
+    win = Window.from_bounds(-4.0, 4.0, -2.0, 10.0, 1000, 9)
+    rows.clear()
+    raster = rasterize_a_slice(complex(-3.0, 5.244615), win, clf)
+    assert rows == [4, 4, 1]
     xs, ys = win.centers()
-    assert np.array_equal(raster.cells, maskit.raster.membership_grid(clf, 4j, xs, ys[:, None])[0])
+    want = maskit.raster.membership_grid(clf, complex(-3.0, 5.244615), xs, ys[:, None])[0]
+    assert np.array_equal(raster.cells, np.where(ys[:, None] >= 0, want, CELL_NON_MEMBER))
+
+
+def _traced_peak(run) -> int:
+    """tracemalloc's peak over run(), after one untraced call of it that
+    makes numpy's one-time allocations."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_raster_peak_allocation():
+    # _rasterize's batches of at most 4,096 pixels bound a raster's
+    # temporaries; the peaks include the uint8 output, 256 KiB at 512x512.
+    # With numpy 2.4.6 the render peaked at 408 kB and the a-slice at
+    # 524 kB, against 536 kB and 1,604 kB with a batch call per eighth of
+    # the rows.
+    clf = RealClassifier()
+    render = Window.from_bounds(-3.0, 3.0, 0.0, 3.0, 512, 512)
+    assert _traced_peak(lambda: rasterize_maskit(render, clf)) < 512 * 1024
+    a_slice = Window.from_bounds(-4.0, 4.0, 0.0, 10.0, 512, 256)
+    z = complex(-3.0, 5.244615)
+    assert _traced_peak(lambda: rasterize_a_slice(z, a_slice, clf)) < 768 * 1024
 
 
 def test_rasterize_maskit_counts_names():
@@ -368,10 +398,11 @@ def _membership_cells(z, win, classifier):
     return _per_pixel(win, code)
 
 
-# Settings of the classifier's module constants: the defaults, fan blocks
-# that end inside a row, and a margin so wide that Undetermined verdicts are
-# common, at test points of the membership test too.
-_CFGS = [{}, {"_FAN_BLOCK": 7}, {"INSIDE_MARGIN": 0.5}]
+# Settings of the classifier's module constants: the defaults, a guard band
+# so wide that classify_point settles many pixels of each batch, and a margin
+# so wide that Undetermined verdicts are common, at test points of the
+# membership test too.
+_CFGS = [{}, {"_GUARD": 0.01}, {"INSIDE_MARGIN": 0.5}]
 
 
 def _constants(cfg):
@@ -384,6 +415,7 @@ _WINDOWS = [
     (-3.0 + 2e6, 3.0 + 2e6, -3.0, 3.0, 12, 9),  # a 2k translate
     (-1.0, 1.0, 0.0, 4.0, 6, 4),  # Im 4i is 8 times the bottom row's Im w
     (-4.0, 4.0, -2.0, 10.0, 10, 12),  # the a-slice default window
+    (-3.0, 3.0, -1.0, 3.0, 1500, 5),  # batches of 2, 2 and 1 rows
 ]
 
 
